@@ -22,8 +22,8 @@ use crate::index::{
 };
 use crate::model::ModelKind;
 use crate::query::{
-    collect_globals, evaluate, evaluate_top_k, evaluate_top_k_with_globals, parse_query,
-    QueryGlobals, QueryNode,
+    collect_globals, evaluate, evaluate_top_k_counted, parse_query, PruneStrategy, QueryGlobals,
+    QueryNode, TopKCounters,
 };
 
 /// Configuration of a collection: its analysis pipeline and model.
@@ -78,6 +78,17 @@ pub struct CollectionStatistics {
     /// (`search` / `search_top_k`) — the serving layer's hook for
     /// average-IRS-latency metrics.
     pub query_nanos: u64,
+    /// Live documents the pruned top-k engine enumerated from essential
+    /// postings lists, summed over queries.
+    pub topk_candidates: u64,
+    /// Candidates the engine scored exactly.
+    pub topk_exact_scored: u64,
+    /// Candidates an upper bound (collection-level or block-max)
+    /// rejected before exact scoring.
+    pub topk_bound_rejects: u64,
+    /// Rejections that also let the engine seek past a range of
+    /// documents via the block skip headers.
+    pub topk_range_skips: u64,
 }
 
 impl CollectionStatistics {
@@ -101,6 +112,10 @@ struct WorkCounters {
     queries: AtomicU64,
     merges: AtomicU64,
     query_nanos: AtomicU64,
+    topk_candidates: AtomicU64,
+    topk_exact_scored: AtomicU64,
+    topk_bound_rejects: AtomicU64,
+    topk_range_skips: AtomicU64,
 }
 
 impl WorkCounters {
@@ -114,6 +129,18 @@ impl WorkCounters {
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
+    /// Add one query's engine counters.
+    fn count_topk(&self, c: &TopKCounters) {
+        for (total, n) in [
+            (&self.topk_candidates, c.candidates),
+            (&self.topk_exact_scored, c.exact_scored),
+            (&self.topk_bound_rejects, c.bound_rejects),
+            (&self.topk_range_skips, c.range_skips),
+        ] {
+            total.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
     fn snapshot(&self) -> CollectionStatistics {
         CollectionStatistics {
             adds: self.adds.load(Ordering::Relaxed),
@@ -121,6 +148,10 @@ impl WorkCounters {
             queries: self.queries.load(Ordering::Relaxed),
             merges: self.merges.load(Ordering::Relaxed),
             query_nanos: self.query_nanos.load(Ordering::Relaxed),
+            topk_candidates: self.topk_candidates.load(Ordering::Relaxed),
+            topk_exact_scored: self.topk_exact_scored.load(Ordering::Relaxed),
+            topk_bound_rejects: self.topk_bound_rejects.load(Ordering::Relaxed),
+            topk_range_skips: self.topk_range_skips.load(Ordering::Relaxed),
         }
     }
 }
@@ -134,6 +165,10 @@ impl Clone for WorkCounters {
             queries: AtomicU64::new(s.queries),
             merges: AtomicU64::new(s.merges),
             query_nanos: AtomicU64::new(s.query_nanos),
+            topk_candidates: AtomicU64::new(s.topk_candidates),
+            topk_exact_scored: AtomicU64::new(s.topk_exact_scored),
+            topk_bound_rejects: AtomicU64::new(s.topk_bound_rejects),
+            topk_range_skips: AtomicU64::new(s.topk_range_skips),
         }
     }
 }
@@ -336,7 +371,8 @@ impl IrsCollection {
     /// hot path for ranked retrieval with a result limit.
     ///
     /// `Term`/`And`/`Or`/`Sum`/`WSum`/`Max` trees run through the pruned
-    /// document-at-a-time top-k engine ([`evaluate_top_k`]), which skips
+    /// document-at-a-time top-k engine
+    /// ([`evaluate_top_k`](crate::query::evaluate_top_k)), which skips
     /// documents whose score upper bound cannot enter the current top-k.
     /// Trees containing `#not`/`#phrase`/`#near` (or `#wsum` with negative
     /// weights) fall back to exhaustive evaluation plus partial selection.
@@ -349,7 +385,10 @@ impl IrsCollection {
         let started = Instant::now();
         let reader = self.index.reader();
         let model = self.config.model.as_model();
-        if let Some(ranked) = evaluate_top_k(&reader, model, &node, k) {
+        if let Some((ranked, counters)) =
+            evaluate_top_k_counted(&reader, model, &node, k, None, PruneStrategy::BlockMax)
+        {
+            self.stats.count_topk(&counters);
             let hits = ranked
                 .into_iter()
                 .map(|(doc, score)| Hit {
@@ -417,16 +456,22 @@ impl IrsCollection {
         let started = Instant::now();
         let reader = self.index.reader();
         let model = self.config.model.as_model();
-        let ranked =
-            evaluate_top_k_with_globals(&reader, model, &node, k, globals).ok_or_else(|| {
-                IrsError::QueryParse {
-                    reason: format!(
-                        "query {query:?} cannot be scored with supplied globals \
+        let (ranked, counters) = evaluate_top_k_counted(
+            &reader,
+            model,
+            &node,
+            k,
+            Some(globals),
+            PruneStrategy::BlockMax,
+        )
+        .ok_or_else(|| IrsError::QueryParse {
+            reason: format!(
+                "query {query:?} cannot be scored with supplied globals \
                      (unsupported operators or mismatched term statistics)"
-                    ),
-                    offset: 0,
-                }
-            })?;
+            ),
+            offset: 0,
+        })?;
+        self.stats.count_topk(&counters);
         let hits = ranked
             .into_iter()
             .map(|(doc, score)| Hit {
@@ -559,6 +604,22 @@ mod tests {
         assert_eq!(s.adds, 3);
         assert_eq!(s.deletes, 1);
         assert_eq!(s.queries, 2);
+    }
+
+    #[test]
+    fn work_stats_sum_the_top_k_engine_counters() {
+        let c = populated(ModelKind::default());
+        assert_eq!(c.work_stats().topk_candidates, 0);
+        c.search_top_k("www", 1).unwrap();
+        let one = c.work_stats();
+        assert_eq!(one.topk_candidates, 2, "both www documents enumerated");
+        assert!(one.topk_exact_scored + one.topk_bound_rejects <= one.topk_candidates);
+        assert!(one.topk_range_skips <= one.topk_bound_rejects);
+        c.search_top_k("www", 1).unwrap();
+        assert_eq!(c.work_stats().topk_candidates, 4);
+        // The exhaustive fallback is not the engine's work.
+        c.search_top_k("#not(www)", 1).unwrap();
+        assert_eq!(c.work_stats().topk_candidates, 4);
     }
 
     #[test]

@@ -22,20 +22,6 @@ pub use store::{DocEntry, DocStore};
 use crate::analysis::Analyzer;
 use crate::error::{IrsError, Result};
 
-/// Evidence gathered for one query term by [`IndexReader::gather_terms`]:
-/// the live occurrences plus the statistics the top-k engine derives its
-/// score upper bound from.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TermEvidence {
-    /// Live `(doc, tf)` pairs, ascending by doc id. Its length is the
-    /// live document frequency of the term.
-    pub occurrences: Vec<(DocId, u32)>,
-    /// Upper bound on any single-document term frequency. Taken from the
-    /// whole postings list, so tombstoned documents may make it loose —
-    /// but never smaller than a live document's frequency.
-    pub max_tf: u32,
-}
-
 /// Read access to an index, as query evaluation needs it. Implemented by
 /// the plain [`InvertedIndex`] and by [`ShardedReader`] (a lock-holding
 /// view over a [`ShardedIndex`]), so the evaluator is agnostic to whether
@@ -64,30 +50,28 @@ pub trait IndexReader {
     fn doc_len_bounds(&self) -> (u32, u32);
     /// Ids of all live documents, ascending.
     fn live_docs(&self) -> Vec<DocId>;
-    /// Whether any tombstoned documents remain. When `false`, a postings
-    /// list's `doc_count` *is* the live document frequency — the top-k
-    /// engine and statistics collection skip their live-filtering scans.
+    /// Whether any tombstoned documents remain. When `false`, every
+    /// posting is live and the top-k engine skips its per-candidate
+    /// liveness check.
     fn has_tombstones(&self) -> bool;
-    /// Gather live occurrence lists for several analysed terms at once —
-    /// the top-k engine's batched postings access. The default walks the
-    /// terms sequentially; [`ShardedReader`] overrides it to read the
-    /// involved shards in parallel and merge the per-shard partials.
-    fn gather_terms(&self, terms: &[String]) -> Vec<TermEvidence> {
-        terms
-            .iter()
-            .map(|t| match self.term_postings(t) {
-                Some(pl) => TermEvidence {
-                    occurrences: pl
-                        .doc_tfs()
-                        .filter(|&(d, _)| self.is_live(DocId(d)))
-                        .map(|(d, tf)| (DocId(d), tf))
-                        .collect(),
-                    max_tf: pl.max_tf(),
-                },
-                None => TermEvidence::default(),
-            })
-            .collect()
-    }
+    /// `(live df, max_tf)` of an analysed term, `None` when the term is
+    /// not in the dictionary — read in place (under the shard read lock
+    /// for a sharded index), without cloning the postings list. The list
+    /// is decoded only to count live documents when tombstones exist;
+    /// `max_tf` comes from the list header and may be loose after deletes.
+    fn term_summary(&self, term: &str) -> Option<(u32, u32)>;
+}
+
+/// [`IndexReader::term_summary`] of one list against its document store.
+pub(crate) fn live_summary(pl: &PostingsList, store: &DocStore) -> (u32, u32) {
+    let df = if store.has_tombstones() {
+        pl.doc_tfs()
+            .filter(|&(d, _)| store.is_live(DocId(d)))
+            .count() as u32
+    } else {
+        pl.doc_count()
+    };
+    (df, pl.max_tf())
 }
 
 impl IndexReader for InvertedIndex {
@@ -128,25 +112,11 @@ impl IndexReader for InvertedIndex {
     }
 
     fn has_tombstones(&self) -> bool {
-        self.store.slot_count() > self.store.live_count()
+        self.store.has_tombstones()
     }
 
-    fn gather_terms(&self, terms: &[String]) -> Vec<TermEvidence> {
-        // Borrow the postings in place — no clone on the unsharded path.
-        terms
-            .iter()
-            .map(|t| match self.postings(t) {
-                Some(pl) => TermEvidence {
-                    occurrences: pl
-                        .doc_tfs()
-                        .filter(|&(d, _)| self.store.is_live(DocId(d)))
-                        .map(|(d, tf)| (DocId(d), tf))
-                        .collect(),
-                    max_tf: pl.max_tf(),
-                },
-                None => TermEvidence::default(),
-            })
-            .collect()
+    fn term_summary(&self, term: &str) -> Option<(u32, u32)> {
+        self.postings(term).map(|pl| live_summary(pl, &self.store))
     }
 }
 
@@ -271,13 +241,7 @@ impl InvertedIndex {
 
     /// Live document frequency of an analysed term — tombstones excluded.
     pub fn live_doc_freq(&self, term: &str) -> u32 {
-        match self.postings(term) {
-            Some(pl) => pl
-                .iter()
-                .filter(|p| self.store.is_live(DocId(p.doc)))
-                .count() as u32,
-            None => 0,
-        }
+        self.term_summary(term).map_or(0, |(df, _)| df)
     }
 
     /// The document store.

@@ -47,7 +47,24 @@ pub fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
 /// encodings whose final byte is a zero that a shorter encoding would have
 /// omitted (`0x80 0x00` is not a valid spelling of `0`): every value has
 /// exactly one accepted encoding — the one [`write_varint`] produces.
+///
+/// Values below 128 — nearly every doc delta, `tf` and position delta in
+/// a postings list — take the one-byte fast path: a lone byte without the
+/// continuation bit is always canonical, so it needs none of the checks.
+#[inline]
 pub fn read_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
+    match buf.get(*pos) {
+        Some(&byte) if byte < 0x80 => {
+            *pos += 1;
+            Some(u64::from(byte))
+        }
+        _ => read_varint_slow(buf, pos),
+    }
+}
+
+/// The general decoder behind [`read_varint`]: any length, with the
+/// overflow and canonical-spelling checks.
+fn read_varint_slow(buf: &[u8], pos: &mut usize) -> Option<u64> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
@@ -904,6 +921,94 @@ mod tests {
         assert_eq!(cur.positions(), Some(vec![1, 6]));
         assert_eq!(cur.seek(14), Some((14, 2)));
         assert_eq!(cur.positions(), Some(vec![1, 6]));
+    }
+
+    /// `(doc delta, position deltas)` entries written as one block, with
+    /// varint number `pad` (if any) spelled with a redundant trailing
+    /// zero byte — the encoding `read_varint` must reject.
+    fn single_block_list(entries: &[(u32, Vec<u32>)], pad: Option<usize>) -> PostingsList {
+        let mut bytes = Vec::new();
+        let mut written = 0usize;
+        let mut put = |bytes: &mut Vec<u8>, v: u32| {
+            write_varint(bytes, u64::from(v));
+            if pad == Some(written) {
+                *bytes.last_mut().unwrap() |= 0x80;
+                bytes.push(0x00);
+            }
+            written += 1;
+        };
+        for (delta, positions) in entries {
+            put(&mut bytes, *delta);
+            put(&mut bytes, positions.len() as u32);
+            for p in positions {
+                put(&mut bytes, *p);
+            }
+        }
+        let last_doc = entries.iter().map(|(d, _)| d).sum();
+        let max_tf = entries.iter().map(|(_, p)| p.len() as u32).max().unwrap();
+        let total_tf = entries.iter().map(|(_, p)| p.len() as u64).sum();
+        let end = bytes.len();
+        let blocks = vec![BlockSkip {
+            last_doc,
+            max_tf,
+            end,
+        }];
+        let n = entries.len() as u32;
+        PostingsList::from_raw_blocks(bytes, n, last_doc, total_tf, max_tf, n, blocks)
+            .expect("shape-consistent parts")
+    }
+
+    /// What a cursor must yield, decoded with the general varint decoder
+    /// only: like the cursor, an entry is delivered before its positions
+    /// are skipped.
+    fn slow_path_stream(pl: &PostingsList) -> Vec<(u32, u32)> {
+        let (mut pos, mut doc, mut out) = (0usize, 0u32, Vec::new());
+        for _ in 0..pl.doc_count() {
+            let Some(delta) = read_varint_slow(&pl.bytes, &mut pos) else {
+                break;
+            };
+            let Some(tf) = read_varint_slow(&pl.bytes, &mut pos) else {
+                break;
+            };
+            doc += delta as u32;
+            out.push((doc, tf as u32));
+            if (0..tf).any(|_| read_varint_slow(&pl.bytes, &mut pos).is_none()) {
+                break;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn fast_and_slow_varint_paths_yield_the_same_stream() {
+        // One- and multi-byte doc deltas, tf below and above one byte,
+        // one- and multi-byte position deltas.
+        let entries: Vec<(u32, Vec<u32>)> = vec![
+            (5, vec![0]),
+            (127, vec![3, 1, 200]),
+            (128, (0..127).map(|i| 1 + i % 3).collect()),
+            (1, (0..128).map(|i| 1 + i % 2).collect()),
+            (20_000, (0..200).map(|i| 100 + i).collect()),
+            (1, vec![16_384]),
+        ];
+        let clean = single_block_list(&entries, None);
+        let full: Vec<(u32, u32)> = clean.doc_tfs().collect();
+        assert_eq!(
+            full.iter().map(|e| e.1).collect::<Vec<_>>(),
+            [1, 3, 127, 128, 200, 1]
+        );
+        assert_eq!(full.last().unwrap().0, 5 + 127 + 128 + 1 + 20_000 + 1);
+        assert_eq!(full, slow_path_stream(&clean));
+
+        // Pad every varint in turn: both paths stop at the same entry.
+        let varints: usize = entries.iter().map(|(_, p)| 2 + p.len()).sum();
+        for pad in 0..varints {
+            let padded = single_block_list(&entries, Some(pad));
+            let got: Vec<(u32, u32)> = padded.doc_tfs().collect();
+            assert_eq!(got, slow_path_stream(&padded), "padded varint {pad}");
+            assert!(got.len() < full.len() || pad + 1 == varints, "{pad}");
+            assert_eq!(got[..], full[..got.len()], "padded varint {pad}");
+        }
     }
 
     #[test]

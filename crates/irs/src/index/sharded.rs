@@ -28,18 +28,14 @@ use parking_lot::{RwLock, RwLockReadGuard};
 use crate::analysis::{AnalyzedTerm, Analyzer};
 use crate::error::{IrsError, Result};
 use crate::index::{
-    Dictionary, DocId, DocStore, IndexReader, IndexStatistics, InvertedIndex, MergeStats,
-    PostingsList, TermEvidence,
+    live_summary, Dictionary, DocId, DocStore, IndexReader, IndexStatistics, InvertedIndex,
+    MergeStats, PostingsList,
 };
 
 /// Default number of term shards. Eight keeps lock contention negligible
 /// for typical query fan-outs while the per-shard dictionaries stay large
 /// enough to amortise hashing.
 pub const DEFAULT_SHARDS: usize = 8;
-
-/// Below this many live documents a parallel term gather costs more in
-/// thread spawns than the postings decode saves; stay sequential.
-const PARALLEL_GATHER_MIN_DOCS: u32 = 4096;
 
 /// One term shard: a private dictionary plus its postings lists.
 #[derive(Debug, Default, Clone)]
@@ -52,22 +48,6 @@ impl Shard {
     fn postings_of(&self, term: &str) -> Option<&PostingsList> {
         let tid = self.dict.get(term)?;
         self.postings.get(tid.0 as usize)
-    }
-
-    /// Decode one term's live occurrences under this shard's read lock —
-    /// no postings clone, positions varint-skipped.
-    fn gather_one(&self, term: &str, store: &DocStore) -> TermEvidence {
-        match self.postings_of(term) {
-            Some(pl) => TermEvidence {
-                occurrences: pl
-                    .doc_tfs()
-                    .filter(|&(d, _)| store.is_live(DocId(d)))
-                    .map(|(d, tf)| (DocId(d), tf))
-                    .collect(),
-                max_tf: pl.max_tf(),
-            },
-            None => TermEvidence::default(),
-        }
     }
 
     /// Append one document's positions for `term`. Doc ids must arrive in
@@ -404,11 +384,7 @@ impl ShardedIndex {
 
     /// Live document frequency of an analysed term.
     pub fn live_doc_freq(&self, term: &str) -> u32 {
-        let Some(pl) = self.term_postings(term) else {
-            return 0;
-        };
-        let store = self.store.read();
-        pl.iter().filter(|p| store.is_live(DocId(p.doc))).count() as u32
+        self.reader().term_summary(term).map_or(0, |(df, _)| df)
     }
 
     /// Run `f` against the document store under a read lock.
@@ -535,55 +511,14 @@ impl IndexReader for ShardedReader<'_> {
     }
 
     fn has_tombstones(&self) -> bool {
-        self.store.slot_count() > self.store.live_count()
+        self.store.has_tombstones()
     }
 
-    /// Shard-parallel gather: group the query terms by shard, decode each
-    /// involved shard's postings on its own worker thread (one shard read
-    /// lock per worker), then merge the per-shard partial results back
-    /// into query-term order. Small corpora and single-shard queries stay
-    /// sequential — the thread spawns would dominate.
-    fn gather_terms(&self, terms: &[String]) -> Vec<TermEvidence> {
-        let mut by_shard: HashMap<usize, Vec<usize>> = HashMap::new();
-        for (ti, term) in terms.iter().enumerate() {
-            by_shard
-                .entry(self.index.shard_of(term))
-                .or_default()
-                .push(ti);
-        }
-        let store: &DocStore = &self.store;
-        if by_shard.len() < 2 || store.live_count() < PARALLEL_GATHER_MIN_DOCS {
-            return terms
-                .iter()
-                .map(|t| {
-                    self.index.shards[self.index.shard_of(t)]
-                        .read()
-                        .gather_one(t, store)
-                })
-                .collect();
-        }
-        let mut results: Vec<TermEvidence> = vec![TermEvidence::default(); terms.len()];
-        std::thread::scope(|scope| {
-            let shards = &self.index.shards;
-            let handles: Vec<_> = by_shard
-                .into_iter()
-                .map(|(si, tidxs)| {
-                    scope.spawn(move || {
-                        let shard = shards[si].read();
-                        tidxs
-                            .into_iter()
-                            .map(|ti| (ti, shard.gather_one(&terms[ti], store)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (ti, ev) in h.join().expect("gather worker panicked") {
-                    results[ti] = ev;
-                }
-            }
-        });
-        results
+    fn term_summary(&self, term: &str) -> Option<(u32, u32)> {
+        self.index.shards[self.index.shard_of(term)]
+            .read()
+            .postings_of(term)
+            .map(|pl| live_summary(pl, &self.store))
     }
 }
 

@@ -107,6 +107,11 @@ impl DocStore {
         self.docs.len() as u32
     }
 
+    /// Whether any tombstoned slots remain.
+    pub fn has_tombstones(&self) -> bool {
+        self.slot_count() > self.live_count
+    }
+
     /// Sum of live document lengths in tokens — the numerator of
     /// [`DocStore::avg_len`], exposed so distributed scoring can merge
     /// partition statistics and recompute the exact same average.

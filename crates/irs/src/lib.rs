@@ -54,7 +54,9 @@ pub use error::{IrsError, Result};
 pub use fault::{FaultPlan, OutageWindow};
 pub use feedback::{expand_query, FeedbackConfig};
 pub use index::{DocId, IndexReader, InvertedIndex, ShardedIndex, ShardedReader, DEFAULT_SHARDS};
-pub use model::{Bm25Model, BooleanModel, InferenceModel, ModelKind, RetrievalModel, VectorModel};
+pub use model::{
+    Bm25Model, BooleanModel, InferenceModel, ModelKind, RetrievalModel, TermScorer, VectorModel,
+};
 pub use query::{
     collect_globals, evaluate_top_k, evaluate_top_k_with_globals, evaluate_top_k_with_strategy,
     parse_query, PruneStrategy, QueryGlobals, QueryNode, TermGlobals,

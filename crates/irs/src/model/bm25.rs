@@ -1,6 +1,6 @@
 //! Probabilistic retrieval: Okapi BM25.
 
-use super::{RetrievalModel, TermStats};
+use super::{RetrievalModel, TermScorer};
 
 /// Okapi BM25 with the usual `k1`/`b` parameters. Scores are unbounded;
 /// operators combine by summation as in standard bag-of-words BM25, with
@@ -19,27 +19,57 @@ impl Default for Bm25Model {
     }
 }
 
+/// BM25 prepared for one term: `idf` and the parameter sums are fixed,
+/// `tf` and the length ratio remain.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Bm25Scorer {
+    /// `None` for an empty corpus, where every score is 0.
+    idf: Option<f64>,
+    k1: f64,
+    k1_plus_one: f64,
+    b: f64,
+    one_minus_b: f64,
+    avg_doc_len: f64,
+}
+
+impl Bm25Scorer {
+    #[inline]
+    pub(super) fn score(&self, tf: u32, doc_len: u32) -> f64 {
+        let Some(idf) = self.idf else { return 0.0 };
+        if tf == 0 {
+            return 0.0;
+        }
+        let dl_ratio = if self.avg_doc_len > 0.0 {
+            f64::from(doc_len) / self.avg_doc_len
+        } else {
+            1.0
+        };
+        let tf = f64::from(tf);
+        let denom = tf + self.k1 * (self.one_minus_b + self.b * dl_ratio);
+        idf * tf * self.k1_plus_one / denom
+    }
+}
+
 impl RetrievalModel for Bm25Model {
     fn name(&self) -> &'static str {
         "bm25"
     }
 
-    fn term_score(&self, s: TermStats) -> f64 {
-        if s.tf == 0 || s.n_docs == 0 {
-            return 0.0;
-        }
-        let df = f64::from(s.df.max(1));
-        let n = f64::from(s.n_docs);
-        // The +1 keeps idf positive even for very common terms.
-        let idf = ((n - df + 0.5) / (df + 0.5) + 1.0).ln();
-        let dl_ratio = if s.avg_doc_len > 0.0 {
-            f64::from(s.doc_len) / s.avg_doc_len
-        } else {
-            1.0
-        };
-        let tf = f64::from(s.tf);
-        let denom = tf + self.k1 * (1.0 - self.b + self.b * dl_ratio);
-        idf * tf * (self.k1 + 1.0) / denom
+    fn prepare(&self, df: u32, n_docs: u32, avg_doc_len: f64) -> TermScorer {
+        let idf = (n_docs > 0).then(|| {
+            let df = f64::from(df.max(1));
+            let n = f64::from(n_docs);
+            // The +1 keeps idf positive even for very common terms.
+            ((n - df + 0.5) / (df + 0.5) + 1.0).ln()
+        });
+        TermScorer::Bm25(Bm25Scorer {
+            idf,
+            k1: self.k1,
+            k1_plus_one: self.k1 + 1.0,
+            b: self.b,
+            one_minus_b: 1.0 - self.b,
+            avg_doc_len,
+        })
     }
 
     fn combine_and(&self, scores: &[f64]) -> f64 {
@@ -66,6 +96,7 @@ impl RetrievalModel for Bm25Model {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::TermStats;
 
     fn stats(tf: u32, df: u32, doc_len: u32, n: u32) -> TermStats {
         TermStats {

@@ -1,23 +1,29 @@
 //! Exact-match boolean retrieval: scores are set membership.
 
-use super::{RetrievalModel, TermStats};
+use super::{RetrievalModel, TermScorer};
 
 /// The boolean model. `#and` is intersection (min), `#or` union (max),
 /// `#not` complement; every score is 0 or 1.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BooleanModel;
 
+/// Set membership of an occurrence with frequency `tf`.
+#[inline]
+pub(super) fn membership(tf: u32) -> f64 {
+    if tf > 0 {
+        1.0
+    } else {
+        0.0
+    }
+}
+
 impl RetrievalModel for BooleanModel {
     fn name(&self) -> &'static str {
         "boolean"
     }
 
-    fn term_score(&self, stats: TermStats) -> f64 {
-        if stats.tf > 0 {
-            1.0
-        } else {
-            0.0
-        }
+    fn prepare(&self, _df: u32, _n_docs: u32, _avg_doc_len: f64) -> TermScorer {
+        TermScorer::Boolean
     }
 
     fn combine_and(&self, scores: &[f64]) -> f64 {
@@ -45,6 +51,7 @@ impl RetrievalModel for BooleanModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::TermStats;
 
     fn stats(tf: u32) -> TermStats {
         TermStats {

@@ -18,7 +18,7 @@
 //! `#and`). Scores therefore live in `[db_floor, 1)` and threshold queries
 //! like `getIRSValue(...) > 0.6` (Section 4.4) are meaningful.
 
-use super::{RetrievalModel, TermStats};
+use super::{RetrievalModel, TermScorer};
 
 /// The inference-network model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,27 +35,48 @@ impl Default for InferenceModel {
     }
 }
 
+/// The belief function prepared for one term: `idf_norm` (two logarithms)
+/// is fixed, `tf_norm` remains.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct InferenceScorer {
+    default_belief: f64,
+    one_minus_default: f64,
+    idf_norm: f64,
+    avg_doc_len: f64,
+}
+
+impl InferenceScorer {
+    #[inline]
+    pub(super) fn score(&self, tf: u32, doc_len: u32) -> f64 {
+        if tf == 0 {
+            return self.default_belief;
+        }
+        let tf = f64::from(tf);
+        let dl_ratio = if self.avg_doc_len > 0.0 {
+            f64::from(doc_len) / self.avg_doc_len
+        } else {
+            1.0
+        };
+        let tf_norm = tf / (tf + 0.5 + 1.5 * dl_ratio);
+        self.default_belief + self.one_minus_default * tf_norm * self.idf_norm
+    }
+}
+
 impl RetrievalModel for InferenceModel {
     fn name(&self) -> &'static str {
         "inference"
     }
 
-    fn term_score(&self, s: TermStats) -> f64 {
-        if s.tf == 0 {
-            return self.default_belief;
-        }
-        let tf = f64::from(s.tf);
-        let dl_ratio = if s.avg_doc_len > 0.0 {
-            f64::from(s.doc_len) / s.avg_doc_len
-        } else {
-            1.0
-        };
-        let tf_norm = tf / (tf + 0.5 + 1.5 * dl_ratio);
-        let n = f64::from(s.n_docs.max(1));
-        let df = f64::from(s.df.max(1));
+    fn prepare(&self, df: u32, n_docs: u32, avg_doc_len: f64) -> TermScorer {
+        let n = f64::from(n_docs.max(1));
+        let df = f64::from(df.max(1));
         let idf_norm = ((n + 0.5) / df).ln() / (n + 1.0).ln();
-        let idf_norm = idf_norm.clamp(0.0, 1.0);
-        self.default_belief + (1.0 - self.default_belief) * tf_norm * idf_norm
+        TermScorer::Inference(InferenceScorer {
+            default_belief: self.default_belief,
+            one_minus_default: 1.0 - self.default_belief,
+            idf_norm: idf_norm.clamp(0.0, 1.0),
+            avg_doc_len,
+        })
     }
 
     fn default_score(&self) -> f64 {
@@ -89,6 +110,7 @@ impl RetrievalModel for InferenceModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::TermStats;
 
     fn stats(tf: u32, df: u32) -> TermStats {
         TermStats {

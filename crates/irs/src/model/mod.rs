@@ -18,10 +18,10 @@ mod boolean;
 mod inference;
 mod vector;
 
-pub use bm25::Bm25Model;
+pub use bm25::{Bm25Model, Bm25Scorer};
 pub use boolean::BooleanModel;
-pub use inference::InferenceModel;
-pub use vector::VectorModel;
+pub use inference::{InferenceModel, InferenceScorer};
+pub use vector::{VectorModel, VectorScorer};
 
 /// Per-term, per-document statistics handed to a model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,13 +38,58 @@ pub struct TermStats {
     pub avg_doc_len: f64,
 }
 
+/// A model's term score with everything that depends only on the term
+/// and the corpus (`df`, `n_docs`, `avg_doc_len`) already computed — what
+/// [`RetrievalModel::prepare`] returns. Evaluators prepare one scorer per
+/// query term and call [`TermScorer::score`] per document, so the
+/// logarithms behind `idf` are paid once per term instead of once per
+/// posting.
+///
+/// Each model's formula lives in exactly one place, its scorer's `score`;
+/// [`RetrievalModel::term_score`] is that scorer applied once. Preparing
+/// hoists only whole subexpressions — the operations that remain run on
+/// the same operands in the same order — so a prepared score is
+/// bit-identical to the unhoisted formula.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TermScorer {
+    /// [`BooleanModel`]: set membership, no statistics.
+    Boolean,
+    /// [`VectorModel`].
+    Vector(VectorScorer),
+    /// [`Bm25Model`].
+    Bm25(Bm25Scorer),
+    /// [`InferenceModel`].
+    Inference(InferenceScorer),
+}
+
+impl TermScorer {
+    /// Score of an occurrence with frequency `tf` in a document of
+    /// `doc_len` tokens.
+    #[inline]
+    pub fn score(&self, tf: u32, doc_len: u32) -> f64 {
+        match self {
+            TermScorer::Boolean => boolean::membership(tf),
+            TermScorer::Vector(s) => s.score(tf, doc_len),
+            TermScorer::Bm25(s) => s.score(tf, doc_len),
+            TermScorer::Inference(s) => s.score(tf, doc_len),
+        }
+    }
+}
+
 /// A retrieval paradigm: per-term scoring plus operator combination rules.
 pub trait RetrievalModel: Send + Sync + std::fmt::Debug {
     /// Human-readable model name.
     fn name(&self) -> &'static str;
 
-    /// Score of a term occurrence.
-    fn term_score(&self, stats: TermStats) -> f64;
+    /// The scorer of a term with live document frequency `df` in a corpus
+    /// of `n_docs` live documents averaging `avg_doc_len` tokens.
+    fn prepare(&self, df: u32, n_docs: u32, avg_doc_len: f64) -> TermScorer;
+
+    /// Score of a term occurrence: the prepared scorer applied once.
+    fn term_score(&self, stats: TermStats) -> f64 {
+        self.prepare(stats.df, stats.n_docs, stats.avg_doc_len)
+            .score(stats.tf, stats.doc_len)
+    }
 
     /// Score assumed for a document that does not contain the term.
     /// Inference networks use a non-zero default belief; set-oriented

@@ -1,6 +1,6 @@
 //! Vector-space retrieval: TF-IDF with pivoted length normalisation.
 
-use super::{RetrievalModel, TermStats};
+use super::{RetrievalModel, TermScorer};
 
 /// TF-IDF vector model. Scores are unbounded similarities; operator
 /// combination degrades to summation (the vector model has no native
@@ -20,23 +20,48 @@ impl Default for VectorModel {
     }
 }
 
+/// TF-IDF prepared for one term: `idf` is fixed, the dampened `tf` and
+/// the length pivot remain.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct VectorScorer {
+    /// `None` for an absent term or an empty corpus, where every score
+    /// is 0.
+    idf: Option<f64>,
+    slope: f64,
+    one_minus_slope: f64,
+    avg_doc_len: f64,
+}
+
+impl VectorScorer {
+    #[inline]
+    pub(super) fn score(&self, tf: u32, doc_len: u32) -> f64 {
+        let Some(idf) = self.idf else { return 0.0 };
+        if tf == 0 {
+            return 0.0;
+        }
+        let tf = 1.0 + f64::from(tf).ln();
+        let pivot = if self.avg_doc_len > 0.0 {
+            self.one_minus_slope + self.slope * f64::from(doc_len.max(1)) / self.avg_doc_len
+        } else {
+            1.0
+        };
+        tf * idf / pivot
+    }
+}
+
 impl RetrievalModel for VectorModel {
     fn name(&self) -> &'static str {
         "vector"
     }
 
-    fn term_score(&self, s: TermStats) -> f64 {
-        if s.tf == 0 || s.df == 0 || s.n_docs == 0 {
-            return 0.0;
-        }
-        let tf = 1.0 + f64::from(s.tf).ln();
-        let idf = (1.0 + f64::from(s.n_docs) / f64::from(s.df)).ln();
-        let pivot = if s.avg_doc_len > 0.0 {
-            (1.0 - self.slope) + self.slope * f64::from(s.doc_len.max(1)) / s.avg_doc_len
-        } else {
-            1.0
-        };
-        tf * idf / pivot
+    fn prepare(&self, df: u32, n_docs: u32, avg_doc_len: f64) -> TermScorer {
+        let idf = (df > 0 && n_docs > 0).then(|| (1.0 + f64::from(n_docs) / f64::from(df)).ln());
+        TermScorer::Vector(VectorScorer {
+            idf,
+            slope: self.slope,
+            one_minus_slope: 1.0 - self.slope,
+            avg_doc_len,
+        })
     }
 
     fn combine_and(&self, scores: &[f64]) -> f64 {
@@ -63,6 +88,7 @@ impl RetrievalModel for VectorModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::TermStats;
 
     fn stats(tf: u32, df: u32, doc_len: u32) -> TermStats {
         TermStats {

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use crate::analysis::AnalyzedTerm;
 use crate::index::{DocId, IndexReader};
-use crate::model::{RetrievalModel, TermStats};
+use crate::model::RetrievalModel;
 use crate::query::QueryNode;
 
 /// Sparse per-document scores.
@@ -71,21 +71,10 @@ fn score_occurrences<I: IndexReader + ?Sized>(
     occurrences: &[(DocId, u32)],
 ) -> ScoredDocs {
     let df = occurrences.len() as u32;
-    let n_docs = index.live_count();
-    let avg = index.avg_doc_len();
+    let scorer = model.prepare(df, index.live_count(), index.avg_doc_len());
     occurrences
         .iter()
-        .map(|&(doc, tf)| {
-            let dl = index.doc_entry(doc).len;
-            let s = model.term_score(TermStats {
-                tf,
-                df,
-                n_docs,
-                doc_len: dl,
-                avg_doc_len: avg,
-            });
-            (doc, s)
-        })
+        .map(|&(doc, tf)| (doc, scorer.score(tf, index.doc_entry(doc).len)))
         .collect()
 }
 

@@ -32,3 +32,4 @@ pub use stats::{collect_globals, QueryGlobals, TermGlobals};
 pub use topk::{
     evaluate_top_k, evaluate_top_k_with_globals, evaluate_top_k_with_strategy, PruneStrategy,
 };
+pub(crate) use topk::{evaluate_top_k_counted, TopKCounters};

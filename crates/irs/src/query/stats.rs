@@ -14,7 +14,7 @@
 //! the summed numerator/denominator is bit-identical to what
 //! `DocStore::avg_len` would report for the union index.
 
-use crate::index::{DocId, IndexReader};
+use crate::index::IndexReader;
 use crate::query::QueryNode;
 
 use super::topk::compiled_terms;
@@ -122,10 +122,9 @@ pub fn collect_globals<I: IndexReader + ?Sized>(
 ) -> Option<QueryGlobals> {
     let term_texts = compiled_terms(node, index.analyzer())?;
     let (min_doc_len, max_doc_len) = index.doc_len_bounds();
-    // Without tombstones a list's `doc_count` *is* the live df, so the
-    // stats leg of the scatter/gather exchange reads only dictionary
-    // entries and list headers — no postings decode at all.
-    let tombstones = index.has_tombstones();
+    // The stats leg of the scatter/gather exchange reads dictionary
+    // entries and list headers in place; a list is decoded (never
+    // cloned) only to count live documents when tombstones exist.
     Some(QueryGlobals {
         n_docs: index.live_count(),
         total_tokens: index.total_token_len(),
@@ -134,16 +133,7 @@ pub fn collect_globals<I: IndexReader + ?Sized>(
         terms: term_texts
             .into_iter()
             .map(|term| {
-                let (df, max_tf) = match index.term_postings(&term) {
-                    Some(pl) if !tombstones => (pl.doc_count(), pl.max_tf()),
-                    Some(pl) => (
-                        pl.doc_tfs()
-                            .filter(|&(d, _)| index.is_live(DocId(d)))
-                            .count() as u32,
-                        pl.max_tf(),
-                    ),
-                    None => (0, 0),
-                };
+                let (df, max_tf) = index.term_summary(&term).unwrap_or((0, 0));
                 TermGlobals { term, df, max_tf }
             })
             .collect(),

@@ -28,6 +28,19 @@
 //! [`seek`](crate::index::PostingsCursor::seek), which skips whole blocks
 //! via the headers.
 //!
+//! # The scoring kernel
+//!
+//! Where paragraph lengths and term frequencies span a narrow range no
+//! bound can fall under the k-th best score, and nearly every candidate is
+//! scored exactly (DESIGN.md §8 has the counts). What a candidate costs is
+//! then pure constant factor, so the per-candidate path allocates nothing
+//! and recomputes nothing that cannot have changed: the query is compiled
+//! once into a postfix [`Program`] that both tree walks run over
+//! reusable stacks ([`Kernel`]); each term's model is
+//! [prepared](RetrievalModel::prepare) once, so `idf` and its logarithms
+//! are not redone per posting; and a bound is walked only when its leaf
+//! vector differs from the one it was last walked for ([`BoundMemo`]).
+//!
 //! # Soundness of the bounds
 //!
 //! Every shipped model's `term_score` is coordinate-wise monotone in `tf`
@@ -48,20 +61,23 @@
 //!
 //! # Equivalence with the exhaustive evaluator
 //!
-//! For documents that survive pruning, [`exact_value`](Engine::exact_value)
-//! replays the exhaustive evaluator's arithmetic verbatim: child values
-//! are pushed in child order, absent children contribute
-//! `default_score()`, and a node yields a value only when at least one
-//! descendant leaf contains the document. Scores are therefore
-//! bit-identical to [`evaluate`](super::evaluate) — the equivalence
-//! proptest in `tests/topk.rs` pins this across block sizes.
+//! For documents that survive pruning, [`exact_value`](Kernel::exact_value)
+//! replays the exhaustive evaluator's arithmetic verbatim: leaves are
+//! scored by the same prepared [`TermScorer`], child values reach each
+//! operator in child order, absent children contribute `default_score()`,
+//! and a node yields a value only when at least one descendant leaf
+//! contains the document. Scores are therefore bit-identical to
+//! [`evaluate`](super::evaluate) — the equivalence proptest in
+//! `tests/topk.rs` pins this across block sizes, and
+//! `tests/pinned_scores.rs` pins both to bits captured before the kernel
+//! existed.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 
 use crate::analysis::Analyzer;
 use crate::index::{DocId, IndexReader, PostingsCursor, PostingsList};
-use crate::model::{RetrievalModel, TermStats};
+use crate::model::{RetrievalModel, TermScorer};
 use crate::query::{QueryGlobals, QueryNode};
 
 /// Operator kinds the pruned engine evaluates directly.
@@ -73,13 +89,29 @@ enum OpKind {
     Max,
 }
 
-/// A query tree compiled against a term table: leaves index into the
-/// per-term cursor state so the per-document walks do no string work.
-#[derive(Debug)]
-enum PNode {
+/// One step of a compiled query. The operator tree is flattened into
+/// postfix order, so a walk is one pass over a slice with a value stack
+/// instead of a recursion that allocates a buffer per operator node.
+#[derive(Debug, Clone, Copy)]
+enum Instr {
+    /// Push the value of term `.0` (an index into the term table).
     Leaf(usize),
-    Op(OpKind, Vec<PNode>),
-    WSum(Vec<(f64, PNode)>),
+    /// Pop `arity` values, push their combination under `kind`.
+    Op { kind: OpKind, arity: usize },
+    /// Pop `arity` values, push their `#wsum` under
+    /// `weights[at..at + arity]`.
+    WSum { arity: usize, at: usize },
+}
+
+/// A query compiled against a term table: leaves index into the per-term
+/// cursor state so the per-document walks do no string work.
+#[derive(Debug, Default)]
+struct Program {
+    code: Vec<Instr>,
+    /// `#wsum` weights, one run per `WSum` instruction.
+    weights: Vec<f64>,
+    /// Analysed leaf terms in interning order (first appearance wins).
+    terms: Vec<String>,
 }
 
 /// Which upper bound the pruned engine consults before exact scoring.
@@ -96,62 +128,80 @@ pub enum PruneStrategy {
     CollectionBound,
 }
 
-/// Compile `node`, interning analysed leaf terms into `terms`. `None` when
+/// Work the pruned engine did, counted in locals and reported once per
+/// query. Every candidate is either rejected by a bound or scored
+/// exactly: `exact_scored + bound_rejects == candidates`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct TopKCounters {
+    /// Live documents enumerated from the essential lists.
+    pub candidates: u64,
+    /// Candidates whose exact score was computed.
+    pub exact_scored: u64,
+    /// Candidates rejected by a stage-1 or stage-2 upper bound.
+    pub bound_rejects: u64,
+    /// Rejections whose failed bound let the matched cursors seek past a
+    /// whole range of documents.
+    pub range_skips: u64,
+}
+
+/// Compile `node` to postfix, interning analysed leaf terms. `None` when
 /// the tree contains an operator the pruned engine cannot bound
 /// (`#not`/`#phrase`/`#near`, or `#wsum` with a weight that is negative or
 /// NaN) — the caller falls back to the exhaustive evaluator.
-fn compile(
+fn compile(node: &QueryNode, analyzer: &Analyzer) -> Option<Program> {
+    let mut prog = Program::default();
+    emit(node, analyzer, &mut prog, &mut HashMap::new())?;
+    Some(prog)
+}
+
+fn emit(
     node: &QueryNode,
     analyzer: &Analyzer,
-    terms: &mut Vec<String>,
+    prog: &mut Program,
     interned: &mut HashMap<String, usize>,
-) -> Option<PNode> {
-    let compile_children = |cs: &[QueryNode],
-                            terms: &mut Vec<String>,
-                            interned: &mut HashMap<String, usize>|
-     -> Option<Vec<PNode>> {
-        cs.iter()
-            .map(|c| compile(c, analyzer, terms, interned))
-            .collect()
-    };
-    match node {
+) -> Option<()> {
+    let (kind, children) = match node {
         QueryNode::Term(raw) => {
             let analysed = analyzer.analyze_term(raw);
             let idx = *interned.entry(analysed.clone()).or_insert_with(|| {
-                terms.push(analysed);
-                terms.len() - 1
+                prog.terms.push(analysed);
+                prog.terms.len() - 1
             });
-            Some(PNode::Leaf(idx))
+            prog.code.push(Instr::Leaf(idx));
+            return Some(());
         }
-        QueryNode::And(cs) => Some(PNode::Op(
-            OpKind::And,
-            compile_children(cs, terms, interned)?,
-        )),
-        QueryNode::Or(cs) => Some(PNode::Op(
-            OpKind::Or,
-            compile_children(cs, terms, interned)?,
-        )),
-        QueryNode::Sum(cs) => Some(PNode::Op(
-            OpKind::Sum,
-            compile_children(cs, terms, interned)?,
-        )),
-        QueryNode::Max(cs) => Some(PNode::Op(
-            OpKind::Max,
-            compile_children(cs, terms, interned)?,
-        )),
+        QueryNode::And(cs) => (OpKind::And, cs),
+        QueryNode::Or(cs) => (OpKind::Or, cs),
+        QueryNode::Sum(cs) => (OpKind::Sum, cs),
+        QueryNode::Max(cs) => (OpKind::Max, cs),
         QueryNode::WSum(ws) => {
-            let mut children = Vec::with_capacity(ws.len());
-            for (w, c) in ws {
-                // NaN or negative weights break bound monotonicity.
-                if w.is_nan() || *w < 0.0 {
-                    return None;
-                }
-                children.push((*w, compile(c, analyzer, terms, interned)?));
+            // NaN or negative weights break bound monotonicity.
+            if ws.iter().any(|(w, _)| w.is_nan() || *w < 0.0) {
+                return None;
             }
-            Some(PNode::WSum(children))
+            // Reserve this node's weight run before descending: a nested
+            // `#wsum` appends its own run after it.
+            let at = prog.weights.len();
+            prog.weights.extend(ws.iter().map(|(w, _)| *w));
+            for (_, c) in ws {
+                emit(c, analyzer, prog, interned)?;
+            }
+            prog.code.push(Instr::WSum {
+                arity: ws.len(),
+                at,
+            });
+            return Some(());
         }
-        QueryNode::Not(_) | QueryNode::Phrase(_) | QueryNode::Near { .. } => None,
+        QueryNode::Not(_) | QueryNode::Phrase(_) | QueryNode::Near { .. } => return None,
+    };
+    for c in children {
+        emit(c, analyzer, prog, interned)?;
     }
+    prog.code.push(Instr::Op {
+        kind,
+        arity: children.len(),
+    });
+    Some(())
 }
 
 /// The analysed leaf terms of `node` in the engine's interning order
@@ -159,115 +209,140 @@ fn compile(
 /// [`collect_globals`](super::collect_globals) reports statistics in.
 /// `None` when the tree is outside the pruned fragment.
 pub(crate) fn compiled_terms(node: &QueryNode, analyzer: &Analyzer) -> Option<Vec<String>> {
-    let mut terms = Vec::new();
-    let mut interned = HashMap::new();
-    compile(node, analyzer, &mut terms, &mut interned)?;
-    Some(terms)
+    compile(node, analyzer).map(|prog| prog.terms)
 }
 
-/// Scoring context shared by the per-document walks. Postings access
-/// lives *outside* this struct (cursors borrow the lists directly) so the
-/// tree walks can run while cursors are mid-flight.
-struct Engine<'m> {
+/// The scoring kernel: the compiled program, one prepared scorer per term
+/// and the scratch stacks both walks run on, sized once per query: a walk
+/// allocates nothing whatever the tree's width or depth.
+/// Postings access lives *outside* this struct (cursors borrow the lists
+/// directly) so the walks can run while cursors are mid-flight.
+struct Kernel<'m> {
     model: &'m dyn RetrievalModel,
-    /// Per-term live document frequency — exactly the `df` the exhaustive
-    /// evaluator feeds to `term_score`.
-    dfs: Vec<u32>,
-    n_docs: u32,
-    avg_doc_len: f64,
+    code: Vec<Instr>,
+    weights: Vec<f64>,
+    /// Per term, the model prepared with exactly the `df`/`n_docs`/
+    /// `avg_doc_len` the exhaustive evaluator scores the term with.
+    scorers: Vec<TermScorer>,
     default: f64,
+    /// Value stack.
+    vals: Vec<f64>,
+    /// [`exact_value`](Self::exact_value)'s presence flags, parallel to
+    /// `vals`.
+    present: Vec<bool>,
+    /// `(weight, value)` argument buffer for `combine_wsum`.
+    pairs: Vec<(f64, f64)>,
 }
 
-impl Engine<'_> {
-    fn combine(&self, kind: OpKind, buf: &[f64]) -> f64 {
-        match kind {
-            OpKind::And => self.model.combine_and(buf),
-            OpKind::Or => self.model.combine_or(buf),
-            OpKind::Sum => self.model.combine_sum(buf),
-            OpKind::Max => self.model.combine_max(buf),
+impl<'m> Kernel<'m> {
+    fn new(
+        model: &'m dyn RetrievalModel,
+        code: Vec<Instr>,
+        weights: Vec<f64>,
+        scorers: Vec<TermScorer>,
+    ) -> Self {
+        // No stack outgrows the program: every instruction pushes one
+        // value, and an operator's arity is at most what precedes it.
+        let depth = code.len();
+        Kernel {
+            model,
+            code,
+            weights,
+            scorers,
+            default: model.default_score(),
+            vals: Vec::with_capacity(depth),
+            present: Vec::with_capacity(depth),
+            pairs: Vec::with_capacity(depth),
         }
     }
 
-    /// The exhaustive evaluator's value of `node` for a document with the
-    /// given per-term frequencies — `None` when no descendant leaf
-    /// contains the document (the doc is absent from the node's sparse map
-    /// and its parent substitutes the default).
-    fn exact_value(&self, node: &PNode, tf_at: &[Option<u32>], doc_len: u32) -> Option<f64> {
-        match node {
-            PNode::Leaf(i) => {
-                let tf = tf_at[*i]?;
-                Some(self.model.term_score(TermStats {
-                    tf,
-                    df: self.dfs[*i],
-                    n_docs: self.n_docs,
-                    doc_len,
-                    avg_doc_len: self.avg_doc_len,
-                }))
+    /// The operator `instr` applied to the stack values from `top` up.
+    fn apply(&mut self, instr: Instr, top: usize) -> f64 {
+        let args = &self.vals[top..];
+        match instr {
+            Instr::Op { kind, .. } => match kind {
+                OpKind::And => self.model.combine_and(args),
+                OpKind::Or => self.model.combine_or(args),
+                OpKind::Sum => self.model.combine_sum(args),
+                OpKind::Max => self.model.combine_max(args),
+            },
+            Instr::WSum { arity, at } => {
+                self.pairs.clear();
+                let weights = &self.weights[at..at + arity];
+                self.pairs
+                    .extend(weights.iter().copied().zip(args.iter().copied()));
+                self.model.combine_wsum(&self.pairs)
             }
-            PNode::Op(kind, cs) => {
-                let mut any = false;
-                let mut buf = Vec::with_capacity(cs.len());
-                for c in cs {
-                    match self.exact_value(c, tf_at, doc_len) {
-                        Some(v) => {
-                            any = true;
-                            buf.push(v);
-                        }
-                        None => buf.push(self.default),
-                    }
-                }
-                any.then(|| self.combine(*kind, &buf))
-            }
-            PNode::WSum(ws) => {
-                let mut any = false;
-                let mut buf = Vec::with_capacity(ws.len());
-                for (w, c) in ws {
-                    match self.exact_value(c, tf_at, doc_len) {
-                        Some(v) => {
-                            any = true;
-                            buf.push((*w, v));
-                        }
-                        None => buf.push((*w, self.default)),
-                    }
-                }
-                any.then(|| self.model.combine_wsum(&buf))
-            }
+            Instr::Leaf(_) => unreachable!("leaves are pushed, not applied"),
         }
+    }
+
+    /// The exhaustive evaluator's score for a document with the given
+    /// per-term frequencies — `None` when no leaf contains the document.
+    /// A node absent from the exhaustive evaluator's sparse maps (no
+    /// descendant leaf contains the document) counts as the default at
+    /// its parent, exactly as there.
+    fn exact_value(&mut self, tf_at: &[Option<u32>], doc_len: u32) -> Option<f64> {
+        self.vals.clear();
+        self.present.clear();
+        for i in 0..self.code.len() {
+            let instr = self.code[i];
+            let (value, present) = match instr {
+                Instr::Leaf(t) => match tf_at[t] {
+                    Some(tf) => (self.scorers[t].score(tf, doc_len), true),
+                    None => (self.default, false),
+                },
+                Instr::Op { arity, .. } | Instr::WSum { arity, .. } => {
+                    let top = self.vals.len() - arity;
+                    let any = self.present[top..].contains(&true);
+                    let value = if any {
+                        self.apply(instr, top)
+                    } else {
+                        self.default
+                    };
+                    self.vals.truncate(top);
+                    self.present.truncate(top);
+                    (value, any)
+                }
+            };
+            self.vals.push(value);
+            self.present.push(present);
+        }
+        self.present[0].then(|| self.vals[0])
     }
 
     /// Upper bound on the score of any document whose per-leaf
-    /// contribution is at most `leaf[t]`. Each node takes
+    /// contribution is at most `leaf[t]`. Each operator takes
     /// `max(op(children), default)` because a document absent from the
     /// node's map contributes the default at the parent instead of the
     /// operator value.
-    fn bound_value(&self, node: &PNode, leaf: &[f64]) -> f64 {
-        match node {
-            PNode::Leaf(i) => leaf[*i],
-            PNode::Op(kind, cs) => {
-                let buf: Vec<f64> = cs.iter().map(|c| self.bound_value(c, leaf)).collect();
-                self.combine(*kind, &buf).max(self.default)
-            }
-            PNode::WSum(ws) => {
-                let buf: Vec<(f64, f64)> = ws
-                    .iter()
-                    .map(|(w, c)| (*w, self.bound_value(c, leaf)))
-                    .collect();
-                self.model.combine_wsum(&buf).max(self.default)
-            }
+    fn bound_value(&mut self, leaf: &[f64]) -> f64 {
+        self.vals.clear();
+        for i in 0..self.code.len() {
+            let instr = self.code[i];
+            let value = match instr {
+                Instr::Leaf(t) => leaf[t],
+                Instr::Op { arity, .. } | Instr::WSum { arity, .. } => {
+                    let top = self.vals.len() - arity;
+                    let value = self.apply(instr, top).max(self.default);
+                    self.vals.truncate(top);
+                    value
+                }
+            };
+            self.vals.push(value);
         }
+        self.vals[0]
     }
 }
 
-/// Per-term corner upper bound: the exact query-time `df` with `tf` and
-/// `doc_len` pushed to the extremes of their ranges. With `max_tf` from
-/// the whole collection this is the MaxScore bound; with a block's
-/// `max_tf` it is the block-max bound.
+/// Per-term corner upper bound: the term's scorer (the exact query-time
+/// `df`) with `tf` and `doc_len` pushed to the extremes of their ranges.
+/// With `max_tf` from the whole collection this is the MaxScore bound;
+/// with a block's `max_tf` it is the block-max bound.
 fn leaf_upper_bound(
-    model: &dyn RetrievalModel,
+    scorer: &TermScorer,
     df: u32,
     max_tf: u32,
-    n_docs: u32,
-    avg_doc_len: f64,
     len_bounds: (u32, u32),
     default: f64,
 ) -> f64 {
@@ -277,13 +352,7 @@ fn leaf_upper_bound(
     let mut best = default;
     for tf in [1, max_tf.max(1)] {
         for doc_len in [len_bounds.0, len_bounds.1] {
-            best = best.max(model.term_score(TermStats {
-                tf,
-                df,
-                n_docs,
-                doc_len,
-                avg_doc_len,
-            }));
+            best = best.max(scorer.score(tf, doc_len));
         }
     }
     best
@@ -321,44 +390,159 @@ impl PartialEq for Cand<'_> {
 
 impl Eq for Cand<'_> {}
 
-/// Per-term block-max bound cache: block bounds are reused while
-/// consecutive candidates fall into the same block, which is the common
-/// case at realistic block sizes.
-struct BlockBoundCache {
-    block: Vec<usize>,
-    bound: Vec<f64>,
+/// Per-term leaf bounds: the collection-level corner bounds, fixed for
+/// the query, and the block-level refinements of them, each with a
+/// version that counts how often it has changed.
+struct LeafBounds {
+    scorers: Vec<TermScorer>,
+    dfs: Vec<u32>,
+    /// Collection-level `max_tf` per term.
+    max_tfs: Vec<u32>,
+    len_bounds: (u32, u32),
+    default: f64,
+    /// Collection-level bound per term.
+    ubs: Vec<f64>,
+    /// The last non-flat block bounded per term, and its bound: reused
+    /// while consecutive candidates fall into the same block — the common
+    /// case at realistic block sizes.
+    cached_block: Vec<usize>,
+    cached_bound: Vec<f64>,
+    /// What [`refine`](Self::refine) last returned per term.
+    refined: Vec<f64>,
+    /// How many times `refined[t]` has changed. Equal versions mean equal
+    /// values, which is what lets [`BoundMemo`] reuse stage-2 bounds.
+    version: Vec<u64>,
 }
 
-impl BlockBoundCache {
-    fn new(n_terms: usize) -> Self {
-        BlockBoundCache {
-            block: vec![usize::MAX; n_terms],
-            bound: vec![0.0; n_terms],
+impl LeafBounds {
+    fn new(
+        scorers: Vec<TermScorer>,
+        dfs: Vec<u32>,
+        max_tfs: Vec<u32>,
+        len_bounds: (u32, u32),
+        default: f64,
+    ) -> Self {
+        let n_terms = scorers.len();
+        let ubs: Vec<f64> = (0..n_terms)
+            .map(|t| leaf_upper_bound(&scorers[t], dfs[t], max_tfs[t], len_bounds, default))
+            .collect();
+        LeafBounds {
+            scorers,
+            dfs,
+            max_tfs,
+            len_bounds,
+            default,
+            cached_block: vec![usize::MAX; n_terms],
+            cached_bound: vec![0.0; n_terms],
+            refined: ubs.clone(),
+            version: vec![0; n_terms],
+            ubs,
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn get(
-        &mut self,
-        engine: &Engine<'_>,
-        t: usize,
-        block: usize,
-        block_max_tf: u32,
-        len_bounds: (u32, u32),
-    ) -> f64 {
-        if self.block[t] != block {
-            self.block[t] = block;
-            self.bound[t] = leaf_upper_bound(
-                engine.model,
-                engine.dfs[t],
-                block_max_tf,
-                engine.n_docs,
-                engine.avg_doc_len,
-                len_bounds,
-                engine.default,
-            );
+    fn corner(&self, t: usize, max_tf: u32) -> f64 {
+        leaf_upper_bound(
+            &self.scorers[t],
+            self.dfs[t],
+            max_tf,
+            self.len_bounds,
+            self.default,
+        )
+    }
+
+    /// Bound of term `t` given the `(index, max_tf)` of the block it was
+    /// found in or could next occur in — `None` when its list is
+    /// exhausted, so it cannot occur at all. A flat block (its `max_tf`
+    /// is the collection-level one) bounds to exactly `ubs[t]`, no corner
+    /// evaluation needed.
+    fn refine(&mut self, t: usize, block: Option<(usize, u32)>) -> f64 {
+        let bound = match block {
+            None => self.default,
+            Some((_, max_tf)) if max_tf >= self.max_tfs[t] => self.ubs[t],
+            Some((b, max_tf)) => {
+                if self.cached_block[t] != b {
+                    self.cached_block[t] = b;
+                    self.cached_bound[t] = self.corner(t, max_tf);
+                }
+                self.cached_bound[t]
+            }
+        };
+        if bound != self.refined[t] {
+            self.refined[t] = bound;
+            self.version[t] += 1;
         }
-        self.bound[t]
+        bound
+    }
+}
+
+/// Queries with more distinct terms than this evaluate every bound per
+/// candidate instead of memoising it: the memo is a table indexed by
+/// matched-term bitmask, `2^terms` rows.
+const MEMO_MAX_TERMS: usize = 8;
+
+/// The three bounds a candidate may be checked against, cheapest first.
+#[derive(Debug, Clone, Copy)]
+enum Stage {
+    /// Stage 1: every leaf at its collection-level bound.
+    Collection,
+    /// Stage 2a: matched leaves refined to their blocks.
+    MatchedBlocks,
+    /// Stage 2b: non-essential leaves refined to their blocks as well.
+    AllBlocks,
+}
+
+/// Candidate bounds by matched-term bitmask. A bound is a function of its
+/// leaf vector alone — not of the document — and that vector is fixed by
+/// the stage, *which* essential terms matched, the non-essential prefix
+/// ([`clear`](Self::clear) when it grows) and the refined value of every
+/// leaf the stage refines. Callers pass the sum of those leaves'
+/// [`LeafBounds::version`]s as `stamp`: versions only grow, so an equal
+/// sum means every one of them — hence every value — is unchanged, and
+/// the tree walk is skipped. Candidates mostly fall into the blocks their
+/// predecessors fell into, which makes a bound that cannot reject anything
+/// cost a table lookup instead of a walk.
+struct BoundMemo {
+    /// Per mask and stage, `(stamp, bound)`; empty when disabled.
+    table: Vec<[(u64, f64); 3]>,
+}
+
+impl BoundMemo {
+    /// No version sum reaches this.
+    const EMPTY: [(u64, f64); 3] = [(u64::MAX, 0.0); 3];
+
+    fn new(n_terms: usize) -> Self {
+        let rows = if n_terms <= MEMO_MAX_TERMS {
+            1 << n_terms
+        } else {
+            0
+        };
+        BoundMemo {
+            table: vec![Self::EMPTY; rows],
+        }
+    }
+
+    /// The bit of term `t` in a matched mask (0 when disabled).
+    fn bit(&self, t: usize) -> usize {
+        if self.table.is_empty() {
+            0
+        } else {
+            1 << t
+        }
+    }
+
+    fn get(&mut self, stage: Stage, mask: usize, stamp: u64, walk: impl FnOnce() -> f64) -> f64 {
+        let Some(row) = self.table.get_mut(mask) else {
+            return walk();
+        };
+        let entry = &mut row[stage as usize];
+        if entry.0 != stamp {
+            *entry = (stamp, walk());
+        }
+        entry.1
+    }
+
+    fn clear(&mut self) {
+        self.table.fill(Self::EMPTY);
     }
 }
 
@@ -376,7 +560,7 @@ pub fn evaluate_top_k<I: IndexReader + ?Sized>(
     node: &QueryNode,
     k: usize,
 ) -> Option<Vec<(DocId, f64)>> {
-    evaluate_top_k_inner(index, model, node, k, None, PruneStrategy::BlockMax)
+    evaluate_top_k_with_strategy(index, model, node, k, PruneStrategy::BlockMax)
 }
 
 /// [`evaluate_top_k`] with an explicit [`PruneStrategy`] — benchmarking
@@ -389,7 +573,7 @@ pub fn evaluate_top_k_with_strategy<I: IndexReader + ?Sized>(
     k: usize,
     strategy: PruneStrategy,
 ) -> Option<Vec<(DocId, f64)>> {
-    evaluate_top_k_inner(index, model, node, k, None, strategy)
+    evaluate_top_k_counted(index, model, node, k, None, strategy).map(|(ranked, _)| ranked)
 }
 
 /// [`evaluate_top_k`] with *supplied* corpus statistics instead of the
@@ -410,7 +594,7 @@ pub fn evaluate_top_k_with_globals<I: IndexReader + ?Sized>(
     k: usize,
     globals: &QueryGlobals,
 ) -> Option<Vec<(DocId, f64)>> {
-    evaluate_top_k_inner(
+    evaluate_top_k_counted(
         index,
         model,
         node,
@@ -418,19 +602,24 @@ pub fn evaluate_top_k_with_globals<I: IndexReader + ?Sized>(
         Some(globals),
         PruneStrategy::BlockMax,
     )
+    .map(|(ranked, _)| ranked)
 }
 
-fn evaluate_top_k_inner<I: IndexReader + ?Sized>(
+/// The one engine behind every `evaluate_top_k*` entry point, returning
+/// its work counters beside the ranking.
+pub(crate) fn evaluate_top_k_counted<I: IndexReader + ?Sized>(
     index: &I,
     model: &dyn RetrievalModel,
     node: &QueryNode,
     k: usize,
     globals: Option<&QueryGlobals>,
     strategy: PruneStrategy,
-) -> Option<Vec<(DocId, f64)>> {
-    let mut term_texts = Vec::new();
-    let mut interned = HashMap::new();
-    let root = compile(node, index.analyzer(), &mut term_texts, &mut interned)?;
+) -> Option<(Vec<(DocId, f64)>, TopKCounters)> {
+    let Program {
+        code,
+        weights,
+        terms: term_texts,
+    } = compile(node, index.analyzer())?;
     if let Some(g) = globals {
         if g.terms.len() != term_texts.len()
             || g.terms.iter().zip(&term_texts).any(|(tg, t)| tg.term != *t)
@@ -438,8 +627,9 @@ fn evaluate_top_k_inner<I: IndexReader + ?Sized>(
             return None;
         }
     }
+    let mut counters = TopKCounters::default();
     if k == 0 {
-        return Some(Vec::new());
+        return Some((Vec::new(), counters));
     }
 
     let (n_docs, avg_doc_len) = match globals {
@@ -456,39 +646,30 @@ fn evaluate_top_k_inner<I: IndexReader + ?Sized>(
         term_texts.iter().map(|t| index.term_postings(t)).collect();
     let n_terms = lists.len();
 
-    // Exact live df per term, without decoding when no tombstones exist.
+    // Exact live df per term — the `df` the exhaustive evaluator scores
+    // with — and the collection-level `max_tf` for the corner bounds.
     let mut dfs = Vec::with_capacity(n_terms);
-    for (i, pl) in lists.iter().enumerate() {
-        dfs.push(match (globals, pl) {
-            (Some(g), _) => g.terms[i].df,
-            (None, Some(pl)) if !tombstones => pl.doc_count(),
-            (None, Some(pl)) => pl
-                .doc_tfs()
-                .filter(|&(d, _)| index.is_live(DocId(d)))
-                .count() as u32,
-            (None, None) => 0,
-        });
+    let mut max_tfs = Vec::with_capacity(n_terms);
+    for (i, term) in term_texts.iter().enumerate() {
+        let (local_df, max_tf) = index.term_summary(term).unwrap_or((0, 0));
+        dfs.push(globals.map_or(local_df, |g| g.terms[i].df));
+        max_tfs.push(max_tf);
     }
-    let ubs: Vec<f64> = lists
+    let scorers: Vec<TermScorer> = dfs
         .iter()
-        .zip(&dfs)
-        .map(|(pl, &df)| {
-            let max_tf = pl.as_ref().map_or(0, |p| p.max_tf());
-            leaf_upper_bound(model, df, max_tf, n_docs, avg_doc_len, len_bounds, default)
-        })
+        .map(|&df| model.prepare(df, n_docs, avg_doc_len))
         .collect();
-    let engine = Engine {
-        model,
-        dfs,
-        n_docs,
-        avg_doc_len,
-        default,
-    };
+    let mut kernel = Kernel::new(model, code, weights, scorers.clone());
+    let mut bounds = LeafBounds::new(scorers, dfs, max_tfs, len_bounds, default);
 
     // Terms ascending by upper bound: the non-essential prefix grows in
     // this order as the heap threshold rises.
     let mut order: Vec<usize> = (0..n_terms).collect();
-    order.sort_by(|&a, &b| ubs[a].total_cmp(&ubs[b]).then_with(|| a.cmp(&b)));
+    order.sort_by(|&a, &b| {
+        bounds.ubs[a]
+            .total_cmp(&bounds.ubs[b])
+            .then_with(|| a.cmp(&b))
+    });
 
     let mut cursors: Vec<Option<PostingsCursor<'_>>> = lists
         .iter()
@@ -505,17 +686,18 @@ fn evaluate_top_k_inner<I: IndexReader + ?Sized>(
     // slots than there are live documents.
     let mut heap: BinaryHeap<Cand> =
         BinaryHeap::with_capacity(k.saturating_add(1).min(n_docs as usize + 1));
-    // `in_ne[t]`: term t is non-essential — its upper bound is already
-    // priced into the resting bound, so its postings no longer drive
-    // enumeration (they are only seeked for survivors).
-    let mut in_ne = vec![false; n_terms];
+    // Terms `order[..ne_len]` are non-essential: their upper bounds are
+    // already priced into the resting bound, so their postings no longer
+    // drive enumeration (they are only seeked for survivors).
     let mut ne_len = 0usize;
+    // The heap threshold the non-essential prefix was last grown against.
+    let mut grown_at = f64::NEG_INFINITY;
     // Resting per-leaf values of the collection-level bound: `ubs[t]` for
     // non-essential terms (assumed present), `default` otherwise; matched
     // terms are flipped in and out per candidate.
     let mut coarse_vals = vec![default; n_terms];
+    let mut memo = BoundMemo::new(n_terms);
     let mut tf_at: Vec<Option<u32>> = vec![None; n_terms];
-    let mut block_cache = BlockBoundCache::new(n_terms);
     // `(term, tf, block_index)` of the essential terms matching the
     // current candidate.
     let mut matched: Vec<(usize, u32, usize)> = Vec::with_capacity(n_terms);
@@ -535,6 +717,7 @@ fn evaluate_top_k_inner<I: IndexReader + ?Sized>(
         }
         let Some(doc) = next else { break };
         matched.clear();
+        let mut mask = 0usize;
         for &t in &order[ne_len..] {
             if let Some((d, tf)) = heads[t] {
                 if d == doc {
@@ -542,6 +725,7 @@ fn evaluate_top_k_inner<I: IndexReader + ?Sized>(
                     // Record the block *before* advancing: next() may step
                     // the cursor into the following block.
                     matched.push((t, tf, cur.block_index()));
+                    mask |= memo.bit(t);
                     heads[t] = cur.next();
                 }
             }
@@ -549,6 +733,7 @@ fn evaluate_top_k_inner<I: IndexReader + ?Sized>(
         if tombstones && !index.is_live(DocId(doc)) {
             continue;
         }
+        counters.candidates += 1;
 
         // Candidate bounds: matched essential terms and every
         // non-essential term assumed present. Skip only on a *strict*
@@ -556,11 +741,18 @@ fn evaluate_top_k_inner<I: IndexReader + ?Sized>(
         // tie-break.
         let threshold = (heap.len() == k).then(|| heap.peek().expect("full heap").score);
         if let Some(th) = threshold {
-            // Stage 1: collection-level corner bounds (no postings access).
-            for &(t, _, _) in &matched {
-                coarse_vals[t] = ubs[t];
-            }
-            let coarse = engine.bound_value(&root, &coarse_vals);
+            // Stage 1: collection-level corner bounds (no postings
+            // access).
+            let coarse = memo.get(Stage::Collection, mask, 0, || {
+                for &(t, _, _) in &matched {
+                    coarse_vals[t] = bounds.ubs[t];
+                }
+                let bound = kernel.bound_value(&coarse_vals);
+                for &(t, _, _) in &matched {
+                    coarse_vals[t] = default;
+                }
+                bound
+            });
             let mut keep = coarse >= th;
             // A failed stage-1/2a bound covers a *range* of documents,
             // not just this candidate (see the range skip below).
@@ -576,58 +768,38 @@ fn evaluate_top_k_inner<I: IndexReader + ?Sized>(
             // a miss for the fully refined bound. Only survivors pay 2b:
             // peeking the non-essential cursors' blocks for `doc`.
             if keep && strategy == PruneStrategy::BlockMax {
-                // Flat blocks (block `max_tf` == collection `max_tf`)
-                // leave their leaf bounds unchanged; if every matched
-                // block is flat the refined bound *is* the stage-1 bound
-                // and the tree walk is skipped.
-                let mut all_flat = true;
+                let mut stamp = 0u64;
                 for &(t, _, b) in &matched {
-                    let pl = lists[t].as_ref().expect("matched implies list");
-                    let skip = pl.blocks()[b];
-                    // A flat block (its `max_tf` is the collection-level
-                    // one) bounds to exactly `ubs[t]` — no corner
-                    // evaluation needed.
-                    let bv = if skip.max_tf >= pl.max_tf() {
-                        ubs[t]
-                    } else {
-                        block_cache.get(&engine, t, b, skip.max_tf, len_bounds)
-                    };
-                    all_flat &= bv >= ubs[t];
-                    coarse_vals[t] = bv;
+                    let list = lists[t].as_ref().expect("matched implies list");
+                    coarse_vals[t] = bounds.refine(t, Some((b, list.blocks()[b].max_tf)));
+                    stamp += bounds.version[t];
                 }
-                let mut fine = if all_flat {
-                    coarse
-                } else {
-                    engine.bound_value(&root, &coarse_vals)
-                };
+                let mut fine = memo.get(Stage::MatchedBlocks, mask, stamp, || {
+                    kernel.bound_value(&coarse_vals)
+                });
                 if fine < th {
                     skippable = Some(true);
                 } else if ne_len > 0 {
                     for &t in &order[..ne_len] {
                         if let Some(cur) = cursors[t].as_mut() {
-                            coarse_vals[t] = match cur.peek_block_for(doc) {
-                                Some((b, block_max_tf)) => {
-                                    block_cache.get(&engine, t, b, block_max_tf, len_bounds)
-                                }
-                                // Exhausted: the term cannot occur at
-                                // `doc` or beyond.
-                                None => default,
-                            };
+                            coarse_vals[t] = bounds.refine(t, cur.peek_block_for(doc));
+                            stamp += bounds.version[t];
                         }
                     }
-                    fine = engine.bound_value(&root, &coarse_vals);
+                    fine = memo.get(Stage::AllBlocks, mask, stamp, || {
+                        kernel.bound_value(&coarse_vals)
+                    });
                     for &t in &order[..ne_len] {
-                        coarse_vals[t] = ubs[t];
+                        coarse_vals[t] = bounds.ubs[t];
                     }
+                }
+                for &(t, _, _) in &matched {
+                    coarse_vals[t] = default;
                 }
                 keep = fine >= th;
             }
-            for &(t, _, _) in &matched {
-                if !in_ne[t] {
-                    coarse_vals[t] = default;
-                }
-            }
             if !keep {
+                counters.bound_rejects += 1;
                 // Range skip (the BMW move): the failed bound priced the
                 // matched terms by values that hold for every document
                 // `doc' ≤ range_end` — collection bounds hold anywhere;
@@ -666,6 +838,7 @@ fn evaluate_top_k_inner<I: IndexReader + ?Sized>(
                         in_matched[t] = false;
                     }
                     if range_end > doc {
+                        counters.range_skips += 1;
                         let target = range_end.saturating_add(1);
                         for &(t, _, _) in &matched {
                             if heads[t].is_some_and(|(d, _)| d < target) {
@@ -680,10 +853,8 @@ fn evaluate_top_k_inner<I: IndexReader + ?Sized>(
         }
 
         // Exact scoring: pull the true tf of every term at `doc`.
-        // Non-essential lists advance by block-skipping seeks.
-        for v in tf_at.iter_mut() {
-            *v = None;
-        }
+        // Non-essential lists advance by block-skipping seeks. Only the
+        // slots written here are reset afterwards.
         for &(t, tf, _) in &matched {
             tf_at[t] = Some(tf);
         }
@@ -697,45 +868,61 @@ fn evaluate_top_k_inner<I: IndexReader + ?Sized>(
             }
         }
         let entry = index.doc_entry(DocId(doc));
-        if let Some(score) = engine.exact_value(&root, &tf_at, entry.len) {
-            let cand = Cand {
-                score,
-                key: entry.key.as_str(),
-                doc: DocId(doc),
-            };
-            if heap.len() < k {
-                heap.push(cand);
-            } else if cand < *heap.peek().expect("full heap") {
-                heap.pop();
-                heap.push(cand);
-            }
-            if heap.len() == k {
-                // The threshold may have risen: grow the non-essential
-                // prefix while documents seen only in it cannot enter.
-                let th = heap.peek().expect("full heap").score;
-                while ne_len < n_terms {
-                    let t = order[ne_len];
-                    in_ne[t] = true;
-                    coarse_vals[t] = ubs[t];
-                    if engine.bound_value(&root, &coarse_vals) < th {
-                        ne_len += 1;
-                    } else {
-                        in_ne[t] = false;
-                        coarse_vals[t] = default;
-                        break;
-                    }
-                }
-                if ne_len == n_terms {
-                    // Even a document matching every term cannot enter.
+        let score = kernel.exact_value(&tf_at, entry.len);
+        counters.exact_scored += 1;
+        for &(t, _, _) in &matched {
+            tf_at[t] = None;
+        }
+        for &t in &order[..ne_len] {
+            tf_at[t] = None;
+        }
+        let Some(score) = score else { continue };
+        let cand = Cand {
+            score,
+            key: entry.key.as_str(),
+            doc: DocId(doc),
+        };
+        if heap.len() < k {
+            heap.push(cand);
+        } else if cand < *heap.peek().expect("full heap") {
+            heap.pop();
+            heap.push(cand);
+        }
+        if heap.len() < k {
+            continue;
+        }
+        // Grow the non-essential prefix while documents seen only in it
+        // cannot enter — but only once the threshold has risen past the
+        // one the prefix was last grown against: at an unchanged
+        // threshold the same term fails the same test.
+        let th = heap.peek().expect("full heap").score;
+        if th > grown_at {
+            grown_at = th;
+            let grown_from = ne_len;
+            while ne_len < n_terms {
+                let t = order[ne_len];
+                coarse_vals[t] = bounds.ubs[t];
+                if kernel.bound_value(&coarse_vals) < th {
+                    ne_len += 1;
+                } else {
+                    coarse_vals[t] = default;
                     break;
                 }
+            }
+            if ne_len == n_terms {
+                // Even a document matching every term cannot enter.
+                break;
+            }
+            if ne_len > grown_from {
+                memo.clear();
             }
         }
     }
 
     let mut out = heap.into_vec();
     out.sort(); // worst-first Ord ⇒ ascending sort ranks best-first
-    Some(out.into_iter().map(|c| (c.doc, c.score)).collect())
+    let ranked = out.into_iter().map(|c| (c.doc, c.score)).collect();
+    Some((ranked, counters))
 }
 
 #[cfg(test)]
@@ -878,25 +1065,18 @@ mod tests {
         for model in models {
             for raw in ["zebra", "common", "shared"] {
                 let term = ix.analyzer().analyze_term(raw);
-                let ev = &ix.gather_terms(&[term])[0];
-                let df = ev.occurrences.len() as u32;
+                let pl = ix.postings(&term).unwrap();
+                let df = pl.doc_count(); // no tombstones in this corpus
+                let scorer = model.prepare(df, ix.live_count(), ix.avg_doc_len());
                 let ub = leaf_upper_bound(
-                    model,
+                    &scorer,
                     df,
-                    ev.max_tf,
-                    ix.live_count(),
-                    ix.avg_doc_len(),
+                    pl.max_tf(),
                     ix.doc_len_bounds(),
                     model.default_score(),
                 );
-                for &(doc, tf) in &ev.occurrences {
-                    let s = model.term_score(TermStats {
-                        tf,
-                        df,
-                        n_docs: ix.live_count(),
-                        doc_len: ix.store().entry(doc).len,
-                        avg_doc_len: ix.avg_doc_len(),
-                    });
+                for (doc, tf) in pl.doc_tfs() {
+                    let s = scorer.score(tf, ix.store().entry(DocId(doc)).len);
                     assert!(
                         s <= ub,
                         "{} score {s} exceeds bound {ub} for {raw}",
@@ -912,37 +1092,58 @@ mod tests {
         let ix = corpus_with_block_size(4);
         let m = Bm25Model::default();
         let term = ix.analyzer().analyze_term("common");
-        let pl = ix.postings(&term).unwrap().clone();
+        let pl = ix.postings(&term).unwrap();
         let df = pl.doc_count(); // no tombstones in this corpus
-        let blocks = pl.blocks().to_vec();
-        let mut entries: Vec<(u32, u32)> = pl.doc_tfs().collect();
-        entries.reverse(); // pop from the front
-        for (b, skip) in blocks.iter().enumerate() {
+        let scorer = m.prepare(df, ix.live_count(), ix.avg_doc_len());
+        let mut entries = pl.doc_tfs().peekable();
+        for (b, skip) in pl.blocks().iter().enumerate() {
             let ub = leaf_upper_bound(
-                &m,
+                &scorer,
                 df,
                 skip.max_tf,
-                ix.live_count(),
-                ix.avg_doc_len(),
                 ix.doc_len_bounds(),
                 m.default_score(),
             );
-            while let Some(&(doc, tf)) = entries.last() {
-                if doc > skip.last_doc {
-                    break;
-                }
-                entries.pop();
-                let s = m.term_score(TermStats {
-                    tf,
-                    df,
-                    n_docs: ix.live_count(),
-                    doc_len: ix.store().entry(DocId(doc)).len,
-                    avg_doc_len: ix.avg_doc_len(),
-                });
+            while let Some((doc, tf)) = entries.next_if(|&(doc, _)| doc <= skip.last_doc) {
+                let s = scorer.score(tf, ix.store().entry(DocId(doc)).len);
                 assert!(s <= ub, "doc {doc} in block {b}: score {s} > bound {ub}");
             }
         }
-        assert!(entries.is_empty());
+        assert!(entries.next().is_none());
+    }
+
+    #[test]
+    fn counters_show_pruning_on_a_skewed_corpus() {
+        // A few short high-tf documents among long low-tf ones (E14's
+        // shape): once they fill the heap, blocks without one cannot
+        // reach the threshold.
+        let mut ix = InvertedIndex::with_block_size(Analyzer::new(AnalyzerConfig::default()), 8);
+        for i in 0..200u32 {
+            let text = if i % 50 == 7 {
+                "zebra ".repeat(6)
+            } else {
+                format!("zebra {}", "filler ".repeat(30 + (i % 7) as usize))
+            };
+            ix.add_document(&format!("d{i:03}"), &text).unwrap();
+        }
+        let m = Bm25Model::default();
+        let node = parse_query("zebra").unwrap();
+        let run = || {
+            evaluate_top_k_counted(&ix, &m, &node, 3, None, PruneStrategy::BlockMax)
+                .expect("prunable tree")
+                .1
+        };
+        let c = run();
+        assert!(c.exact_scored >= 3, "{c:?}");
+        assert_eq!(c.exact_scored + c.bound_rejects, c.candidates, "{c:?}");
+        assert!(c.bound_rejects > 0, "{c:?}");
+        assert!(
+            c.range_skips > 0 && c.range_skips <= c.bound_rejects,
+            "{c:?}"
+        );
+        assert!(c.candidates < 200, "range skips pass over documents: {c:?}");
+        assert_eq!(run(), c, "same query, same work");
+        assert_matches_exhaustive(&ix, &m, "zebra", 3);
     }
 
     #[test]

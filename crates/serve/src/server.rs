@@ -687,11 +687,7 @@ fn execute_read(shared: &SharedSystem, tasks: Option<&TaskQueue>, request: &Requ
             let coll = sys.collection(collection)?;
             let (map, origin) = coll.get_irs_result_with_origin(query)?;
             let mut hits: Vec<(Oid, f64)> = map.into_iter().collect();
-            hits.sort_by(|a, b| {
-                b.1.partial_cmp(&a.1)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.0.cmp(&b.0))
-            });
+            hits.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
             Ok((Response::IrsResult { hits, origin }, Some(origin)))
         }
         Request::MixedQuery {

@@ -55,6 +55,15 @@ echo "==> bench smoke (task batching, writes BENCH_tasks.json)"
 # drain merges nothing.
 cargo run -q -p coupling-bench --release --bin bench_tasks -- --smoke
 
+echo "==> repo benchmark smoke (all five workloads' correctness checks over TCP)"
+# Exits nonzero if any verified answer differs bit-for-bit from the
+# exhaustive reference, an acknowledged write is lost, or a scattered
+# merge diverges from single-node. Timings at this size mean nothing.
+bash benchmark/run.sh --smoke
+
+echo "==> repo benchmark unit tests"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> task-queue pass (batching, crash replay, torn ledgers)"
 cargo test -q -p system-tests --test tasks
 

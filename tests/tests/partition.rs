@@ -22,14 +22,7 @@ use irs::{CollectionConfig, IrsCollection, ModelKind, QueryGlobals};
 use oodb::Oid;
 use proptest::prelude::*;
 use serve::ReplicaServer;
-use system_tests::two_issue_system;
-
-/// Same vocabulary as the top-k suite: small enough that random
-/// documents collide on terms and rankings carry real score ties.
-const VOCAB: [&str; 12] = [
-    "telnet", "gopher", "www", "archie", "veronica", "wais", "ftp", "nii", "mosaic", "lynx",
-    "usenet", "irc",
-];
+use system_tests::{stress_query, two_issue_system, VOCAB};
 
 fn model_for(choice: u8) -> ModelKind {
     match choice % 4 {
@@ -222,9 +215,15 @@ proptest! {
         model_choice in any::<u8>(),
         shape in any::<u8>(),
         (a, b, c) in (any::<u8>(), any::<u8>(), any::<u8>()),
+        tape in prop::collection::vec(any::<u8>(), 16..64),
         k in 0usize..15,
     ) {
-        let query = query_for(shape, a, b, c);
+        // Half the cases scatter a wide, deep `stress_query` tree.
+        let query = if shape.is_multiple_of(2) {
+            query_for(shape / 2, a, b, c)
+        } else {
+            stress_query(&tape).to_string()
+        };
         let union = build(&docs, 0..docs.len(), model_for(model_choice));
         let shards: Vec<Arc<FakeShard>> = (0..parts)
             .map(|p| {

@@ -6,17 +6,11 @@
 use irs::analysis::{Analyzer, AnalyzerConfig};
 use irs::query::evaluate;
 use irs::{
-    evaluate_top_k_with_strategy, parse_query, CollectionConfig, DocId, InvertedIndex,
-    IrsCollection, ModelKind, PruneStrategy,
+    collect_globals, evaluate_top_k_with_globals, evaluate_top_k_with_strategy, parse_query,
+    CollectionConfig, InvertedIndex, IrsCollection, ModelKind, PruneStrategy, QueryGlobals,
 };
 use proptest::prelude::*;
-
-/// A tiny vocabulary so random documents share terms and rankings have
-/// real ties to break.
-const VOCAB: [&str; 12] = [
-    "telnet", "gopher", "www", "archie", "veronica", "wais", "ftp", "nii", "mosaic", "lynx",
-    "usenet", "irc",
-];
+use system_tests::{stress_query, VOCAB};
 
 fn model_for(choice: u8) -> ModelKind {
     match choice % 4 {
@@ -116,7 +110,10 @@ proptest! {
     /// metadata) and blocks larger than most postings lists (`bs = 128`,
     /// no intra-list skips at this corpus size). The collection-bound
     /// strategy (the pre-block engine) must agree too, with tombstones in
-    /// the mix.
+    /// the mix. Each case runs one of the small shapes and one
+    /// [`stress_query`] tree (wide, deep, repeated leaves, zero weights),
+    /// and also splits the corpus in two and scores each half under the
+    /// merged globals, which must reproduce the same ranking.
     #[test]
     fn block_max_is_bit_identical_to_exhaustive_across_block_sizes(
         docs in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..40), 2..24),
@@ -124,50 +121,89 @@ proptest! {
         model_choice in any::<u8>(),
         shape in any::<u8>(),
         (a, b, c) in (any::<u8>(), any::<u8>(), any::<u8>()),
+        tape in prop::collection::vec(any::<u8>(), 16..64),
         k in 0usize..20,
     ) {
         // Shapes 0..5 of `query_for` are the prunable fragment; `#not`
         // and phrases make the engine decline (`None`), which the
         // collection-level prefix property above already covers.
-        let query = query_for(shape % 5, a, b, c);
-        let node = parse_query(&query).unwrap();
+        let nodes = [
+            parse_query(&query_for(shape % 5, a, b, c)).unwrap(),
+            stress_query(&tape),
+        ];
         let model_kind = model_for(model_choice);
         let model = model_kind.as_model();
-        for &bs in &[1u32, 16, 128] {
+        // Tombstone the flagged documents, but always leave one live.
+        let mut live = docs.len();
+        let deleted: Vec<bool> = (0..docs.len())
+            .map(|i| {
+                let del = deletes[i] && live > 1;
+                live -= usize::from(del);
+                del
+            })
+            .collect();
+        let index_of = |bs: u32, member: &dyn Fn(usize) -> bool| {
             let mut ix =
                 InvertedIndex::with_block_size(Analyzer::new(AnalyzerConfig::default()), bs);
-            for (i, words) in docs.iter().enumerate() {
+            for (i, words) in docs.iter().enumerate().filter(|(i, _)| member(*i)) {
                 let text: Vec<&str> = words
                     .iter()
                     .map(|&w| VOCAB[w as usize % VOCAB.len()])
                     .collect();
                 ix.add_document(&format!("doc{i:03}"), &text.join(" ")).unwrap();
             }
-            for (i, &del) in deletes.iter().enumerate() {
-                if del && i < docs.len() && ix.store().live_count() > 1 {
-                    ix.delete_document(&format!("doc{i:03}")).unwrap();
-                }
+            for i in (0..docs.len()).filter(|&i| member(i) && deleted[i]) {
+                ix.delete_document(&format!("doc{i:03}")).unwrap();
             }
-            let mut full: Vec<(DocId, f64)> = evaluate(&ix, model, &node).into_iter().collect();
-            full.sort_by(|x, y| {
-                y.1.total_cmp(&x.1)
-                    .then_with(|| ix.store().entry(x.0).key.cmp(&ix.store().entry(y.0).key))
-            });
-            full.truncate(k);
-            for strategy in [PruneStrategy::BlockMax, PruneStrategy::CollectionBound] {
-                let pruned = evaluate_top_k_with_strategy(&ix, model, &node, k, strategy)
-                    .expect("prunable tree");
-                prop_assert_eq!(
-                    pruned.len(), full.len(),
-                    "length, query {} bs {} strategy {:?}", query, bs, strategy
-                );
-                for ((gd, gs), (wd, ws)) in pruned.iter().zip(full.iter()) {
-                    prop_assert_eq!(gd, wd, "doc, query {} bs {} {:?}", query, bs, strategy);
+            ix
+        };
+        let key = |ix: &InvertedIndex, hit: (irs::DocId, f64)| {
+            (ix.store().entry(hit.0).key.clone(), hit.1.to_bits())
+        };
+        // The universal ranking: score descending, key ascending.
+        let rank = |hits: &mut Vec<(String, u64)>| {
+            hits.sort_by(|x, y| {
+                f64::from_bits(y.1)
+                    .total_cmp(&f64::from_bits(x.1))
+                    .then_with(|| x.0.cmp(&y.0))
+            })
+        };
+        for &bs in &[1u32, 16, 128] {
+            let ix = index_of(bs, &|_| true);
+            let halves = [index_of(bs, &|i| i % 2 == 0), index_of(bs, &|i| i % 2 == 1)];
+            for node in &nodes {
+                let mut full: Vec<(String, u64)> = evaluate(&ix, model, node)
+                    .into_iter()
+                    .map(|hit| key(&ix, hit))
+                    .collect();
+                rank(&mut full);
+                full.truncate(k);
+                for strategy in [PruneStrategy::BlockMax, PruneStrategy::CollectionBound] {
+                    let pruned: Vec<(String, u64)> =
+                        evaluate_top_k_with_strategy(&ix, model, node, k, strategy)
+                            .expect("prunable tree")
+                            .into_iter()
+                            .map(|hit| key(&ix, hit))
+                            .collect();
                     prop_assert_eq!(
-                        gs.to_bits(), ws.to_bits(),
-                        "score, query {} bs {} {:?}", query, bs, strategy
+                        &pruned, &full,
+                        "query {} bs {} strategy {:?}", node, bs, strategy
                     );
                 }
+                let parts: Vec<QueryGlobals> = halves
+                    .iter()
+                    .map(|half| collect_globals(half, node).expect("prunable tree"))
+                    .collect();
+                let globals = QueryGlobals::merge(&parts).expect("same query, same terms");
+                let mut merged: Vec<(String, u64)> = Vec::new();
+                for half in &halves {
+                    let hits = evaluate_top_k_with_globals(half, model, node, k, &globals)
+                        .expect("globals match the query");
+                    merged.extend(hits.into_iter().map(|hit| key(half, hit)));
+                }
+                rank(&mut merged);
+                merged.truncate(k);
+                prop_assert_eq!(&merged, &full, "scattered, query {} bs {}", node, bs);
             }
         }
     }
