@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use coupling::mixed::{evaluate_mixed, MixedStrategy};
+use coupling::mixed::{execute_mixed, MixedStrategy};
 use coupling::CollectionSetup;
 use coupling_bench::workload::{build_corpus_system, with_para_collection, WorkloadConfig};
 use oodb::{Database, Oid, Value};
@@ -33,9 +33,11 @@ fn bench(c: &mut Criterion) {
             |b, &strategy| {
                 b.iter(|| {
                     let coll = cs.sys.collection("coll").expect("collection exists");
-                    evaluate_mixed(coll.db(), &coll, "PARA", &year_pred, &query, 0.45, strategy)
-                        .expect("evaluates")
-                        .oids
+                    let db = coll.db();
+                    let para = db.schema().class_id("PARA").expect("class exists");
+                    let content = coll.get_irs_result(&query).expect("evaluates");
+                    execute_mixed(db, para, &year_pred, &content, 0.45, strategy)
+                        .0
                         .len()
                 });
             },

@@ -79,7 +79,10 @@ pub use error::{CouplingError, Error, ErrorKind, Result};
 pub use granularity::GranularityPolicy;
 pub use handle::{CollectionMut, CollectionRef};
 pub use journal::{Journal, RecordLog, SyncPolicy};
-pub use mixed::{evaluate_mixed, MixedOutcome, MixedStrategy};
+pub use mixed::{
+    evaluate_mixed, evaluate_mixed_planned, execute_mixed, plan_mixed, MixedOutcome, MixedPlan,
+    MixedStrategy, PlanReason,
+};
 pub use partition::{PartitionConfig, PartitionStats, PartitionedIrs};
 pub use persist::{journal_path, open_system, save_system, tasks_ledger_path};
 pub use propagate::{PendingOp, PropagationStrategy, Propagator};

@@ -60,6 +60,8 @@ pub struct FaultPlan {
     latency_us: AtomicU64,
     /// Hard down-switch: every operation fails while set.
     down: AtomicBool,
+    /// Crash switch: every operation panics while set.
+    panicking: AtomicBool,
     /// Operation-counter windows during which every call fails.
     outages: Vec<OutageWindow>,
     /// Operations observed so far.
@@ -76,6 +78,7 @@ impl FaultPlan {
             error_threshold: AtomicU64::new(0),
             latency_us: AtomicU64::new(0),
             down: AtomicBool::new(false),
+            panicking: AtomicBool::new(false),
             outages: Vec::new(),
             ops: AtomicU64::new(0),
             injected: AtomicU64::new(0),
@@ -122,6 +125,13 @@ impl FaultPlan {
         self.down.store(down, Ordering::Relaxed);
     }
 
+    /// Make every operation panic (or stop doing so): a crashing IRS
+    /// binding, which whoever called it must contain, not survive by
+    /// accident.
+    pub fn set_panicking(&self, panicking: bool) {
+        self.panicking.store(panicking, Ordering::Relaxed);
+    }
+
     /// True while the hard-down switch is set.
     pub fn is_down(&self) -> bool {
         self.down.load(Ordering::Relaxed)
@@ -141,8 +151,17 @@ impl FaultPlan {
     /// either passes or returns [`IrsError::Unavailable`] according to the
     /// schedule. Collections call this at the top of every fallible
     /// operation.
+    ///
+    /// # Panics
+    ///
+    /// Panics while [`FaultPlan::set_panicking`] is on — that is the
+    /// injected fault.
     pub fn tick(&self) -> Result<()> {
         let op = self.ops.fetch_add(1, Ordering::Relaxed);
+        assert!(
+            !self.panicking.load(Ordering::Relaxed),
+            "injected IRS panic at op {op}"
+        );
         let latency = self.latency_us.load(Ordering::Relaxed);
         if latency > 0 {
             std::thread::sleep(Duration::from_micros(latency));

@@ -327,17 +327,44 @@ impl Database {
     /// OIDs in the extent of `class`, optionally including subclasses,
     /// in OID order.
     pub fn extent(&self, class: ClassId, include_subclasses: bool) -> Vec<Oid> {
-        if include_subclasses {
-            let mut out: Vec<Oid> = self
-                .schema
-                .subclasses(class)
-                .into_iter()
-                .flat_map(|c| self.store.extent(c).collect::<Vec<_>>())
-                .collect();
+        let mut out = Vec::with_capacity(self.extent_len(class, include_subclasses));
+        out.extend(self.extent_iter(class, include_subclasses));
+        // Each class's extent arrives ordered; only members of a second
+        // populated class can break the order, and then the stable sort
+        // merges the per-class runs instead of starting from scratch.
+        if !out.is_sorted() {
             out.sort();
-            out
+        }
+        out
+    }
+
+    /// Size of the extent of `class`, optionally including subclasses,
+    /// without touching its members.
+    pub fn extent_len(&self, class: ClassId, include_subclasses: bool) -> usize {
+        self.extent_classes(class, include_subclasses)
+            .into_iter()
+            .map(|c| self.store.extent_size(c))
+            .sum()
+    }
+
+    /// Borrowing walk over the extent of `class`: OID order within each
+    /// class, classes in id order (so not globally ordered once a
+    /// subclass has members — [`Database::extent`] sorts).
+    pub fn extent_iter(
+        &self,
+        class: ClassId,
+        include_subclasses: bool,
+    ) -> impl Iterator<Item = Oid> + '_ {
+        self.extent_classes(class, include_subclasses)
+            .into_iter()
+            .flat_map(|c| self.store.extent(c))
+    }
+
+    fn extent_classes(&self, class: ClassId, include_subclasses: bool) -> Vec<ClassId> {
+        if include_subclasses {
+            self.schema.subclasses(class)
         } else {
-            self.store.extent(class).collect()
+            vec![class]
         }
     }
 
@@ -690,6 +717,21 @@ mod tests {
         assert_eq!(db.extent(root, false), vec![a]);
         assert_eq!(db.extent(root, true), vec![a, b]);
         assert_eq!(db.extent(para, true), vec![b]);
+
+        // A later superclass instance interleaves the per-class runs:
+        // the iterator walks class by class, `extent` restores OID order,
+        // and the length never needs the members.
+        let mut txn = db.begin();
+        let c = db.create_object(&mut txn, root).unwrap();
+        db.commit(txn).unwrap();
+        assert_eq!(
+            db.extent_iter(root, true).collect::<Vec<_>>(),
+            vec![a, c, b]
+        );
+        assert_eq!(db.extent(root, true), vec![a, b, c]);
+        assert_eq!(db.extent_len(root, true), 3);
+        assert_eq!(db.extent_len(root, false), 2);
+        assert_eq!(db.extent_iter(para, false).collect::<Vec<_>>(), vec![b]);
     }
 
     #[test]

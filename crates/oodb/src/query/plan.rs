@@ -221,7 +221,7 @@ pub fn plan(db: &Database, q: &Query) -> Result<Plan> {
     let mut candidates: Vec<Candidate> = Vec::new();
     for (var, class) in &bindings {
         let mut best_access = Access::Extent;
-        let mut best_estimate = db.extent(*class, true).len();
+        let mut best_estimate = db.extent_len(*class, true);
         for c in &all_conjuncts {
             let Some((v, attr, op, lit)) = attr_cmp(c) else {
                 continue;

@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use coupling::ResultOrigin;
+use coupling::{MixedStrategy, ResultOrigin};
 
 /// Number of log2 latency buckets: bucket `i` holds requests whose
 /// total latency (queue wait + execution) fell in `[2^i, 2^(i+1))`
@@ -30,6 +30,13 @@ pub struct Metrics {
     origin_buffered: AtomicU64,
     origin_stale: AtomicU64,
     origin_none: AtomicU64,
+    reads_inline: AtomicU64,
+    reads_queued: AtomicU64,
+    reads_in_flight: AtomicU64,
+    reads_in_flight_max: AtomicU64,
+    mixed_independent: AtomicU64,
+    mixed_irs_first: AtomicU64,
+    mixed_overridden: AtomicU64,
     latency_buckets: [AtomicU64; BUCKETS],
     latency_max_us: AtomicU64,
     latency_sum_us: AtomicU64,
@@ -48,6 +55,13 @@ impl Default for Metrics {
             origin_buffered: AtomicU64::new(0),
             origin_stale: AtomicU64::new(0),
             origin_none: AtomicU64::new(0),
+            reads_inline: AtomicU64::new(0),
+            reads_queued: AtomicU64::new(0),
+            reads_in_flight: AtomicU64::new(0),
+            reads_in_flight_max: AtomicU64::new(0),
+            mixed_independent: AtomicU64::new(0),
+            mixed_irs_first: AtomicU64::new(0),
+            mixed_overridden: AtomicU64::new(0),
             latency_buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             latency_max_us: AtomicU64::new(0),
             latency_sum_us: AtomicU64::new(0),
@@ -79,6 +93,40 @@ impl Metrics {
 
     pub(crate) fn request_failed(&self) {
         self.failed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// An admitted read: executed by its caller (`inline`) or handed to
+    /// the worker pool.
+    pub(crate) fn read_admitted(&self, inline: bool) {
+        let counter = if inline {
+            &self.reads_inline
+        } else {
+            &self.reads_queued
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A read starts executing, on whichever thread.
+    pub(crate) fn read_started(&self) {
+        let now = self.reads_in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+        self.reads_in_flight_max.fetch_max(now, Ordering::Relaxed);
+    }
+
+    /// The read counted by [`Metrics::read_started`] stopped executing.
+    pub(crate) fn read_finished(&self) {
+        self.reads_in_flight.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// A mixed query ran under `executed`, having asked for `requested`.
+    pub(crate) fn mixed_executed(&self, requested: MixedStrategy, executed: MixedStrategy) {
+        let counter = match executed {
+            MixedStrategy::Independent => &self.mixed_independent,
+            MixedStrategy::IrsFirst => &self.mixed_irs_first,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        if requested != executed {
+            self.mixed_overridden.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     pub(crate) fn request_completed(&self, latency: Duration, origin: Option<ResultOrigin>) {
@@ -119,6 +167,12 @@ impl Metrics {
             origin_buffered: self.origin_buffered.load(Ordering::Relaxed),
             origin_stale: self.origin_stale.load(Ordering::Relaxed),
             origin_none: self.origin_none.load(Ordering::Relaxed),
+            reads_inline: self.reads_inline.load(Ordering::Relaxed),
+            reads_queued: self.reads_queued.load(Ordering::Relaxed),
+            reads_in_flight_max: self.reads_in_flight_max.load(Ordering::Relaxed),
+            mixed_independent: self.mixed_independent.load(Ordering::Relaxed),
+            mixed_irs_first: self.mixed_irs_first.load(Ordering::Relaxed),
+            mixed_overridden: self.mixed_overridden.load(Ordering::Relaxed),
             // Task counters live in the scheduler, not here; the server
             // overlays them via `with_tasks`.
             tasks_rejected: 0,
@@ -197,6 +251,21 @@ pub struct MetricsSnapshot {
     /// probes). `origin_fresh + origin_buffered + origin_stale +
     /// origin_none == completed` always holds.
     pub origin_none: u64,
+    /// Admitted reads executed by the thread that called
+    /// [`crate::Server::call`] (no queue wait, no hand-off).
+    pub reads_inline: u64,
+    /// Admitted reads handed to the worker pool. `reads_inline +
+    /// reads_queued` is the number of reads in `submitted`.
+    pub reads_queued: u64,
+    /// Most reads ever executing at one instant, callers and workers
+    /// together — never above `read_workers`.
+    pub reads_in_flight_max: u64,
+    /// Mixed queries executed extent-first.
+    pub mixed_independent: u64,
+    /// Mixed queries executed content-first.
+    pub mixed_irs_first: u64,
+    /// Mixed queries whose executed order was not the requested one.
+    pub mixed_overridden: u64,
     /// Update tasks refused **at enqueue** (queue full or shutting
     /// down) — admission failures, before any work ran.
     pub tasks_rejected: u64,
@@ -280,5 +349,28 @@ mod tests {
             s.origin_fresh + s.origin_buffered + s.origin_stale + s.origin_none,
             s.completed
         );
+    }
+
+    #[test]
+    fn read_and_mixed_counters() {
+        use MixedStrategy::{Independent, IrsFirst};
+        let m = Metrics::new();
+        m.read_admitted(true);
+        m.read_admitted(false);
+        m.read_admitted(true);
+        m.read_started();
+        m.read_started();
+        m.read_finished();
+        m.read_started();
+        m.read_finished();
+        m.read_finished();
+        m.mixed_executed(Independent, IrsFirst);
+        m.mixed_executed(IrsFirst, IrsFirst);
+        m.mixed_executed(IrsFirst, Independent);
+        let s = m.snapshot();
+        assert_eq!((s.reads_inline, s.reads_queued), (2, 1));
+        assert_eq!(s.reads_in_flight_max, 2);
+        assert_eq!((s.mixed_independent, s.mixed_irs_first), (1, 2));
+        assert_eq!(s.mixed_overridden, 2);
     }
 }

@@ -23,8 +23,11 @@ pub enum Request {
         query: String,
     },
     /// A mixed structure/content query: objects of `class` whose IRS
-    /// value for `irs_query` exceeds `threshold`, evaluated under
-    /// `strategy` ([`coupling::mixed::evaluate_mixed`]).
+    /// value for `irs_query` exceeds `threshold`
+    /// ([`coupling::mixed::evaluate_mixed`]). The server's planner picks
+    /// the evaluation order from the class extent's size and the number
+    /// of content results above the threshold; both orders name the same
+    /// objects.
     MixedQuery {
         /// Target collection name.
         collection: String,
@@ -34,7 +37,8 @@ pub enum Request {
         irs_query: String,
         /// IRS-value threshold.
         threshold: f64,
-        /// Requested evaluation order.
+        /// Preferred evaluation order — a tie-break for the planner, not
+        /// an instruction ([`Response::Mixed`] reports the order that ran).
         strategy: MixedStrategy,
     },
     /// The IRS value of one object (`getIRSValue`, with automatic
@@ -164,7 +168,7 @@ pub enum Response {
     Mixed {
         /// Matching objects, ascending by OID.
         oids: Vec<Oid>,
-        /// Strategy actually executed (degraded serving may fall back).
+        /// Evaluation order the planner executed, whatever was preferred.
         strategy: MixedStrategy,
         /// Where the content result came from.
         origin: ResultOrigin,

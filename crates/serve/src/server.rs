@@ -3,8 +3,12 @@
 //!
 //! A [`Server`] owns a [`coupling::SharedSystem`] plus a bounded read
 //! queue and a durable task scheduler. **Reads** ([`Request::is_write`]
-//! == false) fan out across `read_workers` threads, each executing
-//! under the system's shared read lock so queries overlap. **Writes**
+//! == false) execute under the system's shared read lock, at most
+//! `read_workers` at once: [`Server::submit`] hands them to that many
+//! pool threads, while [`Server::call`] — whose caller blocks on the
+//! answer anyway — runs the read on the calling thread whenever nothing
+//! is queued and one of the same `read_workers` execution slots is free
+//! (caller-runs; see [`BoundedQueue::push_or_run`]). **Writes**
 //! become [`coupling::tasks`] entries: durably enqueued (journaled when
 //! the server has a journal directory), executed by the scheduler's
 //! single executor thread — there is exactly one mutator, so
@@ -45,7 +49,8 @@ use crate::request::{Request, Response};
 /// Tuning knobs for a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Concurrent read-executing threads.
+    /// Reads executing at once — the worker pool's size and the number
+    /// of execution slots workers and calling threads share.
     pub read_workers: usize,
     /// Admission limit of the read queue and of the task queue.
     pub queue_capacity: usize,
@@ -359,7 +364,7 @@ impl Server {
             )
         };
         let state = Arc::new(ServerState {
-            read_queue: BoundedQueue::new(config.queue_capacity),
+            read_queue: BoundedQueue::with_slots(config.queue_capacity, config.read_workers),
             task_queue: scheduler.as_ref().map(|s| s.queue().clone()),
             metrics: Metrics::new(),
         });
@@ -368,7 +373,7 @@ impl Server {
             let shared = shared.clone();
             let state = Arc::clone(&state);
             workers.push(std::thread::spawn(move || {
-                while let Some(job) = state.read_queue.pop() {
+                while let Some((job, _slot)) = state.read_queue.pop() {
                     run_job(&shared, &state, job);
                 }
             }));
@@ -385,15 +390,23 @@ impl Server {
     /// Submit with the configured default deadline. Rejections
     /// (overload, shutdown) come back as an already-completed ticket.
     pub fn submit(&self, request: Request) -> Ticket {
-        self.submit_opt(request, self.config.default_deadline)
+        self.submit_opt(request, self.config.default_deadline, false)
     }
 
     /// Submit with an explicit deadline measured from now.
     pub fn submit_with_deadline(&self, request: Request, deadline: Duration) -> Ticket {
-        self.submit_opt(request, Some(deadline))
+        self.submit_opt(request, Some(deadline), false)
     }
 
-    fn submit_opt(&self, request: Request, deadline: Option<Duration>) -> Ticket {
+    /// Admission. With `caller_runs` an admitted read may execute right
+    /// here instead of on a pool thread, and the returned ticket is then
+    /// already resolved — only for callers about to wait on it.
+    fn submit_opt(
+        &self,
+        request: Request,
+        deadline: Option<Duration>,
+        caller_runs: bool,
+    ) -> Ticket {
         let (ticket, completion) = ticket_pair();
         if self.config.read_only && request.is_write() {
             self.state.metrics.request_failed();
@@ -425,9 +438,19 @@ impl Server {
             enqueued: Instant::now(),
             deadline,
         };
-        match self.state.read_queue.push(job) {
-            Ok(()) => {
+        let queue = &self.state.read_queue;
+        let admitted = if caller_runs {
+            queue.push_or_run(job)
+        } else {
+            queue.push(job).map(|()| None)
+        };
+        match admitted {
+            Ok(inline) => {
                 self.state.metrics.request_submitted();
+                self.state.metrics.read_admitted(inline.is_some());
+                if let Some((job, _slot)) = inline {
+                    run_job(&self.shared, &self.state, job);
+                }
             }
             Err(PushError::Full(job)) => {
                 self.state.metrics.request_rejected_overload();
@@ -548,9 +571,13 @@ impl Server {
         }
     }
 
-    /// Submit and wait: the synchronous convenience call.
+    /// Submit and wait: the synchronous call. Since this thread would
+    /// only block on the ticket, it executes the read itself when no
+    /// admitted read is waiting and an execution slot is free; otherwise
+    /// (and for writes) exactly [`Server::submit`] then [`Ticket::wait`].
     pub fn call(&self, request: Request) -> coupling::Result<Response> {
-        self.submit(request).wait()
+        self.submit_opt(request, self.config.default_deadline, true)
+            .wait()
     }
 
     /// Snapshot of the server's request counters, latency histogram,
@@ -644,12 +671,14 @@ fn run_job(shared: &SharedSystem, state: &ServerState, job: Job) {
         }
     }
     // On a handler panic the closure's stack unwinds, `completion`
-    // drops, and the ticket resolves to `ShuttingDown` — the worker
-    // thread itself survives for the next job.
+    // drops, and the ticket resolves to `ShuttingDown` — the executing
+    // thread (pool worker or caller) itself survives for the next job.
+    state.metrics.read_started();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let result = execute_read(shared, state.task_queue.as_ref(), &request);
+        let result = execute_read(shared, state, &request);
         (completion, result)
     }));
+    state.metrics.read_finished();
     match outcome {
         Ok((completion, Ok((response, origin)))) => {
             state.metrics.request_completed(enqueued.elapsed(), origin);
@@ -667,7 +696,8 @@ fn run_job(shared: &SharedSystem, state: &ServerState, job: Job) {
 
 type Executed = coupling::Result<(Response, Option<ResultOrigin>)>;
 
-fn execute_read(shared: &SharedSystem, tasks: Option<&TaskQueue>, request: &Request) -> Executed {
+fn execute_read(shared: &SharedSystem, state: &ServerState, request: &Request) -> Executed {
+    let tasks = state.task_queue.as_ref();
     // Task observability answers from the ledger alone — no system lock.
     match request {
         Request::TaskStatus { id } => {
@@ -707,6 +737,7 @@ fn execute_read(shared: &SharedSystem, tasks: Option<&TaskQueue>, request: &Requ
                 *threshold,
                 *strategy,
             )?;
+            state.metrics.mixed_executed(*strategy, outcome.strategy);
             let origin = outcome.origin;
             Ok((
                 Response::Mixed {
@@ -749,4 +780,23 @@ fn execute_read(shared: &SharedSystem, tasks: Option<&TaskQueue>, request: &Requ
             other.label()
         ))),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Caller-runs never outlives admission: once shutdown has closed
+    /// the read queue, `call` is refused like `submit`, not executed.
+    #[test]
+    fn call_after_shutdown_begins_is_refused() {
+        let server = Server::start(DocumentSystem::new(), ServerConfig::default());
+        assert!(matches!(server.call(Request::Ping), Ok(Response::Pong)));
+        server.state.read_queue.close();
+        let err = server.call(Request::Ping).expect_err("queue is closed");
+        assert!(matches!(err, CouplingError::ShuttingDown));
+        let snapshot = server.shutdown();
+        assert_eq!(snapshot.rejected_shutdown, 1);
+        assert_eq!((snapshot.reads_inline, snapshot.submitted), (1, 1));
+    }
 }

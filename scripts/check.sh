@@ -18,6 +18,12 @@ echo "==> bench smoke (query hot path, writes BENCH_query_smoke.json)"
 # differs from the exhaustive ranking.
 cargo run -q -p coupling-bench --release --bin bench_query -- --smoke
 
+echo "==> E5 planner gate (mixed-query planner does the cheaper order's structural work)"
+# Count-based, no timing: panics if, at any point of the selectivity
+# sweep, the planner's structural_checks differ from
+# min(forced Independent, forced IrsFirst) or the three answers differ.
+cargo run -q -p coupling-bench --release --bin experiments -- e5
+
 echo "==> bench smoke (serve front-end, writes BENCH_serve.json)"
 # Exits nonzero and prints REGRESSION if 8 concurrent clients fail to
 # beat 1 client by more than 2x throughput, or if any request fails.

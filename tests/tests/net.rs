@@ -407,3 +407,128 @@ fn pre_expired_deadline_rejected_at_admission() {
     assert_eq!(err.kind(), ErrorKind::Timeout);
     net.shutdown();
 }
+
+/// The execution-slot invariant across both ways a read can run: with
+/// `read_workers(2)`, eight connections calling at once put exactly two
+/// reads on their own connection threads (caller-runs) and queue the
+/// other six for the pool, and whichever thread runs a read, never more
+/// than two execute at any instant.
+#[test]
+fn callers_and_workers_share_the_read_slots() {
+    let sys = two_issue_system();
+    // Every IRS call stalls, so executing reads overlap for long enough
+    // to be caught exceeding the limit if they could.
+    sys.collection_mut("collPara")
+        .unwrap()
+        .inject_faults(Some(Arc::new(
+            FaultPlan::new(9).with_latency(Duration::from_millis(2)),
+        )));
+    let shared = SharedSystem::new(sys);
+    let server = Server::start_shared(
+        shared.clone(),
+        ServerConfig::default().read_workers(2).queue_capacity(64),
+    );
+    let net = NetServer::bind(server, "127.0.0.1:0").expect("bind loopback");
+    let addr = net.local_addr();
+    let (connections, per_connection) = (8u64, 4u64);
+
+    // Under the exclusive system lock no read can finish, which pins the
+    // first wave: two callers take the two slots and block inside their
+    // read, the other six find no slot and queue.
+    let handles: Vec<_> = shared.write(|_sys| {
+        let handles: Vec<_> = (0..connections)
+            .map(|c| {
+                std::thread::spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect");
+                    for i in 0..per_connection {
+                        // Unique texts: every call misses the buffer.
+                        client
+                            .call(&Request::IrsQuery {
+                                collection: "collPara".into(),
+                                query: format!("#or(telnet c{c}q{i})"),
+                            })
+                            .expect("admitted reads complete");
+                    }
+                })
+            })
+            .collect();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            let m = net.metrics();
+            if m.submitted == connections && m.reads_in_flight_max == 2 {
+                assert_eq!((m.reads_inline, m.reads_queued), (2, connections - 2));
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "first wave never fully admitted: {m:?}"
+            );
+            std::thread::yield_now();
+        }
+        handles
+    });
+    for handle in handles {
+        handle.join().expect("client thread");
+    }
+
+    let snapshot = net.shutdown();
+    assert_eq!(snapshot.reads_in_flight_max, 2, "never above read_workers");
+    assert_eq!(snapshot.submitted, connections * per_connection);
+    assert_eq!(
+        snapshot.reads_inline + snapshot.reads_queued,
+        snapshot.submitted,
+        "every admitted read ran exactly one way"
+    );
+    assert_eq!(snapshot.completed, snapshot.submitted);
+    assert_eq!(
+        snapshot.origin_fresh
+            + snapshot.origin_buffered
+            + snapshot.origin_stale
+            + snapshot.origin_none,
+        snapshot.completed
+    );
+}
+
+/// A handler that panics on the connection thread (caller-runs) is
+/// contained exactly like one on a pool worker: the client is answered,
+/// the execution slot comes back, and the connection keeps serving.
+#[test]
+fn handler_panic_on_the_calling_thread_is_contained() {
+    let sys = two_issue_system();
+    let plan = Arc::new(FaultPlan::new(13));
+    sys.collection_mut("collPara")
+        .unwrap()
+        .inject_faults(Some(Arc::clone(&plan)));
+    // One slot: were it leaked by the unwinding caller, the follow-up
+    // read could never execute.
+    let net = NetServer::bind(
+        Server::start(sys, ServerConfig::default().read_workers(1)),
+        "127.0.0.1:0",
+    )
+    .expect("bind loopback");
+    let mut client = Client::connect(net.local_addr()).expect("connect");
+    let query = |text: &str| Request::IrsQuery {
+        collection: "collPara".into(),
+        query: text.into(),
+    };
+
+    plan.set_panicking(true);
+    let err = client
+        .call(&query("telnet"))
+        .expect_err("the panicking read is answered, not dropped");
+    assert_eq!(err.status(), Some(Status::ShuttingDown));
+    plan.set_panicking(false);
+
+    let resp = client
+        .call(&query("telnet"))
+        .expect("same connection, same thread, still serving");
+    assert!(matches!(resp, Response::IrsResult { .. }));
+
+    let snapshot = net.shutdown();
+    assert_eq!((snapshot.failed, snapshot.completed), (1, 1));
+    assert_eq!(
+        (snapshot.reads_inline, snapshot.reads_queued),
+        (2, 0),
+        "a lone sequential client always finds the server idle"
+    );
+}

@@ -2,7 +2,7 @@
 //! through the public API only.
 
 use coupling::architecture::{evaluate as arch_evaluate, ArchitectureKind};
-use coupling::mixed::{evaluate_mixed, MixedStrategy};
+use coupling::mixed::{evaluate_mixed, execute_mixed, MixedStrategy};
 use coupling::ops;
 use coupling::{CollectionSetup, DerivationScheme, DocumentSystem};
 use oodb::{Database, Oid};
@@ -102,7 +102,12 @@ fn all_architectures_and_strategies_agree_end_to_end() {
             let out = arch_evaluate(kind, db, &mut coll, "PARA", &structural, "www", 0.45).unwrap();
             all_results.push(out.oids);
         }
+        // Both §4.5.3 orders, forced, then the optimizer's own pick.
+        let para = db.schema().class_id("PARA").unwrap();
+        let content = coll.get_irs_result("www").unwrap();
         for strategy in [MixedStrategy::Independent, MixedStrategy::IrsFirst] {
+            let (oids, _) = execute_mixed(db, para, &structural, &content, 0.45, strategy);
+            all_results.push(oids);
             let out =
                 evaluate_mixed(db, &coll, "PARA", &structural, "www", 0.45, strategy).unwrap();
             all_results.push(out.oids);

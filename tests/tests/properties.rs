@@ -66,22 +66,6 @@ proptest! {
         prop_assert_eq!(&buffered, &again);
     }
 
-    /// Mixed-query strategies agree on arbitrary thresholds.
-    #[test]
-    fn mixed_strategies_agree(seed in 0u64..200, threshold in 0.40f64..0.7) {
-        use coupling::mixed::{evaluate_mixed, MixedStrategy};
-        let (sys, _) = seeded_system(seed, 5);
-        let query = sgml::gen::topic_term(0);
-        let structural = |_: &oodb::Database, oid: oodb::Oid| oid.0.is_multiple_of(2);
-        let coll = sys.collection("c").expect("collection exists");
-        let db = coll.db();
-        let a = evaluate_mixed(db, &coll, "PARA", &structural, &query, threshold,
-            MixedStrategy::Independent).expect("independent");
-        let b = evaluate_mixed(db, &coll, "PARA", &structural, &query, threshold,
-            MixedStrategy::IrsFirst).expect("irs-first");
-        prop_assert_eq!(a.oids, b.oids);
-    }
-
     /// Re-indexing the same specification query is idempotent for search.
     #[test]
     fn reindexing_is_idempotent(seed in 0u64..200) {
@@ -96,6 +80,80 @@ proptest! {
         for (oid, v) in &before {
             let w = after.get(oid).copied().unwrap_or(-1.0);
             prop_assert!((v - w).abs() < 1e-9, "{oid}: {v} vs {w}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// §4.5.4: the planner's answer names the same objects as both
+    /// forced §4.5.3 orders — over random thresholds, every result
+    /// limit, a class with subclasses, a segmented root and a stale
+    /// content result — and its choice follows from the two
+    /// cardinalities, the origin and the preference alone.
+    #[test]
+    fn mixed_planner_equals_both_forced_strategies(
+        seed in 0u64..200,
+        threshold in 0.0f64..0.7,
+        limit_ix in 0usize..4,
+        superclass in any::<bool>(),
+        segmented in any::<bool>(),
+        stale in any::<bool>(),
+    ) {
+        use coupling::mixed::{evaluate_mixed_planned, execute_mixed, MixedStrategy, PlanReason};
+        use coupling::ResultOrigin;
+        let (sys, roots) = seeded_system(seed, 5);
+        let query = sgml::gen::topic_term(0);
+        {
+            let mut coll = sys.collection_mut("c").expect("collection exists");
+            coll.set_result_limit([None, Some(1), Some(3), Some(10)][limit_ix]);
+            if segmented {
+                let db = coll.db();
+                coll.index_segments(db, &roots[..1], 8).expect("segments index");
+            }
+            if stale {
+                // Only the stale store holds the result, and the IRS is down.
+                coll.get_irs_result(&query).expect("primes the buffer");
+                coll.buffer().invalidate_all();
+                let plan = std::sync::Arc::new(irs::FaultPlan::new(seed));
+                plan.set_down(true);
+                coll.inject_faults(Some(plan));
+            }
+        }
+        let coll = sys.collection("c").expect("collection exists");
+        let db = coll.db();
+        // IRSObject is the superclass of every element class, so its
+        // extent spans several per-class sets (and the segmented root).
+        let class = if superclass { "IRSObject" } else { "PARA" };
+        let class_id = db.schema().class_id(class).expect("class exists");
+        let structural = |_: &oodb::Database, oid: oodb::Oid| oid.0.is_multiple_of(2);
+
+        let (content, origin) = coll.get_irs_result_with_origin(&query).expect("content");
+        prop_assert_eq!(origin == ResultOrigin::Stale, stale);
+        let (independent, _) = execute_mixed(
+            db, class_id, &structural, &content, threshold, MixedStrategy::Independent);
+        let (irs_first, _) = execute_mixed(
+            db, class_id, &structural, &content, threshold, MixedStrategy::IrsFirst);
+        prop_assert_eq!(&independent, &irs_first);
+
+        for preferred in [MixedStrategy::Independent, MixedStrategy::IrsFirst] {
+            let (out, plan) = evaluate_mixed_planned(
+                db, &coll, class, &structural, &query, threshold, preferred).expect("planned");
+            prop_assert_eq!(&out.oids, &independent);
+            prop_assert_eq!(out.strategy, plan.strategy);
+            prop_assert_eq!(plan.extent_len, db.extent(class_id, true).len());
+            prop_assert_eq!(plan.survivors, content.values().filter(|&&v| v > threshold).count());
+            let expected = if stale {
+                (MixedStrategy::Independent, PlanReason::StaleContent)
+            } else if plan.survivors < plan.extent_len {
+                (MixedStrategy::IrsFirst, PlanReason::FewerSurvivors)
+            } else if plan.survivors > plan.extent_len {
+                (MixedStrategy::Independent, PlanReason::SmallerExtent)
+            } else {
+                (preferred, PlanReason::Preference)
+            };
+            prop_assert_eq!((plan.strategy, plan.reason), expected);
         }
     }
 }
@@ -203,4 +261,53 @@ proptest! {
         }
         let _ = std::fs::remove_file(&journal);
     }
+}
+
+/// Pinned planner case: the content map is larger than a small class
+/// extent, so the extent drives even though the caller prefers IRS-first
+/// — and the forced IRS-first order still names the same object.
+#[test]
+fn mixed_planner_picks_independent_for_a_small_class_extent() {
+    use coupling::mixed::{evaluate_mixed_planned, execute_mixed, MixedStrategy, PlanReason};
+    let (sys, roots) = seeded_system(7, 5);
+    // A frequent background word: most paragraphs match it.
+    let query = "w0003".to_string();
+    {
+        // Index the five documents beside their paragraphs: MMFDOC is
+        // the small class, the paragraphs swell the content result.
+        let mut coll = sys.collection_mut("c").expect("collection exists");
+        let ctx = coll.db().method_ctx();
+        for &root in &roots {
+            coll.on_insert(&ctx, root).expect("indexes the document");
+        }
+    }
+    let coll = sys.collection("c").expect("collection exists");
+    let db = coll.db();
+    let (out, plan) = evaluate_mixed_planned(
+        db,
+        &coll,
+        "MMFDOC",
+        &|_, _| true,
+        &query,
+        0.0,
+        MixedStrategy::IrsFirst,
+    )
+    .expect("planned");
+    assert_eq!(plan.extent_len, 5);
+    assert!(plan.survivors > 5, "content map larger than the extent");
+    assert_eq!(plan.reason, PlanReason::SmallerExtent);
+    assert_eq!(out.strategy, MixedStrategy::Independent);
+    assert_eq!(out.structural_checks, 5);
+    assert!(!out.oids.is_empty());
+    let content = coll.get_irs_result(&query).expect("content");
+    let mmfdoc = db.schema().class_id("MMFDOC").expect("class exists");
+    let (forced, _) = execute_mixed(
+        db,
+        mmfdoc,
+        &|_, _| true,
+        &content,
+        0.0,
+        MixedStrategy::IrsFirst,
+    );
+    assert_eq!(forced, out.oids);
 }

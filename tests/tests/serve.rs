@@ -124,12 +124,55 @@ fn multi_client_smoke_reads_and_writes() {
     };
     assert_eq!(hits.len(), 1, "write visible to reads after completion");
 
+    // The strategy field is a preference, not an order: two www
+    // survivors against the whole PARA extent run IRS-first whatever
+    // the caller asked for, and the response says so.
+    let resp = server
+        .call(Request::MixedQuery {
+            collection: "collPara".into(),
+            class: "PARA".into(),
+            irs_query: "www".into(),
+            threshold: 0.45,
+            strategy: MixedStrategy::Independent,
+        })
+        .expect("mixed query succeeds");
+    let Response::Mixed { oids, strategy, .. } = resp else {
+        panic!("wrong response variant");
+    };
+    assert_eq!(oids.len(), 2, "both www paragraphs");
+    assert_eq!(strategy, MixedStrategy::IrsFirst);
+
     let snapshot = server.shutdown();
-    let total = (clients * per_client + 2) as u64;
+    let total = (clients * per_client + 3) as u64;
     assert_eq!(snapshot.submitted, total);
     assert_eq!(snapshot.completed, total);
     assert_eq!(snapshot.failed, 0);
     assert_eq!(snapshot.rejected_overload, 0);
+    // Every admitted read ran exactly one way (the write is the `- 1`),
+    // and origins still account for every completion.
+    assert_eq!(snapshot.reads_inline + snapshot.reads_queued, total - 1);
+    assert!(
+        snapshot.reads_in_flight_max <= 4,
+        "never above read_workers"
+    );
+    assert_eq!(
+        snapshot.origin_fresh
+            + snapshot.origin_buffered
+            + snapshot.origin_stale
+            + snapshot.origin_none,
+        snapshot.completed
+    );
+    let mixed = (0..clients)
+        .flat_map(|c| (0..per_client).map(move |i| (c + i) % 3))
+        .filter(|&kind| kind == 1)
+        .count() as u64
+        + 1;
+    assert_eq!(snapshot.mixed_irs_first, mixed);
+    assert_eq!(snapshot.mixed_independent, 0);
+    assert_eq!(
+        snapshot.mixed_overridden, 1,
+        "only the last asked otherwise"
+    );
 }
 
 /// Bounded-queue admission control: with the workers wedged behind the
