@@ -17,7 +17,9 @@
 //! `REGRESSION` if:
 //!
 //! * either pruned ranking differs bitwise from the exhaustive ranking
-//!   anywhere in the sweep, or
+//!   anywhere in the sweep, or on a seeded variant of the base corpus
+//!   with about 10 % of its documents tombstoned (where `df` comes from
+//!   the maintained dead-postings counts), or
 //! * block-max is slower than the collection-bound engine at any tier
 //!   beyond a noise allowance (block metadata must pay for itself —
 //!   strictest at the largest tier, where skipping matters most).
@@ -45,6 +47,15 @@ fn main() {
 
     let report = e14_topk::run(&config, !smoke);
     println!("{report}");
+    let tombstoned_rankings_match = e14_topk::tombstoned_rankings_match(&config);
+    println!(
+        "with ~10% of the base corpus tombstoned, rankings bitwise identical: {}",
+        if tombstoned_rankings_match {
+            "yes"
+        } else {
+            "NO"
+        }
+    );
 
     // Hand-rolled JSON: the workspace deliberately carries no serde.
     let mut out = String::from("{\n");
@@ -60,6 +71,9 @@ fn main() {
     out.push_str(&format!(
         "  \"rankings_match\": {},\n",
         report.rankings_match
+    ));
+    out.push_str(&format!(
+        "  \"tombstoned_rankings_match\": {tombstoned_rankings_match},\n"
     ));
     out.push_str("  \"sweep\": [\n");
     for (i, p) in report.sweep.iter().enumerate() {
@@ -90,6 +104,12 @@ fn main() {
     let mut failed = false;
     if !report.rankings_match {
         eprintln!("REGRESSION: pruned top-k ranking differs from exhaustive ranking");
+        failed = true;
+    }
+    if !tombstoned_rankings_match {
+        eprintln!(
+            "REGRESSION: with ~10% of documents tombstoned, pruned top-k ranking differs from exhaustive ranking"
+        );
         failed = true;
     }
     // Block-max must not lose to the collection-bound engine it extends.

@@ -26,8 +26,8 @@ use std::time::Instant;
 
 use irs::query::evaluate;
 use irs::{
-    evaluate_top_k_with_strategy, parse_query, CollectionConfig, DocId, IrsCollection,
-    PruneStrategy,
+    evaluate_top_k_with_strategy, parse_query, CollectionConfig, DocId, InvertedIndex,
+    IrsCollection, PruneStrategy, QueryNode, RetrievalModel,
 };
 
 use crate::workload::WorkloadConfig;
@@ -61,6 +61,12 @@ const BURSTS_PER_DOC: usize = 2;
 /// tf-saturating models (BM25, inference beliefs) still see a clear gap
 /// between a flat block's bound and the collection-level bound.
 const BURST_LEN: usize = 12;
+
+/// The seeded tombstone variant deletes about one document in this many.
+const DELETE_ONE_IN: u64 = 10;
+
+/// Corpus seed shared by the sweep and the tombstone variant.
+const SEED: u64 = 0x5eed_0e14;
 
 /// Timed repetitions per (query, k) cell; each query's best (minimum)
 /// rep is kept — the standard wall-clock estimator, since scheduling
@@ -174,6 +180,79 @@ fn probe_queries() -> Vec<String> {
     ]
 }
 
+/// The first `k` entries of the exhaustive ranking of `node` over `ix`
+/// (score descending, key ascending).
+fn exhaustive_top_k(
+    ix: &InvertedIndex,
+    model: &dyn RetrievalModel,
+    node: &QueryNode,
+    k: usize,
+) -> Vec<(DocId, f64)> {
+    let mut full: Vec<(DocId, f64)> = evaluate(ix, model, node).into_iter().collect();
+    full.sort_by(|a, b| {
+        b.1.total_cmp(&a.1)
+            .then_with(|| ix.store().entry(a.0).key.cmp(&ix.store().entry(b.0).key))
+    });
+    full.truncate(k);
+    full
+}
+
+/// Whether `pruned` is exactly `full`: same documents, bitwise the same
+/// scores.
+fn same_ranking(pruned: &[(DocId, f64)], full: &[(DocId, f64)]) -> bool {
+    pruned.len() == full.len()
+        && pruned
+            .iter()
+            .zip(full)
+            .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
+}
+
+/// The ranking gate with tombstones in the index: build the base-size
+/// corpus, delete about one document in [`DELETE_ONE_IN`] (seeded), and
+/// check that both pruned strategies — whose `df` then comes from the
+/// maintained dead-postings counts, not from the list length — still
+/// return exactly the exhaustive ranking, on the merged snapshot and
+/// through the collection's own sharded reader, for every probe query
+/// and `k` of the sweep.
+pub fn tombstoned_rankings_match(config: &WorkloadConfig) -> bool {
+    let docs = config.corpus.docs * 5;
+    let mut coll = build_corpus(docs, config.corpus.vocabulary.max(100), SEED);
+    let mut state = SEED.rotate_left(17) | 1;
+    let mut deleted = 0;
+    for i in 0..docs {
+        if xorshift(&mut state).is_multiple_of(DELETE_ONE_IN) {
+            coll.delete_document(&format!("doc{i:06}"))
+                .expect("corpus key is live");
+            deleted += 1;
+        }
+    }
+    assert!(
+        deleted > 0,
+        "the seeded variant tombstones at least one document"
+    );
+    let ix = coll.index_snapshot();
+    let model = coll.config().model.as_model();
+    probe_queries().iter().all(|q| {
+        let node = parse_query(q).expect("probe query parses");
+        let all = coll.search(q).expect("probe query searches");
+        K_SWEEP.iter().all(|&k| {
+            let top = coll.search_top_k(q, k).expect("probe query searches");
+            top.len() == k.min(all.len())
+                && top
+                    .iter()
+                    .zip(&all)
+                    .all(|(a, b)| a.key == b.key && a.score.to_bits() == b.score.to_bits())
+                && [PruneStrategy::BlockMax, PruneStrategy::CollectionBound]
+                    .into_iter()
+                    .all(|strategy| {
+                        let pruned = evaluate_top_k_with_strategy(&ix, model, &node, k, strategy)
+                            .expect("probe query is prunable");
+                        same_ranking(&pruned, &exhaustive_top_k(&ix, model, &node, k))
+                    })
+        })
+    })
+}
+
 /// Sum of per-query minima: `samples` holds `reps` consecutive timings
 /// per query; the best rep of each query is kept and the bests summed.
 fn query_set_total(samples: &[u128], reps: usize) -> u128 {
@@ -198,7 +277,7 @@ pub fn run(config: &WorkloadConfig, include_large_tier: bool) -> Report {
     let mut rankings_match = true;
 
     for &docs in &sizes {
-        let coll = build_corpus(docs, vocab, 0x5eed_0e14);
+        let coll = build_corpus(docs, vocab, SEED);
         // Measure at the engine level over one merged snapshot: all
         // three rungs share the identical index, model, and parsed tree,
         // so the timings differ only by evaluation strategy.
@@ -232,27 +311,14 @@ pub fn run(config: &WorkloadConfig, include_large_tier: bool) -> Report {
                     collbound_samples.push(t0.elapsed().as_micros());
 
                     let t0 = Instant::now();
-                    let mut full: Vec<(DocId, f64)> =
-                        evaluate(&ix, model, node).into_iter().collect();
-                    full.sort_by(|a, b| {
-                        b.1.total_cmp(&a.1)
-                            .then_with(|| ix.store().entry(a.0).key.cmp(&ix.store().entry(b.0).key))
-                    });
-                    full.truncate(k);
+                    let full = exhaustive_top_k(&ix, model, node, k);
                     exhaustive_samples.push(t0.elapsed().as_micros());
 
                     // The win only counts if the ranking is untouched:
                     // same documents, bitwise the same scores, under
                     // both prune strategies.
-                    for pruned in [&bm, &cb] {
-                        if pruned.len() != full.len()
-                            || pruned
-                                .iter()
-                                .zip(&full)
-                                .any(|(a, b)| a.0 != b.0 || a.1.to_bits() != b.1.to_bits())
-                        {
-                            rankings_match = false;
-                        }
+                    if !same_ranking(&bm, &full) || !same_ranking(&cb, &full) {
+                        rankings_match = false;
                     }
                 }
             }
@@ -339,6 +405,7 @@ mod tests {
             assert!(report.sizes.contains(&p.docs));
         }
         assert!(report.rankings_match, "pruning must not change rankings");
+        assert!(tombstoned_rankings_match(&config), "nor must tombstones");
         assert!(report.to_string().contains("E14"));
         assert!(report.to_string().contains("collbound"));
     }

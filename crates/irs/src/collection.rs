@@ -89,6 +89,9 @@ pub struct CollectionStatistics {
     /// Rejections that also let the engine seek past a range of
     /// documents via the block skip headers.
     pub topk_range_skips: u64,
+    /// Tombstoned documents awaiting a merge when the statistics were
+    /// taken — a gauge read from the document store, not a counter.
+    pub tombstones: u64,
 }
 
 impl CollectionStatistics {
@@ -152,6 +155,7 @@ impl WorkCounters {
             topk_exact_scored: self.topk_exact_scored.load(Ordering::Relaxed),
             topk_bound_rejects: self.topk_bound_rejects.load(Ordering::Relaxed),
             topk_range_skips: self.topk_range_skips.load(Ordering::Relaxed),
+            tombstones: 0,
         }
     }
 }
@@ -258,9 +262,12 @@ impl IrsCollection {
         &self.config
     }
 
-    /// Work counters.
+    /// Work counters, plus the current tombstone count.
     pub fn work_stats(&self) -> CollectionStatistics {
-        self.stats.snapshot()
+        CollectionStatistics {
+            tombstones: u64::from(self.index.with_store(|s| s.tombstone_count())),
+            ..self.stats.snapshot()
+        }
     }
 
     /// Index statistics of the underlying inverted index.
@@ -604,6 +611,9 @@ mod tests {
         assert_eq!(s.adds, 3);
         assert_eq!(s.deletes, 1);
         assert_eq!(s.queries, 2);
+        assert_eq!(s.tombstones, 1);
+        c.force_merge();
+        assert_eq!(c.work_stats().tombstones, 0);
     }
 
     #[test]

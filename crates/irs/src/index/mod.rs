@@ -1,7 +1,9 @@
 //! The positional inverted index.
 //!
 //! Combines the [`Dictionary`], per-term [`PostingsList`]s and the
-//! [`DocStore`]. Deletions are tombstones filtered at query time; a
+//! [`DocStore`]. Deletions are tombstones filtered at query time, with
+//! each term's count of tombstoned postings kept up to date at delete
+//! time so live document frequencies cost O(1); a
 //! [`InvertedIndex::merge`] pass compacts tombstones away, re-assigning
 //! dense doc ids — the equivalent of the index rebuild the paper's update
 //! propagation (Section 4.6) schedules.
@@ -10,6 +12,7 @@ mod dictionary;
 mod postings;
 mod sharded;
 mod store;
+mod terms;
 
 pub use dictionary::{Dictionary, TermId};
 pub use postings::{
@@ -18,6 +21,9 @@ pub use postings::{
 };
 pub use sharded::{ShardedIndex, ShardedReader, DEFAULT_SHARDS};
 pub use store::{DocEntry, DocStore};
+pub(crate) use terms::TermTable;
+
+use std::sync::Arc;
 
 use crate::analysis::Analyzer;
 use crate::error::{IrsError, Result};
@@ -29,9 +35,9 @@ use crate::error::{IrsError, Result};
 pub trait IndexReader {
     /// The analyzer used for documents and queries.
     fn analyzer(&self) -> &Analyzer;
-    /// Postings of raw (already analysed) term text, cloned out so shard
-    /// locks need not be held across evaluation.
-    fn term_postings(&self, term: &str) -> Option<PostingsList>;
+    /// Postings of raw (already analysed) term text — a shared handle,
+    /// not a copy, so shard locks need not be held across evaluation.
+    fn term_postings(&self, term: &str) -> Option<Arc<PostingsList>>;
     /// The store entry for `doc` (also valid for tombstoned docs).
     fn doc_entry(&self, doc: DocId) -> &DocEntry;
     /// Whether `doc` is live (not tombstoned).
@@ -55,23 +61,11 @@ pub trait IndexReader {
     /// liveness check.
     fn has_tombstones(&self) -> bool;
     /// `(live df, max_tf)` of an analysed term, `None` when the term is
-    /// not in the dictionary — read in place (under the shard read lock
-    /// for a sharded index), without cloning the postings list. The list
-    /// is decoded only to count live documents when tombstones exist;
-    /// `max_tf` comes from the list header and may be loose after deletes.
+    /// not in the dictionary — O(1) in every tombstone state: live `df`
+    /// is the list's document count minus its count of tombstoned
+    /// postings, which deletes maintain. `max_tf` comes from the list
+    /// header and may be loose after deletes.
     fn term_summary(&self, term: &str) -> Option<(u32, u32)>;
-}
-
-/// [`IndexReader::term_summary`] of one list against its document store.
-pub(crate) fn live_summary(pl: &PostingsList, store: &DocStore) -> (u32, u32) {
-    let df = if store.has_tombstones() {
-        pl.doc_tfs()
-            .filter(|&(d, _)| store.is_live(DocId(d)))
-            .count() as u32
-    } else {
-        pl.doc_count()
-    };
-    (df, pl.max_tf())
 }
 
 impl IndexReader for InvertedIndex {
@@ -79,8 +73,8 @@ impl IndexReader for InvertedIndex {
         &self.analyzer
     }
 
-    fn term_postings(&self, term: &str) -> Option<PostingsList> {
-        self.postings(term).cloned()
+    fn term_postings(&self, term: &str) -> Option<Arc<PostingsList>> {
+        self.terms.postings(term).cloned()
     }
 
     fn doc_entry(&self, doc: DocId) -> &DocEntry {
@@ -116,7 +110,7 @@ impl IndexReader for InvertedIndex {
     }
 
     fn term_summary(&self, term: &str) -> Option<(u32, u32)> {
-        self.postings(term).map(|pl| live_summary(pl, &self.store))
+        self.terms.summary(term)
     }
 }
 
@@ -138,6 +132,21 @@ pub struct IndexStatistics {
     pub avg_doc_len: f64,
     /// Compressed postings bytes.
     pub postings_bytes: usize,
+    /// Tombstoned documents awaiting a merge (slots − live).
+    pub tombstones: u32,
+}
+
+impl IndexStatistics {
+    fn of(store: &DocStore, term_count: usize, postings_bytes: usize) -> Self {
+        IndexStatistics {
+            doc_count: store.live_count(),
+            term_count: term_count as u32,
+            total_tokens: store.total_len(),
+            avg_doc_len: store.avg_len(),
+            postings_bytes,
+            tombstones: store.tombstone_count(),
+        }
+    }
 }
 
 /// Statistics returned by [`InvertedIndex::merge`].
@@ -155,10 +164,8 @@ pub struct MergeStats {
 #[derive(Debug, Clone)]
 pub struct InvertedIndex {
     analyzer: Analyzer,
-    dict: Dictionary,
-    postings: Vec<PostingsList>,
+    terms: TermTable,
     store: DocStore,
-    block_size: u32,
 }
 
 impl InvertedIndex {
@@ -175,10 +182,8 @@ impl InvertedIndex {
     pub fn with_block_size(analyzer: Analyzer, block_size: u32) -> Self {
         InvertedIndex {
             analyzer,
-            dict: Dictionary::new(),
-            postings: Vec::new(),
+            terms: TermTable::new(block_size),
             store: DocStore::new(),
-            block_size: block_size.max(1),
         }
     }
 
@@ -202,7 +207,7 @@ impl InvertedIndex {
         let mut per_term: std::collections::HashMap<TermId, Vec<u32>> =
             std::collections::HashMap::new();
         for t in &terms {
-            let tid = self.dict.intern(&t.text);
+            let tid = self.terms.intern(&t.text);
             per_term.entry(tid).or_default().push(t.position);
         }
         // Deterministic order keeps postings layout reproducible.
@@ -210,21 +215,19 @@ impl InvertedIndex {
         entries.sort_by_key(|(tid, _)| *tid);
         for (tid, mut positions) in entries {
             positions.sort_unstable();
-            if self.postings.len() <= tid.0 as usize {
-                let bs = self.block_size;
-                self.postings
-                    .resize_with(tid.0 as usize + 1, || PostingsList::with_block_size(bs));
-            }
-            self.postings[tid.0 as usize].push(id.0, &positions);
+            self.terms.append(tid, id.0, &positions);
         }
         Ok(id)
     }
 
     /// Tombstone the document with external `key`.
     pub fn delete_document(&mut self, key: &str) -> Result<DocId> {
-        self.store
+        let id = self
+            .store
             .delete(key)
-            .ok_or_else(|| IrsError::UnknownDocument(key.to_string()))
+            .ok_or_else(|| IrsError::UnknownDocument(key.to_string()))?;
+        self.terms.tombstone(id, self.store.slot_count());
+        Ok(id)
     }
 
     /// Replace the text of `key` (delete + add).
@@ -235,8 +238,7 @@ impl InvertedIndex {
 
     /// Postings for raw (already analysed) term text.
     pub fn postings(&self, term: &str) -> Option<&PostingsList> {
-        let tid = self.dict.get(term)?;
-        self.postings.get(tid.0 as usize)
+        self.terms.postings(term).map(Arc::as_ref)
     }
 
     /// Live document frequency of an analysed term — tombstones excluded.
@@ -251,84 +253,46 @@ impl InvertedIndex {
 
     /// The term dictionary.
     pub fn dictionary(&self) -> &Dictionary {
-        &self.dict
+        self.terms.dictionary()
     }
 
     /// Aggregate statistics (live documents only).
     pub fn statistics(&self) -> IndexStatistics {
-        let postings_bytes: usize = self.postings.iter().map(|p| p.byte_size()).sum();
-        let total_tokens: u64 = self.store.iter_live().map(|(_, e)| u64::from(e.len)).sum();
-        IndexStatistics {
-            doc_count: self.store.live_count(),
-            term_count: self.dict.len() as u32,
-            total_tokens,
-            avg_doc_len: self.store.avg_len(),
-            postings_bytes,
-        }
+        IndexStatistics::of(&self.store, self.terms.len(), self.terms.byte_size())
     }
 
     /// Physically remove tombstoned documents, rebuilding postings with
     /// dense doc ids. External keys survive; internal [`DocId`]s do not.
     pub fn merge(&mut self) -> MergeStats {
-        let bytes_before: usize = self.postings.iter().map(|p| p.byte_size()).sum();
-        let purged = self.store.slot_count() - self.store.live_count();
-
-        // Build old→new doc id mapping.
-        let mut remap: Vec<Option<u32>> = vec![None; self.store.slot_count() as usize];
-        let mut new_store = DocStore::new();
-        for (old_id, entry) in self.store.iter_live() {
-            let new_id = new_store
-                .insert(&entry.key, entry.len)
-                .expect("live keys are unique");
-            remap[old_id.0 as usize] = Some(new_id.0);
-        }
-
-        // Rewrite every postings list, dropping dead docs.
-        let mut new_postings = Vec::with_capacity(self.postings.len());
-        for pl in &self.postings {
-            let mut npl = PostingsList::with_block_size(self.block_size);
-            for p in pl.iter() {
-                if let Some(new_doc) = remap[p.doc as usize] {
-                    npl.push(new_doc, &p.positions);
-                }
-            }
-            new_postings.push(npl);
-        }
-
-        self.store = new_store;
-        self.postings = new_postings;
-        let bytes_after: usize = self.postings.iter().map(|p| p.byte_size()).sum();
+        let bytes_before = self.terms.byte_size();
+        let docs_purged = self.store.tombstone_count();
+        let (store, remap) = self.store.compacted();
+        self.terms.compact(&remap);
+        self.store = store;
         MergeStats {
-            docs_purged: purged,
+            docs_purged,
             bytes_before,
-            bytes_after,
+            bytes_after: self.terms.byte_size(),
         }
     }
 
     /// Internal accessors used by persistence.
-    pub(crate) fn parts(&self) -> (&Dictionary, &[PostingsList], &DocStore) {
-        (&self.dict, &self.postings, &self.store)
+    pub(crate) fn parts(&self) -> (&TermTable, &DocStore) {
+        (&self.terms, &self.store)
     }
 
-    pub(crate) fn from_parts(
-        analyzer: Analyzer,
-        dict: Dictionary,
-        postings: Vec<PostingsList>,
-        store: DocStore,
-    ) -> Self {
+    pub(crate) fn from_parts(analyzer: Analyzer, terms: TermTable, store: DocStore) -> Self {
         InvertedIndex {
             analyzer,
-            dict,
-            postings,
+            terms,
             store,
-            block_size: DEFAULT_BLOCK_SIZE,
         }
     }
 
     /// Decompose into parts, consumed when re-sharding
     /// ([`ShardedIndex::from_inverted`]).
-    pub(crate) fn into_parts(self) -> (Analyzer, Dictionary, Vec<PostingsList>, DocStore) {
-        (self.analyzer, self.dict, self.postings, self.store)
+    pub(crate) fn into_parts(self) -> (Analyzer, TermTable, DocStore) {
+        (self.analyzer, self.terms, self.store)
     }
 }
 
@@ -417,6 +381,9 @@ mod tests {
         assert_eq!(st.total_tokens, 3);
         assert_eq!(st.avg_doc_len, 3.0);
         assert!(st.postings_bytes > 0);
+        assert_eq!(st.tombstones, 1);
+        ix.merge();
+        assert_eq!(ix.statistics().tombstones, 0);
     }
 
     #[test]

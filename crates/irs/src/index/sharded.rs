@@ -14,6 +14,9 @@
 //!   out and postings appended in one critical section, which preserves
 //!   the delta-encoded postings invariant that doc ids arrive in
 //!   ascending order per term.
+//! * **Deletes** set the tombstone and bump every shard's dead-postings
+//!   counts in one store-write-lock critical section, so a query's
+//!   O(1) live `df` always agrees with the store it pinned.
 //! * **Batch indexing** ([`ShardedIndex::index_documents`]) analyses all
 //!   documents across worker threads first and merges per shard
 //!   afterwards — the parallel `indexObjects` path.
@@ -22,49 +25,21 @@
 //! index order, so the index cannot deadlock against itself.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use parking_lot::{RwLock, RwLockReadGuard};
 
 use crate::analysis::{AnalyzedTerm, Analyzer};
 use crate::error::{IrsError, Result};
 use crate::index::{
-    live_summary, Dictionary, DocId, DocStore, IndexReader, IndexStatistics, InvertedIndex,
-    MergeStats, PostingsList,
+    DocId, DocStore, IndexReader, IndexStatistics, InvertedIndex, MergeStats, PostingsList,
+    TermTable, DEFAULT_BLOCK_SIZE,
 };
 
 /// Default number of term shards. Eight keeps lock contention negligible
 /// for typical query fan-outs while the per-shard dictionaries stay large
 /// enough to amortise hashing.
 pub const DEFAULT_SHARDS: usize = 8;
-
-/// One term shard: a private dictionary plus its postings lists.
-#[derive(Debug, Default, Clone)]
-struct Shard {
-    dict: Dictionary,
-    postings: Vec<PostingsList>,
-}
-
-impl Shard {
-    fn postings_of(&self, term: &str) -> Option<&PostingsList> {
-        let tid = self.dict.get(term)?;
-        self.postings.get(tid.0 as usize)
-    }
-
-    /// Append one document's positions for `term`. Doc ids must arrive in
-    /// ascending order per term (the postings delta encoding).
-    fn append(&mut self, term: &str, doc: u32, positions: &[u32]) {
-        let tid = self.dict.intern(term);
-        if self.postings.len() <= tid.0 as usize {
-            self.postings
-                .resize_with(tid.0 as usize + 1, PostingsList::new);
-        }
-        self.postings[tid.0 as usize].push(doc, positions);
-    }
-
-    fn byte_size(&self) -> usize {
-        self.postings.iter().map(|p| p.byte_size()).sum()
-    }
-}
 
 /// FNV-1a over the term bytes — stable across runs, so shard layout is
 /// deterministic for a given shard count.
@@ -77,6 +52,11 @@ fn term_hash(term: &str) -> u64 {
     h
 }
 
+/// Shard of `term` among `n` shards.
+fn shard_for(term: &str, n: usize) -> usize {
+    (term_hash(term) % n as u64) as usize
+}
+
 /// A positional inverted index whose terms are hash-partitioned across
 /// independently locked shards. All mutation takes `&self`; exclusive
 /// access is *not* required (writers serialise on the store lock, readers
@@ -85,19 +65,20 @@ fn term_hash(term: &str) -> u64 {
 pub struct ShardedIndex {
     analyzer: Analyzer,
     store: RwLock<DocStore>,
-    shards: Box<[RwLock<Shard>]>,
+    shards: Box<[RwLock<TermTable>]>,
 }
 
 impl Clone for ShardedIndex {
     fn clone(&self) -> Self {
+        let store = self.store.read();
         ShardedIndex {
             analyzer: self.analyzer.clone(),
-            store: RwLock::new(self.store.read().clone()),
             shards: self
                 .shards
                 .iter()
                 .map(|s| RwLock::new(s.read().clone()))
                 .collect(),
+            store: RwLock::new(store.clone()),
         }
     }
 }
@@ -110,33 +91,32 @@ impl ShardedIndex {
 
     /// Create an empty index with `n_shards` term shards (floored at 1).
     pub fn with_shards(analyzer: Analyzer, n_shards: usize) -> Self {
-        let n = n_shards.max(1);
+        Self::with_block_size(analyzer, n_shards, DEFAULT_BLOCK_SIZE)
+    }
+
+    /// Create an empty index with `n_shards` term shards whose postings
+    /// lists use `block_size` documents per block (see
+    /// [`InvertedIndex::with_block_size`]).
+    pub fn with_block_size(analyzer: Analyzer, n_shards: usize, block_size: u32) -> Self {
         ShardedIndex {
             analyzer,
             store: RwLock::new(DocStore::new()),
-            shards: (0..n).map(|_| RwLock::new(Shard::default())).collect(),
+            shards: (0..n_shards.max(1))
+                .map(|_| RwLock::new(TermTable::new(block_size)))
+                .collect(),
         }
     }
 
     /// Re-partition an [`InvertedIndex`] (e.g. one loaded from disk — the
-    /// on-disk format stays the merged single-dictionary layout).
+    /// on-disk format stays the merged single-dictionary layout). Lists
+    /// are shared, not copied, and keep their dead-postings counts.
     pub fn from_inverted(index: InvertedIndex, n_shards: usize) -> Self {
         let n = n_shards.max(1);
-        let (analyzer, dict, mut postings, store) = index.into_parts();
-        let mut shards: Vec<Shard> = (0..n).map(|_| Shard::default()).collect();
-        for (tid, term) in dict.iter() {
-            let pl = match postings.get_mut(tid.0 as usize) {
-                Some(slot) => std::mem::take(slot),
-                None => PostingsList::new(),
-            };
-            let shard = &mut shards[(term_hash(term) % n as u64) as usize];
-            let new_tid = shard.dict.intern(term);
-            if shard.postings.len() <= new_tid.0 as usize {
-                shard
-                    .postings
-                    .resize_with(new_tid.0 as usize + 1, PostingsList::new);
-            }
-            shard.postings[new_tid.0 as usize] = pl;
+        let (analyzer, terms, store) = index.into_parts();
+        let mut shards: Vec<TermTable> =
+            (0..n).map(|_| TermTable::new(terms.block_size())).collect();
+        for (term, list, dead) in terms.entries() {
+            shards[shard_for(term, n)].insert(term, Arc::clone(list), dead);
         }
         ShardedIndex {
             analyzer,
@@ -148,28 +128,25 @@ impl ShardedIndex {
     /// Merge all shards back into a single-dictionary [`InvertedIndex`]
     /// snapshot (terms in lexicographic order, so the result — and any
     /// file saved from it — is deterministic regardless of shard count).
+    /// The store stays pinned while the shards are read, so the dead
+    /// counts carried over agree with the snapshot's tombstones.
     pub fn snapshot(&self) -> InvertedIndex {
-        let store = self.store.read().clone();
-        let mut terms: Vec<(String, PostingsList)> = Vec::new();
+        let store = self.store.read();
+        let mut entries: Vec<(String, Arc<PostingsList>, u32)> = Vec::new();
         for shard in self.shards.iter() {
             let shard = shard.read();
-            for (tid, term) in shard.dict.iter() {
-                let pl = shard
-                    .postings
-                    .get(tid.0 as usize)
-                    .cloned()
-                    .unwrap_or_default();
-                terms.push((term.to_string(), pl));
-            }
+            entries.extend(
+                shard
+                    .entries()
+                    .map(|(term, list, dead)| (term.to_string(), Arc::clone(list), dead)),
+            );
         }
-        terms.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut dict = Dictionary::new();
-        let mut postings = Vec::with_capacity(terms.len());
-        for (term, pl) in terms {
-            dict.intern(&term);
-            postings.push(pl);
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut terms = TermTable::new(DEFAULT_BLOCK_SIZE);
+        for (term, list, dead) in entries {
+            terms.insert(&term, list, dead);
         }
-        InvertedIndex::from_parts(self.analyzer.clone(), dict, postings, store)
+        InvertedIndex::from_parts(self.analyzer.clone(), terms, store.clone())
     }
 
     /// The analyzer in use.
@@ -182,22 +159,18 @@ impl ShardedIndex {
         self.shards.len()
     }
 
-    /// Run `f` against shard `i`'s `(dictionary, postings)` under its read
-    /// lock — the native per-shard save path, which never merges shards.
-    pub(crate) fn with_shard_parts<R>(
-        &self,
-        i: usize,
-        f: impl FnOnce(&Dictionary, &[PostingsList]) -> R,
-    ) -> R {
-        let shard = self.shards[i].read();
-        f(&shard.dict, &shard.postings)
+    /// Run `f` against shard `i`'s term table under its read lock — the
+    /// native per-shard save path, which never merges shards.
+    pub(crate) fn with_shard<R>(&self, i: usize, f: impl FnOnce(&TermTable) -> R) -> R {
+        f(&self.shards[i].read())
     }
 
     /// Rebuild from per-shard `(term, postings)` lists saved by the native
-    /// format. When `shard_terms.len()` matches the desired count the
-    /// shards are reconstructed verbatim (terms were partitioned by
-    /// [`term_hash`] when saved); otherwise terms are re-hashed into
-    /// `n_shards` partitions.
+    /// format, counting each list's dead postings against `store`. When
+    /// `shard_terms.len()` matches the desired count the shards are
+    /// reconstructed verbatim (terms were partitioned by [`term_hash`]
+    /// when saved); otherwise terms are re-hashed into `n_shards`
+    /// partitions.
     pub(crate) fn from_shard_parts(
         analyzer: Analyzer,
         store: DocStore,
@@ -205,33 +178,29 @@ impl ShardedIndex {
         n_shards: usize,
     ) -> Self {
         let n = n_shards.max(1);
-        let mut shards: Vec<Shard> = (0..n).map(|_| Shard::default()).collect();
-        let direct = shard_terms.len() == n;
-        for (i, terms) in shard_terms.into_iter().enumerate() {
-            for (term, pl) in terms {
-                let shard = if direct {
-                    &mut shards[i]
-                } else {
-                    &mut shards[(term_hash(&term) % n as u64) as usize]
-                };
-                let tid = shard.dict.intern(&term);
-                if shard.postings.len() <= tid.0 as usize {
-                    shard
-                        .postings
-                        .resize_with(tid.0 as usize + 1, PostingsList::new);
-                }
-                shard.postings[tid.0 as usize] = pl;
+        let shard_terms = if shard_terms.len() == n {
+            shard_terms
+        } else {
+            let mut rehashed: Vec<Vec<(String, PostingsList)>> =
+                (0..n).map(|_| Vec::new()).collect();
+            for (term, list) in shard_terms.into_iter().flatten() {
+                rehashed[shard_for(&term, n)].push((term, list));
             }
-        }
+            rehashed
+        };
+        let shards = shard_terms
+            .into_iter()
+            .map(|terms| RwLock::new(TermTable::from_lists(terms, &store)))
+            .collect();
         ShardedIndex {
             analyzer,
             store: RwLock::new(store),
-            shards: shards.into_iter().map(RwLock::new).collect(),
+            shards,
         }
     }
 
     fn shard_of(&self, term: &str) -> usize {
-        (term_hash(term) % self.shards.len() as u64) as usize
+        shard_for(term, self.shards.len())
     }
 
     /// Group analysed terms into `(term, positions)` pairs, positions
@@ -262,10 +231,9 @@ impl ShardedIndex {
             // same-shard terms under one lock acquisition.
             let shard_idx = self.shard_of(entries[i].0);
             let mut shard = self.shards[shard_idx].write();
-            shard.append(entries[i].0, doc, &entries[i].1);
-            i += 1;
             while i < entries.len() && self.shard_of(entries[i].0) == shard_idx {
-                shard.append(entries[i].0, doc, &entries[i].1);
+                let tid = shard.intern(entries[i].0);
+                shard.append(tid, doc, &entries[i].1);
                 i += 1;
             }
         }
@@ -354,18 +322,27 @@ impl ShardedIndex {
             }
             let mut shard = shard.write();
             for (term, doc, positions) in bucket {
-                shard.append(term, doc, &positions);
+                let tid = shard.intern(term);
+                shard.append(tid, doc, &positions);
             }
         }
         Ok(ids)
     }
 
     /// Tombstone the document with external `key`.
+    ///
+    /// Every shard counts the document's postings as dead before the
+    /// store write lock is released, so a reader — which pins the store
+    /// for its whole query — never sees a tombstone without its counts.
     pub fn delete_document(&self, key: &str) -> Result<DocId> {
-        self.store
-            .write()
+        let mut store = self.store.write();
+        let id = store
             .delete(key)
-            .ok_or_else(|| IrsError::UnknownDocument(key.to_string()))
+            .ok_or_else(|| IrsError::UnknownDocument(key.to_string()))?;
+        for shard in self.shards.iter() {
+            shard.write().tombstone(id, store.slot_count());
+        }
+        Ok(id)
     }
 
     /// Replace the text of `key` (delete + add).
@@ -374,11 +351,12 @@ impl ShardedIndex {
         self.add_document(key, text)
     }
 
-    /// Clone of the postings for raw (already analysed) term text.
-    pub fn term_postings(&self, term: &str) -> Option<PostingsList> {
+    /// Postings for raw (already analysed) term text — a shared handle to
+    /// the list, not a copy.
+    pub fn term_postings(&self, term: &str) -> Option<Arc<PostingsList>> {
         self.shards[self.shard_of(term)]
             .read()
-            .postings_of(term)
+            .postings(term)
             .cloned()
     }
 
@@ -403,16 +381,11 @@ impl ShardedIndex {
     /// Aggregate statistics (live documents only).
     pub fn statistics(&self) -> IndexStatistics {
         let store = self.store.read();
-        let postings_bytes: usize = self.shards.iter().map(|s| s.read().byte_size()).sum();
-        let term_count: usize = self.shards.iter().map(|s| s.read().dict.len()).sum();
-        let total_tokens: u64 = store.iter_live().map(|(_, e)| u64::from(e.len)).sum();
-        IndexStatistics {
-            doc_count: store.live_count(),
-            term_count: term_count as u32,
-            total_tokens,
-            avg_doc_len: store.avg_len(),
-            postings_bytes,
-        }
+        let (terms, bytes) = self.shards.iter().fold((0, 0), |(terms, bytes), s| {
+            let s = s.read();
+            (terms + s.len(), bytes + s.byte_size())
+        });
+        IndexStatistics::of(&store, terms, bytes)
     }
 
     /// Physically remove tombstoned documents, rebuilding every shard's
@@ -421,38 +394,17 @@ impl ShardedIndex {
     pub fn merge(&self) -> MergeStats {
         let mut store = self.store.write();
         let mut shards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
-        let bytes_before: usize = shards.iter().map(|s| s.byte_size()).sum();
-        let purged = store.slot_count() - store.live_count();
-
-        let mut remap: Vec<Option<u32>> = vec![None; store.slot_count() as usize];
-        let mut new_store = DocStore::new();
-        for (old_id, entry) in store.iter_live() {
-            let new_id = new_store
-                .insert(&entry.key, entry.len)
-                .expect("live keys are unique");
-            remap[old_id.0 as usize] = Some(new_id.0);
-        }
-
+        let bytes_before = shards.iter().map(|s| s.byte_size()).sum();
+        let docs_purged = store.tombstone_count();
+        let (compacted, remap) = store.compacted();
         for shard in shards.iter_mut() {
-            let mut new_postings = Vec::with_capacity(shard.postings.len());
-            for pl in &shard.postings {
-                let mut npl = PostingsList::new();
-                for p in pl.iter() {
-                    if let Some(new_doc) = remap[p.doc as usize] {
-                        npl.push(new_doc, &p.positions);
-                    }
-                }
-                new_postings.push(npl);
-            }
-            shard.postings = new_postings;
+            shard.compact(&remap);
         }
-
-        *store = new_store;
-        let bytes_after: usize = shards.iter().map(|s| s.byte_size()).sum();
+        *store = compacted;
         MergeStats {
-            docs_purged: purged,
+            docs_purged,
             bytes_before,
-            bytes_after,
+            bytes_after: shards.iter().map(|s| s.byte_size()).sum(),
         }
     }
 }
@@ -478,7 +430,7 @@ impl IndexReader for ShardedReader<'_> {
         &self.index.analyzer
     }
 
-    fn term_postings(&self, term: &str) -> Option<PostingsList> {
+    fn term_postings(&self, term: &str) -> Option<Arc<PostingsList>> {
         self.index.term_postings(term)
     }
 
@@ -517,8 +469,7 @@ impl IndexReader for ShardedReader<'_> {
     fn term_summary(&self, term: &str) -> Option<(u32, u32)> {
         self.index.shards[self.index.shard_of(term)]
             .read()
-            .postings_of(term)
-            .map(|pl| live_summary(pl, &self.store))
+            .summary(term)
     }
 }
 

@@ -107,9 +107,29 @@ impl DocStore {
         self.docs.len() as u32
     }
 
+    /// Number of tombstoned slots (awaiting a merge).
+    pub(crate) fn tombstone_count(&self) -> u32 {
+        self.slot_count() - self.live_count
+    }
+
     /// Whether any tombstoned slots remain.
     pub fn has_tombstones(&self) -> bool {
-        self.slot_count() > self.live_count
+        self.tombstone_count() > 0
+    }
+
+    /// The store a merge leaves behind — live documents only, re-inserted
+    /// in slot order under dense ids — and the old → new id map (`None`
+    /// for a purged slot) the postings are rewritten with.
+    pub(crate) fn compacted(&self) -> (DocStore, Vec<Option<u32>>) {
+        let mut remap = vec![None; self.docs.len()];
+        let mut store = DocStore::new();
+        for (old_id, entry) in self.iter_live() {
+            let new_id = store
+                .insert(&entry.key, entry.len)
+                .expect("live keys are unique");
+            remap[old_id.0 as usize] = Some(new_id.0);
+        }
+        (store, remap)
     }
 
     /// Sum of live document lengths in tokens — the numerator of
@@ -194,6 +214,7 @@ mod tests {
         assert_eq!(s.avg_len(), 30.0);
         assert_eq!(s.delete("a"), None, "second delete of same key fails");
         assert!((s.tombstone_ratio() - 0.5).abs() < 1e-12);
+        assert_eq!(s.tombstone_count(), 1);
     }
 
     #[test]

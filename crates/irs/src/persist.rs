@@ -42,7 +42,7 @@ use crate::analysis::{Analyzer, AnalyzerConfig};
 use crate::collection::{CollectionConfig, IrsCollection};
 use crate::error::{IrsError, Result};
 use crate::index::{
-    read_varint, write_varint, Dictionary, DocId, DocStore, PostingsList, ShardedIndex,
+    read_varint, write_varint, DocId, DocStore, PostingsList, ShardedIndex, TermTable,
 };
 use crate::model::{Bm25Model, InferenceModel, ModelKind, VectorModel};
 
@@ -351,21 +351,14 @@ fn cleanup_stale_generations(dir: &Path, current: u64) {
 /// Serialise one shard's dictionary and postings (term text, stats, raw
 /// delta-encoded bytes — including `max_tf` and the block-skip headers,
 /// so loads need no decode).
-fn encode_shard(
-    i: usize,
-    generation: u64,
-    dict: &Dictionary,
-    postings: &[PostingsList],
-) -> Vec<u8> {
+fn encode_shard(i: usize, generation: u64, terms: &TermTable) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(SHARD_MAGIC);
     out.push(SHARD_VERSION);
     write_varint(&mut out, generation);
     write_varint(&mut out, i as u64);
-    write_varint(&mut out, dict.len() as u64);
-    let empty = PostingsList::new();
-    for (tid, term) in dict.iter() {
-        let pl = postings.get(tid.0 as usize).unwrap_or(&empty);
+    write_varint(&mut out, terms.len() as u64);
+    for (term, pl, _) in terms.entries() {
         put_bytes(&mut out, term.as_bytes());
         let (bytes, doc_count, last_doc, total_tf, max_tf) = pl.raw();
         write_varint(&mut out, u64::from(doc_count));
@@ -491,9 +484,8 @@ pub fn save_collection(coll: &IrsCollection, path: &Path) -> Result<()> {
             let handles: Vec<_> = (0..n_shards)
                 .map(|i| {
                     scope.spawn(move || {
-                        let payload = index.with_shard_parts(i, |dict, postings| {
-                            encode_shard(i, generation, dict, postings)
-                        });
+                        let payload =
+                            index.with_shard(i, |terms| encode_shard(i, generation, terms));
                         atomic_write(&shard_path(path, generation, i), &payload)
                     })
                 })
@@ -542,18 +534,18 @@ pub fn save_collection_flat(coll: &IrsCollection, path: &Path) -> Result<()> {
     // Snapshot merges the sharded index back to one dictionary, so the
     // on-disk format is unchanged and independent of shard count.
     let index = coll.index_snapshot();
-    let (dict, postings, store) = index.parts();
+    let (terms, store) = index.parts();
 
     // Dictionary in id order.
-    write_varint(&mut out, dict.len() as u64);
-    for (_, text) in dict.iter() {
+    write_varint(&mut out, terms.len() as u64);
+    for (text, _, _) in terms.entries() {
         put_bytes(&mut out, text.as_bytes());
     }
 
     // Postings lists, one per term id. (`max_tf` is not part of the v2
     // format; flat loads recompute it from the postings bytes.)
-    write_varint(&mut out, postings.len() as u64);
-    for pl in postings {
+    write_varint(&mut out, terms.len() as u64);
+    for (_, pl, _) in terms.entries() {
         let (bytes, doc_count, last_doc, total_tf, _max_tf) = pl.raw();
         write_varint(&mut out, u64::from(doc_count));
         write_varint(&mut out, u64::from(last_doc));
@@ -666,12 +658,12 @@ fn load_collection_flat(path: &Path) -> Result<IrsCollection> {
 
     // Dictionary.
     let term_count = get_varint(&buf, &mut pos)? as usize;
-    let mut dict = Dictionary::new();
+    let mut texts = Vec::new();
     for _ in 0..term_count {
         let bytes = get_bytes(&buf, &mut pos)?;
         let text = std::str::from_utf8(bytes)
             .map_err(|_| IrsError::CorruptIndex("non-utf8 term".into()))?;
-        dict.intern(text);
+        texts.push(text.to_string());
     }
 
     // Postings. The flat format predates `max_tf`; `from_raw` recomputes
@@ -699,8 +691,8 @@ fn load_collection_flat(path: &Path) -> Result<IrsCollection> {
         model,
         shards,
     };
-    let index =
-        crate::index::InvertedIndex::from_parts(Analyzer::new(analyzer_cfg), dict, postings, store);
+    let terms = TermTable::from_lists(texts.into_iter().zip(postings), &store);
+    let index = crate::index::InvertedIndex::from_parts(Analyzer::new(analyzer_cfg), terms, store);
     Ok(IrsCollection::from_parts(config, index))
 }
 

@@ -123,8 +123,8 @@ pub fn collect_globals<I: IndexReader + ?Sized>(
     let term_texts = compiled_terms(node, index.analyzer())?;
     let (min_doc_len, max_doc_len) = index.doc_len_bounds();
     // The stats leg of the scatter/gather exchange reads dictionary
-    // entries and list headers in place; a list is decoded (never
-    // cloned) only to count live documents when tombstones exist.
+    // entries, list headers and dead-postings counts in place: O(1) per
+    // term whatever the tombstone state.
     Some(QueryGlobals {
         n_docs: index.live_count(),
         total_tokens: index.total_token_len(),
@@ -171,6 +171,42 @@ mod tests {
         let g2 = collect_globals(&p2, &node).unwrap();
         let merged = QueryGlobals::merge([&g1, &g2]).unwrap();
         let direct = collect_globals(&union, &node).unwrap();
+        assert_merged_equals_union(&merged, &direct);
+    }
+
+    #[test]
+    fn tombstoned_partitions_merge_to_the_union_stats() {
+        let all = [
+            ("a", "zebra shared words padding here"),
+            ("b", "shared words only"),
+            ("c", "zebra zebra shared extra tokens in this one"),
+            ("d", "totally unrelated text block"),
+            ("e", "zebra shared again"),
+        ];
+        let mut union = index_of(&all);
+        let mut p1 = index_of(&all[..3]);
+        let mut p2 = index_of(&all[3..]);
+        // One deletion and one update in each partition, the same in the
+        // union: live counts must come from the dead-postings counts.
+        for (part, deleted, updated) in [(&mut p1, "a", "b"), (&mut p2, "e", "d")] {
+            for ix in [&mut *part, &mut union] {
+                ix.delete_document(deleted).unwrap();
+                ix.update_document(updated, "zebra shared rewritten")
+                    .unwrap();
+            }
+        }
+        let node = parse_query("#or(zebra shared words)").unwrap();
+        let merged = QueryGlobals::merge([
+            &collect_globals(&p1, &node).unwrap(),
+            &collect_globals(&p2, &node).unwrap(),
+        ])
+        .unwrap();
+        let direct = collect_globals(&union, &node).unwrap();
+        assert_eq!(direct.terms[0].df, 3, "zebra: c, b', d'");
+        assert_merged_equals_union(&merged, &direct);
+    }
+
+    fn assert_merged_equals_union(merged: &QueryGlobals, direct: &QueryGlobals) {
         assert_eq!(merged.n_docs, direct.n_docs);
         assert_eq!(merged.total_tokens, direct.total_tokens);
         assert_eq!(

@@ -74,6 +74,7 @@
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
 
 use crate::analysis::Analyzer;
 use crate::index::{DocId, IndexReader, PostingsCursor, PostingsList};
@@ -640,9 +641,10 @@ pub(crate) fn evaluate_top_k_counted<I: IndexReader + ?Sized>(
     let default = model.default_score();
     let tombstones = index.has_tombstones();
 
-    // Own each term's postings for the query's lifetime; the cursors
-    // borrow them. (Shard locks are released by `term_postings`.)
-    let lists: Vec<Option<PostingsList>> =
+    // Hold each term's postings list (a refcount, not a copy) for the
+    // query's lifetime; the cursors borrow them. (Shard locks are
+    // released by `term_postings`.)
+    let lists: Vec<Option<Arc<PostingsList>>> =
         term_texts.iter().map(|t| index.term_postings(t)).collect();
     let n_terms = lists.len();
 

@@ -207,3 +207,81 @@ fn concurrent_reads_on_different_collections_do_not_interfere() {
         assert!(b.join().unwrap() > 0);
     });
 }
+
+/// Live `df` is maintained state: a delete bumps each of its terms' dead
+/// counts, and a reader pins the store for its whole query. Readers that
+/// compare every term's O(1) `df` with the `is_live`-filtered count of its
+/// list, each under a single `reader()`, must never see the two disagree
+/// while another thread updates and deletes — which they would if the
+/// counts changed outside the store write lock.
+#[test]
+fn live_df_agrees_with_the_pinned_store_under_concurrent_deletes() {
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
+
+    use irs::analysis::{Analyzer, AnalyzerConfig};
+    use irs::{DocId, IndexReader, ShardedIndex};
+
+    const DOCS: usize = 64;
+    const WORDS: [&str; 5] = ["shared", "alpha", "beta", "gamma", "delta"];
+    let ix = ShardedIndex::with_shards(Analyzer::new(AnalyzerConfig::default()), 3);
+    for i in 0..DOCS {
+        ix.add_document(
+            &format!("d{i}"),
+            &format!("shared {} {}", WORDS[i % 5], WORDS[(i / 5) % 5]),
+        )
+        .unwrap();
+    }
+    let terms: Vec<String> = WORDS
+        .iter()
+        .map(|w| ix.analyzer().analyze_term(w))
+        .collect();
+
+    let readers = 2;
+    let start = Barrier::new(readers + 1);
+    let done = AtomicBool::new(false);
+    let checks = AtomicUsize::new(0);
+    let mismatches = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..readers {
+            scope.spawn(|| {
+                start.wait();
+                loop {
+                    let finished = done.load(Ordering::SeqCst);
+                    let reader = ix.reader();
+                    for term in &terms {
+                        let df = reader.term_summary(term).map_or(0, |(df, _)| df);
+                        let live = reader.term_postings(term).map_or(0, |list| {
+                            list.doc_tfs()
+                                .filter(|&(d, _)| reader.is_live(DocId(d)))
+                                .count() as u32
+                        });
+                        if df != live {
+                            mismatches.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                    checks.fetch_add(1, Ordering::Relaxed);
+                    if finished {
+                        break;
+                    }
+                }
+            });
+        }
+        scope.spawn(|| {
+            start.wait();
+            for round in 0..3_000 {
+                let key = format!("d{}", round % DOCS);
+                if round % 3 == 0 {
+                    ix.delete_document(&key).unwrap();
+                    ix.add_document(&key, WORDS[round % 5]).unwrap();
+                } else {
+                    let text = format!("shared {} {}", WORDS[round % 5], WORDS[(round / 7) % 5]);
+                    ix.update_document(&key, &text).unwrap();
+                }
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+    });
+    assert!(checks.load(Ordering::Relaxed) >= readers);
+    assert_eq!(mismatches.load(Ordering::Relaxed), 0);
+}

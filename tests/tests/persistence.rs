@@ -123,6 +123,8 @@ const FIXTURE_QUERIES: &[&str] = &[
 #[test]
 fn pinned_snapshots_load_into_block_structured_index() {
     let live = pinned_fixture_collection();
+    let mut rebuilt = pinned_fixture_collection();
+    rebuilt.force_merge();
     for fixture in [
         "snapshot-flat-v2.idx",
         "snapshot-shard-v1.idx",
@@ -146,6 +148,16 @@ fn pinned_snapshots_load_into_block_structured_index() {
             let a = live.search_top_k(q, 3).unwrap();
             let b = loaded.search_top_k(q, 3).unwrap();
             assert_eq!(a, b, "{fixture}: top-k query {q}");
+        }
+        // Every fixture keeps `doc:gamma` as a tombstone, so the loader
+        // counted dead postings: live df must equal that of a rebuild
+        // with no tombstones left at all.
+        for q in FIXTURE_QUERIES {
+            let dfs = |c: &IrsCollection| -> Vec<u32> {
+                let g = c.query_globals(q).unwrap();
+                g.terms.iter().map(|t| t.df).collect()
+            };
+            assert_eq!(dfs(&loaded), dfs(&rebuilt), "{fixture}: df of {q}");
         }
     }
 }

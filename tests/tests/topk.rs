@@ -195,6 +195,13 @@ proptest! {
                     .map(|half| collect_globals(half, node).expect("prunable tree"))
                     .collect();
                 let globals = QueryGlobals::merge(&parts).expect("same query, same terms");
+                // Tombstoned partitions merge exactly to the union's counts.
+                let union = collect_globals(&ix, node).expect("prunable tree");
+                prop_assert_eq!(&globals.terms, &union.terms, "query {} bs {}", node, bs);
+                prop_assert_eq!(
+                    (globals.n_docs, globals.total_tokens),
+                    (union.n_docs, union.total_tokens)
+                );
                 let mut merged: Vec<(String, u64)> = Vec::new();
                 for half in &halves {
                     let hits = evaluate_top_k_with_globals(half, model, node, k, &globals)
