@@ -18,6 +18,12 @@
 //! containing `REGRESSION` if batching fails to beat the unbatched
 //! drain by more than 2x, if any task fails, or if the batched run does
 //! not actually merge anything.
+//!
+//! A second leg counts the write path's `sync_data` calls: 64
+//! `UpdateText` tasks through a ledgered queue and a journaled eager
+//! executor. Counts repeat exactly, so the gate is exact too: it prints
+//! `REGRESSION` unless each executed batch cost 2 propagation-journal
+//! syncs (journal the batch, settle it), independent of its size.
 
 use std::time::Instant;
 
@@ -28,6 +34,7 @@ use sgml::{CorpusConfig, CorpusGenerator};
 const TOPICS: usize = 6;
 const BATCH_MAX: usize = 32;
 const TASKS: usize = 12;
+const UPDATES: usize = 64;
 
 /// One drain's results.
 struct Run {
@@ -95,6 +102,71 @@ fn run_ingest(docs: usize, tasks: usize, batching: bool) -> Run {
     }
 }
 
+/// The update leg's results.
+struct UpdateRun {
+    batches: u64,
+    wall_us: u128,
+    ledger_syncs: u64,
+    journal_syncs: u64,
+}
+
+/// Enqueue `UPDATES` text updates against an indexed collection (the
+/// ledger syncs each acknowledgement), then drain them with a journaled
+/// eager executor and count every `sync_data` on the way.
+fn run_updates(docs: usize) -> UpdateRun {
+    let dir = std::env::temp_dir().join(format!("bench-tasks-updates-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let mut sys = build_system(docs);
+    sys.index_collection("coll", "ACCESS p FROM p IN PARA")
+        .expect("collection indexes");
+    let paras: Vec<oodb::Oid> = sys
+        .query("ACCESS p FROM p IN PARA")
+        .expect("paragraph query")
+        .iter()
+        .filter_map(|row| row.oid())
+        .collect();
+    let config = SchedulerConfig::builder()
+        .batch_max(BATCH_MAX)
+        .journal_dir(&dir)
+        .build();
+    let queue =
+        TaskQueue::open(config.ledger_path().as_deref(), UPDATES + 1, 16).expect("ledgered queue");
+    for i in 0..UPDATES {
+        queue
+            .enqueue(TaskKind::UpdateText {
+                oid: paras[i % paras.len()],
+                text: format!("revised paragraph {i} on telnet sessions"),
+                collections: vec!["coll".into()],
+            })
+            .expect("enqueue");
+    }
+    let mut executor = TaskExecutor::new(SharedSystem::new(sys), queue.clone(), config);
+    let t0 = Instant::now();
+    executor.drain();
+    let wall_us = t0.elapsed().as_micros();
+    let stats = queue.stats();
+    if stats.succeeded != UPDATES as u64 {
+        eprintln!(
+            "REGRESSION: {} of {UPDATES} update tasks succeeded",
+            stats.succeeded
+        );
+        std::process::exit(1);
+    }
+    let journal_syncs = executor
+        .propagator("coll")
+        .and_then(|prop| prop.journal())
+        .map_or(0, |journal| journal.syncs());
+    drop(executor);
+    let _ = std::fs::remove_dir_all(&dir);
+    UpdateRun {
+        batches: stats.batches,
+        wall_us,
+        ledger_syncs: stats.ledger_syncs,
+        journal_syncs,
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -121,6 +193,20 @@ fn main() {
     let speedup = runs[0].wall_us as f64 / runs[1].wall_us.max(1) as f64;
     println!("batching speedup: {speedup:.2}x");
 
+    let updates = run_updates(docs);
+    let per_task = |syncs: u64| syncs as f64 / UPDATES as f64;
+    let journal_per_batch = updates.journal_syncs as f64 / updates.batches.max(1) as f64;
+    println!(
+        "update_text: {UPDATES} tasks in {} batches, {} us; sync_data: ledger {} ({:.3}/task), \
+         journal {} ({:.3}/task, {journal_per_batch:.2}/batch)",
+        updates.batches,
+        updates.wall_us,
+        updates.ledger_syncs,
+        per_task(updates.ledger_syncs),
+        updates.journal_syncs,
+        per_task(updates.journal_syncs),
+    );
+
     // Hand-rolled JSON: the workspace deliberately carries no serde.
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"task_batching_ingest\",\n");
@@ -144,6 +230,17 @@ fn main() {
         ));
     }
     out.push_str("  ],\n");
+    out.push_str(&format!(
+        "  \"update_text\": {{\"tasks\": {UPDATES}, \"batches\": {}, \"wall_us\": {}, \
+         \"ledger_syncs\": {}, \"journal_syncs\": {}, \"ledger_syncs_per_task\": {:.4}, \
+         \"journal_syncs_per_task\": {:.4}, \"journal_syncs_per_batch\": {journal_per_batch:.3}}},\n",
+        updates.batches,
+        updates.wall_us,
+        updates.ledger_syncs,
+        updates.journal_syncs,
+        per_task(updates.ledger_syncs),
+        per_task(updates.journal_syncs),
+    ));
     out.push_str(&format!("  \"speedup\": {speedup:.3}\n"));
     out.push_str("}\n");
 
@@ -158,6 +255,13 @@ fn main() {
     }
     if speedup <= 2.0 {
         eprintln!("REGRESSION: batching speedup {speedup:.2}x is not above 2x");
+        std::process::exit(1);
+    }
+    if updates.journal_syncs != 2 * updates.batches {
+        eprintln!(
+            "REGRESSION: {} journal syncs for {} update batches, not 2 per batch",
+            updates.journal_syncs, updates.batches
+        );
         std::process::exit(1);
     }
 }

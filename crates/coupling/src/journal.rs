@@ -19,12 +19,12 @@
 //! file back to the last consistent prefix — the same
 //! discard-the-torn-tail policy as the OODB write-ahead log.
 //!
-//! **Group commit:** by default every appended frame is fsynced on its
-//! own ([`SyncPolicy::Immediate`]). [`SyncPolicy::GroupCommit`] and
-//! [`Journal::append_batch`] amortise the `sync_data` over several
-//! frames — size- and time-bounded — trading the unsynced tail of the
-//! current group (recovered as a torn write) for an order of magnitude
-//! fewer disk round-trips under churn.
+//! **Group commit:** every append is durable when it returns;
+//! [`Journal::append_batch`] makes a whole batch durable with one
+//! `sync_data`, which is how the propagator journals a task batch. The
+//! task ledger's [`RecordLog`] goes further: concurrent appenders share
+//! one `sync_data` through its leader/follower committer
+//! ([`LogCommitter::sync_through`]).
 //!
 //! **Cancellation at append time:** the paper's operation-cancellation
 //! optimisation is applied to the journal too. When the file holds at
@@ -36,7 +36,8 @@
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use oodb::Oid;
 
@@ -129,35 +130,6 @@ fn parse_frames(bytes: &[u8]) -> (Vec<PendingOp>, usize) {
     (ops, pos)
 }
 
-/// When appended frames are made durable (`sync_data`).
-///
-/// The default, [`SyncPolicy::Immediate`], fsyncs after every frame —
-/// maximum durability, one disk round-trip per recorded operation. Under
-/// heavy deferred churn that sync dominates; [`SyncPolicy::GroupCommit`]
-/// amortises it by letting several frames ride one `sync_data`, bounded
-/// in both count and time. Frames are still *written* immediately, so the
-/// only window a crash can lose is the unsynced tail of the current
-/// group — which replay then truncates away cleanly, exactly like a torn
-/// write. Group commit is opt-in; crash-recovery semantics for the
-/// default policy are unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SyncPolicy {
-    /// `sync_data` after every appended frame.
-    #[default]
-    Immediate,
-    /// Batch frames per `sync_data`: sync once `max_frames` frames are
-    /// unsynced or `max_delay` has passed since the first unsynced frame,
-    /// whichever comes first. [`Journal::append_batch`], [`Journal::sync`],
-    /// [`Journal::rewrite`], and [`Journal::clear`] always leave the file
-    /// synced regardless of policy.
-    GroupCommit {
-        /// Sync after this many unsynced frames (floored at 1).
-        max_frames: usize,
-        /// Sync once the oldest unsynced frame is this old.
-        max_delay: Duration,
-    },
-}
-
 /// An append-only, checksummed, fsynced file of pending propagation
 /// operations. Owned by [`crate::Propagator`]; see the module docs for
 /// format and durability guarantees.
@@ -167,11 +139,6 @@ pub struct Journal {
     file: File,
     frames: u64,
     rewrites: u64,
-    policy: SyncPolicy,
-    /// Frames written but not yet covered by a `sync_data`.
-    unsynced: u64,
-    /// When the oldest unsynced frame was written.
-    since: Option<Instant>,
     syncs: u64,
 }
 
@@ -207,24 +174,9 @@ impl Journal {
             file,
             frames: ops.len() as u64,
             rewrites: 0,
-            policy: SyncPolicy::default(),
-            unsynced: 0,
-            since: None,
             syncs: 0,
         };
         Ok((journal, ops))
-    }
-
-    /// The sync policy in effect.
-    pub fn sync_policy(&self) -> SyncPolicy {
-        self.policy
-    }
-
-    /// Change when appended frames are fsynced. Takes effect for
-    /// subsequent appends; any currently unsynced frames keep their
-    /// original deadline behavior under the new policy.
-    pub fn set_sync_policy(&mut self, policy: SyncPolicy) {
-        self.policy = policy;
     }
 
     /// `sync_data` calls issued since open — the metric group commit
@@ -248,53 +200,15 @@ impl Journal {
         self.rewrites
     }
 
-    fn sync_now(&mut self) -> Result<()> {
-        self.file.sync_data().map_err(io_err)?;
-        self.syncs += 1;
-        self.unsynced = 0;
-        self.since = None;
-        Ok(())
-    }
-
-    /// Sync bookkeeping after `n` frames were written: under
-    /// [`SyncPolicy::Immediate`] sync now; under group commit sync only
-    /// when the count or age bound is hit.
-    fn after_write(&mut self, n: u64) -> Result<()> {
-        self.unsynced += n;
-        if self.since.is_none() {
-            self.since = Some(Instant::now());
-        }
-        let due = match self.policy {
-            SyncPolicy::Immediate => true,
-            SyncPolicy::GroupCommit {
-                max_frames,
-                max_delay,
-            } => {
-                self.unsynced >= (max_frames as u64).max(1)
-                    || self.since.is_some_and(|t| t.elapsed() >= max_delay)
-            }
-        };
-        if due {
-            self.sync_now()
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Append one operation. Under the default policy the frame is
-    /// written, flushed, and fsynced before this returns; under
-    /// [`SyncPolicy::GroupCommit`] the fsync may be deferred to a batch
-    /// boundary (see [`Journal::sync`]).
+    /// Durably append one operation: written and fsynced before this
+    /// returns.
     pub fn append(&mut self, op: PendingOp) -> Result<()> {
-        self.file.write_all(&frame(op)).map_err(io_err)?;
-        self.frames += 1;
-        self.after_write(1)
+        self.append_batch(&[op])
     }
 
     /// Durably append several operations with **one** `sync_data`: all
     /// frames are written in a single `write_all` and the batch is made
-    /// durable together — the group-commit fast path for bulk
-    /// propagation, regardless of the configured policy.
+    /// durable together — the group-commit path for a task batch.
     pub fn append_batch(&mut self, ops: &[PendingOp]) -> Result<()> {
         if ops.is_empty() {
             return Ok(());
@@ -305,19 +219,9 @@ impl Journal {
         }
         self.file.write_all(&out).map_err(io_err)?;
         self.frames += ops.len() as u64;
-        self.unsynced += ops.len() as u64;
-        self.sync_now()
-    }
-
-    /// Force any unsynced frames to disk. No-op when everything already
-    /// is; the group-commit time bound is the caller's to enforce (call
-    /// this from a timer, a flush, or a commit point).
-    pub fn sync(&mut self) -> Result<()> {
-        if self.unsynced > 0 {
-            self.sync_now()
-        } else {
-            Ok(())
-        }
+        self.file.sync_data().map_err(io_err)?;
+        self.syncs += 1;
+        Ok(())
     }
 
     /// Atomically replace the journal's contents with exactly `ops`
@@ -358,9 +262,6 @@ impl Journal {
             .map_err(io_err)?;
         self.frames = ops.len() as u64;
         self.rewrites += 1;
-        // The rewritten file was fully synced before the rename.
-        self.unsynced = 0;
-        self.since = None;
         Ok(())
     }
 
@@ -370,8 +271,6 @@ impl Journal {
         self.file.sync_data().map_err(io_err)?;
         self.syncs += 1;
         self.frames = 0;
-        self.unsynced = 0;
-        self.since = None;
         Ok(())
     }
 }
@@ -380,17 +279,31 @@ impl Journal {
 // Raw record log
 // ---------------------------------------------------------------------
 
-/// An append-only, checksummed, fsynced file of *opaque* records —
-/// the same `[len][payload][crc32]` framing [`Journal`] uses for
-/// propagation operations, generalised so other subsystems (the update
-/// task ledger in [`crate::tasks`]) can persist their own record types
-/// without reinventing torn-tail recovery.
+/// An append-only, checksummed file of *opaque* records — the same
+/// `[len][payload][crc32]` framing [`Journal`] uses for propagation
+/// operations, generalised so other subsystems (the update task ledger
+/// in [`crate::tasks`]) can persist their own record types without
+/// reinventing torn-tail recovery.
 ///
 /// Differences from [`Journal`]: payloads are caller-defined byte
 /// strings with a caller-chosen size cap (task records carry document
-/// text, so the 9-byte operation cap does not apply), and every append
-/// is made durable immediately — a task ledger records state
-/// *transitions*, which are few and must not be lost.
+/// text, so the 9-byte operation cap does not apply), and writing is
+/// split from syncing so that concurrent appenders share one
+/// `sync_data` (group commit):
+///
+/// 1. [`RecordLog::write`] writes frames — under whatever lock
+///    serialises the caller's appends — and returns a sequence number;
+/// 2. the caller releases that lock and waits in
+///    [`LogCommitter::sync_through`]. The first waiter that finds no sync
+///    running leads: its one `sync_data` covers every frame written
+///    before it started, the followers' frames included.
+///
+/// A frame is durable only once `sync_through` for its sequence number
+/// returned `Ok`. A failed write or `sync_data` **poisons** the log:
+/// every later write or sync returns an I/O error, because after a
+/// failed fsync the kernel may have dropped the unsynced pages, and a
+/// torn frame mid-file would hide every frame appended behind it.
+/// Recovery is reopen-and-replay.
 ///
 /// The framing is byte-compatible: replay stops at the first torn or
 /// corrupt frame and truncates the file back to the last consistent
@@ -400,9 +313,134 @@ impl Journal {
 #[derive(Debug)]
 pub struct RecordLog {
     path: PathBuf,
-    file: File,
+    file: Arc<File>,
     records: u64,
     max_payload: usize,
+    /// Frames written since open: the sequence number of the last one.
+    seq: u64,
+    committer: LogCommitter,
+}
+
+/// Cloneable handle on a [`RecordLog`]'s group committer: waits for
+/// written frames to become durable without holding the lock that
+/// serialises writes.
+#[derive(Debug, Clone)]
+pub struct LogCommitter {
+    inner: Arc<Committer>,
+}
+
+#[derive(Debug)]
+struct Committer {
+    state: Mutex<CommitState>,
+    /// Notified whenever a leader's `sync_data` returns.
+    synced: Condvar,
+    /// `sync_data` calls issued: a statistic, read without the mutex.
+    syncs: AtomicU64,
+}
+
+#[derive(Debug)]
+struct CommitState {
+    /// The handle `sync_data` runs on: the append handle, which
+    /// [`RecordLog::rewrite`] replaces.
+    file: Arc<File>,
+    /// Highest sequence number whose frame is completely written.
+    written: u64,
+    /// Highest sequence number covered by a successful `sync_data`.
+    durable: u64,
+    /// A leader is inside `sync_data`.
+    syncing: bool,
+    poisoned: bool,
+    /// Fail the next `sync_data` as a failing disk would (tests).
+    fail_next_sync: bool,
+}
+
+fn poisoned_err() -> CouplingError {
+    io_err(std::io::Error::other(
+        "record log poisoned by an earlier failed write or sync; reopen to recover",
+    ))
+}
+
+impl LogCommitter {
+    fn new(file: Arc<File>) -> LogCommitter {
+        LogCommitter {
+            inner: Arc::new(Committer {
+                state: Mutex::new(CommitState {
+                    file,
+                    written: 0,
+                    durable: 0,
+                    syncing: false,
+                    poisoned: false,
+                    fail_next_sync: false,
+                }),
+                synced: Condvar::new(),
+                syncs: AtomicU64::new(0),
+            }),
+        }
+    }
+
+    /// Every field is consistent after each single update, so a guard
+    /// poisoned by a panicking holder is still valid.
+    fn state(&self) -> MutexGuard<'_, CommitState> {
+        self.inner
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Block until the frame with sequence number `seq` — and so every
+    /// frame written before it — is durable. Either another caller's
+    /// `sync_data` already covers it, or this caller issues one that
+    /// covers every frame written so far. Returns an I/O error, and
+    /// never `Ok`, once the log is poisoned.
+    pub fn sync_through(&self, seq: u64) -> Result<()> {
+        let mut st = self.state();
+        loop {
+            if st.poisoned {
+                return Err(poisoned_err());
+            }
+            if st.durable >= seq {
+                return Ok(());
+            }
+            if !st.syncing {
+                break;
+            }
+            st = self
+                .inner
+                .synced
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        st.syncing = true;
+        let target = st.written;
+        let file = Arc::clone(&st.file);
+        let fail = std::mem::take(&mut st.fail_next_sync);
+        drop(st);
+        let result = if fail {
+            Err(std::io::Error::other("injected sync_data failure"))
+        } else {
+            file.sync_data()
+        };
+        self.inner.syncs.fetch_add(1, Ordering::Relaxed);
+        let mut st = self.state();
+        st.syncing = false;
+        match result {
+            Ok(()) => st.durable = st.durable.max(target),
+            Err(_) => st.poisoned = true,
+        }
+        drop(st);
+        self.inner.synced.notify_all();
+        result.map_err(io_err)
+    }
+
+    /// `sync_data` calls issued since open.
+    pub fn syncs(&self) -> u64 {
+        self.inner.syncs.load(Ordering::Relaxed)
+    }
+
+    #[cfg(test)]
+    fn fail_next_sync(&self) {
+        self.state().fail_next_sync = true;
+    }
 }
 
 impl RecordLog {
@@ -428,16 +466,20 @@ impl RecordLog {
             f.set_len(valid_len as u64).map_err(io_err)?;
             f.sync_all().map_err(io_err)?;
         }
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(io_err)?;
+        let file = Arc::new(
+            OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(path)
+                .map_err(io_err)?,
+        );
         let log = RecordLog {
             path: path.to_path_buf(),
+            committer: LogCommitter::new(Arc::clone(&file)),
             file,
             records: records.len() as u64,
             max_payload,
+            seq: 0,
         };
         Ok((log, records))
     }
@@ -450,6 +492,16 @@ impl RecordLog {
     /// Records currently in the file.
     pub fn records(&self) -> u64 {
         self.records
+    }
+
+    /// A handle that makes written frames durable without `&mut self`.
+    pub fn committer(&self) -> LogCommitter {
+        self.committer.clone()
+    }
+
+    /// `sync_data` calls issued since open.
+    pub fn syncs(&self) -> u64 {
+        self.committer.syncs()
     }
 
     fn check_len(&self, payload: &[u8]) -> Result<()> {
@@ -466,35 +518,37 @@ impl RecordLog {
         Ok(())
     }
 
-    /// Durably append one record: written, flushed, and fsynced before
-    /// this returns.
-    pub fn append(&mut self, payload: &[u8]) -> Result<()> {
-        self.append_batch(std::slice::from_ref(&payload))
-    }
-
-    /// Durably append several records with **one** `sync_data` — the
-    /// group-commit path for multi-record transitions (e.g. marking a
-    /// whole task batch started).
-    pub fn append_batch<P: AsRef<[u8]>>(&mut self, payloads: &[P]) -> Result<()> {
-        if payloads.is_empty() {
-            return Ok(());
-        }
+    /// Write `payloads` as frames, in order, with one `write_all`, and
+    /// return the sequence number of the last one. The frames are **not
+    /// durable** until [`LogCommitter::sync_through`] for that number
+    /// returns `Ok`.
+    pub fn write<P: AsRef<[u8]>>(&mut self, payloads: &[P]) -> Result<u64> {
         let mut out = Vec::new();
         for p in payloads {
-            let p = p.as_ref();
-            self.check_len(p)?;
-            out.extend_from_slice(&raw_frame(p));
+            self.check_len(p.as_ref())?;
+            out.extend_from_slice(&raw_frame(p.as_ref()));
         }
-        self.file.write_all(&out).map_err(io_err)?;
-        self.file.sync_data().map_err(io_err)?;
+        if self.committer.state().poisoned {
+            return Err(poisoned_err());
+        }
+        if let Err(e) = (&*self.file).write_all(&out) {
+            self.committer.state().poisoned = true;
+            return Err(io_err(e));
+        }
         self.records += payloads.len() as u64;
-        Ok(())
+        self.seq += payloads.len() as u64;
+        self.committer.state().written = self.seq;
+        Ok(self.seq)
     }
 
     /// Atomically replace the log's contents with exactly `payloads`
     /// (compaction). Temp file + fsync + rename, so a crash leaves
-    /// either the old or the new log.
+    /// either the old or the new log; everything written before is
+    /// superseded and counts as durable.
     pub fn rewrite<P: AsRef<[u8]>>(&mut self, payloads: &[P]) -> Result<()> {
+        if self.committer.state().poisoned {
+            return Err(poisoned_err());
+        }
         let mut out = Vec::new();
         for p in payloads {
             self.check_len(p.as_ref())?;
@@ -522,11 +576,16 @@ impl RecordLog {
                 }
             }
         }
-        self.file = OpenOptions::new()
-            .append(true)
-            .open(&self.path)
-            .map_err(io_err)?;
+        self.file = Arc::new(
+            OpenOptions::new()
+                .append(true)
+                .open(&self.path)
+                .map_err(io_err)?,
+        );
         self.records = payloads.len() as u64;
+        let mut st = self.committer.state();
+        st.file = Arc::clone(&self.file);
+        st.durable = self.seq;
         Ok(())
     }
 }
@@ -641,44 +700,6 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_batches_syncs_by_count() {
-        let path = tmp("sync_group.journal");
-        let (mut j, _) = Journal::open(&path).unwrap();
-        j.set_sync_policy(SyncPolicy::GroupCommit {
-            max_frames: 4,
-            max_delay: Duration::from_secs(3600),
-        });
-        for i in 0..8 {
-            j.append(PendingOp::Insert(Oid(i))).unwrap();
-        }
-        assert_eq!(j.syncs(), 2, "8 frames, groups of 4: two sync_data");
-        // A ninth frame stays unsynced until forced.
-        j.append(PendingOp::Insert(Oid(8))).unwrap();
-        assert_eq!(j.syncs(), 2);
-        j.sync().unwrap();
-        assert_eq!(j.syncs(), 3);
-        j.sync().unwrap();
-        assert_eq!(j.syncs(), 3, "sync with nothing pending is a no-op");
-        drop(j);
-        // Every frame (synced or not) was written; replay sees all nine.
-        let (_, replayed) = Journal::open(&path).unwrap();
-        assert_eq!(replayed.len(), 9);
-    }
-
-    #[test]
-    fn group_commit_time_bound_forces_a_sync() {
-        let path = tmp("sync_delay.journal");
-        let (mut j, _) = Journal::open(&path).unwrap();
-        j.set_sync_policy(SyncPolicy::GroupCommit {
-            max_frames: 1000,
-            max_delay: Duration::from_millis(0),
-        });
-        // Zero delay: the age bound is already exceeded at every append.
-        j.append(PendingOp::Insert(Oid(1))).unwrap();
-        assert_eq!(j.syncs(), 1);
-    }
-
-    #[test]
     fn append_batch_is_one_sync_and_replays_in_order() {
         let path = tmp("batch.journal");
         let ops = vec![
@@ -724,16 +745,22 @@ mod tests {
         assert!(path.exists(), "open creates the file");
     }
 
+    /// Write and make durable, as a lone appender would.
+    fn append<P: AsRef<[u8]>>(log: &mut RecordLog, payloads: &[P]) -> Result<()> {
+        let seq = log.write(payloads)?;
+        log.committer().sync_through(seq)
+    }
+
     #[test]
     fn record_log_round_trip_and_torn_tail() {
         let path = tmp("records.log");
         {
             let (mut log, replayed) = RecordLog::open(&path, 1024).unwrap();
             assert!(replayed.is_empty());
-            log.append(b"alpha").unwrap();
-            log.append_batch(&[b"beta".as_slice(), b"gamma".as_slice()])
-                .unwrap();
+            append(&mut log, &[b"alpha"]).unwrap();
+            append(&mut log, &[b"beta".as_slice(), b"gamma".as_slice()]).unwrap();
             assert_eq!(log.records(), 3);
+            assert_eq!(log.syncs(), 2, "one sync_data per write");
         }
         {
             let (_, replayed) = RecordLog::open(&path, 1024).unwrap();
@@ -755,11 +782,14 @@ mod tests {
         let path = tmp("records_cap.log");
         let (mut log, _) = RecordLog::open(&path, 8).unwrap();
         assert!(
-            log.append(b"123456789").is_err(),
+            append(&mut log, &[b"123456789"]).is_err(),
             "9 bytes over an 8-byte cap"
         );
-        assert!(log.append(b"").is_err(), "empty payloads are unframeable");
-        assert!(log.append(b"12345678").is_ok());
+        assert!(
+            append(&mut log, &[b""]).is_err(),
+            "empty payloads are unframeable"
+        );
+        assert!(append(&mut log, &[b"12345678"]).is_ok());
         // A record over the reader's cap stops replay there.
         let (_, replayed) = RecordLog::open(&path, 4).unwrap();
         assert!(replayed.is_empty());
@@ -770,13 +800,113 @@ mod tests {
         let path = tmp("records_rewrite.log");
         let (mut log, _) = RecordLog::open(&path, 64).unwrap();
         for i in 0..10u8 {
-            log.append(&[i + 1]).unwrap();
+            append(&mut log, &[[i + 1]]).unwrap();
         }
+        // Frames written but not yet synced are superseded by the
+        // synced rewrite.
+        let unsynced = log.write(&[b"lost"]).unwrap();
         log.rewrite(&[b"only".as_slice()]).unwrap();
         assert_eq!(log.records(), 1);
-        log.append(b"after").unwrap();
+        let syncs = log.syncs();
+        log.committer().sync_through(unsynced).unwrap();
+        assert_eq!(log.syncs(), syncs, "the rewrite already made it durable");
+        append(&mut log, &[b"after"]).unwrap();
         drop(log);
         let (_, replayed) = RecordLog::open(&path, 64).unwrap();
         assert_eq!(replayed, vec![b"only".to_vec(), b"after".to_vec()]);
+    }
+
+    /// Group commit: K appenders write under one mutex (as the task
+    /// queue's enqueuers do), release it, and only then wait for
+    /// durability. Every frame is written before anyone syncs, and the
+    /// appender of the *first* frame syncs first, so its single
+    /// `sync_data` must cover all K — the others find their frames
+    /// durable already. Each caller returns only once its own frame is.
+    #[test]
+    fn concurrent_appenders_share_one_sync() {
+        const K: usize = 8;
+        let path = tmp("records_group.log");
+        let (log, _) = RecordLog::open(&path, 64).unwrap();
+        let committer = log.committer();
+        let log = Mutex::new(log);
+        let written = std::sync::Barrier::new(K);
+        let first_synced = std::sync::Barrier::new(K);
+        std::thread::scope(|scope| {
+            for i in 0..K {
+                let (log, committer) = (&log, &committer);
+                let (written, first_synced) = (&written, &first_synced);
+                scope.spawn(move || {
+                    let seq = log.lock().unwrap().write(&[[i as u8 + 1]]).unwrap();
+                    written.wait();
+                    if seq == 1 {
+                        committer.sync_through(seq).unwrap();
+                        first_synced.wait();
+                    } else {
+                        first_synced.wait();
+                        committer.sync_through(seq).unwrap();
+                    }
+                    assert!(committer.state().durable >= seq, "returned before durable");
+                });
+            }
+        });
+        assert_eq!(committer.syncs(), 1, "{K} appends, one sync_data");
+        drop(log);
+        let (_, replayed) = RecordLog::open(&path, 64).unwrap();
+        assert_eq!(replayed.len(), K);
+    }
+
+    /// Without a barrier the appenders race; coalescing then depends on
+    /// timing, but durability on return and at most one sync per append
+    /// never do.
+    #[test]
+    fn racing_appenders_are_each_durable_on_return() {
+        const K: usize = 4;
+        const EACH: usize = 25;
+        let path = tmp("records_race.log");
+        let (log, _) = RecordLog::open(&path, 64).unwrap();
+        let committer = log.committer();
+        let log = Mutex::new(log);
+        std::thread::scope(|scope| {
+            for _ in 0..K {
+                let (log, committer) = (&log, &committer);
+                scope.spawn(move || {
+                    for _ in 0..EACH {
+                        let seq = log.lock().unwrap().write(&[b"x"]).unwrap();
+                        committer.sync_through(seq).unwrap();
+                        assert!(committer.state().durable >= seq);
+                    }
+                });
+            }
+        });
+        assert!(committer.syncs() <= (K * EACH) as u64);
+        drop(log);
+        let (_, replayed) = RecordLog::open(&path, 64).unwrap();
+        assert_eq!(replayed.len(), K * EACH);
+    }
+
+    #[test]
+    fn failed_sync_poisons_the_log() {
+        let path = tmp("records_poison.log");
+        let (mut log, _) = RecordLog::open(&path, 64).unwrap();
+        append(&mut log, &[b"durable"]).unwrap();
+        let committer = log.committer();
+        let before = log.write(&[b"unsynced"]).unwrap();
+        committer.fail_next_sync();
+        assert!(
+            committer.sync_through(before).is_err(),
+            "the failure surfaces"
+        );
+        // Never success after a failed sync: not for the frame that
+        // failed, not for one that was durable before, not for new ones.
+        assert!(committer.sync_through(before).is_err());
+        assert!(committer.sync_through(1).is_err());
+        let err = log.write(&[b"later"]).unwrap_err();
+        assert_eq!(err.kind(), crate::ErrorKind::Io);
+        assert!(log.rewrite(&[b"fresh"]).is_err());
+        drop(log);
+        // Recovery is reopen-and-replay.
+        let (mut log, replayed) = RecordLog::open(&path, 64).unwrap();
+        assert_eq!(replayed[0], b"durable".to_vec());
+        append(&mut log, &[b"again"]).unwrap();
     }
 }

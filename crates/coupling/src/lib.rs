@@ -78,7 +78,7 @@ pub use derive::DerivationScheme;
 pub use error::{CouplingError, Error, ErrorKind, Result};
 pub use granularity::GranularityPolicy;
 pub use handle::{CollectionMut, CollectionRef};
-pub use journal::{Journal, RecordLog, SyncPolicy};
+pub use journal::{Journal, LogCommitter, RecordLog};
 pub use mixed::{
     evaluate_mixed, evaluate_mixed_planned, execute_mixed, plan_mixed, MixedOutcome, MixedPlan,
     MixedStrategy, PlanReason,
@@ -109,7 +109,6 @@ pub mod prelude {
     pub use crate::error::{CouplingError, Error, ErrorKind, Result};
     pub use crate::granularity::GranularityPolicy;
     pub use crate::handle::{CollectionMut, CollectionRef};
-    pub use crate::journal::SyncPolicy;
     pub use crate::mixed::{evaluate_mixed, MixedOutcome, MixedStrategy};
     pub use crate::partition::{PartitionConfig, PartitionStats, PartitionedIrs};
     pub use crate::persist::{journal_path, open_system, save_system, tasks_ledger_path};

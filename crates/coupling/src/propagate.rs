@@ -20,6 +20,11 @@
 //! the eager strategy the journal doubles as a parking lot: an update the
 //! IRS transiently rejects is kept pending (journaled + folded) instead
 //! of being lost, and applies at the next flush.
+//!
+//! Recording is three phases — journal, apply, settle — so that a
+//! caller holding a lock around the collection (the task executor and
+//! the system write lock) takes it for the apply alone: both journal
+//! `sync_data`s of a batch happen outside it.
 
 use std::path::Path;
 
@@ -27,7 +32,7 @@ use oodb::{MethodCtx, Oid};
 
 use crate::collection::Collection;
 use crate::error::Result;
-use crate::journal::{Journal, SyncPolicy};
+use crate::journal::Journal;
 
 /// When updates reach the IRS.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,6 +91,10 @@ pub struct Propagator {
     stats: PropagationStats,
     /// Optional durable backing of the log.
     journal: Option<Journal>,
+    /// The journal holds frames from [`Propagator::journal_batch`] that
+    /// the pending log does not — ops applied since, or never applied —
+    /// until [`Propagator::settle`] rewrites it to the log.
+    unsettled: bool,
 }
 
 impl Propagator {
@@ -96,6 +105,7 @@ impl Propagator {
             log: Vec::new(),
             stats: PropagationStats::default(),
             journal: None,
+            unsettled: false,
         }
     }
 
@@ -119,21 +129,6 @@ impl Propagator {
         Ok(prop)
     }
 
-    /// [`Propagator::with_journal`] with an explicit journal
-    /// [`SyncPolicy`] — pass [`SyncPolicy::GroupCommit`] to amortise the
-    /// per-operation `sync_data` under deferred churn.
-    pub fn with_journal_policy(
-        strategy: PropagationStrategy,
-        path: &Path,
-        policy: SyncPolicy,
-    ) -> Result<Self> {
-        let mut prop = Self::with_journal(strategy, path)?;
-        if let Some(j) = &mut prop.journal {
-            j.set_sync_policy(policy);
-        }
-        Ok(prop)
-    }
-
     /// The journal backing this propagator, if any.
     pub fn journal(&self) -> Option<&Journal> {
         self.journal.as_ref()
@@ -154,93 +149,112 @@ impl Propagator {
         &self.log
     }
 
-    /// Record an update. Under [`PropagationStrategy::Eager`] it is
-    /// applied to `coll` immediately; under deferred it enters the log
-    /// with cancellation folding. With a journal attached the operation
-    /// is made durable *before* anything else happens, and an eager
-    /// operation the IRS transiently rejects is parked as pending
-    /// (`stats.parked`) instead of being lost.
+    /// Record an update: [`Propagator::record_batch`] of one.
     pub fn record(
         &mut self,
         ctx: &MethodCtx<'_>,
         coll: &mut Collection,
         op: PendingOp,
     ) -> Result<()> {
-        self.stats.recorded += 1;
-        match self.strategy {
-            PropagationStrategy::Eager => {
-                if self.journal.is_none() {
-                    return self.apply_one(ctx, coll, op);
-                }
-                self.journal_append(op)?;
-                if !self.log.is_empty() {
-                    // Earlier operations are already parked; apply in
-                    // order at the next flush rather than overtaking them.
-                    self.fold(op);
-                    self.stats.parked += 1;
-                    return Ok(());
-                }
-                match self.apply_one(ctx, coll, op) {
-                    Ok(()) => self.journal_clear(),
-                    Err(e) if e.is_transient() => {
-                        self.fold(op);
-                        self.stats.parked += 1;
-                        Ok(())
-                    }
-                    Err(e) => {
-                        // Permanent failure: the op can never apply; drop
-                        // it from the journal and surface the error.
-                        self.journal_rewrite()?;
-                        Err(e)
-                    }
-                }
-            }
-            PropagationStrategy::Deferred => {
-                self.journal_append(op)?;
-                self.fold(op);
-                self.maybe_compact()
-            }
-        }
+        self.record_batch(ctx, coll, &[op])
     }
 
-    /// Record several updates at once. Under deferred propagation the
-    /// whole batch is journaled with a **single** `sync_data`
-    /// ([`Journal::append_batch`]) before any folding — the group-commit
-    /// path for bulk loads, where per-operation fsync would dominate.
-    /// Under eager propagation the batch degenerates to sequential
-    /// [`Propagator::record`] calls (each operation must reach the IRS
-    /// anyway).
+    /// Record several updates at once: the three phases
+    /// [`Propagator::journal_batch`], [`Propagator::apply_batch`] and
+    /// [`Propagator::settle`] back to back. Under
+    /// [`PropagationStrategy::Eager`] the batch is applied to `coll` in
+    /// order; under deferred it enters the log with cancellation folding.
+    /// With a journal attached the whole batch is made durable with one
+    /// `sync_data` *before* anything else happens, and an eager batch
+    /// costs exactly one more (the clear) however many operations it
+    /// holds. A caller that can release its lock between phases (the
+    /// task executor) calls them itself.
     pub fn record_batch(
         &mut self,
         ctx: &MethodCtx<'_>,
         coll: &mut Collection,
         ops: &[PendingOp],
     ) -> Result<()> {
+        self.journal_batch(ops)?;
+        let applied = self.apply_batch(ctx, coll, ops);
+        let settled = self.settle();
+        applied.and(settled)
+    }
+
+    /// Phase one: make `ops` durable in the journal with one `sync_data`
+    /// (no-op without a journal or with no ops). Touches only this
+    /// propagator's own file, so it needs no lock on the system; the
+    /// ops must then reach [`Propagator::apply_batch`], and
+    /// [`Propagator::settle`] must follow either way.
+    pub fn journal_batch(&mut self, ops: &[PendingOp]) -> Result<()> {
+        if let Some(j) = &mut self.journal {
+            if !ops.is_empty() {
+                j.append_batch(ops)?;
+                self.unsettled = true;
+            }
+        }
+        Ok(())
+    }
+
+    /// Phase two, under the system write lock: eager applies `ops` to
+    /// `coll` in order; deferred folds them into the log. With a journal,
+    /// an eager op the IRS transiently rejects is parked as pending
+    /// (`stats.parked`) instead of being lost, and every op after it —
+    /// like every op arriving while earlier ones are parked — is parked
+    /// too rather than overtaking it. A permanent failure stops the batch
+    /// and surfaces: that op can never apply, and the ones after it are
+    /// not attempted.
+    pub fn apply_batch(
+        &mut self,
+        ctx: &MethodCtx<'_>,
+        coll: &mut Collection,
+        ops: &[PendingOp],
+    ) -> Result<()> {
+        self.stats.recorded += ops.len() as u64;
         match self.strategy {
             PropagationStrategy::Eager => {
                 for &op in ops {
-                    self.record(ctx, coll, op)?;
+                    if !self.log.is_empty() {
+                        self.fold(op);
+                        self.stats.parked += 1;
+                        continue;
+                    }
+                    match self.apply_one(ctx, coll, op) {
+                        Ok(()) => {}
+                        Err(e) if e.is_transient() && self.journal.is_some() => {
+                            self.fold(op);
+                            self.stats.parked += 1;
+                        }
+                        Err(e) => return Err(e),
+                    }
                 }
-                Ok(())
             }
             PropagationStrategy::Deferred => {
-                self.stats.recorded += ops.len() as u64;
-                if let Some(j) = &mut self.journal {
-                    j.append_batch(ops)?;
-                }
                 for &op in ops {
                     self.fold(op);
                 }
-                self.maybe_compact()
+                // Every journaled op is now in the log.
+                self.unsettled = false;
             }
         }
+        Ok(())
     }
 
-    fn journal_append(&mut self, op: PendingOp) -> Result<()> {
-        match &mut self.journal {
-            Some(j) => j.append(op),
-            None => Ok(()),
+    /// Phase three, after the system write lock is released: bring the
+    /// journal back to exactly the pending log — cleared once every
+    /// journaled op applied, rewritten to the parked ops otherwise — and
+    /// compact it under churn. Also settles a batch whose
+    /// [`Propagator::apply_batch`] never ran or failed.
+    pub fn settle(&mut self) -> Result<()> {
+        if self.unsettled {
+            if self.log.is_empty() {
+                self.journal_clear()?;
+            } else {
+                self.journal_rewrite()?;
+            }
+            self.unsettled = false;
         }
+        self.maybe_compact()
     }
 
     fn journal_clear(&mut self) -> Result<()> {
@@ -543,30 +557,74 @@ mod tests {
         // The batch is durable: a reopen replays every operation (folded).
         let recovered = Propagator::with_journal(PropagationStrategy::Deferred, &jpath).unwrap();
         assert_eq!(recovered.stats().replayed, ops.len() as u64);
+
+        // Eager: one sync journals the batch, one clears it once applied
+        // — two, however many operations the batch holds.
+        let jpath = journal_tmp("batch_prop_eager.journal");
+        let mut prop = Propagator::with_journal(PropagationStrategy::Eager, &jpath).unwrap();
+        let ops: Vec<PendingOp> = (0..3)
+            .flat_map(|_| paras.iter().map(|&o| PendingOp::Modify(o)))
+            .collect();
+        prop.record_batch(&ctx, &mut coll, &ops).unwrap();
+        assert_eq!(prop.stats().applied, ops.len() as u64);
+        assert!(prop.pending().is_empty());
+        let j = prop.journal().unwrap();
+        assert_eq!(j.syncs(), 2, "journal + clear for a batch of {}", ops.len());
+        assert_eq!(j.frames(), 0);
+    }
+
+    /// The enclosing MMFDOC of the setup's paragraphs: not represented
+    /// in the PARA collection, so a `Modify` of it applies as a no-op
+    /// without calling the IRS.
+    fn unrepresented(db: &Database, para: Oid) -> Oid {
+        db.get_attr(para, "parent").unwrap().as_oid().unwrap()
     }
 
     #[test]
-    fn with_journal_policy_applies_group_commit() {
+    fn eager_batch_failing_mid_way_leaves_the_journal_equal_to_the_pending_log() {
         let (db, mut coll, paras) = setup();
-        let jpath = journal_tmp("policy_prop.journal");
-        let mut prop = Propagator::with_journal_policy(
-            PropagationStrategy::Deferred,
-            &jpath,
-            crate::journal::SyncPolicy::GroupCommit {
-                max_frames: 4,
-                max_delay: std::time::Duration::from_secs(3600),
-            },
-        )
-        .unwrap();
         let ctx = db.method_ctx();
-        // Two modifies of each para: 2 * len(paras) = 4 frames → 1 sync.
-        for _ in 0..2 {
-            for &p in &paras {
-                prop.record(&ctx, &mut coll, PendingOp::Modify(p)).unwrap();
-            }
-        }
-        assert_eq!(prop.journal().unwrap().frames(), 4);
-        assert_eq!(prop.journal().unwrap().syncs(), 1, "grouped, not per-frame");
+        // Permanent: the IRS refuses writes. The first op applies without
+        // touching it; the second fails; the third is never attempted.
+        let jpath = journal_tmp("eager_permanent.journal");
+        let mut prop = Propagator::with_journal(PropagationStrategy::Eager, &jpath).unwrap();
+        coll.set_read_only(true);
+        let ops = [
+            PendingOp::Modify(unrepresented(&db, paras[0])),
+            PendingOp::Modify(paras[0]),
+            PendingOp::Modify(paras[1]),
+        ];
+        let err = prop.record_batch(&ctx, &mut coll, &ops).unwrap_err();
+        assert!(!err.is_transient(), "{err}");
+        assert_eq!(prop.stats().applied, 1);
+        assert!(prop.pending().is_empty(), "nothing parked");
+        assert_eq!(prop.journal().unwrap().frames(), 0);
+        drop(prop);
+        let reopened = Propagator::with_journal(PropagationStrategy::Eager, &jpath).unwrap();
+        assert!(
+            reopened.pending().is_empty(),
+            "the journal is the pending log"
+        );
+        coll.set_read_only(false);
+
+        // Transient: the IRS is down. The failing op and every op after
+        // it are parked, and the journal is rewritten to exactly them.
+        let jpath = journal_tmp("eager_transient.journal");
+        let mut prop = Propagator::with_journal(PropagationStrategy::Eager, &jpath).unwrap();
+        let plan = std::sync::Arc::new(irs::FaultPlan::new(7));
+        plan.set_down(true);
+        coll.inject_faults(Some(plan));
+        prop.record_batch(&ctx, &mut coll, &ops).unwrap();
+        let parked = [PendingOp::Modify(paras[0]), PendingOp::Modify(paras[1])];
+        assert_eq!(prop.pending(), &parked);
+        assert_eq!(prop.stats().parked, 2);
+        drop(prop);
+        let reopened = Propagator::with_journal(PropagationStrategy::Eager, &jpath).unwrap();
+        assert_eq!(
+            reopened.pending(),
+            &parked,
+            "the journal is the pending log"
+        );
     }
 
     #[test]

@@ -15,6 +15,7 @@ use sgml::{load_document, parse_document, validate, Dtd, GeneratedDoc, LoadedDoc
 use crate::collection::{Collection, CollectionSetup};
 use crate::error::{CouplingError, Result};
 use crate::granularity::GranularityPolicy;
+use crate::propagate::{PendingOp, Propagator};
 
 /// Shared registry of coupled collections, writable from inside query
 /// method calls.
@@ -177,57 +178,60 @@ impl DocumentSystem {
         &mut self,
         oid: Oid,
         new_text: &str,
-        targets: &mut [(&str, &mut crate::propagate::Propagator)],
+        targets: &mut [(&str, &mut Propagator)],
     ) -> Result<()> {
-        let mut txn = self.db.begin();
-        self.db
-            .set_attr(&mut txn, oid, "text", Value::from(new_text))?;
-        self.db.commit(txn)?;
-        for (name, propagator) in targets.iter_mut() {
-            let mut coll = self.collection_mut(name)?;
-            let ctx = coll.db().method_ctx();
-            // Subtree text modes embed descendants' text, so every
-            // represented ancestor is stale too — record them all.
-            for affected in coll.affected_by_text_change(&ctx, oid) {
-                propagator.record(
-                    &ctx,
-                    &mut coll,
-                    crate::propagate::PendingOp::Modify(affected),
-                )?;
-            }
-        }
-        Ok(())
+        self.update_texts(&[(oid, new_text.to_string())], targets)
     }
 
     /// Batched [`DocumentSystem::update_text`]: apply several text
     /// replacements in one transaction, then record the affected objects
     /// with each collection's propagator via
-    /// [`crate::propagate::Propagator::record_batch`] (one journal sync
-    /// per collection instead of one per modification). Used by the task
-    /// scheduler when adjacent update tasks merge into a batch.
+    /// [`Propagator::record_batch`] (one journal sync for the batch, one
+    /// to settle, per collection). The task executor runs the same
+    /// phases but releases the system lock around both syncs.
     pub fn update_texts(
         &mut self,
         updates: &[(Oid, String)],
-        targets: &mut [(&str, &mut crate::propagate::Propagator)],
+        targets: &mut [(&str, &mut Propagator)],
     ) -> Result<()> {
+        self.set_texts(updates)?;
+        for (name, propagator) in targets.iter_mut() {
+            let ops = self.text_change_ops(name, updates)?;
+            let mut coll = self.collection_mut(name)?;
+            let ctx = coll.db().method_ctx();
+            propagator.record_batch(&ctx, &mut coll, &ops)?;
+        }
+        Ok(())
+    }
+
+    /// Replace the `text` of every object in `updates`, in one
+    /// transaction.
+    pub(crate) fn set_texts(&mut self, updates: &[(Oid, String)]) -> Result<()> {
         let mut txn = self.db.begin();
         for (oid, new_text) in updates {
             self.db
                 .set_attr(&mut txn, *oid, "text", Value::from(new_text.as_str()))?;
         }
         self.db.commit(txn)?;
-        for (name, propagator) in targets.iter_mut() {
-            let mut coll = self.collection_mut(name)?;
-            let ctx = coll.db().method_ctx();
-            let mut ops = Vec::new();
-            for (oid, _) in updates {
-                for affected in coll.affected_by_text_change(&ctx, *oid) {
-                    ops.push(crate::propagate::PendingOp::Modify(affected));
-                }
-            }
-            propagator.record_batch(&ctx, &mut coll, &ops)?;
-        }
         Ok(())
+    }
+
+    /// What changing the texts of `updates` asks collection `name` to
+    /// propagate: a `Modify` of each changed object it represents and of
+    /// every represented ancestor (subtree text modes embed descendants'
+    /// text). Depends on the tree and the collection, not on the texts.
+    pub(crate) fn text_change_ops(
+        &self,
+        name: &str,
+        updates: &[(Oid, String)],
+    ) -> Result<Vec<PendingOp>> {
+        let coll = self.collection(name)?;
+        let ctx = coll.db().method_ctx();
+        Ok(updates
+            .iter()
+            .flat_map(|(oid, _)| coll.affected_by_text_change(&ctx, *oid))
+            .map(PendingOp::Modify)
+            .collect())
     }
 
     /// The underlying database (read-only).

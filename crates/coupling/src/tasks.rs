@@ -17,9 +17,10 @@
 //! ```
 //!
 //! Each transition is a ledger record (`Enqueued`, `Started`,
-//! `Finished`), appended durably *before* the in-memory state changes.
-//! On reopen the records fold back into the task table; a task that was
-//! `Processing` at the crash reverts to `Enqueued` and is re-executed —
+//! `Finished`), durable before anyone outside the queue is told of it
+//! (see *Durability*). On reopen the records fold back into the task
+//! table; a task that was `Processing` at the crash reverts to
+//! `Enqueued` and is re-executed —
 //! safe because every task kind is **idempotent**: `indexObjects`
 //! re-evaluates its specification query against the current database,
 //! an update task re-sets the same text, a flush re-applies whatever is
@@ -36,13 +37,35 @@
 //!   idempotent, so one execution serves all of them — this is where
 //!   bulk ingest amortises analysis and snapshot work);
 //! * consecutive `UpdateText` tasks against the same collection set
-//!   apply under one system write lock with batched propagation
-//!   ([`crate::propagate::Propagator::record_batch`], one journal
-//!   `sync_data`);
+//!   apply under one system write lock with batched propagation — one
+//!   journal `sync_data` for the batch and one to settle it, both with
+//!   the lock released ([`crate::propagate::Propagator::journal_batch`],
+//!   [`apply_batch`](crate::propagate::Propagator::apply_batch),
+//!   [`settle`](crate::propagate::Propagator::settle));
 //! * consecutive `Flush` tasks on the same collection fold into one.
 //!
 //! Merging never reorders: only directly adjacent tasks combine, so the
 //! observable result is exactly that of sequential execution.
+//!
+//! # Durability
+//!
+//! Ledger records are written under the queue mutex and synced outside
+//! it by the ledger's group committer
+//! ([`crate::journal::LogCommitter::sync_through`]): one `sync_data`
+//! covers every record written before it started, whoever wrote them.
+//! The ordering rules:
+//!
+//! 1. An id returned by [`TaskQueue::enqueue`] — the 202 ack — means the
+//!    task's `Enqueued` record is synced.
+//! 2. The executor syncs a batch's `Started` records before it executes
+//!    anything. `Started` follows `Enqueued` in the same append-only
+//!    file, so that sync also makes `Enqueued` durable for a task whose
+//!    enqueuer is still waiting.
+//! 3. `Finished` is synced before waiters resolve and before `Finished`
+//!    events publish.
+//! 4. A failed write or `sync_data` poisons the ledger: every later
+//!    append or sync fails with an I/O error, success is never reported
+//!    after it, and recovery is reopen-and-replay.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -55,9 +78,9 @@ use std::time::Duration;
 use oodb::Oid;
 
 use crate::error::{CouplingError, ErrorKind, Result};
-use crate::journal::RecordLog;
+use crate::journal::{LogCommitter, RecordLog};
 use crate::persist::{journal_path, tasks_ledger_path};
-use crate::propagate::{PropagationStrategy, Propagator};
+use crate::propagate::{PendingOp, PropagationStrategy, Propagator};
 use crate::shared::SharedSystem;
 
 /// Identifier of one enqueued task, unique within a ledger.
@@ -542,20 +565,17 @@ impl Ledger {
         Ok(ledger)
     }
 
-    fn append(&mut self, record: &LedgerRecord) -> Result<()> {
-        match &mut self.log {
-            Some(log) => log.append(&record.encode()),
-            None => Ok(()),
-        }
-    }
-
-    fn append_all(&mut self, records: &[LedgerRecord]) -> Result<()> {
+    /// Write `records` to the log (in memory: nothing to write) and
+    /// return the sequence number [`QueueInner::sync_through`] takes. The
+    /// records are not durable yet: the caller releases the queue mutex
+    /// before it waits for the sync.
+    fn write(&mut self, records: &[LedgerRecord]) -> Result<u64> {
         match &mut self.log {
             Some(log) => {
                 let encoded: Vec<Vec<u8>> = records.iter().map(LedgerRecord::encode).collect();
-                log.append_batch(&encoded)
+                log.write(&encoded)
             }
-            None => Ok(()),
+            None => Ok(0),
         }
     }
 }
@@ -701,10 +721,16 @@ pub struct TaskQueueStats {
     pub merged: u64,
     /// Tasks currently enqueued or processing (the queue-depth gauge).
     pub depth: u64,
+    /// `sync_data` calls the task ledger issued (0 when in memory):
+    /// against `enqueued`, the syncs each acknowledged task cost.
+    pub ledger_syncs: u64,
 }
 
 struct QueueInner {
     ledger: Mutex<Ledger>,
+    /// Group commit of the ledger's records, waited on outside `ledger`'s
+    /// mutex; `None` for an in-memory ledger.
+    committer: Option<LogCommitter>,
     waiters: Mutex<HashMap<TaskId, TaskWaiter>>,
     /// Signalled on enqueue and close; the scheduler waits here.
     work: Condvar,
@@ -737,6 +763,7 @@ impl TaskQueue {
         let depth = ledger.pending.len() as u64;
         let queue = TaskQueue {
             inner: Arc::new(QueueInner {
+                committer: ledger.log.as_ref().map(RecordLog::committer),
                 ledger: Mutex::new(ledger),
                 waiters: Mutex::new(HashMap::new()),
                 work: Condvar::new(),
@@ -750,68 +777,27 @@ impl TaskQueue {
         Ok(queue)
     }
 
-    /// Enqueue a task: durably recorded, then visible to the scheduler.
-    /// Admission is reject-not-queue — a full queue fails immediately
-    /// with [`CouplingError::Overloaded`], a closed one with
+    /// Enqueue a task. A returned id is the acknowledgement: the task's
+    /// `Enqueued` record is durable by then. Admission is
+    /// reject-not-queue — a full queue fails immediately with
+    /// [`CouplingError::Overloaded`], a closed one with
     /// [`CouplingError::ShuttingDown`].
     pub fn enqueue(&self, kind: TaskKind) -> Result<TaskId> {
-        self.enqueue_inner(kind, None).map(|(id, _)| id)
+        self.enqueue_inner(kind, None)
     }
 
     /// [`TaskQueue::enqueue`] plus a completion callback. The waiter is
     /// always consumed: invoked with the admission error when enqueue
-    /// is refused (then `None` is returned), or with the execution
-    /// outcome once the task finishes.
+    /// is refused, or with the ledger error when the acknowledgement
+    /// cannot be made durable (both return `None`), or with the
+    /// execution outcome once the task finishes.
     pub fn enqueue_with_waiter(&self, kind: TaskKind, waiter: TaskWaiter) -> Option<TaskId> {
-        match self.enqueue_inner(kind, Some(waiter)) {
-            Ok((id, _)) => Some(id),
-            Err(_) => None,
-        }
+        self.enqueue_inner(kind, Some(waiter)).ok()
     }
 
-    fn enqueue_inner(&self, kind: TaskKind, waiter: Option<TaskWaiter>) -> Result<(TaskId, ())> {
-        let admission = (|| {
-            if self.inner.closed.load(Ordering::Acquire) {
-                return Err(CouplingError::ShuttingDown);
-            }
-            let mut ledger = lock_recover(&self.inner.ledger);
-            if ledger.pending.len() >= self.inner.capacity {
-                return Err(CouplingError::Overloaded(self.inner.capacity));
-            }
-            let id = ledger.next_id;
-            let tick = ledger.tick + 1;
-            ledger.append(&LedgerRecord::Enqueued {
-                id,
-                tick,
-                kind: kind.clone(),
-            })?;
-            ledger.next_id = id + 1;
-            ledger.tick = tick;
-            ledger.tasks.insert(
-                id,
-                Task {
-                    id,
-                    kind,
-                    status: TaskStatus::Enqueued,
-                    enqueued_at: tick,
-                    batch_id: None,
-                },
-            );
-            ledger.pending.push_back(id);
-            drop(ledger);
-            Ok(id)
-        })();
-        match admission {
-            Ok(id) => {
-                if let Some(waiter) = waiter {
-                    lock_recover(&self.inner.waiters).insert(id, waiter);
-                }
-                self.inner.counters.enqueued.fetch_add(1, Ordering::Relaxed);
-                self.inner.depth.fetch_add(1, Ordering::Relaxed);
-                self.inner.events.publish(&TaskEvent::Enqueued(id));
-                self.inner.work.notify_all();
-                Ok((id, ()))
-            }
+    fn enqueue_inner(&self, kind: TaskKind, mut waiter: Option<TaskWaiter>) -> Result<TaskId> {
+        let (id, seq) = match self.admit(kind, &mut waiter) {
+            Ok(admitted) => admitted,
             Err(e) => {
                 self.inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
                 if let Some(waiter) = waiter {
@@ -820,9 +806,70 @@ impl TaskQueue {
                     // with a synthesized twin for the Result contract.
                     return Err(CouplingError::ShuttingDown);
                 }
-                Err(e)
+                return Err(e);
             }
+        };
+        self.inner.work.notify_all();
+        // Group commit: this sync may be another enqueuer's or the
+        // executor's, covering this record along with theirs.
+        if let Err(e) = self.inner.sync_through(seq) {
+            // The ledger is poisoned, so the task can never start (its
+            // `Started` write fails) and finishes failed; whichever side
+            // removes the waiter first resolves it.
+            if let Some(waiter) = lock_recover(&self.inner.waiters).remove(&id) {
+                waiter(Err(CouplingError::TaskFailed {
+                    kind: e.kind(),
+                    message: e.to_string(),
+                }));
+            }
+            return Err(e);
         }
+        Ok(id)
+    }
+
+    /// Admission, under the queue mutex: write the `Enqueued` record
+    /// (not yet durable) and do all the task's bookkeeping — waiter,
+    /// counters, depth, the `Enqueued` event — *before* its id enters
+    /// `pending`. From then on the executor may claim, run and finish
+    /// the task at any moment, so nothing may follow; its `Started` sync
+    /// makes the `Enqueued` record durable too, so running a task whose
+    /// enqueuer has not synced yet is safe. Returns the id and the
+    /// record's sequence number.
+    fn admit(&self, kind: TaskKind, waiter: &mut Option<TaskWaiter>) -> Result<(TaskId, u64)> {
+        if self.inner.closed.load(Ordering::Acquire) {
+            return Err(CouplingError::ShuttingDown);
+        }
+        let mut ledger = lock_recover(&self.inner.ledger);
+        if ledger.pending.len() >= self.inner.capacity {
+            return Err(CouplingError::Overloaded(self.inner.capacity));
+        }
+        let id = ledger.next_id;
+        let tick = ledger.tick + 1;
+        let seq = ledger.write(&[LedgerRecord::Enqueued {
+            id,
+            tick,
+            kind: kind.clone(),
+        }])?;
+        ledger.next_id = id + 1;
+        ledger.tick = tick;
+        ledger.tasks.insert(
+            id,
+            Task {
+                id,
+                kind,
+                status: TaskStatus::Enqueued,
+                enqueued_at: tick,
+                batch_id: None,
+            },
+        );
+        if let Some(waiter) = waiter.take() {
+            lock_recover(&self.inner.waiters).insert(id, waiter);
+        }
+        self.inner.counters.enqueued.fetch_add(1, Ordering::Relaxed);
+        self.inner.depth.fetch_add(1, Ordering::Relaxed);
+        self.inner.events.publish(&TaskEvent::Enqueued(id));
+        ledger.pending.push_back(id);
+        Ok((id, seq))
     }
 
     /// The current state of task `id`.
@@ -861,6 +908,7 @@ impl TaskQueue {
             batches: c.batches.load(Ordering::Relaxed),
             merged: c.merged.load(Ordering::Relaxed),
             depth: self.inner.depth.load(Ordering::Relaxed),
+            ledger_syncs: self.inner.committer.as_ref().map_or(0, LogCommitter::syncs),
         }
     }
 
@@ -895,13 +943,12 @@ impl TaskQueue {
 
     /// Claim the next execution batch: the queue head plus directly
     /// adjacent compatible tasks (up to `batch_max` when `batching`,
-    /// just the head otherwise), durably marked `Started` under a
-    /// shared batch id.
-    fn claim_batch(&self, batch_max: usize, batching: bool) -> Result<Option<Batch>> {
+    /// just the head otherwise), marked `Started` under a shared batch
+    /// id. The second value says whether the `Started` records are
+    /// durable; the batch must not execute unless they are.
+    fn claim_batch(&self, batch_max: usize, batching: bool) -> Option<(Batch, Result<()>)> {
         let mut ledger = lock_recover(&self.inner.ledger);
-        let Some(&head) = ledger.pending.front() else {
-            return Ok(None);
-        };
+        let &head = ledger.pending.front()?;
         let limit = if batching { batch_max.max(1) } else { 1 };
         let mut ids = vec![head];
         let head_kind = ledger.tasks[&head].kind.clone();
@@ -919,7 +966,7 @@ impl TaskQueue {
             .iter()
             .map(|&id| LedgerRecord::Started { id, batch_id })
             .collect();
-        ledger.append_all(&records)?;
+        let written = ledger.write(&records);
         ledger.next_batch += 1;
         for _ in 0..ids.len() {
             ledger.pending.pop_front();
@@ -937,22 +984,33 @@ impl TaskQueue {
             .counters
             .merged
             .fetch_add(ids.len() as u64 - 1, Ordering::Relaxed);
-        self.inner.events.publish(&TaskEvent::Batched {
-            batch_id,
-            tasks: ids.clone(),
-        });
-        for &id in &ids {
-            self.inner.events.publish(&TaskEvent::Started(id));
+        // `Started` follows each task's `Enqueued` record in the same
+        // append-only file, so this sync makes those durable too.
+        let started = written.and_then(|seq| self.inner.sync_through(seq));
+        if started.is_ok() {
+            self.inner.events.publish(&TaskEvent::Batched {
+                batch_id,
+                tasks: ids.clone(),
+            });
+            for &id in &ids {
+                self.inner.events.publish(&TaskEvent::Started(id));
+            }
         }
-        Ok(Some(Batch { tasks }))
+        Some((Batch { tasks }, started))
     }
 
-    /// Durably record a batch outcome and resolve its waiters.
-    fn finish_batch(&self, batch: &Batch, outcome: &std::result::Result<u64, (ErrorKind, String)>) {
-        let (ok, error) = match outcome {
+    /// Make a batch outcome durable, then resolve its waiters and publish
+    /// its `Finished` events — in that order, so nobody learns an outcome
+    /// the ledger could still lose. If the `Finished` records cannot be
+    /// made durable, a success is reported as that I/O error instead:
+    /// never success after a failed sync (replay re-runs the tasks, and
+    /// execution is idempotent).
+    fn finish_batch(&self, batch: &Batch, outcome: std::result::Result<u64, (ErrorKind, String)>) {
+        let verdict = |outcome: &std::result::Result<u64, (ErrorKind, String)>| match outcome {
             Ok(_) => (true, String::new()),
             Err((_, message)) => (false, message.clone()),
         };
+        let (ok, error) = verdict(&outcome);
         let records: Vec<LedgerRecord> = batch
             .tasks
             .iter()
@@ -962,12 +1020,17 @@ impl TaskQueue {
                 error: error.clone(),
             })
             .collect();
+        let written = lock_recover(&self.inner.ledger).write(&records);
+        let outcome = match (
+            outcome,
+            written.and_then(|seq| self.inner.sync_through(seq)),
+        ) {
+            (Ok(_), Err(e)) => Err((e.kind(), e.to_string())),
+            (outcome, _) => outcome,
+        };
+        let (ok, error) = verdict(&outcome);
         {
             let mut ledger = lock_recover(&self.inner.ledger);
-            // A failed Finished append leaves the tasks Processing in the
-            // file; replay reverts them to Enqueued and re-runs — safe,
-            // because execution is idempotent.
-            let _ = ledger.append_all(&records);
             for task in &batch.tasks {
                 if let Some(t) = ledger.tasks.get_mut(&task.id) {
                     t.status = if ok {
@@ -989,7 +1052,7 @@ impl TaskQueue {
         let mut waiters = lock_recover(&self.inner.waiters);
         for task in &batch.tasks {
             if let Some(waiter) = waiters.remove(&task.id) {
-                let result = match outcome {
+                let result = match &outcome {
                     Ok(count) => Ok(*count),
                     Err((kind, message)) => Err(CouplingError::TaskFailed {
                         kind: *kind,
@@ -1009,6 +1072,17 @@ impl TaskQueue {
                 .publish(&TaskEvent::Finished { id: task.id, ok });
         }
         self.inner.work.notify_all();
+    }
+}
+
+impl QueueInner {
+    /// Wait, without the queue mutex, until every ledger record up to
+    /// `seq` is durable (see [`LogCommitter::sync_through`]).
+    fn sync_through(&self, seq: u64) -> Result<()> {
+        match &self.committer {
+            Some(committer) => committer.sync_through(seq),
+            None => Ok(()),
+        }
     }
 }
 
@@ -1156,24 +1230,30 @@ impl TaskExecutor {
         &self.queue
     }
 
+    /// The propagator of collection `name`, once a task has used it —
+    /// its journal's [`crate::Journal::syncs`] is the propagation half of
+    /// the write path's sync count.
+    pub fn propagator(&self, name: &str) -> Option<&Propagator> {
+        self.propagators.get(name)
+    }
+
     /// Execute one batch if work is immediately available. Returns
-    /// whether a batch ran.
+    /// whether a batch was claimed.
     pub fn step(&mut self) -> bool {
-        match self
+        let Some((batch, started)) = self
             .queue
             .claim_batch(self.config.batch_max, self.config.batching)
-        {
-            Ok(Some(batch)) => {
-                self.execute(&batch);
-                true
-            }
-            Ok(None) => false,
-            Err(_) => {
-                // The Started append failed (ledger I/O): nothing was
-                // claimed; retry on the next step.
-                false
-            }
-        }
+        else {
+            return false;
+        };
+        let outcome = match started {
+            Ok(()) => self.execute(&batch),
+            // The `Started` records are not durable (the ledger is
+            // poisoned): nothing may run.
+            Err(e) => Err((e.kind(), e.to_string())),
+        };
+        self.queue.finish_batch(&batch, outcome);
+        true
     }
 
     /// Wait up to `timeout` for work, then [`TaskExecutor::step`].
@@ -1211,16 +1291,14 @@ impl TaskExecutor {
         });
     }
 
-    fn execute(&mut self, batch: &Batch) {
+    fn execute(&mut self, batch: &Batch) -> std::result::Result<u64, (ErrorKind, String)> {
         // A panic inside execution must not kill the scheduler thread or
         // leave the batch unresolved.
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.execute_batch(batch)));
-        let outcome = match outcome {
+        match catch_unwind(AssertUnwindSafe(|| self.execute_batch(batch))) {
             Ok(Ok(count)) => Ok(count),
             Ok(Err(e)) => Err((e.kind(), e.to_string())),
             Err(_) => Err((ErrorKind::Other, "task execution panicked".to_string())),
-        };
-        self.queue.finish_batch(batch, &outcome);
+        }
     }
 
     /// Run the merged work of one batch. Merged `IndexObjects` tasks
@@ -1286,34 +1364,42 @@ impl TaskExecutor {
         })
     }
 
+    /// Merged `UpdateText` tasks, each propagation phase under the
+    /// least lock it needs: the affected ops are computed under the
+    /// system read lock, journaled with no lock held, applied together
+    /// with the OODB transaction under the write lock, and the journals
+    /// settled once it is released — so neither journal `sync_data` of
+    /// the batch holds up readers. [`DocumentSystem::update_texts`] runs
+    /// the same phases under its caller's lock.
+    ///
+    /// [`DocumentSystem::update_texts`]: crate::DocumentSystem::update_texts
     fn run_update_texts(
         &mut self,
         updates: &[(Oid, String)],
         collections: &[String],
     ) -> Result<u64> {
         let shared = self.shared.clone();
+        let planned = shared.read(|sys| {
+            collections
+                .iter()
+                .map(|name| sys.text_change_ops(name, updates))
+                .collect::<Result<Vec<_>>>()
+        })?;
         let mut taken: Vec<(String, Propagator)> = Vec::with_capacity(collections.len());
         for name in collections {
             let prop = self.take_propagator(name)?;
             taken.push((name.clone(), prop));
         }
-        let result = shared.write(|sys| {
-            // Validate every target up front (each handle drops at the
-            // end of its statement — `update_texts` re-locks per name).
-            for name in collections {
-                sys.collection(name)?;
-            }
-            let mut targets: Vec<(&str, &mut Propagator)> = taken
-                .iter_mut()
-                .map(|(name, prop)| (name.as_str(), prop))
-                .collect();
-            sys.update_texts(updates, &mut targets)
-        });
+        let applied = journal_and_apply(&shared, updates, &planned, &mut taken);
+        let settled = taken
+            .iter_mut()
+            .map(|(_, prop)| prop.settle())
+            .fold(Ok(()), Result::and);
         let count = taken.len() as u64;
         for (name, prop) in taken {
             self.propagators.insert(name, prop);
         }
-        result?;
+        applied.and(settled)?;
         Ok(count)
     }
 
@@ -1328,6 +1414,40 @@ impl TaskExecutor {
         self.propagators.insert(collection.to_string(), prop);
         Ok(result? as u64)
     }
+}
+
+/// Phases one and two of [`TaskExecutor::run_update_texts`]: journal
+/// each collection's `planned` ops without a lock, then take the write
+/// lock for the transaction and the apply.
+fn journal_and_apply(
+    shared: &SharedSystem,
+    updates: &[(Oid, String)],
+    planned: &[Vec<PendingOp>],
+    taken: &mut [(String, Propagator)],
+) -> Result<()> {
+    for ((_, prop), ops) in taken.iter_mut().zip(planned) {
+        prop.journal_batch(ops)?;
+    }
+    shared.write(|sys| {
+        sys.set_texts(updates)?;
+        for ((name, prop), journaled) in taken.iter_mut().zip(planned) {
+            // Only a writer between the two locks can change what is
+            // affected, and in a server every mutation is a task run here,
+            // so this is empty in practice — but whatever applies must be
+            // journaled first.
+            let ops = sys.text_change_ops(name, updates)?;
+            let unjournaled: Vec<PendingOp> = ops
+                .iter()
+                .filter(|op| !journaled.contains(op))
+                .copied()
+                .collect();
+            prop.journal_batch(&unjournaled)?;
+            let mut coll = sys.collection_mut(name)?;
+            let ctx = coll.db().method_ctx();
+            prop.apply_batch(&ctx, &mut coll, &ops)?;
+        }
+        Ok(())
+    })
 }
 
 impl std::fmt::Debug for TaskExecutor {
@@ -1677,7 +1797,7 @@ mod tests {
                     collection: "collPara".into(),
                 })
                 .unwrap();
-            queue.claim_batch(8, true).unwrap().expect("claimed");
+            queue.claim_batch(8, true).expect("claimed").1.unwrap();
             // Queue dropped here without finishing — the crash.
         }
         let queue = TaskQueue::open(Some(&ledger_path), 64, 16).unwrap();
@@ -1693,6 +1813,33 @@ mod tests {
             queue.list_tasks(&TaskFilter::default())[1].status,
             TaskStatus::Succeeded
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A plan computed under the read lock can go stale before the write
+    /// lock is taken (another writer changes what an update affects):
+    /// the ops it missed are journaled before they apply.
+    #[test]
+    fn ops_missing_from_the_plan_are_journaled_before_they_apply() {
+        let dir = tmp_dir("stale-plan");
+        let shared = two_para_system();
+        let para = shared.write(|sys| {
+            sys.index_collection("collPara", "ACCESS p FROM p IN PARA")
+                .unwrap();
+            sys.query("ACCESS p FROM p IN PARA").unwrap()[0]
+                .oid()
+                .unwrap()
+        });
+        let prop =
+            Propagator::with_journal(PropagationStrategy::Eager, &dir.join("c.journal")).unwrap();
+        let mut taken = vec![("collPara".to_string(), prop)];
+        let updates = [(para, "gopher menus".to_string())];
+        journal_and_apply(&shared, &updates, &[Vec::new()], &mut taken).unwrap();
+        let prop = &mut taken[0].1;
+        assert_eq!(prop.journal().unwrap().frames(), 1, "journaled");
+        assert_eq!(prop.stats().applied, 1, "applied");
+        prop.settle().unwrap();
+        assert_eq!(prop.journal().unwrap().frames(), 0, "settled");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -57,8 +57,10 @@ cargo run -q -p coupling-bench --release --bin bench_net -- --smoke
 
 echo "==> bench smoke (task batching, writes BENCH_tasks.json)"
 # Exits nonzero and prints REGRESSION if batched ingest fails to beat
-# the unbatched drain by more than 2x, any task fails, or the batched
-# drain merges nothing.
+# the unbatched drain by more than 2x, any task fails, the batched
+# drain merges nothing, or an UpdateText batch through a journaled
+# eager executor costs other than 2 propagation-journal syncs (a count,
+# so it repeats exactly).
 cargo run -q -p coupling-bench --release --bin bench_tasks -- --smoke
 
 echo "==> repo benchmark smoke (all five workloads' correctness checks over TCP)"

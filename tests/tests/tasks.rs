@@ -4,14 +4,16 @@
 //! server, and back-compatibility of the deprecated synchronous write
 //! shapes.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::time::Duration;
 
 use proptest::prelude::*;
 
 use coupling::tasks::{
-    SchedulerConfig, TaskEvent, TaskExecutor, TaskFilter, TaskKind, TaskQueue, TaskStatus,
-    TaskStatusKind,
+    Scheduler, SchedulerConfig, TaskEvent, TaskExecutor, TaskFilter, TaskKind, TaskQueue,
+    TaskStatus, TaskStatusKind,
 };
 use coupling::SharedSystem;
 use oodb::Oid;
@@ -118,17 +120,33 @@ fn baseline(ops: &[Op]) -> Vec<(String, Vec<(Oid, f64)>)> {
     probe(&shared)
 }
 
+fn ledger_len(ledger: &Path) -> usize {
+    std::fs::metadata(ledger).expect("ledger exists").len() as usize
+}
+
+/// Cut the ledger at a point chosen by `cut` between byte `from` and its
+/// end — what a crash between writes and their sync can leave when every
+/// byte before `from` was synced. Returns the length kept.
+fn lose_unsynced_tail(ledger: &Path, from: usize, cut: u16) -> usize {
+    let bytes = std::fs::read(ledger).expect("read ledger");
+    let kept = from + cut as usize % (bytes.len() - from + 1);
+    std::fs::write(ledger, &bytes[..kept]).expect("write torn ledger");
+    kept
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Crash-replay idempotence: execute an arbitrary prefix of the
-    /// journaled queue, "crash" (drop queue and executor), reopen the
+    /// journaled queue, "crash" (drop queue and executor) between a
+    /// write and its sync — losing an arbitrary tail of the records
+    /// written after the last acknowledged `Enqueued` — reopen the
     /// ledger, and drain the rest. The surviving system must converge
     /// to exactly the state of an uninterrupted run, every task must
     /// reach `Succeeded`, and interrupted tasks must have reverted to
     /// the queue rather than being lost.
     #[test]
-    fn crash_replay_converges(ops in ops_strategy(), cut in any::<u16>()) {
+    fn crash_replay_converges(ops in ops_strategy(), cut in any::<u16>(), lost in any::<u16>()) {
         let expected = baseline(&ops);
 
         let dir = tmp_dir("replay");
@@ -140,6 +158,7 @@ proptest! {
         for op in &ops {
             queue.enqueue(op_kind(op, &paras)).expect("enqueue");
         }
+        let acked_end = ledger_len(&ledger);
         let steps = cut as usize % (ops.len() + 1);
         let mut executor = executor_over(&shared, &queue);
         for _ in 0..steps {
@@ -149,6 +168,7 @@ proptest! {
         // ledger file and the document system survive.
         drop(executor);
         drop(queue);
+        lose_unsynced_tail(&ledger, acked_end, lost);
 
         let queue = TaskQueue::open(Some(&ledger), 1024, 16).expect("reopen ledger");
         let reopened = queue.list_tasks(&TaskFilter::default());
@@ -175,26 +195,40 @@ proptest! {
 
     /// A torn ledger tail — the file cut at an arbitrary byte — must
     /// never panic on reopen, and whatever tasks survive must still
-    /// drain to terminal states.
+    /// drain to terminal states. With `unsynced_only` the cut falls past
+    /// the last acknowledged `Enqueued`, as a crash between a write and
+    /// its sync leaves it, and then every acknowledged task replays.
     #[test]
-    fn torn_ledger_never_panics(ops in ops_strategy(), cut in any::<u16>()) {
+    fn torn_ledger_never_panics(
+        ops in ops_strategy(),
+        cut in any::<u16>(),
+        unsynced_only in any::<bool>(),
+    ) {
         let dir = tmp_dir("torn");
         let ledger = dir.join("tasks.ledger");
         let shared = SharedSystem::new(two_issue_system());
         let paras = para_oids(&shared);
-        {
+        let acked_end = {
             let queue = TaskQueue::open(Some(&ledger), 1024, 16).expect("journaled queue");
             for op in &ops {
                 queue.enqueue(op_kind(op, &paras)).expect("enqueue");
             }
+            let acked_end = ledger_len(&ledger);
             let mut executor = executor_over(&shared, &queue);
             executor.drain();
-        }
-        let bytes = std::fs::read(&ledger).expect("read ledger");
-        let torn = &bytes[..cut as usize % (bytes.len() + 1)];
-        std::fs::write(&ledger, torn).expect("write torn ledger");
+            acked_end
+        };
+        let from = if unsynced_only { acked_end } else { 0 };
+        let kept = lose_unsynced_tail(&ledger, from, cut);
 
         let queue = TaskQueue::open(Some(&ledger), 1024, 16).expect("torn tail truncates, not panics");
+        if kept >= acked_end {
+            prop_assert_eq!(
+                queue.list_tasks(&TaskFilter::default()).len(),
+                ops.len(),
+                "every acknowledged task replays"
+            );
+        }
         let mut executor = executor_over(&shared, &queue);
         executor.drain();
         prop_assert!(
@@ -438,4 +472,116 @@ fn deprecated_write_shapes_still_block_and_answer() {
     let snapshot = server.shutdown();
     assert_eq!(snapshot.tasks_failed, 0);
     assert!(snapshot.tasks_succeeded >= 2, "both writes became tasks");
+}
+
+/// Blocking writes racing a busy executor: a task becomes claimable only
+/// after its waiter, depth and `Enqueued` event are in place, so however
+/// fast the executor finishes it, every blocking caller is answered,
+/// each task's events arrive as `Enqueued` < `Started` < `Finished`, and
+/// the depth gauge never wraps below zero.
+#[test]
+fn blocking_writes_against_a_busy_executor_resolve_in_order() {
+    const WRITERS: usize = 4;
+    const EACH: usize = 50;
+    const CAPACITY: usize = 64;
+    const FLUSHES: usize = 400;
+    let dir = tmp_dir("blocking-stress");
+    let shared = SharedSystem::new(two_issue_system());
+    let paras = para_oids(&shared);
+    let config = SchedulerConfig::builder()
+        .queue_capacity(CAPACITY)
+        .journal_dir(&dir)
+        .event_capacity(1 << 16)
+        .build();
+    let scheduler = Scheduler::start(shared, config).expect("scheduler starts");
+    let queue = scheduler.queue().clone();
+    let events = queue.subscribe();
+    let max_depth = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+
+    let written: Vec<u64> = std::thread::scope(|scope| {
+        // Keeps the executor busy with a stream of cheap flush tasks.
+        scope.spawn(|| {
+            let mut sent = 0;
+            while sent < FLUSHES && !stop.load(Ordering::SeqCst) {
+                if queue.depth() < 16 {
+                    let flush = TaskKind::Flush {
+                        collection: "collPara".into(),
+                    };
+                    if queue.enqueue(flush).is_ok() {
+                        sent += 1;
+                    }
+                } else {
+                    std::thread::yield_now();
+                }
+            }
+        });
+        scope.spawn(|| {
+            while !stop.load(Ordering::SeqCst) {
+                max_depth.fetch_max(queue.depth(), Ordering::SeqCst);
+                std::thread::yield_now();
+            }
+        });
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let (queue, paras) = (&queue, &paras);
+                scope.spawn(move || {
+                    let mut ids = Vec::with_capacity(EACH);
+                    for i in 0..EACH {
+                        let (tx, rx) = mpsc::channel();
+                        let kind = TaskKind::UpdateText {
+                            oid: paras[(w + i) % paras.len()],
+                            text: format!("stress writer {w} round {i}"),
+                            collections: vec!["collPara".into()],
+                        };
+                        let waiter = Box::new(move |result: coupling::Result<u64>| {
+                            let _ = tx.send(result.map_err(|e| e.to_string()));
+                        });
+                        let id = queue.enqueue_with_waiter(kind, waiter).expect("admitted");
+                        let outcome = rx
+                            .recv_timeout(Duration::from_secs(30))
+                            .expect("a blocking write was never answered");
+                        assert_eq!(outcome, Ok(1), "task {id}");
+                        ids.push(id);
+                    }
+                    ids
+                })
+            })
+            .collect();
+        let joined: Vec<_> = writers.into_iter().map(|w| w.join()).collect();
+        stop.store(true, Ordering::SeqCst);
+        joined
+            .into_iter()
+            .flat_map(|ids| ids.expect("writer thread"))
+            .collect()
+    });
+    scheduler.shutdown();
+
+    assert!(
+        max_depth.load(Ordering::SeqCst) <= CAPACITY,
+        "depth {} exceeded capacity {CAPACITY}",
+        max_depth.load(Ordering::SeqCst)
+    );
+    assert_eq!(events.missed(), 0, "the event buffer held every event");
+    let mut seen: std::collections::HashMap<u64, Vec<&'static str>> = Default::default();
+    while let Some(event) = events.try_recv() {
+        let (id, what) = match event {
+            TaskEvent::Enqueued(id) => (id, "enqueued"),
+            TaskEvent::Started(id) => (id, "started"),
+            TaskEvent::Finished { id, ok } => {
+                assert!(ok, "task {id} failed");
+                (id, "finished")
+            }
+            TaskEvent::Batched { .. } => continue,
+        };
+        seen.entry(id).or_default().push(what);
+    }
+    assert_eq!(written.len(), WRITERS * EACH);
+    for (id, order) in &seen {
+        assert_eq!(order, &["enqueued", "started", "finished"], "task {id}");
+    }
+    for id in &written {
+        assert!(seen.contains_key(id), "no events for task {id}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
