@@ -372,7 +372,7 @@ impl ResultBuffer {
 
     /// Persist the buffer to `path` (the paper buffers *persistently*).
     /// Crash-safe: temp file + fsync + atomic rename with a CRC-32
-    /// trailer ([`irs::persist::atomic_write`]). Only fresh entries are
+    /// trailer ([`storage::atomic_write`]). Only fresh entries are
     /// saved; the stale store is a runtime-degradation artifact.
     pub fn save(&self, path: &Path) -> Result<()> {
         // Collect the union of all shards, sorted by key so the file is
@@ -400,13 +400,13 @@ impl ResultBuffer {
                 put_u64(&mut out, val.to_bits());
             }
         }
-        irs::persist::atomic_write(path, &out).map_err(CouplingError::Irs)
+        Ok(storage::atomic_write(path, &out)?)
     }
 
     /// Load a buffer previously written by [`ResultBuffer::save`],
     /// verifying its CRC-32 trailer. Capacity and statistics start fresh.
     pub fn load(path: &Path, capacity: usize) -> Result<Self> {
-        let bytes = irs::persist::read_verified(path).map_err(CouplingError::Irs)?;
+        let bytes = storage::read_verified(path)?;
         let mut pos = 0usize;
         let take_u64 = |bytes: &[u8], pos: &mut usize| -> Result<u64> {
             if *pos + 8 > bytes.len() {

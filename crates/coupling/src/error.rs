@@ -227,9 +227,11 @@ impl From<sgml::SgmlError> for CouplingError {
     }
 }
 
+/// Through [`irs::IrsError`]'s conversion, so detected corruption is a
+/// corrupt index and everything else an I/O error.
 impl From<std::io::Error> for CouplingError {
     fn from(e: std::io::Error) -> Self {
-        CouplingError::Irs(irs::IrsError::Io(e))
+        CouplingError::Irs(e.into())
     }
 }
 

@@ -78,7 +78,7 @@ pub use derive::DerivationScheme;
 pub use error::{CouplingError, Error, ErrorKind, Result};
 pub use granularity::GranularityPolicy;
 pub use handle::{CollectionMut, CollectionRef};
-pub use journal::{Journal, LogCommitter, RecordLog};
+pub use journal::Journal;
 pub use mixed::{
     evaluate_mixed, evaluate_mixed_planned, execute_mixed, plan_mixed, MixedOutcome, MixedPlan,
     MixedStrategy, PlanReason,

@@ -185,8 +185,7 @@ pub fn save_system(sys: &mut DocumentSystem, dir: &Path) -> Result<()> {
             derivation_to_meta(coll.derivation()),
             coll.spec_query().map(escape_line).unwrap_or_default(),
         );
-        irs::persist::atomic_write(&coll_dir.join(format!("{name}.meta")), meta.as_bytes())
-            .map_err(CouplingError::Irs)?;
+        storage::atomic_write(&coll_dir.join(format!("{name}.meta")), meta.as_bytes())?;
         irs::persist::save_collection(coll.irs(), &coll_dir.join(format!("{name}.idx")))?;
         coll.buffer().save(&coll_dir.join(format!("{name}.buf")))?;
     }
@@ -213,8 +212,7 @@ pub fn open_system(dir: &Path) -> Result<DocumentSystem> {
     names.sort();
 
     for name in names {
-        let meta_bytes = irs::persist::read_verified(&coll_dir.join(format!("{name}.meta")))
-            .map_err(CouplingError::Irs)?;
+        let meta_bytes = storage::read_verified(&coll_dir.join(format!("{name}.meta")))?;
         let meta = String::from_utf8(meta_bytes).map_err(|_| {
             CouplingError::Irs(irs::IrsError::CorruptIndex(format!(
                 "collection {name}: metadata is not UTF-8"

@@ -77,11 +77,7 @@ impl RetryPolicy {
             .saturating_mul(1u32 << attempt.min(16).saturating_sub(1));
         let capped = exp.min(self.max_backoff);
         // splitmix64 over seed ^ attempt → fraction in [0.5, 1.0].
-        let mut x = self.jitter_seed ^ u64::from(attempt);
-        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^= x >> 31;
+        let x = irs::fault::splitmix64(self.jitter_seed ^ u64::from(attempt));
         let frac = 0.5 + (x >> 11) as f64 / (1u64 << 53) as f64 / 2.0;
         capped.mul_f64(frac)
     }
@@ -342,6 +338,10 @@ mod tests {
             ..RetryPolicy::default()
         };
         assert!(other.backoff_for(1) >= other.base_backoff / 2);
+        // Pinned: the jitter is splitmix64 of (seed ^ attempt), so these
+        // nanoseconds move only if the mixing function does.
+        let nanos: Vec<u128> = (1..=4).map(|a| policy.backoff_for(a).as_nanos()).collect();
+        assert_eq!(nanos, [174_316, 245_922, 738_843, 1_501_617]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Every mutation of the coupled system (`indexObjects`, text updates,
 //! propagation flushes) becomes a [`Task`]: enqueued with an id,
 //! persisted to a CRC-framed ledger (the same record framing as the
-//! propagation journal, see [`crate::journal::RecordLog`]), executed by
+//! propagation journal, see [`storage::RecordLog`]), executed by
 //! a scheduler thread, and observable at every point of its lifecycle —
 //! [`TaskQueue::task_status`], [`TaskQueue::list_tasks`], and a
 //! subscribable bounded broadcast of [`TaskEvent`]s.
@@ -51,7 +51,7 @@
 //!
 //! Ledger records are written under the queue mutex and synced outside
 //! it by the ledger's group committer
-//! ([`crate::journal::LogCommitter::sync_through`]): one `sync_data`
+//! ([`storage::LogCommitter::sync_through`]): one `sync_data`
 //! covers every record written before it started, whoever wrote them.
 //! The ordering rules:
 //!
@@ -76,9 +76,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use oodb::Oid;
+use storage::{LogCommitter, RecordLog};
 
 use crate::error::{CouplingError, ErrorKind, Result};
-use crate::journal::{LogCommitter, RecordLog};
 use crate::persist::{journal_path, tasks_ledger_path};
 use crate::propagate::{PendingOp, PropagationStrategy, Propagator};
 use crate::shared::SharedSystem;
@@ -573,7 +573,7 @@ impl Ledger {
         match &mut self.log {
             Some(log) => {
                 let encoded: Vec<Vec<u8>> = records.iter().map(LedgerRecord::encode).collect();
-                log.write(&encoded)
+                Ok(log.write(&encoded)?)
             }
             None => Ok(0),
         }
@@ -1080,7 +1080,7 @@ impl QueueInner {
     /// `seq` is durable (see [`LogCommitter::sync_through`]).
     fn sync_through(&self, seq: u64) -> Result<()> {
         match &self.committer {
-            Some(committer) => committer.sync_through(seq),
+            Some(committer) => Ok(committer.sync_through(seq)?),
             None => Ok(()),
         }
     }

@@ -67,9 +67,16 @@ impl std::error::Error for IrsError {
     }
 }
 
+/// Detected corruption ([`std::io::ErrorKind::InvalidData`], e.g. a CRC
+/// mismatch from [`storage::read_verified`]) is a corrupt index; every
+/// other I/O failure stays [`IrsError::Io`].
 impl From<std::io::Error> for IrsError {
     fn from(e: std::io::Error) -> Self {
-        IrsError::Io(e)
+        if e.kind() == std::io::ErrorKind::InvalidData {
+            IrsError::CorruptIndex(e.to_string())
+        } else {
+            IrsError::Io(e)
+        }
     }
 }
 

@@ -25,8 +25,10 @@ use std::time::Duration;
 use crate::error::{IrsError, Result};
 
 /// splitmix64 — a tiny, high-quality mixing function. Deterministic
-/// per-operation fault decisions hash the seed with the op counter.
-fn splitmix64(mut x: u64) -> u64 {
+/// per-operation fault decisions hash the seed with the op counter; the
+/// network chaos schedule and the retry jitter use it too, so one seed
+/// replays every fault and every backoff bit-identically.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -210,6 +212,17 @@ pub fn flip_byte(path: &Path, offset: usize) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Chaos schedules and retry jitter are functions of splitmix64
+    /// outputs; these pin them (the first value is the reference
+    /// SplitMix64 output for state 0).
+    #[test]
+    fn splitmix64_is_pinned() {
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(splitmix64(1), 0x910a_2dec_8902_5cc1);
+        assert_eq!(splitmix64(0xdead_beef), 0x4adf_b90f_68c9_eb9b);
+        assert_eq!(splitmix64(u64::MAX), 0xe4d9_7177_1b65_2c20);
+    }
 
     #[test]
     fn zero_rate_plan_never_fails() {

@@ -16,8 +16,7 @@ mod terms;
 
 pub use dictionary::{Dictionary, TermId};
 pub use postings::{
-    read_varint, write_varint, BlockSkip, DocTfIter, Posting, PostingsCursor, PostingsIter,
-    PostingsList, DEFAULT_BLOCK_SIZE,
+    BlockSkip, DocTfIter, Posting, PostingsCursor, PostingsIter, PostingsList, DEFAULT_BLOCK_SIZE,
 };
 pub use sharded::{ShardedIndex, ShardedReader, DEFAULT_SHARDS};
 pub use store::{DocEntry, DocStore};

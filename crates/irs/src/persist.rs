@@ -25,25 +25,25 @@
 //!   [`load_collection`] dispatches on whether `path` is a directory or a
 //!   file, so migration is transparent: load a flat file, save natively.
 //!
-//! All binary snapshots are **crash-safe**: [`atomic_write`] writes the
-//! payload plus a CRC-32 trailer to a temporary file, `sync_all`s it, and
-//! atomically renames it into place; [`read_verified`] rejects any file
-//! whose trailer does not match. A crash mid-save leaves the previous
-//! file intact; torn or bit-flipped files are detected at load. The
-//! helpers are public so the coupling layer persists its own files
-//! (result buffer, collection metadata, journal frames) with the same
-//! guarantees.
+//! All binary snapshots are **crash-safe**: [`storage::atomic_write`]
+//! writes the payload plus a CRC-32 trailer to a temporary file,
+//! `sync_all`s it, and atomically renames it into place;
+//! [`storage::read_verified`] rejects any file whose trailer does not
+//! match, which surfaces here as [`IrsError::CorruptIndex`]. A crash
+//! mid-save leaves the previous file intact; torn or bit-flipped files are
+//! detected at load. The coupling layer persists its own files (result
+//! buffer, collection metadata) through the same `storage` helpers.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
+use storage::{atomic_write, read_varint, read_verified, write_varint};
+
 use crate::analysis::{Analyzer, AnalyzerConfig};
 use crate::collection::{CollectionConfig, IrsCollection};
 use crate::error::{IrsError, Result};
-use crate::index::{
-    read_varint, write_varint, DocId, DocStore, PostingsList, ShardedIndex, TermTable,
-};
+use crate::index::{DocId, DocStore, PostingsList, ShardedIndex, TermTable};
 use crate::model::{Bm25Model, InferenceModel, ModelKind, VectorModel};
 
 const MAGIC: &[u8; 4] = b"IRSX";
@@ -61,94 +61,6 @@ const SHARD_MAGIC: &[u8; 4] = b"IRSS";
 /// Version 1 files (no block metadata) are still readable — their lists
 /// are rebuilt with a decode pass at load time.
 const SHARD_VERSION: u8 = 2;
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected) lookup table, built at
-/// compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xedb8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE) checksum of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xffff_ffffu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xff) as usize];
-    }
-    !crc
-}
-
-/// Crash-safe file write: `payload` plus a 4-byte little-endian CRC-32
-/// trailer goes to `<path>.tmp`, is `sync_all`ed, and is atomically
-/// renamed over `path` (the containing directory is then synced,
-/// best-effort). A crash at any point leaves either the old file or the
-/// complete new one.
-pub fn atomic_write(path: &Path, payload: &[u8]) -> Result<()> {
-    let file_name = path.file_name().ok_or_else(|| {
-        IrsError::Io(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("atomic_write: path {} has no file name", path.display()),
-        ))
-    })?;
-    let mut tmp_name = file_name.to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(payload)?;
-        f.write_all(&crc32(payload).to_le_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            // Persist the rename itself. Best-effort: opening a directory
-            // read-only for fsync is not supported on every platform.
-            if let Ok(dir) = File::open(parent) {
-                let _ = dir.sync_all();
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Read a file written by [`atomic_write`], verify its CRC-32 trailer,
-/// and return the payload without the trailer.
-pub fn read_verified(path: &Path) -> Result<Vec<u8>> {
-    let mut buf = std::fs::read(path)?;
-    if buf.len() < 4 {
-        return Err(IrsError::CorruptIndex(
-            "file shorter than its CRC trailer".into(),
-        ));
-    }
-    let crc_pos = buf.len() - 4;
-    let mut trailer = [0u8; 4];
-    trailer.copy_from_slice(&buf[crc_pos..]);
-    let expected = u32::from_le_bytes(trailer);
-    let actual = crc32(&buf[..crc_pos]);
-    if actual != expected {
-        return Err(IrsError::CorruptIndex(format!(
-            "crc mismatch: stored {expected:#010x}, computed {actual:#010x}"
-        )));
-    }
-    buf.truncate(crc_pos);
-    Ok(buf)
-}
 
 fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     write_varint(out, bytes.len() as u64);
@@ -486,7 +398,7 @@ pub fn save_collection(coll: &IrsCollection, path: &Path) -> Result<()> {
                     scope.spawn(move || {
                         let payload =
                             index.with_shard(i, |terms| encode_shard(i, generation, terms));
-                        atomic_write(&shard_path(path, generation, i), &payload)
+                        Ok(atomic_write(&shard_path(path, generation, i), &payload)?)
                     })
                 })
                 .collect();
@@ -508,7 +420,7 @@ pub fn save_collection(coll: &IrsCollection, path: &Path) -> Result<()> {
         write_varint(&mut out, n_shards as u64);
         write_varint(&mut out, generation);
         put_store(&mut out, store);
-        atomic_write(&path.join(MANIFEST_NAME), &out)
+        Ok(atomic_write(&path.join(MANIFEST_NAME), &out)?)
     })?;
 
     cleanup_stale_generations(path, generation);
@@ -555,7 +467,7 @@ pub fn save_collection_flat(coll: &IrsCollection, path: &Path) -> Result<()> {
 
     put_store(&mut out, store);
 
-    atomic_write(path, &out)
+    Ok(atomic_write(path, &out)?)
 }
 
 /// Load a collection saved by either [`save_collection`] (a snapshot
@@ -610,6 +522,7 @@ fn load_collection_dir(path: &Path) -> Result<IrsCollection> {
             scope.spawn(move || {
                 *slot = Some(
                     read_verified(&shard_path(path, generation, i))
+                        .map_err(IrsError::from)
                         .and_then(|bytes| decode_shard(&bytes, generation, i)),
                 );
             });
@@ -942,17 +855,12 @@ mod tests {
         atomic_write(&path, b"payload bytes").unwrap();
         assert_eq!(read_verified(&path).unwrap(), b"payload bytes");
         assert!(!path.with_file_name("atomic.bin.tmp").exists());
-        // A torn write of the same payload (missing its tail) is rejected.
+        // A torn write of the same payload (missing its tail) is rejected
+        // as a corrupt index, not as a plain I/O failure.
         let bytes = std::fs::read(&path).unwrap();
         crate::fault::torn_write(&path, &bytes, bytes.len() - 2).unwrap();
-        assert!(read_verified(&path).is_err());
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // The standard IEEE test vector.
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
+        let err = IrsError::from(read_verified(&path).unwrap_err());
+        assert!(matches!(err, IrsError::CorruptIndex(_)), "{err}");
     }
 
     #[test]

@@ -10,13 +10,17 @@ use crate::oid::Oid;
 use crate::query::{self, Row};
 use crate::schema::{ClassId, Schema};
 use crate::store::snapshot::{self, IndexDef};
-use crate::store::wal::{self, Record, WalWriter};
+use crate::store::wal::{Record, Wal};
 use crate::store::ObjectStore;
 use crate::txn::{Txn, UndoOp};
 use crate::value::Value;
 
 const SNAPSHOT_FILE: &str = "snapshot.odb";
-const WAL_FILE: &str = "wal.odb";
+const WAL_FILE: &str = "wal.log";
+/// The write-ahead log of the format before CRC-framed batches. Its
+/// records are not replayed: an empty one is deleted at open, a
+/// non-empty one makes [`Database::open`] fail.
+const LEGACY_WAL_FILE: &str = "wal.odb";
 
 /// An object-oriented database. Create with [`Database::in_memory`] for a
 /// volatile instance or [`Database::open`] for a durable one (snapshot +
@@ -29,7 +33,7 @@ pub struct Database {
     index_defs: Vec<IndexDef>,
     methods: MethodRegistry,
     constants: std::collections::HashMap<String, Value>,
-    wal: Option<WalWriter>,
+    wal: Option<Wal>,
     dir: Option<PathBuf>,
     next_txn: u64,
 }
@@ -76,13 +80,24 @@ impl Database {
             db.backfill_all_indexes();
         }
 
-        let wal_path = dir.join(WAL_FILE);
-        if wal_path.exists() {
-            for record in wal::replay(&wal_path)? {
-                db.apply_record(record)?;
+        let legacy = dir.join(LEGACY_WAL_FILE);
+        match std::fs::metadata(&legacy) {
+            Ok(meta) if meta.len() == 0 => std::fs::remove_file(&legacy)?,
+            Ok(_) => {
+                return Err(DbError::Corrupt(format!(
+                    "{}: write-ahead log in the pre-CRC format with unreplayed commits; \
+                     open and checkpoint this database with the release that wrote it",
+                    legacy.display()
+                )))
             }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e.into()),
         }
-        db.wal = Some(WalWriter::open(&wal_path)?);
+        let (wal, records) = Wal::open(&dir.join(WAL_FILE))?;
+        for record in records {
+            db.apply_record(record)?;
+        }
+        db.wal = Some(wal);
         Ok(db)
     }
 
@@ -107,12 +122,12 @@ impl Database {
             &self.index_defs,
             &self.store,
         )?;
-        // Truncate the WAL by re-creating it.
-        let wal_path = dir.join(WAL_FILE);
-        self.wal = None;
-        std::fs::write(&wal_path, b"")?;
-        self.wal = Some(WalWriter::open(&wal_path)?);
-        Ok(())
+        // Everything the WAL holds is now in the snapshot.
+        let wal = match &mut self.wal {
+            Some(wal) => wal,
+            None => self.wal.insert(Wal::open(&dir.join(WAL_FILE))?.0),
+        };
+        wal.clear()
     }
 
     // ------------------------------------------------------------------
@@ -818,6 +833,24 @@ mod tests {
             // OID allocation continues above recovered objects.
             assert!(db.store().next_oid() > b.0);
         }
+    }
+
+    #[test]
+    fn legacy_wal_is_deleted_when_empty_and_refused_otherwise() {
+        let dir = std::env::temp_dir().join("oodb-db-tests").join("legacy");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let legacy = dir.join(LEGACY_WAL_FILE);
+        std::fs::write(&legacy, b"").unwrap();
+        drop(Database::open(&dir).unwrap());
+        assert!(!legacy.exists(), "an empty legacy WAL holds nothing");
+        assert!(dir.join(WAL_FILE).exists());
+
+        std::fs::write(&legacy, [7u8, 6]).unwrap();
+        let err = Database::open(&dir).unwrap_err();
+        assert!(matches!(err, DbError::Corrupt(_)), "{err}");
+        assert!(err.to_string().contains("wal.odb"), "{err}");
+        assert!(legacy.exists(), "never deleted while it holds commits");
     }
 
     #[test]

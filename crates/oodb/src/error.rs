@@ -72,9 +72,16 @@ impl std::error::Error for DbError {
     }
 }
 
+/// Detected corruption ([`std::io::ErrorKind::InvalidData`], e.g. a CRC
+/// mismatch from [`storage::read_verified`]) is [`DbError::Corrupt`];
+/// every other I/O failure stays [`DbError::Io`].
 impl From<std::io::Error> for DbError {
     fn from(e: std::io::Error) -> Self {
-        DbError::Io(e)
+        if e.kind() == std::io::ErrorKind::InvalidData {
+            DbError::Corrupt(e.to_string())
+        } else {
+            DbError::Io(e)
+        }
     }
 }
 

@@ -6,12 +6,14 @@
 
 use std::path::Path;
 
+use storage::{atomic_write, read_verified};
+
 use crate::error::{DbError, Result};
 use crate::object::Object;
 use crate::oid::Oid;
 use crate::schema::{ClassId, Schema};
 use crate::store::ObjectStore;
-use crate::util::{atomic_write, read_str, read_varint, read_verified, write_str, write_varint};
+use crate::util::{read_str, read_varint, write_str, write_varint};
 use crate::value::Value;
 
 const MAGIC: &[u8; 4] = b"ODBS";
@@ -87,7 +89,7 @@ pub fn write(
     }
 
     // Crash-safe: temp file + fsync + atomic rename, CRC-32 trailer.
-    atomic_write(path, &out)
+    Ok(atomic_write(path, &out)?)
 }
 
 /// Load a snapshot previously written by [`write`].
@@ -237,6 +239,31 @@ mod tests {
         bytes[mid] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(read(&path), Err(DbError::Corrupt(_))));
+    }
+
+    /// Each value has one accepted varint spelling: a padded encoding
+    /// (`0x80 0x00` for 0) and one carrying bits past the 64th are both
+    /// rejected, by `Value::decode` and by the snapshot reader alike.
+    #[test]
+    fn padded_and_overflowing_varints_are_rejected() {
+        let padded = [0x80u8, 0x00];
+        let mut overflow = vec![0xffu8; 9];
+        overflow.push(0x02);
+        for bad in [&padded[..], &overflow[..]] {
+            // An OID value (tag 5) spelled with the bad varint.
+            let value = [&[5u8][..], bad].concat();
+            assert_eq!(Value::decode(&value, &mut 0), None, "{bad:02x?}");
+
+            // A CRC-valid snapshot of an empty database whose next-oid
+            // field is spelled with the bad varint.
+            let payload = [&MAGIC[..], &[VERSION, 0, 0], bad, &[0]].concat();
+            let path = tmp("noncanonical.snap");
+            atomic_write(&path, &payload).unwrap();
+            assert!(
+                matches!(read(&path), Err(DbError::Corrupt(_))),
+                "{bad:02x?}"
+            );
+        }
     }
 
     #[test]

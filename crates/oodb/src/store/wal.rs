@@ -1,14 +1,16 @@
 //! Write-ahead log.
 //!
 //! Redo-only logging: a transaction's records are buffered in memory and
-//! appended as one batch terminated by a commit marker. Recovery replays
-//! complete batches and discards a trailing partial batch (torn write).
-//! DDL (class and index definitions) is logged the same way as its own
-//! single-record batch.
+//! appended as one [`storage::RecordLog`] record — the encoded records
+//! followed by a commit marker — made durable with one `sync_data`. The
+//! record log's CRC frame makes each batch atomic and checksummed:
+//! recovery replays every complete batch, and a torn or bit-flipped tail
+//! is truncated away rather than replayed. DDL (class and index
+//! definitions) is logged the same way as its own single-record batch.
 
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
 use std::path::Path;
+
+use storage::RecordLog;
 
 use crate::error::{DbError, Result};
 use crate::oid::Oid;
@@ -138,86 +140,59 @@ impl Record {
     }
 }
 
-/// Appender for the WAL file.
-#[derive(Debug)]
-pub struct WalWriter {
-    file: BufWriter<File>,
+/// Decode one batch: records up to the commit marker, which must end it.
+fn decode_batch(payload: &[u8]) -> Option<Vec<Record>> {
+    let mut pos = 0usize;
+    let mut batch = Vec::new();
+    loop {
+        match Record::decode(payload, &mut pos)? {
+            Record::Commit if pos == payload.len() => return Some(batch),
+            Record::Commit => return None,
+            r => batch.push(r),
+        }
+    }
 }
 
-impl WalWriter {
-    /// Open (creating or appending to) the WAL at `path`.
-    pub fn open(path: &Path) -> Result<Self> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(WalWriter {
-            file: BufWriter::new(file),
-        })
+/// The write-ahead log: one CRC-framed record per committed batch.
+#[derive(Debug)]
+pub struct Wal {
+    log: RecordLog,
+}
+
+impl Wal {
+    /// Open (or create) the WAL at `path` and replay it: the records of
+    /// every complete batch, in commit order. A torn or corrupt tail
+    /// (crash mid-write, bit rot) is truncated away; a checksummed batch
+    /// that does not decode is [`DbError::Corrupt`].
+    pub fn open(path: &Path) -> Result<(Wal, Vec<Record>)> {
+        // A payload is a slice of bytes already read, so no allocation
+        // depends on the declared length: accept any the frame can carry.
+        let (log, payloads) = RecordLog::open(path, u32::MAX as usize)?;
+        let mut records = Vec::new();
+        for (i, payload) in payloads.iter().enumerate() {
+            let batch = decode_batch(payload).ok_or_else(|| {
+                DbError::Corrupt(format!("{}: undecodable batch {i}", path.display()))
+            })?;
+            records.extend(batch);
+        }
+        Ok((Wal { log }, records))
     }
 
-    /// Append `records` followed by a commit marker, then flush. The batch
-    /// is atomic with respect to recovery.
+    /// Append `records` followed by a commit marker as one record and
+    /// make it durable. The batch is atomic with respect to recovery.
     pub fn append_batch(&mut self, records: &[Record]) -> Result<()> {
         let mut payload = Vec::new();
         for r in records {
             r.encode(&mut payload);
         }
         Record::Commit.encode(&mut payload);
-        // Frame: length prefix lets recovery detect torn tails cheaply.
-        let mut framed = Vec::with_capacity(payload.len() + 10);
-        write_varint(&mut framed, payload.len() as u64);
-        framed.extend_from_slice(&payload);
-        self.file.write_all(&framed)?;
-        self.file.flush()?;
-        self.file.get_ref().sync_data()?;
-        Ok(())
+        Ok(self.log.append(&[payload])?)
     }
-}
 
-/// Read every complete batch from the WAL at `path`. A truncated trailing
-/// frame (crash mid-write) is silently discarded; corruption *within* a
-/// complete frame is an error.
-pub fn replay(path: &Path) -> Result<Vec<Record>> {
-    let mut buf = Vec::new();
-    File::open(path)?.read_to_end(&mut buf)?;
-    let mut records = Vec::new();
-    let mut pos = 0usize;
-    while pos < buf.len() {
-        let frame_start = pos;
-        let Some(len) = read_varint(&buf, &mut pos) else {
-            break; // torn length prefix
-        };
-        let len = len as usize;
-        if pos + len > buf.len() {
-            let _ = frame_start;
-            break; // torn payload
-        }
-        let frame = &buf[pos..pos + len];
-        pos += len;
-        let mut fpos = 0usize;
-        let mut batch = Vec::new();
-        let mut committed = false;
-        while fpos < frame.len() {
-            match Record::decode(frame, &mut fpos) {
-                Some(Record::Commit) => {
-                    committed = true;
-                    break;
-                }
-                Some(r) => batch.push(r),
-                None => {
-                    return Err(DbError::Corrupt(format!(
-                        "undecodable record at wal byte {}",
-                        frame_start
-                    )))
-                }
-            }
-        }
-        if !committed {
-            return Err(DbError::Corrupt(format!(
-                "frame at wal byte {frame_start} lacks commit marker"
-            )));
-        }
-        records.extend(batch);
+    /// Durably empty the log (after a checkpoint).
+    pub fn clear(&mut self) -> Result<()> {
+        Ok(self.log.clear()?)
     }
-    Ok(records)
 }
 
 #[cfg(test)]
@@ -261,11 +236,12 @@ mod tests {
         let path = tmp("round_trip.wal");
         let batch = sample_batch();
         {
-            let mut w = WalWriter::open(&path).unwrap();
+            let (mut w, replayed) = Wal::open(&path).unwrap();
+            assert!(replayed.is_empty());
             w.append_batch(&batch).unwrap();
             w.append_batch(&[Record::Delete { oid: Oid(7) }]).unwrap();
         }
-        let records = replay(&path).unwrap();
+        let (_, records) = Wal::open(&path).unwrap();
         let mut expect = batch;
         expect.push(Record::Delete { oid: Oid(7) });
         assert_eq!(records, expect);
@@ -275,15 +251,28 @@ mod tests {
     fn torn_tail_is_discarded() {
         let path = tmp("torn.wal");
         {
-            let mut w = WalWriter::open(&path).unwrap();
+            let (mut w, _) = Wal::open(&path).unwrap();
             w.append_batch(&sample_batch()).unwrap();
             w.append_batch(&[Record::Delete { oid: Oid(9) }]).unwrap();
         }
         // Chop off the last few bytes to simulate a crash mid-write.
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        let records = replay(&path).unwrap();
-        assert_eq!(records.len(), sample_batch().len(), "partial batch dropped");
+        {
+            let (mut w, records) = Wal::open(&path).unwrap();
+            assert_eq!(records, sample_batch(), "partial batch dropped");
+            // The tail was truncated, so a later commit is replayable.
+            w.append_batch(&[Record::Delete { oid: Oid(10) }]).unwrap();
+        }
+        let (_, records) = Wal::open(&path).unwrap();
+        assert_eq!(records.len(), sample_batch().len() + 1);
+    }
+
+    /// Write `payload` as one checksummed WAL record, bypassing the
+    /// batch encoder.
+    fn write_raw(path: &Path, payload: &[u8]) {
+        let (mut log, _) = RecordLog::open(path, 1024).unwrap();
+        log.append(&[payload]).unwrap();
     }
 
     #[test]
@@ -292,28 +281,28 @@ mod tests {
         // Hand-craft a frame holding one record but no marker.
         let mut payload = Vec::new();
         Record::Delete { oid: Oid(1) }.encode(&mut payload);
-        let mut framed = Vec::new();
-        write_varint(&mut framed, payload.len() as u64);
-        framed.extend_from_slice(&payload);
-        std::fs::write(&path, &framed).unwrap();
-        assert!(matches!(replay(&path), Err(DbError::Corrupt(_))));
+        write_raw(&path, &payload);
+        assert!(matches!(Wal::open(&path), Err(DbError::Corrupt(_))));
     }
 
     #[test]
     fn garbage_within_frame_is_corrupt() {
         let path = tmp("garbage.wal");
-        let payload = vec![99u8, 1, 2, 3];
-        let mut framed = Vec::new();
-        write_varint(&mut framed, payload.len() as u64);
-        framed.extend_from_slice(&payload);
-        std::fs::write(&path, &framed).unwrap();
-        assert!(matches!(replay(&path), Err(DbError::Corrupt(_))));
+        write_raw(&path, &[99u8, 1, 2, 3]);
+        assert!(matches!(Wal::open(&path), Err(DbError::Corrupt(_))));
+        // Bytes after the commit marker are garbage too.
+        let path = tmp("trailing.wal");
+        let mut payload = Vec::new();
+        Record::Commit.encode(&mut payload);
+        payload.push(0);
+        write_raw(&path, &payload);
+        assert!(matches!(Wal::open(&path), Err(DbError::Corrupt(_))));
     }
 
     #[test]
     fn empty_wal_is_fine() {
         let path = tmp("empty.wal");
         std::fs::write(&path, b"").unwrap();
-        assert!(replay(&path).unwrap().is_empty());
+        assert!(Wal::open(&path).unwrap().1.is_empty());
     }
 }

@@ -36,9 +36,9 @@ use std::io::{self, Read, Write};
 
 use coupling::tasks::{Task, TaskFilter, TaskKind, TaskStatus, TaskStatusKind};
 use coupling::{CouplingError, ErrorKind, MixedStrategy, ResultOrigin};
-use irs::persist::crc32;
 use irs::{QueryGlobals, TermGlobals};
 use oodb::Oid;
+use storage::crc32;
 
 use crate::request::{Request, Response};
 

@@ -1,0 +1,26 @@
+//! Storage primitives: the one copy of each building block the durable
+//! files of the IRS, the OODBMS and the coupling layer are made of.
+//!
+//! * [`crc32`] — CRC-32 (IEEE), the checksum of every frame and file.
+//! * [`write_varint`] / [`read_varint`] — canonical LEB128 varints: the
+//!   postings lists, the snapshots and the WAL records all use them.
+//! * [`atomic_write`] / [`read_verified`] — whole-file snapshots with a
+//!   CRC-32 trailer, replaced atomically (temp file, `sync_all`, rename,
+//!   directory sync) — the same replace [`RecordLog::rewrite`] uses.
+//! * [`RecordLog`] — the checksummed, append-only, fsynced log behind the
+//!   OODB write-ahead log, the propagation journal and the task ledger,
+//!   with group commit through its [`LogCommitter`].
+//!
+//! Errors are plain [`std::io::Error`]s. Detected corruption (a CRC
+//! mismatch) is [`std::io::ErrorKind::InvalidData`], which each caller's
+//! error type maps to its own "corrupt" variant.
+
+mod crc;
+mod file;
+mod journal;
+mod varint;
+
+pub use crc::crc32;
+pub use file::{atomic_write, read_verified};
+pub use journal::{LogCommitter, RecordLog};
+pub use varint::{read_varint, read_varint_slow, write_varint};

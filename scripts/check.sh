@@ -4,6 +4,19 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> one copy of each storage primitive (crates/storage)"
+# A count, so it repeats exactly: the CRC-32 polynomial and the
+# definitions of crc32, the varint codec and the CRC-trailed file
+# helpers live in crates/storage alone. crates/shims stand in for
+# external crates and are exempt.
+copies=$(grep -rnE --include='*.rs' --exclude-dir=storage --exclude-dir=shims \
+    '0xedb8_?8320|fn (crc32|read_varint|write_varint|atomic_write|read_verified)\b' crates || true)
+if [ -n "$copies" ]; then
+    echo "$copies"
+    echo "REGRESSION: a storage primitive is defined outside crates/storage"
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 
