@@ -850,6 +850,18 @@ mod tests {
     }
 
     #[test]
+    fn crc32_matches_known_vector() {
+        // Snapshot trailers are the standard CRC-32 (IEEE) of the payload,
+        // stored little-endian after it.
+        let path = tmp("crc_vector.bin");
+        atomic_write(&path, b"123456789").unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(&bytes[..9], b"123456789");
+        assert_eq!(&bytes[9..], &0xcbf4_3926u32.to_le_bytes());
+        assert_eq!(storage::crc32(b""), 0);
+    }
+
+    #[test]
     fn atomic_write_round_trips_and_leaves_no_tmp() {
         let path = tmp("atomic.bin");
         atomic_write(&path, b"payload bytes").unwrap();

@@ -44,6 +44,14 @@ mod tests {
     }
 
     #[test]
+    fn crc32_matches_known_vector() {
+        // The checksum framing every WAL record and snapshot file is the
+        // standard CRC-32 (IEEE).
+        assert_eq!(storage::crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(storage::crc32(b""), 0);
+    }
+
+    #[test]
     fn bytes_and_strings_round_trip() {
         let mut buf = Vec::new();
         write_str(&mut buf, "hello");
