@@ -122,10 +122,13 @@ impl Database {
             &self.index_defs,
             &self.store,
         )?;
-        // Everything the WAL holds is now in the snapshot.
+        // Everything the WAL in `dir` holds is now in the snapshot. A
+        // database re-homed by `persist_to` leaves its old WAL alone: that
+        // directory's snapshot still needs it.
+        let wal_path = dir.join(WAL_FILE);
         let wal = match &mut self.wal {
-            Some(wal) => wal,
-            None => self.wal.insert(Wal::open(&dir.join(WAL_FILE))?.0),
+            Some(wal) if wal.path() == wal_path => wal,
+            _ => self.wal.insert(Wal::open(&wal_path)?.0),
         };
         wal.clear()
     }
@@ -833,6 +836,38 @@ mod tests {
             // OID allocation continues above recovered objects.
             assert!(db.store().next_oid() > b.0);
         }
+    }
+
+    #[test]
+    fn persist_to_rehomes_without_touching_the_old_directory() {
+        let root = std::env::temp_dir().join("oodb-db-tests").join("rehome");
+        let _ = std::fs::remove_dir_all(&root);
+        let (dir_a, dir_b) = (root.join("a"), root.join("b"));
+        let set = |db: &mut Database, oid: Oid, n: i64| {
+            let mut txn = db.begin();
+            db.set_attr(&mut txn, oid, "n", Value::Int(n)).unwrap();
+            db.commit(txn).unwrap();
+        };
+        let (a, b);
+        {
+            let mut db = Database::open(&dir_a).unwrap();
+            let c = db.define_class("PARA", None).unwrap();
+            let mut txn = db.begin();
+            a = db.create_object(&mut txn, c).unwrap();
+            db.commit(txn).unwrap();
+            set(&mut db, a, 1); // only in A's WAL
+            db.persist_to(&dir_b).unwrap();
+            let mut txn = db.begin();
+            b = db.create_object(&mut txn, c).unwrap();
+            db.commit(txn).unwrap();
+            set(&mut db, b, 2); // only in B's WAL
+        }
+        let db_a = Database::open(&dir_a).unwrap();
+        assert_eq!(db_a.get_attr(a, "n").unwrap(), Value::Int(1));
+        assert!(!db_a.store().contains(b), "B's commits stay out of A");
+        let db_b = Database::open(&dir_b).unwrap();
+        assert_eq!(db_b.get_attr(a, "n").unwrap(), Value::Int(1));
+        assert_eq!(db_b.get_attr(b, "n").unwrap(), Value::Int(2));
     }
 
     #[test]

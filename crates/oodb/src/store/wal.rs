@@ -189,6 +189,11 @@ impl Wal {
         Ok(self.log.append(&[payload])?)
     }
 
+    /// The file this log appends to.
+    pub fn path(&self) -> &Path {
+        self.log.path()
+    }
+
     /// Durably empty the log (after a checkpoint).
     pub fn clear(&mut self) -> Result<()> {
         Ok(self.log.clear()?)
