@@ -26,8 +26,8 @@ use std::time::Instant;
 
 use irs::query::evaluate;
 use irs::{
-    evaluate_top_k_with_strategy, parse_query, CollectionConfig, DocId, InvertedIndex,
-    IrsCollection, PruneStrategy, QueryNode, RetrievalModel,
+    evaluate_top_k_with_strategy, parse_query, CollectionConfig, DocId, IrsCollection,
+    PruneStrategy, QueryNode, RetrievalModel, ShardedReader,
 };
 
 use crate::workload::WorkloadConfig;
@@ -183,7 +183,7 @@ fn probe_queries() -> Vec<String> {
 /// The first `k` entries of the exhaustive ranking of `node` over `ix`
 /// (score descending, key ascending).
 fn exhaustive_top_k(
-    ix: &InvertedIndex,
+    ix: &ShardedReader<'_>,
     model: &dyn RetrievalModel,
     node: &QueryNode,
     k: usize,
@@ -191,7 +191,7 @@ fn exhaustive_top_k(
     let mut full: Vec<(DocId, f64)> = evaluate(ix, model, node).into_iter().collect();
     full.sort_by(|a, b| {
         b.1.total_cmp(&a.1)
-            .then_with(|| ix.store().entry(a.0).key.cmp(&ix.store().entry(b.0).key))
+            .then_with(|| ix.doc_entry(a.0).key.cmp(&ix.doc_entry(b.0).key))
     });
     full.truncate(k);
     full
@@ -211,9 +211,9 @@ fn same_ranking(pruned: &[(DocId, f64)], full: &[(DocId, f64)]) -> bool {
 /// corpus, delete about one document in [`DELETE_ONE_IN`] (seeded), and
 /// check that both pruned strategies — whose `df` then comes from the
 /// maintained dead-postings counts, not from the list length — still
-/// return exactly the exhaustive ranking, on the merged snapshot and
-/// through the collection's own sharded reader, for every probe query
-/// and `k` of the sweep.
+/// return exactly the exhaustive ranking, through the collection's reader
+/// and through its `search`/`search_top_k`, for every probe query and
+/// `k` of the sweep.
 pub fn tombstoned_rankings_match(config: &WorkloadConfig) -> bool {
     let docs = config.corpus.docs * 5;
     let mut coll = build_corpus(docs, config.corpus.vocabulary.max(100), SEED);
@@ -230,7 +230,6 @@ pub fn tombstoned_rankings_match(config: &WorkloadConfig) -> bool {
         deleted > 0,
         "the seeded variant tombstones at least one document"
     );
-    let ix = coll.index_snapshot();
     let model = coll.config().model.as_model();
     probe_queries().iter().all(|q| {
         let node = parse_query(q).expect("probe query parses");
@@ -245,6 +244,7 @@ pub fn tombstoned_rankings_match(config: &WorkloadConfig) -> bool {
                 && [PruneStrategy::BlockMax, PruneStrategy::CollectionBound]
                     .into_iter()
                     .all(|strategy| {
+                        let ix = coll.reader();
                         let pruned = evaluate_top_k_with_strategy(&ix, model, &node, k, strategy)
                             .expect("probe query is prunable");
                         same_ranking(&pruned, &exhaustive_top_k(&ix, model, &node, k))
@@ -278,10 +278,10 @@ pub fn run(config: &WorkloadConfig, include_large_tier: bool) -> Report {
 
     for &docs in &sizes {
         let coll = build_corpus(docs, vocab, SEED);
-        // Measure at the engine level over one merged snapshot: all
-        // three rungs share the identical index, model, and parsed tree,
-        // so the timings differ only by evaluation strategy.
-        let ix = coll.index_snapshot();
+        // Measure at the engine level through the collection's reader:
+        // all three rungs share the identical index, model, and parsed
+        // tree, so the timings differ only by evaluation strategy.
+        let ix = coll.reader();
         let model = coll.config().model.as_model();
         let nodes: Vec<_> = queries
             .iter()

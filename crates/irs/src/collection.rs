@@ -17,9 +17,7 @@ use std::time::Instant;
 use crate::analysis::{Analyzer, AnalyzerConfig};
 use crate::error::{IrsError, Result};
 use crate::fault::FaultPlan;
-use crate::index::{
-    DocId, DocStore, IndexReader, IndexStatistics, InvertedIndex, MergeStats, ShardedIndex,
-};
+use crate::index::{DocId, DocStore, IndexStatistics, MergeStats, ShardedIndex, ShardedReader};
 use crate::model::ModelKind;
 use crate::query::{
     collect_globals, evaluate, evaluate_top_k_counted, parse_query, PruneStrategy, QueryGlobals,
@@ -275,11 +273,11 @@ impl IrsCollection {
         self.index.statistics()
     }
 
-    /// A merged single-dictionary snapshot of the index, used by
-    /// persistence and by evaluation-strategy experiments that need raw
-    /// postings. O(index size) — not a hot-path accessor.
-    pub fn index_snapshot(&self) -> InvertedIndex {
-        self.index.snapshot()
+    /// A read view of the index that pins the document store until it is
+    /// dropped — what the query evaluators and relevance feedback read
+    /// through. Writers block while it lives, so hold it for one query.
+    pub fn reader(&self) -> ShardedReader<'_> {
+        self.index.reader()
     }
 
     /// Run `f` against the document store under a read lock.
@@ -504,18 +502,6 @@ impl IrsCollection {
             .collect();
         hits.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.key.cmp(&b.key)));
         hits
-    }
-
-    /// Internal constructor used by persistence.
-    pub(crate) fn from_parts(config: CollectionConfig, index: InvertedIndex) -> Self {
-        let shards = config.resolved_shards();
-        IrsCollection {
-            config,
-            index: ShardedIndex::from_inverted(index, shards),
-            stats: WorkCounters::default(),
-            fault: None,
-            read_only: false,
-        }
     }
 
     /// The sharded index — native per-shard persistence reads shards

@@ -62,8 +62,8 @@ pub fn expansion_candidates(
     relevant_keys: &[&str],
     config: &FeedbackConfig,
 ) -> Result<Vec<ExpansionTerm>> {
-    let index = coll.index_snapshot();
-    let store = index.store();
+    let reader = coll.reader();
+    let store = reader.store();
     let mut relevant_docs: HashSet<DocId> = HashSet::new();
     for key in relevant_keys {
         let id = store
@@ -78,7 +78,7 @@ pub fn expansion_candidates(
     // Terms of the original query (already analysed by the parser +
     // analyzer) must not be re-added.
     let original_node = parse_query(original)?;
-    let analyzer = index.analyzer();
+    let analyzer = reader.analyzer();
     let existing: HashSet<String> = original_node
         .terms()
         .iter()
@@ -89,29 +89,26 @@ pub fn expansion_candidates(
     let max_df = (config.max_df_fraction * n_live).ceil() as u32;
 
     let mut candidates = Vec::new();
-    for (_, term) in index.dictionary().iter() {
+    reader.for_each_term(|term, pl| {
         if existing.contains(term) {
-            continue;
+            return;
         }
-        let Some(pl) = index.postings(term) else {
-            continue;
-        };
         let mut tf_sum = 0u64;
         let mut df_live = 0u32;
         let mut df_relevant = 0u32;
-        for posting in pl.iter() {
-            let id = DocId(posting.doc);
+        for (doc, tf) in pl.doc_tfs() {
+            let id = DocId(doc);
             if !store.is_live(id) {
                 continue;
             }
             df_live += 1;
             if relevant_docs.contains(&id) {
                 df_relevant += 1;
-                tf_sum += u64::from(posting.tf());
+                tf_sum += u64::from(tf);
             }
         }
         if tf_sum == 0 || df_live == 0 || df_live > max_df {
-            continue;
+            return;
         }
         // Offer-weight style score: terms spread across *many* relevant
         // documents beat one-off rarities of equal idf.
@@ -120,7 +117,7 @@ pub fn expansion_candidates(
             term: term.to_string(),
             score: f64::from(df_relevant) * tf_sum as f64 * idf,
         });
-    }
+    });
     candidates.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.term.cmp(&b.term)));
     candidates.truncate(config.expansion_terms);
     Ok(candidates)

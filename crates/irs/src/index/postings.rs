@@ -18,9 +18,9 @@
 //! Because every entry is delta-encoded against its predecessor, block `b`
 //! decodes standalone by priming the delta base with block `b-1`'s
 //! `last_doc` from the skip header (block 0 starts from 0 — the first delta
-//! written is the absolute doc id). The byte stream itself is identical to
-//! the pre-block flat layout, which is how legacy snapshots stay readable:
-//! [`PostingsList::from_raw`] rebuilds the headers with one decode pass.
+//! written is the absolute doc id). Snapshots persist the headers beside
+//! the bytes, and [`PostingsList::from_raw_blocks`] reassembles a list
+//! from both without decoding.
 
 use storage::{read_varint, write_varint};
 
@@ -64,7 +64,8 @@ pub struct BlockSkip {
 ///
 /// Layout per entry: `doc_delta, tf, pos_delta*` — all varints. Documents
 /// must be appended in ascending doc-id order (enforced by debug assertion
-/// and by the single writer, [`super::InvertedIndex`]). Entries are grouped
+/// and by the index's store write lock, under which every append runs; see
+/// [`super::ShardedIndex`]). Entries are grouped
 /// into blocks of [`PostingsList::block_size`] documents with one
 /// [`BlockSkip`] header each.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -230,94 +231,8 @@ impl PostingsList {
         )
     }
 
-    /// Rebuild from persisted raw parts with the default block size. See
-    /// [`PostingsList::from_raw_with_block_size`].
-    pub fn from_raw(
-        bytes: Vec<u8>,
-        doc_count: u32,
-        last_doc: u32,
-        total_tf: u64,
-        max_tf: Option<u32>,
-    ) -> Self {
-        Self::from_raw_with_block_size(
-            bytes,
-            doc_count,
-            last_doc,
-            total_tf,
-            max_tf,
-            DEFAULT_BLOCK_SIZE,
-        )
-    }
-
-    /// Rebuild from persisted raw parts, regenerating the skip headers
-    /// with one positions-skipping decode pass (formats that predate block
-    /// headers carry none). Files in the legacy flat format also predate
-    /// the `max_tf` statistic; pass `None` and it is recomputed by the
-    /// same pass. If the bytes decode to fewer entries than `doc_count`
-    /// claims (truncation/corruption), the decoded prefix wins — the
-    /// counters are corrected rather than trusted.
-    pub fn from_raw_with_block_size(
-        bytes: Vec<u8>,
-        doc_count: u32,
-        last_doc: u32,
-        total_tf: u64,
-        max_tf: Option<u32>,
-        block_size: u32,
-    ) -> Self {
-        let block_size = block_size.max(1);
-        let mut blocks = Vec::with_capacity((doc_count as usize).div_ceil(block_size as usize));
-        let mut pos = 0usize;
-        let mut prev_doc = 0u32;
-        let mut decoded = 0u32;
-        let mut seen_max = 0u32;
-        'decode: while decoded < doc_count {
-            let Some(delta) = read_varint(&bytes, &mut pos) else {
-                break;
-            };
-            let Some(tf) = read_varint(&bytes, &mut pos) else {
-                break;
-            };
-            for _ in 0..tf {
-                if read_varint(&bytes, &mut pos).is_none() {
-                    break 'decode;
-                }
-            }
-            let Some(doc) = prev_doc.checked_add(delta as u32) else {
-                break;
-            };
-            prev_doc = doc;
-            let tf = tf as u32;
-            if decoded.is_multiple_of(block_size) {
-                blocks.push(BlockSkip {
-                    last_doc: doc,
-                    max_tf: tf,
-                    end: pos,
-                });
-            } else {
-                let b = blocks.last_mut().expect("entry 0 created a block");
-                b.last_doc = doc;
-                b.max_tf = b.max_tf.max(tf);
-                b.end = pos;
-            }
-            seen_max = seen_max.max(tf);
-            decoded += 1;
-        }
-        PostingsList {
-            bytes,
-            blocks,
-            block_size,
-            doc_count: decoded,
-            last_doc: if decoded > 0 { prev_doc } else { 0 },
-            total_tf,
-            max_tf: match max_tf {
-                Some(m) if decoded == doc_count && last_doc == prev_doc => m,
-                _ => seen_max,
-            },
-        }
-    }
-
     /// Reassemble from persisted raw parts *plus* persisted skip headers
-    /// (block-aware snapshot formats) — no decode pass. The headers are
+    /// — no decode pass. The headers are
     /// validated for shape (count, monotonicity, final offsets) so a
     /// corrupt-but-CRC-clean file cannot produce out-of-bounds block
     /// accesses; `None` when they are inconsistent.
@@ -704,22 +619,6 @@ mod tests {
     }
 
     #[test]
-    fn raw_round_trip() {
-        let mut pl = PostingsList::new();
-        pl.push(2, &[1, 5]);
-        pl.push(9, &[0]);
-        let (bytes, dc, last, tf, max_tf) = pl.raw();
-        assert_eq!(max_tf, 2);
-        let rebuilt = PostingsList::from_raw(bytes.to_vec(), dc, last, tf, Some(max_tf));
-        assert_eq!(rebuilt, pl);
-        assert_eq!(rebuilt.iter().count(), 2);
-        // Legacy path: max_tf recomputed from the compressed bytes.
-        let legacy = PostingsList::from_raw(bytes.to_vec(), dc, last, tf, None);
-        assert_eq!(legacy, pl);
-        assert_eq!(legacy.max_tf(), 2);
-    }
-
-    #[test]
     fn from_raw_blocks_round_trip_and_validation() {
         let mut pl = PostingsList::with_block_size(2);
         for doc in [2u32, 9, 11, 30, 31] {
@@ -778,26 +677,6 @@ mod tests {
         // Empty list round trip.
         let empty = PostingsList::from_raw_blocks(Vec::new(), 0, 0, 0, 0, 128, Vec::new());
         assert_eq!(empty, Some(PostingsList::new()));
-    }
-
-    #[test]
-    fn from_raw_rebuilds_identical_blocks() {
-        for bs in [1u32, 2, 3, 128] {
-            let mut pl = PostingsList::with_block_size(bs);
-            for doc in [0u32, 5, 6, 19, 300, 301, 302] {
-                pl.push(doc, &[doc, doc + 2]);
-            }
-            let (bytes, dc, last, tf, max_tf) = pl.raw();
-            let rebuilt = PostingsList::from_raw_with_block_size(
-                bytes.to_vec(),
-                dc,
-                last,
-                tf,
-                Some(max_tf),
-                bs,
-            );
-            assert_eq!(rebuilt, pl, "block size {bs}");
-        }
     }
 
     #[test]

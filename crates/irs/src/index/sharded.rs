@@ -32,8 +32,8 @@ use parking_lot::{RwLock, RwLockReadGuard};
 use crate::analysis::{AnalyzedTerm, Analyzer};
 use crate::error::{IrsError, Result};
 use crate::index::{
-    DocId, DocStore, IndexReader, IndexStatistics, InvertedIndex, MergeStats, PostingsList,
-    TermTable, DEFAULT_BLOCK_SIZE,
+    DocEntry, DocId, DocStore, IndexStatistics, MergeStats, PostingsList, TermTable,
+    DEFAULT_BLOCK_SIZE,
 };
 
 /// Default number of term shards. Eight keeps lock contention negligible
@@ -95,8 +95,9 @@ impl ShardedIndex {
     }
 
     /// Create an empty index with `n_shards` term shards whose postings
-    /// lists use `block_size` documents per block (see
-    /// [`InvertedIndex::with_block_size`]).
+    /// lists use `block_size` documents per block (clamped to at least 1).
+    /// Mostly for tests that exercise block boundaries; production code
+    /// uses [`DEFAULT_BLOCK_SIZE`].
     pub fn with_block_size(analyzer: Analyzer, n_shards: usize, block_size: u32) -> Self {
         ShardedIndex {
             analyzer,
@@ -105,48 +106,6 @@ impl ShardedIndex {
                 .map(|_| RwLock::new(TermTable::new(block_size)))
                 .collect(),
         }
-    }
-
-    /// Re-partition an [`InvertedIndex`] (e.g. one loaded from disk — the
-    /// on-disk format stays the merged single-dictionary layout). Lists
-    /// are shared, not copied, and keep their dead-postings counts.
-    pub fn from_inverted(index: InvertedIndex, n_shards: usize) -> Self {
-        let n = n_shards.max(1);
-        let (analyzer, terms, store) = index.into_parts();
-        let mut shards: Vec<TermTable> =
-            (0..n).map(|_| TermTable::new(terms.block_size())).collect();
-        for (term, list, dead) in terms.entries() {
-            shards[shard_for(term, n)].insert(term, Arc::clone(list), dead);
-        }
-        ShardedIndex {
-            analyzer,
-            store: RwLock::new(store),
-            shards: shards.into_iter().map(RwLock::new).collect(),
-        }
-    }
-
-    /// Merge all shards back into a single-dictionary [`InvertedIndex`]
-    /// snapshot (terms in lexicographic order, so the result — and any
-    /// file saved from it — is deterministic regardless of shard count).
-    /// The store stays pinned while the shards are read, so the dead
-    /// counts carried over agree with the snapshot's tombstones.
-    pub fn snapshot(&self) -> InvertedIndex {
-        let store = self.store.read();
-        let mut entries: Vec<(String, Arc<PostingsList>, u32)> = Vec::new();
-        for shard in self.shards.iter() {
-            let shard = shard.read();
-            entries.extend(
-                shard
-                    .entries()
-                    .map(|(term, list, dead)| (term.to_string(), Arc::clone(list), dead)),
-            );
-        }
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut terms = TermTable::new(DEFAULT_BLOCK_SIZE);
-        for (term, list, dead) in entries {
-            terms.insert(&term, list, dead);
-        }
-        InvertedIndex::from_parts(self.analyzer.clone(), terms, store.clone())
     }
 
     /// The analyzer in use.
@@ -409,10 +368,9 @@ impl ShardedIndex {
     }
 }
 
-/// A consistent read view over a [`ShardedIndex`]: holds the store read
-/// lock for its lifetime (shard read locks are taken per term lookup).
-/// Implements [`IndexReader`], so query evaluation runs against it
-/// exactly as against a plain [`InvertedIndex`].
+/// A consistent read view over a [`ShardedIndex`], as query evaluation
+/// needs it: holds the store read lock for its lifetime (shard read locks
+/// are taken per term lookup).
 pub struct ShardedReader<'a> {
     index: &'a ShardedIndex,
     store: RwLockReadGuard<'a, DocStore>,
@@ -423,53 +381,85 @@ impl ShardedReader<'_> {
     pub fn store(&self) -> &DocStore {
         &self.store
     }
-}
 
-impl IndexReader for ShardedReader<'_> {
-    fn analyzer(&self) -> &Analyzer {
+    /// The analyzer used for documents and queries.
+    pub fn analyzer(&self) -> &Analyzer {
         &self.index.analyzer
     }
 
-    fn term_postings(&self, term: &str) -> Option<Arc<PostingsList>> {
+    /// Postings of raw (already analysed) term text — a shared handle,
+    /// not a copy, so shard locks need not be held across evaluation.
+    pub fn term_postings(&self, term: &str) -> Option<Arc<PostingsList>> {
         self.index.term_postings(term)
     }
 
-    fn doc_entry(&self, doc: DocId) -> &crate::index::DocEntry {
+    /// The store entry for `doc` (also valid for tombstoned docs).
+    pub fn doc_entry(&self, doc: DocId) -> &DocEntry {
         self.store.entry(doc)
     }
 
-    fn is_live(&self, doc: DocId) -> bool {
+    /// Whether `doc` is live (not tombstoned).
+    pub fn is_live(&self, doc: DocId) -> bool {
         self.store.is_live(doc)
     }
 
-    fn live_count(&self) -> u32 {
+    /// Number of live documents.
+    pub fn live_count(&self) -> u32 {
         self.store.live_count()
     }
 
-    fn avg_doc_len(&self) -> f64 {
+    /// Average live document length in tokens.
+    pub fn avg_doc_len(&self) -> f64 {
         self.store.avg_len()
     }
 
-    fn total_token_len(&self) -> u64 {
+    /// Sum of live document lengths in tokens. Together with
+    /// [`ShardedReader::live_count`] this is the exact
+    /// numerator/denominator pair behind [`ShardedReader::avg_doc_len`],
+    /// so partition statistics can be merged and the merged average
+    /// recomputed bit-identically.
+    pub fn total_token_len(&self) -> u64 {
         self.store.total_len()
     }
 
-    fn doc_len_bounds(&self) -> (u32, u32) {
+    /// Loose `(min, max)` bounds on live document lengths (see
+    /// [`DocStore::len_bounds`]).
+    pub fn doc_len_bounds(&self) -> (u32, u32) {
         self.store.len_bounds()
     }
 
-    fn live_docs(&self) -> Vec<DocId> {
+    /// Ids of all live documents, ascending.
+    pub fn live_docs(&self) -> Vec<DocId> {
         self.store.iter_live().map(|(id, _)| id).collect()
     }
 
-    fn has_tombstones(&self) -> bool {
+    /// Whether any tombstoned documents remain. When `false`, every
+    /// posting is live and the top-k engine skips its per-candidate
+    /// liveness check.
+    pub fn has_tombstones(&self) -> bool {
         self.store.has_tombstones()
     }
 
-    fn term_summary(&self, term: &str) -> Option<(u32, u32)> {
+    /// `(live df, max_tf)` of an analysed term, `None` when the term is
+    /// not in the dictionary — O(1) in every tombstone state: live `df`
+    /// is the list's document count minus its count of tombstoned
+    /// postings, which deletes maintain. `max_tf` comes from the list
+    /// header and may be loose after deletes.
+    pub fn term_summary(&self, term: &str) -> Option<(u32, u32)> {
         self.index.shards[self.index.shard_of(term)]
             .read()
             .summary(term)
+    }
+
+    /// Call `f` with every term and its postings list, shard by shard,
+    /// each shard under its read lock; `f` must not look terms up
+    /// through this index.
+    pub(crate) fn for_each_term(&self, mut f: impl FnMut(&str, &PostingsList)) {
+        for shard in self.index.shards.iter() {
+            for (term, list, _) in shard.read().entries() {
+                f(term, list);
+            }
+        }
     }
 }
 
@@ -522,14 +512,11 @@ mod tests {
         assert_eq!(ids.len(), docs.len());
 
         // Identical postings and statistics whichever path was taken.
-        let a = serial.snapshot();
-        let b = batched.snapshot();
         assert_eq!(serial.statistics(), batched.statistics());
-        for (_, term) in a.dictionary().iter() {
-            let pa: Vec<_> = a.postings(term).unwrap().iter().collect();
-            let pb: Vec<_> = b.postings(term).unwrap().iter().collect();
-            assert_eq!(pa, pb, "term {term}");
-        }
+        serial.reader().for_each_term(|term, list| {
+            let pb = batched.term_postings(term).unwrap();
+            assert_eq!(list, &*pb, "term {term}");
+        });
     }
 
     #[test]
@@ -555,26 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_through_from_inverted() {
-        let ix = sharded();
-        for (k, t) in no_stem_docs(12) {
-            ix.add_document(&k, &t).unwrap();
-        }
-        ix.delete_document("k3").unwrap();
-        let snap = ix.snapshot();
-        let back = ShardedIndex::from_inverted(snap.clone(), 3);
-        assert_eq!(back.shard_count(), 3);
-        assert_eq!(back.statistics(), ix.statistics());
-        for (_, term) in snap.dictionary().iter() {
-            assert_eq!(
-                back.term_postings(term).unwrap().doc_count(),
-                snap.postings(term).unwrap().doc_count(),
-                "term {term}"
-            );
-        }
-    }
-
-    #[test]
     fn merge_compacts_tombstones() {
         let ix = sharded();
         ix.add_document("o1", "alpha beta").unwrap();
@@ -591,12 +558,16 @@ mod tests {
 
     #[test]
     fn reader_evaluates_queries_like_a_plain_index() {
+        // A one-shard index is the plain, unsharded layout.
         let ix = sharded();
-        ix.add_document("p1", "telnet is a protocol for remote login")
-            .unwrap();
-        ix.add_document("p2", "the www and the nii are information highways")
-            .unwrap();
-        let plain = ix.snapshot();
+        let plain = ShardedIndex::with_shards(ix.analyzer().clone(), 1);
+        for (key, text) in [
+            ("p1", "telnet is a protocol for remote login"),
+            ("p2", "the www and the nii are information highways"),
+        ] {
+            ix.add_document(key, text).unwrap();
+            plain.add_document(key, text).unwrap();
+        }
         let model = InferenceModel::default();
         for q in [
             "telnet",
@@ -606,7 +577,7 @@ mod tests {
         ] {
             let node = parse_query(q).unwrap();
             let a = evaluate(&ix.reader(), &model, &node);
-            let b = evaluate(&plain, &model, &node);
+            let b = evaluate(&plain.reader(), &model, &node);
             assert_eq!(a, b, "query {q}");
         }
     }

@@ -1,9 +1,8 @@
 //! One term table: a dictionary, its postings lists, and the live
 //! statistics kept beside them.
 //!
-//! Both index shapes are built from it — an [`InvertedIndex`] holds one
-//! table, a [`ShardedIndex`] one per shard — so appending, tombstoning
-//! and compaction have one implementation.
+//! A [`ShardedIndex`] holds one table per shard, so appending,
+//! tombstoning and compaction have one implementation.
 //!
 //! Deletions are tombstones in the [`DocStore`]; postings stay until a
 //! merge. A term's *live* document frequency is its list's `doc_count`
@@ -20,7 +19,6 @@
 //! store write lock that flips the tombstone bit, so a reader that pins
 //! the store sees counts that agree with [`DocStore::is_live`].
 //!
-//! [`InvertedIndex`]: super::InvertedIndex
 //! [`ShardedIndex`]: super::ShardedIndex
 
 use std::sync::Arc;
@@ -80,16 +78,6 @@ impl TermTable {
             table.insert(&term, Arc::new(list), dead);
         }
         table
-    }
-
-    /// The term dictionary.
-    pub(crate) fn dictionary(&self) -> &Dictionary {
-        &self.dict
-    }
-
-    /// Documents per block of the lists this table creates.
-    pub(crate) fn block_size(&self) -> u32 {
-        self.block_size
     }
 
     /// Number of distinct terms.
@@ -351,8 +339,8 @@ mod proptests {
 
     use crate::analysis::{Analyzer, AnalyzerConfig};
     use crate::collection::{CollectionConfig, IrsCollection};
-    use crate::index::{DocId, IndexReader, InvertedIndex, PostingsList, ShardedIndex};
-    use crate::persist::{load_collection, save_collection, save_collection_flat};
+    use crate::index::{DocId, PostingsList, ShardedIndex, ShardedReader};
+    use crate::persist::{load_collection, save_collection};
 
     const WORDS: [&str; 8] = [
         "alpha", "beta", "gamma", "delta", "epsilon", "zeta", "theta", "kappa",
@@ -362,17 +350,10 @@ mod proptests {
         Analyzer::new(AnalyzerConfig::default())
     }
 
-    fn config(shards: usize) -> CollectionConfig {
-        CollectionConfig {
-            shards,
-            ..CollectionConfig::default()
-        }
-    }
-
     /// Every term's O(1) live df equals its `is_live`-filtered count, and
     /// the maintained token sum equals the live documents' lengths.
     fn check(
-        reader: &impl IndexReader,
+        reader: &ShardedReader<'_>,
         terms: &[String],
         what: &str,
     ) -> Result<Vec<u32>, TestCaseError> {
@@ -400,42 +381,25 @@ mod proptests {
         Ok(dfs)
     }
 
-    /// Round-trip both indexes through a saved collection: natively or
-    /// flat, and for the sharded one under a configured shard count that
-    /// differs from its own, so the loader re-hashes.
-    fn save_load(
-        plain: InvertedIndex,
-        sharded: ShardedIndex,
-        flat: bool,
-        dir: &std::path::Path,
-    ) -> (InvertedIndex, ShardedIndex) {
-        let shards = sharded.shard_count();
-        let round_trip = |coll: IrsCollection, name: &str| {
-            let path = dir.join(name);
-            if flat {
-                save_collection_flat(&coll, &path).unwrap();
-            } else {
-                save_collection(&coll, &path).unwrap();
-            }
-            load_collection(&path).unwrap()
+    /// Round-trip the index through a saved collection configured with a
+    /// shard count that differs from its own, so the loader re-hashes.
+    fn save_load(index: ShardedIndex, path: &std::path::Path) -> ShardedIndex {
+        let config = CollectionConfig {
+            shards: index.shard_count() + 1,
+            ..CollectionConfig::default()
         };
-        let plain = round_trip(IrsCollection::from_parts(config(shards), plain), "plain");
-        let sharded = round_trip(
-            IrsCollection::from_sharded(config(shards + 1), sharded),
-            "sharded",
-        );
-        (plain.index_snapshot(), sharded.sharded_index().clone())
+        save_collection(&IrsCollection::from_sharded(config, index), path).unwrap();
+        load_collection(path).unwrap().sharded_index().clone()
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// After every step of a random add/update/delete/merge/save→load
-        /// sequence, a plain and a sharded index at block sizes
-        /// {1, 16, 128} report, for every dictionary term, an O(1) live
-        /// df equal to the `is_live`-filtered count of its list — and so
-        /// do both re-sharded to another shard count through
-        /// `from_inverted` and `from_shard_parts`.
+        /// sequence, an index at block sizes {1, 16, 128} reports, for
+        /// every dictionary term, an O(1) live df equal to the
+        /// `is_live`-filtered count of its list — and so does the index
+        /// re-sharded to another shard count through `from_shard_parts`.
         #[test]
         fn live_df_equals_the_filtered_count_after_every_step(
             ops in prop::collection::vec(
@@ -447,7 +411,6 @@ mod proptests {
             case in 0u32..1_000_000,
         ) {
             let bs = [1u32, 16, 128][bs_idx];
-            let mut plain = InvertedIndex::with_block_size(analyzer(), bs);
             let mut sharded = ShardedIndex::with_block_size(analyzer(), shards, bs);
             let dir = std::env::temp_dir().join(format!("irs-live-stats-{case}"));
             let mut live: Vec<String> = Vec::new();
@@ -459,44 +422,29 @@ mod proptests {
                 match code % 8 {
                     3 | 4 if !live.is_empty() => {
                         let key = &live[pick % live.len()];
-                        plain.update_document(key, &text).unwrap();
                         sharded.update_document(key, &text).unwrap();
                     }
                     5 if !live.is_empty() => {
                         let key = live.swap_remove(pick % live.len());
-                        plain.delete_document(&key).unwrap();
                         sharded.delete_document(&key).unwrap();
                     }
                     6 => {
-                        plain.merge();
                         sharded.merge();
                     }
-                    7 => {
-                        let step_dir = dir.join(step.to_string());
-                        std::fs::create_dir_all(&step_dir).unwrap();
-                        (plain, sharded) = save_load(plain, sharded, pick % 2 == 1, &step_dir);
-                    }
+                    7 => sharded = save_load(sharded, &dir.join(step.to_string())),
                     _ => {
                         let key = format!("k{step}");
-                        plain.add_document(&key, &text).unwrap();
                         sharded.add_document(&key, &text).unwrap();
                         live.push(key);
                     }
                 }
-                let terms: Vec<String> =
-                    plain.dictionary().iter().map(|(_, t)| t.to_string()).collect();
-                let dfs = check(&plain, &terms, "plain")?;
-                prop_assert_eq!(&check(&sharded.reader(), &terms, "sharded")?, &dfs);
-                for (stats, store_tombstones) in [
-                    (plain.statistics(), plain.store().tombstone_count()),
-                    (sharded.statistics(), sharded.with_store(|s| s.tombstone_count())),
-                ] {
-                    prop_assert_eq!(stats.total_tokens, plain.total_token_len());
-                    prop_assert_eq!(stats.tombstones, store_tombstones);
-                }
+                let mut terms: Vec<String> = Vec::new();
+                sharded.reader().for_each_term(|t, _| terms.push(t.to_string()));
+                let dfs = check(&sharded.reader(), &terms, "sharded")?;
+                let stats = sharded.statistics();
+                prop_assert_eq!(stats.total_tokens, sharded.reader().total_token_len());
+                prop_assert_eq!(stats.tombstones, sharded.with_store(|s| s.tombstone_count()));
 
-                let resharded = ShardedIndex::from_inverted(plain.clone(), shards + 2);
-                prop_assert_eq!(&check(&resharded.reader(), &terms, "from_inverted")?, &dfs);
                 let parts: Vec<Vec<(String, PostingsList)>> = (0..sharded.shard_count())
                     .map(|i| {
                         sharded.with_shard(i, |table| {

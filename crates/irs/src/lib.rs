@@ -53,7 +53,7 @@ pub use collection::{CollectionConfig, CollectionStatistics, Hit, IrsCollection}
 pub use error::{IrsError, Result};
 pub use fault::{FaultPlan, OutageWindow};
 pub use feedback::{expand_query, FeedbackConfig};
-pub use index::{DocId, IndexReader, InvertedIndex, ShardedIndex, ShardedReader, DEFAULT_SHARDS};
+pub use index::{DocId, ShardedIndex, ShardedReader, DEFAULT_SHARDS};
 pub use model::{
     Bm25Model, BooleanModel, InferenceModel, ModelKind, RetrievalModel, TermScorer, VectorModel,
 };

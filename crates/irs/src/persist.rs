@@ -8,22 +8,21 @@
 //! plus [`result_file`] for the file-based exchange that the architecture
 //! experiment (E1) uses to model the historical interface cost.
 //!
-//! Two snapshot formats exist:
+//! A snapshot is a *directory* ([`save_collection`]) holding one
+//! CRC-framed file per term shard (`shard-<gen>-<i>`) plus a `manifest`
+//! with the configuration, document store, and current generation.
+//! Shards are serialised straight from the sharded index under their own
+//! read locks — no merge into a single dictionary — and written in
+//! parallel; the manifest is written *last*, so it is the commit point: a
+//! crash mid-save leaves the previous generation's manifest pointing at
+//! the previous generation's shard files. Loads read the shard files in
+//! parallel and reconstruct the shards verbatim when the shard count
+//! matches.
 //!
-//! * **Native per-shard** ([`save_collection`]) — `path` is a *directory*
-//!   holding one CRC-framed file per term shard (`shard-<gen>-<i>`) plus a
-//!   `manifest` with the configuration, document store, and current
-//!   generation. Shards are serialised straight from the sharded index
-//!   under their own read locks — no merge into a single dictionary — and
-//!   written in parallel; the manifest is written *last*, so it is the
-//!   commit point: a crash mid-save leaves the previous generation's
-//!   manifest pointing at the previous generation's shard files. Loads
-//!   read the shard files in parallel and reconstruct the shards verbatim
-//!   when the shard count matches.
-//! * **Flat single-file** ([`save_collection_flat`]) — the original merged
-//!   format, kept byte-compatible so existing snapshots stay readable.
-//!   [`load_collection`] dispatches on whether `path` is a directory or a
-//!   file, so migration is transparent: load a flat file, save natively.
+//! This is the only format read: manifest version 1 with shard files of
+//! version 2. The older flat single-file snapshot and version 1 shard
+//! files are refused with [`IrsError::CorruptIndex`]; to migrate one,
+//! load and re-save it with an earlier build.
 //!
 //! All binary snapshots are **crash-safe**: [`storage::atomic_write`]
 //! writes the payload plus a CRC-32 trailer to a temporary file,
@@ -46,20 +45,15 @@ use crate::error::{IrsError, Result};
 use crate::index::{DocId, DocStore, PostingsList, ShardedIndex, TermTable};
 use crate::model::{Bm25Model, InferenceModel, ModelKind, VectorModel};
 
-const MAGIC: &[u8; 4] = b"IRSX";
-const VERSION: u8 = 2;
-
 const MANIFEST_MAGIC: &[u8; 4] = b"IRSM";
 const MANIFEST_VERSION: u8 = 1;
 const MANIFEST_NAME: &str = "manifest";
 
 const SHARD_MAGIC: &[u8; 4] = b"IRSS";
-/// Current shard file version. Version 2 persists each term's block-skip
-/// headers (block size, then per block: delta-encoded `last_doc`,
-/// `max_tf`, delta-encoded `end`) so loads reconstruct the
-/// block-structured [`PostingsList`] without decoding the postings bytes.
-/// Version 1 files (no block metadata) are still readable — their lists
-/// are rebuilt with a decode pass at load time.
+/// Shard file version. Version 2 persists each term's block-skip headers
+/// (block size, then per block: delta-encoded `last_doc`, `max_tf`,
+/// delta-encoded `end`) so loads reconstruct the block-structured
+/// [`PostingsList`] without decoding the postings bytes.
 const SHARD_VERSION: u8 = 2;
 
 fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
@@ -213,19 +207,6 @@ fn parse_shard_name(name: &str) -> Option<(u64, usize)> {
     Some((gen.parse().ok()?, idx.parse().ok()?))
 }
 
-/// Ensure `path` is a snapshot directory, replacing an old flat-file
-/// snapshot in place if one is found (the migration path).
-fn prepare_snapshot_dir(path: &Path) -> Result<()> {
-    if let Ok(meta) = std::fs::metadata(path) {
-        if meta.is_dir() {
-            return Ok(());
-        }
-        std::fs::remove_file(path)?;
-    }
-    std::fs::create_dir_all(path)?;
-    Ok(())
-}
-
 /// Next free generation number: one past the highest found in existing
 /// shard file names (crashed saves may have left higher generations than
 /// the manifest records, so the file names are the authority).
@@ -296,24 +277,31 @@ fn encode_shard(i: usize, generation: u64, terms: &TermTable) -> Vec<u8> {
     out
 }
 
-/// Decode one shard file, verifying it belongs to `(generation, i)`.
-/// Accepts the current version 2 (block headers persisted, reconstructed
-/// via [`PostingsList::from_raw_blocks`] with no postings decode) and the
-/// legacy version 1 (no block metadata — lists are rebuilt with a decode
-/// pass).
+/// Decode one shard file, verifying it belongs to `(generation, i)`; the
+/// lists are reassembled from the persisted block headers via
+/// [`PostingsList::from_raw_blocks`], with no postings decode.
 fn decode_shard(buf: &[u8], generation: u64, i: usize) -> Result<Vec<(String, PostingsList)>> {
     let mut pos = 0usize;
     if buf.len() < 5 || &buf[0..4] != SHARD_MAGIC {
         return Err(IrsError::CorruptIndex("bad shard magic".into()));
     }
     pos += 4;
-    let version = buf[pos];
-    pos += 1;
-    if version == 0 || version > SHARD_VERSION {
-        return Err(IrsError::CorruptIndex(format!(
-            "unsupported shard version {version}"
-        )));
+    match buf[pos] {
+        SHARD_VERSION => {}
+        1 => {
+            return Err(IrsError::CorruptIndex(
+                "shard file version 1 (no block headers) is no longer read; \
+                 load and re-save the snapshot with an earlier build"
+                    .into(),
+            ))
+        }
+        version => {
+            return Err(IrsError::CorruptIndex(format!(
+                "unsupported shard version {version}"
+            )))
+        }
     }
+    pos += 1;
     let file_gen = get_varint(buf, &mut pos)?;
     let file_idx = get_varint(buf, &mut pos)? as usize;
     if file_gen != generation || file_idx != i {
@@ -332,40 +320,36 @@ fn decode_shard(buf: &[u8], generation: u64, i: usize) -> Result<Vec<(String, Po
         let total_tf = get_varint(buf, &mut pos)?;
         let max_tf = get_varint(buf, &mut pos)? as u32;
         let bytes = get_bytes(buf, &mut pos)?.to_vec();
-        let pl = if version >= 2 {
-            let block_size = get_varint(buf, &mut pos)? as u32;
-            if block_size == 0 {
-                return Err(IrsError::CorruptIndex("zero block size".into()));
-            }
-            let n_blocks = (doc_count as usize).div_ceil(block_size as usize);
-            let mut blocks = Vec::with_capacity(n_blocks.min(buf.len()));
-            let mut prev_last = 0u32;
-            let mut prev_end = 0usize;
-            for _ in 0..n_blocks {
-                let last_doc = prev_last
-                    .checked_add(get_varint(buf, &mut pos)? as u32)
-                    .ok_or_else(|| IrsError::CorruptIndex("block last_doc overflow".into()))?;
-                let max_tf = get_varint(buf, &mut pos)? as u32;
-                let end = prev_end
-                    .checked_add(get_varint(buf, &mut pos)? as usize)
-                    .ok_or_else(|| IrsError::CorruptIndex("block end overflow".into()))?;
-                blocks.push(crate::index::BlockSkip {
-                    last_doc,
-                    max_tf,
-                    end,
-                });
-                prev_last = last_doc;
-                prev_end = end;
-            }
-            PostingsList::from_raw_blocks(
-                bytes, doc_count, last_doc, total_tf, max_tf, block_size, blocks,
-            )
-            .ok_or_else(|| {
-                IrsError::CorruptIndex(format!("inconsistent block headers for term {term}"))
-            })?
-        } else {
-            PostingsList::from_raw(bytes, doc_count, last_doc, total_tf, Some(max_tf))
-        };
+        let block_size = get_varint(buf, &mut pos)? as u32;
+        if block_size == 0 {
+            return Err(IrsError::CorruptIndex("zero block size".into()));
+        }
+        let n_blocks = (doc_count as usize).div_ceil(block_size as usize);
+        let mut blocks = Vec::with_capacity(n_blocks.min(buf.len()));
+        let mut prev_last = 0u32;
+        let mut prev_end = 0usize;
+        for _ in 0..n_blocks {
+            let last_doc = prev_last
+                .checked_add(get_varint(buf, &mut pos)? as u32)
+                .ok_or_else(|| IrsError::CorruptIndex("block last_doc overflow".into()))?;
+            let max_tf = get_varint(buf, &mut pos)? as u32;
+            let end = prev_end
+                .checked_add(get_varint(buf, &mut pos)? as usize)
+                .ok_or_else(|| IrsError::CorruptIndex("block end overflow".into()))?;
+            blocks.push(crate::index::BlockSkip {
+                last_doc,
+                max_tf,
+                end,
+            });
+            prev_last = last_doc;
+            prev_end = end;
+        }
+        let pl = PostingsList::from_raw_blocks(
+            bytes, doc_count, last_doc, total_tf, max_tf, block_size, blocks,
+        )
+        .ok_or_else(|| {
+            IrsError::CorruptIndex(format!("inconsistent block headers for term {term}"))
+        })?;
         terms.push((term, pl));
     }
     if pos != buf.len() {
@@ -380,11 +364,10 @@ fn decode_shard(buf: &[u8], generation: u64, i: usize) -> Result<Vec<(String, Po
 /// The store read lock is held throughout, so the snapshot is consistent
 /// even while other threads are writing to the collection.
 ///
-/// If `path` currently holds a flat-file snapshot it is replaced by a
-/// directory — saving is the migration step.
+/// Fails, touching nothing, if `path` exists and is not a directory.
 pub fn save_collection(coll: &IrsCollection, path: &Path) -> Result<()> {
     let index = coll.sharded_index();
-    prepare_snapshot_dir(path)?;
+    std::fs::create_dir_all(path)?;
     let generation = next_generation(path)?;
     let n_shards = index.shard_count();
 
@@ -427,65 +410,20 @@ pub fn save_collection(coll: &IrsCollection, path: &Path) -> Result<()> {
     Ok(())
 }
 
-/// Serialise `coll` to the single-file flat format (version 2) — the
-/// original merged layout, kept byte-compatible for migration and for
-/// consumers that want one self-contained file. Merges all shards into
-/// one dictionary first; prefer [`save_collection`] on the hot path.
-pub fn save_collection_flat(coll: &IrsCollection, path: &Path) -> Result<()> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.push(VERSION);
-
-    put_analyzer(&mut out, &coll.config().analyzer);
-    put_model(&mut out, &coll.config().model);
-
-    // Shard count as configured (0 = pick from available parallelism at
-    // load time, so auto-sharded collections stay auto on new hardware).
-    write_varint(&mut out, coll.config().shards as u64);
-
-    // Snapshot merges the sharded index back to one dictionary, so the
-    // on-disk format is unchanged and independent of shard count.
-    let index = coll.index_snapshot();
-    let (terms, store) = index.parts();
-
-    // Dictionary in id order.
-    write_varint(&mut out, terms.len() as u64);
-    for (text, _, _) in terms.entries() {
-        put_bytes(&mut out, text.as_bytes());
-    }
-
-    // Postings lists, one per term id. (`max_tf` is not part of the v2
-    // format; flat loads recompute it from the postings bytes.)
-    write_varint(&mut out, terms.len() as u64);
-    for (_, pl, _) in terms.entries() {
-        let (bytes, doc_count, last_doc, total_tf, _max_tf) = pl.raw();
-        write_varint(&mut out, u64::from(doc_count));
-        write_varint(&mut out, u64::from(last_doc));
-        write_varint(&mut out, total_tf);
-        put_bytes(&mut out, bytes);
-    }
-
-    put_store(&mut out, store);
-
-    Ok(atomic_write(path, &out)?)
-}
-
-/// Load a collection saved by either [`save_collection`] (a snapshot
-/// directory) or [`save_collection_flat`] (a flat file): dispatches on
-/// what is found at `path`.
+/// Load a snapshot directory written by [`save_collection`]: parse the
+/// manifest, read and decode the current generation's shard files in
+/// parallel, and reconstruct the sharded index without re-partitioning
+/// (unless the effective shard count changed, in which case terms are
+/// re-hashed). A regular file at `path` is a flat single-file snapshot,
+/// which is refused with [`IrsError::CorruptIndex`].
 pub fn load_collection(path: &Path) -> Result<IrsCollection> {
-    if path.is_dir() {
-        load_collection_dir(path)
-    } else {
-        load_collection_flat(path)
+    if path.is_file() {
+        return Err(IrsError::CorruptIndex(format!(
+            "{} is a flat single-file snapshot, which is no longer read; \
+             load and re-save it with an earlier build",
+            path.display()
+        )));
     }
-}
-
-/// Load a native per-shard snapshot directory: parse the manifest, read
-/// and decode the current generation's shard files in parallel, and
-/// reconstruct the sharded index without re-partitioning (unless the
-/// effective shard count changed, in which case terms are re-hashed).
-fn load_collection_dir(path: &Path) -> Result<IrsCollection> {
     let buf = read_verified(&path.join(MANIFEST_NAME))?;
     let mut pos = 0usize;
     if buf.len() < 5 || &buf[0..4] != MANIFEST_MAGIC {
@@ -508,9 +446,9 @@ fn load_collection_dir(path: &Path) -> Result<IrsCollection> {
     if pos != buf.len() {
         return Err(IrsError::CorruptIndex("trailing bytes".into()));
     }
-    if shard_count == 0 || shard_count > 1 << 16 {
+    if shard_count == 0 || shard_count > 1 << 16 || shards_cfg > 1 << 16 {
         return Err(IrsError::CorruptIndex(format!(
-            "implausible shard count {shard_count}"
+            "implausible shard count {shard_count} (configured {shards_cfg})"
         )));
     }
 
@@ -545,68 +483,6 @@ fn load_collection_dir(path: &Path) -> Result<IrsCollection> {
         config.resolved_shards(),
     );
     Ok(IrsCollection::from_sharded(config, index))
-}
-
-/// Load a flat single-file snapshot written by [`save_collection_flat`]
-/// (or any pre-directory-format save).
-fn load_collection_flat(path: &Path) -> Result<IrsCollection> {
-    let buf = read_verified(path)?;
-    let mut pos = 0usize;
-
-    if buf.len() < 5 || &buf[0..4] != MAGIC {
-        return Err(IrsError::CorruptIndex("bad magic".into()));
-    }
-    pos += 4;
-    let version = buf[pos];
-    pos += 1;
-    if version != VERSION {
-        return Err(IrsError::CorruptIndex(format!(
-            "unsupported version {version}"
-        )));
-    }
-
-    let analyzer_cfg = get_analyzer(&buf, &mut pos)?;
-    let model = get_model(&buf, &mut pos)?;
-    let shards = get_varint(&buf, &mut pos)? as usize;
-
-    // Dictionary.
-    let term_count = get_varint(&buf, &mut pos)? as usize;
-    let mut texts = Vec::new();
-    for _ in 0..term_count {
-        let bytes = get_bytes(&buf, &mut pos)?;
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| IrsError::CorruptIndex("non-utf8 term".into()))?;
-        texts.push(text.to_string());
-    }
-
-    // Postings. The flat format predates `max_tf`; `from_raw` recomputes
-    // it from the delta-encoded bytes.
-    let pl_count = get_varint(&buf, &mut pos)? as usize;
-    let mut postings = Vec::with_capacity(pl_count);
-    for _ in 0..pl_count {
-        let doc_count = get_varint(&buf, &mut pos)? as u32;
-        let last_doc = get_varint(&buf, &mut pos)? as u32;
-        let total_tf = get_varint(&buf, &mut pos)?;
-        let bytes = get_bytes(&buf, &mut pos)?.to_vec();
-        postings.push(PostingsList::from_raw(
-            bytes, doc_count, last_doc, total_tf, None,
-        ));
-    }
-
-    let store = get_store(&buf, &mut pos)?;
-
-    if pos != buf.len() {
-        return Err(IrsError::CorruptIndex("trailing bytes".into()));
-    }
-
-    let config = CollectionConfig {
-        analyzer: analyzer_cfg.clone(),
-        model,
-        shards,
-    };
-    let terms = TermTable::from_lists(texts.into_iter().zip(postings), &store);
-    let index = crate::index::InvertedIndex::from_parts(Analyzer::new(analyzer_cfg), terms, store);
-    Ok(IrsCollection::from_parts(config, index))
 }
 
 /// The file-based result exchange of the paper's prototype.
@@ -705,31 +581,11 @@ mod tests {
     }
 
     #[test]
-    fn flat_save_load_round_trip() {
-        let orig = sample();
-        let path = tmp("flat_round_trip.idx");
-        save_collection_flat(&orig, &path).unwrap();
-        assert!(path.is_file(), "flat snapshot is a single file");
-        let loaded = load_collection(&path).unwrap();
-        for q in ["telnet", "protocol", "retrieval"] {
-            assert_eq!(orig.search(q).unwrap(), loaded.search(q).unwrap(), "{q}");
-        }
-        assert_eq!(orig.config(), loaded.config());
-    }
-
-    #[test]
-    fn native_save_migrates_flat_file_in_place() {
-        let orig = sample();
-        let path = tmp("migrate.idx");
-        save_collection_flat(&orig, &path).unwrap();
-        assert!(path.is_file());
-        save_collection(&orig, &path).unwrap();
-        assert!(path.is_dir(), "flat file replaced by snapshot directory");
-        let loaded = load_collection(&path).unwrap();
-        assert_eq!(
-            orig.search("telnet").unwrap(),
-            loaded.search("telnet").unwrap()
-        );
+    fn save_never_replaces_a_regular_file() {
+        let path = tmp("regular_file.idx");
+        std::fs::write(&path, b"not a snapshot directory").unwrap();
+        assert!(save_collection(&sample(), &path).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), b"not a snapshot directory");
     }
 
     #[test]
@@ -838,18 +694,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_bit_flip_is_detected_by_crc() {
-        let path = tmp("bitflip_flat.idx");
-        save_collection_flat(&sample(), &path).unwrap();
-        let len = std::fs::metadata(&path).unwrap().len() as usize;
-        crate::fault::flip_byte(&path, len / 2).unwrap();
-        assert!(matches!(
-            load_collection(&path),
-            Err(IrsError::CorruptIndex(_))
-        ));
-    }
-
-    #[test]
     fn crc32_matches_known_vector() {
         // Snapshot trailers are the standard CRC-32 (IEEE) of the payload,
         // stored little-endian after it.
@@ -901,58 +745,48 @@ mod tests {
         }
     }
 
-    /// Re-encode one decoded shard in the legacy v1 layout (stats and raw
-    /// postings bytes, no block metadata) — the format written before
-    /// block-structured postings existed.
-    fn encode_shard_v1(i: usize, generation: u64, terms: &[(String, PostingsList)]) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(SHARD_MAGIC);
-        out.push(1);
-        write_varint(&mut out, generation);
-        write_varint(&mut out, i as u64);
-        write_varint(&mut out, terms.len() as u64);
-        for (term, pl) in terms {
-            put_bytes(&mut out, term.as_bytes());
-            let (bytes, doc_count, last_doc, total_tf, max_tf) = pl.raw();
-            write_varint(&mut out, u64::from(doc_count));
-            write_varint(&mut out, u64::from(last_doc));
-            write_varint(&mut out, total_tf);
-            write_varint(&mut out, u64::from(max_tf));
-            put_bytes(&mut out, bytes);
+    #[test]
+    fn v1_shard_files_are_refused() {
+        let path = tmp("legacy_v1.idx");
+        save_collection(&sample(), &path).unwrap();
+        // Downgrade one shard file's version byte to 1, the layout without
+        // block headers.
+        let file = path.join(&shard_files(&path)[0]);
+        let mut payload = read_verified(&file).unwrap();
+        payload[4] = 1;
+        atomic_write(&file, &payload).unwrap();
+        match load_collection(&path) {
+            Err(IrsError::CorruptIndex(why)) => assert!(why.contains("version 1"), "{why}"),
+            other => panic!("a v1 shard file must be refused, got {other:?}"),
         }
-        out
     }
 
     #[test]
-    fn legacy_v1_shard_files_still_load() {
-        let orig = sample();
-        let path = tmp("legacy_v1.idx");
-        save_collection(&orig, &path).unwrap();
-
-        // Downgrade every shard file to the v1 layout in place.
-        for name in shard_files(&path) {
-            let (generation, i) = parse_shard_name(&name).unwrap();
-            let file = path.join(&name);
-            let terms = decode_shard(&read_verified(&file).unwrap(), generation, i).unwrap();
-            atomic_write(&file, &encode_shard_v1(i, generation, &terms)).unwrap();
-        }
+    fn out_of_range_doc_ids_in_a_clean_shard_file_never_panic() {
+        let mut c = IrsCollection::new(CollectionConfig {
+            shards: 1,
+            ..CollectionConfig::default()
+        });
+        c.add_document("a", "telnet").unwrap();
+        c.add_document("b", "telnet").unwrap();
+        let path = tmp("doc_past_store.idx");
+        save_collection(&c, &path).unwrap();
+        // A well-formed, CRC-clean list naming a document the store (two
+        // slots, no tombstones) never assigned.
+        let mut terms = TermTable::new(128);
+        let tid = terms.intern("telnet");
+        terms.append(tid, 0, &[0]);
+        terms.append(tid, 5, &[0]);
+        let name = &shard_files(&path)[0];
+        let (generation, i) = parse_shard_name(name).unwrap();
+        atomic_write(&path.join(name), &encode_shard(i, generation, &terms)).unwrap();
 
         let loaded = load_collection(&path).unwrap();
-        for q in [
-            "telnet",
-            "protocol",
-            "retrieval",
-            "#and(information retrieval)",
-        ] {
-            assert_eq!(orig.search(q).unwrap(), loaded.search(q).unwrap(), "{q}");
-        }
-        // The rebuilt lists carry full block structure despite the v1
-        // source: block headers are reconstructed by the decode pass.
-        use crate::index::IndexReader;
-        let ix = loaded.index_snapshot();
-        let pl = ix.term_postings("protocol").expect("term present");
-        assert!(!pl.blocks().is_empty());
-        assert_eq!(pl.blocks().last().unwrap().end, pl.raw().0.len());
+        let keys = |hits: Vec<crate::collection::Hit>| -> Vec<String> {
+            hits.into_iter().map(|h| h.key).collect()
+        };
+        assert_eq!(keys(loaded.search("telnet").unwrap()), ["a"]);
+        assert_eq!(keys(loaded.search_top_k("telnet", 2).unwrap()), ["a"]);
     }
 
     #[test]
@@ -998,12 +832,12 @@ mod tests {
         ));
     }
 
-    /// Regenerates the pinned snapshot fixtures under `tests/fixtures/`
-    /// in the *current* formats. The committed `snapshot-flat-v2.idx` and
+    /// Regenerates the pinned snapshot fixture under `tests/fixtures/` in
+    /// the *current* format. The committed `snapshot-flat-v2.idx` and
     /// `snapshot-shard-v1.idx` were produced by historical format
-    /// versions and must NEVER be regenerated — they pin backward
-    /// compatibility. Run this (with `--ignored`) only to add a fixture
-    /// for a newly introduced format version, and name the output
+    /// versions and must NEVER be regenerated — they pin the refusal of
+    /// formats no longer read. Run this (with `--ignored`) only to add a
+    /// fixture for a newly introduced format version, and name the output
     /// accordingly.
     #[test]
     #[ignore]
@@ -1033,7 +867,6 @@ mod tests {
         c.delete_document("doc:gamma").unwrap();
         let base = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures");
         std::fs::create_dir_all(&base).unwrap();
-        save_collection_flat(&c, &base.join("snapshot-flat-v2.idx")).unwrap();
         save_collection(
             &c,
             &base.join(format!("snapshot-shard-v{SHARD_VERSION}.idx")),
@@ -1072,8 +905,7 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
         /// Arbitrary collections (random docs, deletes, any model) search
-        /// identically after a save/load round trip — through the native
-        /// per-shard directory format AND the flat single-file format.
+        /// identically after a save/load round trip.
         #[test]
         fn arbitrary_collections_round_trip(
             docs in prop::collection::vec(
@@ -1099,27 +931,20 @@ mod proptests {
             }
             let dir = std::env::temp_dir().join("irs-persist-prop");
             std::fs::create_dir_all(&dir).unwrap();
-            let native = dir.join(format!("case_{case}.idx"));
-            let flat = dir.join(format!("case_{case}.flat"));
-            save_collection(&coll, &native).unwrap();
-            save_collection_flat(&coll, &flat).unwrap();
-            let from_native = load_collection(&native).unwrap();
-            let from_flat = load_collection(&flat).unwrap();
-            let _ = std::fs::remove_dir_all(&native);
-            let _ = std::fs::remove_file(&flat);
+            let path = dir.join(format!("case_{case}.idx"));
+            save_collection(&coll, &path).unwrap();
+            let loaded = load_collection(&path).unwrap();
+            let _ = std::fs::remove_dir_all(&path);
 
             // Every term of every (original) document searches the same.
             for words in &docs {
                 for w in words {
                     let a = coll.search(w).unwrap();
-                    let b = from_native.search(w).unwrap();
-                    let c = from_flat.search(w).unwrap();
-                    prop_assert_eq!(&a, &b, "native, term {}", w);
-                    prop_assert_eq!(&a, &c, "flat, term {}", w);
+                    let b = loaded.search(w).unwrap();
+                    prop_assert_eq!(&a, &b, "term {}", w);
                 }
             }
-            prop_assert_eq!(coll.len(), from_native.len());
-            prop_assert_eq!(coll.len(), from_flat.len());
+            prop_assert_eq!(coll.len(), loaded.len());
         }
     }
 }

@@ -9,18 +9,16 @@
 use std::collections::HashMap;
 
 use crate::analysis::AnalyzedTerm;
-use crate::index::{DocId, IndexReader};
+use crate::index::{DocId, ShardedReader};
 use crate::model::RetrievalModel;
 use crate::query::QueryNode;
 
 /// Sparse per-document scores.
 pub type ScoredDocs = HashMap<DocId, f64>;
 
-/// Evaluate `node` against `index` under `model`.
-///
-/// `index` is anything implementing [`IndexReader`] — a plain
-/// [`crate::index::InvertedIndex`] or a [`crate::index::ShardedReader`]
-/// view, so concurrent callers can evaluate without exclusive access.
+/// Evaluate `node` against `index` under `model`. The reader pins the
+/// document store, so concurrent callers evaluate without exclusive
+/// access.
 ///
 /// Documents that contribute no evidence to any leaf are absent from the
 /// result (they would uniformly score the combination of default beliefs,
@@ -28,8 +26,8 @@ pub type ScoredDocs = HashMap<DocId, f64>;
 /// trees). The exception is `#not` under a bounded model, which
 /// materialises over all live documents — negation is inherently
 /// closed-world (the paper's Section 6 flags exactly this semantic gap).
-pub fn evaluate<I: IndexReader + ?Sized>(
-    index: &I,
+pub fn evaluate(
+    index: &ShardedReader<'_>,
     model: &dyn RetrievalModel,
     node: &QueryNode,
 ) -> ScoredDocs {
@@ -46,11 +44,7 @@ pub fn evaluate<I: IndexReader + ?Sized>(
     }
 }
 
-fn eval_term<I: IndexReader + ?Sized>(
-    index: &I,
-    model: &dyn RetrievalModel,
-    raw: &str,
-) -> ScoredDocs {
+fn eval_term(index: &ShardedReader<'_>, model: &dyn RetrievalModel, raw: &str) -> ScoredDocs {
     let term = index.analyzer().analyze_term(raw);
     let Some(pl) = index.term_postings(&term) else {
         return ScoredDocs::new();
@@ -65,8 +59,8 @@ fn eval_term<I: IndexReader + ?Sized>(
 }
 
 /// Score `(doc, tf)` occurrence pairs; `df` is their count.
-fn score_occurrences<I: IndexReader + ?Sized>(
-    index: &I,
+fn score_occurrences(
+    index: &ShardedReader<'_>,
     model: &dyn RetrievalModel,
     occurrences: &[(DocId, u32)],
 ) -> ScoredDocs {
@@ -86,8 +80,8 @@ fn score_occurrences<I: IndexReader + ?Sized>(
 /// then position vectors are materialised only for the surviving
 /// candidates — documents filtered out never have their positions decoded
 /// or cloned.
-fn positional_candidates<I: IndexReader + ?Sized>(
-    index: &I,
+fn positional_candidates(
+    index: &ShardedReader<'_>,
     terms: &[String],
 ) -> Option<HashMap<DocId, Vec<Vec<u32>>>> {
     if terms.is_empty() {
@@ -146,6 +140,9 @@ fn positional_candidates<I: IndexReader + ?Sized>(
             }
         }
     }
+    // Only a corrupt list loaded from disk holds a document that the linear
+    // walk finds and a block seek misses; it lacks some term's positions.
+    out.retain(|_, positions| positions.len() == terms.len());
     Some(out)
 }
 
@@ -169,8 +166,8 @@ fn count_near_chains(lists: &[Vec<u32>], window: u32) -> u32 {
     count
 }
 
-fn eval_near<I: IndexReader + ?Sized>(
-    index: &I,
+fn eval_near(
+    index: &ShardedReader<'_>,
     model: &dyn RetrievalModel,
     window: u32,
     raw_terms: &[String],
@@ -196,8 +193,8 @@ fn eval_near<I: IndexReader + ?Sized>(
     score_occurrences(index, model, &occurrences)
 }
 
-fn eval_phrase<I: IndexReader + ?Sized>(
-    index: &I,
+fn eval_phrase(
+    index: &ShardedReader<'_>,
     model: &dyn RetrievalModel,
     raw_terms: &[String],
 ) -> ScoredDocs {
@@ -244,8 +241,8 @@ fn eval_phrase<I: IndexReader + ?Sized>(
     score_occurrences(index, model, &occurrences)
 }
 
-fn combine<I: IndexReader + ?Sized, F>(
-    index: &I,
+fn combine<F>(
+    index: &ShardedReader<'_>,
     model: &dyn RetrievalModel,
     children: &[QueryNode],
     f: F,
@@ -272,8 +269,8 @@ where
     out
 }
 
-fn eval_wsum<I: IndexReader + ?Sized>(
-    index: &I,
+fn eval_wsum(
+    index: &ShardedReader<'_>,
     model: &dyn RetrievalModel,
     weighted: &[(f64, QueryNode)],
 ) -> ScoredDocs {
@@ -299,8 +296,8 @@ fn eval_wsum<I: IndexReader + ?Sized>(
     out
 }
 
-fn eval_not<I: IndexReader + ?Sized>(
-    index: &I,
+fn eval_not(
+    index: &ShardedReader<'_>,
     model: &dyn RetrievalModel,
     child: &QueryNode,
 ) -> ScoredDocs {
@@ -324,12 +321,16 @@ fn eval_not<I: IndexReader + ?Sized>(
 mod tests {
     use super::*;
     use crate::analysis::{Analyzer, AnalyzerConfig};
-    use crate::index::InvertedIndex;
+    use crate::index::ShardedIndex;
     use crate::model::{BooleanModel, InferenceModel, ModelKind, VectorModel};
     use crate::query::parse_query;
 
-    fn index() -> InvertedIndex {
-        let mut ix = InvertedIndex::new(Analyzer::new(AnalyzerConfig::default()));
+    fn empty() -> ShardedIndex {
+        ShardedIndex::new(Analyzer::new(AnalyzerConfig::default()))
+    }
+
+    fn index() -> ShardedIndex {
+        let ix = empty();
         ix.add_document("p1", "telnet is a protocol for remote login sessions")
             .unwrap();
         ix.add_document("p2", "the www connects hypertext documents worldwide")
@@ -341,11 +342,15 @@ mod tests {
         ix
     }
 
-    fn key(ix: &InvertedIndex, doc: DocId) -> &str {
-        &ix.store().entry(doc).key
+    fn key(ix: &ShardedIndex, doc: DocId) -> String {
+        ix.with_store(|s| s.entry(doc).key.clone())
     }
 
-    fn top<'a>(ix: &'a InvertedIndex, scores: &ScoredDocs) -> &'a str {
+    fn id(ix: &ShardedIndex, key: &str) -> DocId {
+        ix.with_store(|s| s.id_of(key)).unwrap()
+    }
+
+    fn top(ix: &ShardedIndex, scores: &ScoredDocs) -> String {
         let (&doc, _) = scores
             .iter()
             .max_by(|a, b| a.1.total_cmp(b.1))
@@ -358,7 +363,7 @@ mod tests {
         let ix = index();
         let m = InferenceModel::default();
         let q = parse_query("telnet").unwrap();
-        let scores = evaluate(&ix, &m, &q);
+        let scores = evaluate(&ix.reader(), &m, &q);
         assert_eq!(scores.len(), 1);
         assert_eq!(top(&ix, &scores), "p1");
     }
@@ -368,11 +373,11 @@ mod tests {
         let ix = index();
         let m = InferenceModel::default();
         let q = parse_query("#and(www nii)").unwrap();
-        let scores = evaluate(&ix, &m, &q);
+        let scores = evaluate(&ix.reader(), &m, &q);
         assert_eq!(top(&ix, &scores), "p3");
         // p2 has only www but still receives a (lower) belief.
-        let p2 = ix.store().id_of("p2").unwrap();
-        let p3 = ix.store().id_of("p3").unwrap();
+        let p2 = id(&ix, "p2");
+        let p3 = id(&ix, "p3");
         assert!(scores[&p3] > scores[&p2]);
     }
 
@@ -380,8 +385,8 @@ mod tests {
     fn boolean_and_is_strict_intersection() {
         let ix = index();
         let q = parse_query("#and(www nii)").unwrap();
-        let scores = evaluate(&ix, &BooleanModel, &q);
-        let live: Vec<&str> = scores
+        let scores = evaluate(&ix.reader(), &BooleanModel, &q);
+        let live: Vec<String> = scores
             .iter()
             .filter(|(_, &s)| s > 0.0)
             .map(|(&d, _)| key(&ix, d))
@@ -393,8 +398,8 @@ mod tests {
     fn or_unions_evidence() {
         let ix = index();
         let q = parse_query("#or(telnet nii)").unwrap();
-        let scores = evaluate(&ix, &InferenceModel::default(), &q);
-        let mut keys: Vec<&str> = scores.keys().map(|&d| key(&ix, d)).collect();
+        let scores = evaluate(&ix.reader(), &InferenceModel::default(), &q);
+        let mut keys: Vec<String> = scores.keys().map(|&d| key(&ix, d)).collect();
         keys.sort();
         assert_eq!(keys, vec!["p1", "p3"]);
     }
@@ -403,8 +408,8 @@ mod tests {
     fn not_under_boolean_excludes_matches() {
         let ix = index();
         let q = parse_query("#and(documents #not(www))").unwrap();
-        let scores = evaluate(&ix, &BooleanModel, &q);
-        let matching: Vec<&str> = scores
+        let scores = evaluate(&ix.reader(), &BooleanModel, &q);
+        let matching: Vec<String> = scores
             .iter()
             .filter(|(_, &s)| s > 0.0)
             .map(|(&d, _)| key(&ix, d))
@@ -416,37 +421,49 @@ mod tests {
     fn not_under_vector_is_empty() {
         let ix = index();
         let q = parse_query("#not(www)").unwrap();
-        assert!(evaluate(&ix, &VectorModel::default(), &q).is_empty());
+        assert!(evaluate(&ix.reader(), &VectorModel::default(), &q).is_empty());
     }
 
     #[test]
     fn phrase_requires_adjacency() {
         let ix = index();
         let m = InferenceModel::default();
-        let hit = evaluate(&ix, &m, &parse_query("\"information retrieval\"").unwrap());
+        let hit = evaluate(
+            &ix.reader(),
+            &m,
+            &parse_query("\"information retrieval\"").unwrap(),
+        );
         assert_eq!(hit.len(), 1);
         assert_eq!(top(&ix, &hit), "p4");
         // Both words occur in p3/p4 but only p4 has them adjacent.
-        let miss = evaluate(&ix, &m, &parse_query("\"retrieval information\"").unwrap());
+        let miss = evaluate(
+            &ix.reader(),
+            &m,
+            &parse_query("\"retrieval information\"").unwrap(),
+        );
         assert!(miss.is_empty());
     }
 
     #[test]
     fn phrase_tolerates_stopword_gaps() {
-        let mut ix = InvertedIndex::new(Analyzer::new(AnalyzerConfig::default()));
+        let ix = empty();
         ix.add_document("d", "the state of the art system").unwrap();
         let m = InferenceModel::default();
         // Query keeps its own stopword gaps: "state of the art" → state@1,
         // art@4 relative gap 3, same as in the document.
-        let hit = evaluate(&ix, &m, &parse_query("\"state of the art\"").unwrap());
+        let hit = evaluate(
+            &ix.reader(),
+            &m,
+            &parse_query("\"state of the art\"").unwrap(),
+        );
         assert_eq!(hit.len(), 1);
-        let miss = evaluate(&ix, &m, &parse_query("\"state art\"").unwrap());
+        let miss = evaluate(&ix.reader(), &m, &parse_query("\"state art\"").unwrap());
         assert!(miss.is_empty(), "gap mismatch must not match");
     }
 
     #[test]
     fn near_matches_within_window_only() {
-        let mut ix = InvertedIndex::new(Analyzer::new(AnalyzerConfig::default()));
+        let ix = empty();
         ix.add_document("close", "zebra walks past yak today")
             .unwrap();
         ix.add_document("far", "zebra one two three four five six seven yak")
@@ -455,29 +472,41 @@ mod tests {
             .unwrap();
         let m = InferenceModel::default();
 
-        let near3 = evaluate(&ix, &m, &parse_query("#near/3(zebra yak)").unwrap());
+        let near3 = evaluate(
+            &ix.reader(),
+            &m,
+            &parse_query("#near/3(zebra yak)").unwrap(),
+        );
         assert_eq!(near3.len(), 1);
         assert_eq!(key(&ix, *near3.keys().next().unwrap()), "close");
 
         // A wide window also admits the distant pair — but never the
         // wrong-order document.
-        let near20 = evaluate(&ix, &m, &parse_query("#near/20(zebra yak)").unwrap());
-        let mut keys: Vec<&str> = near20.keys().map(|&d| key(&ix, d)).collect();
+        let near20 = evaluate(
+            &ix.reader(),
+            &m,
+            &parse_query("#near/20(zebra yak)").unwrap(),
+        );
+        let mut keys: Vec<String> = near20.keys().map(|&d| key(&ix, d)).collect();
         keys.sort();
         assert_eq!(keys, vec!["close", "far"]);
     }
 
     #[test]
     fn near_counts_multiple_chains() {
-        let mut ix = InvertedIndex::new(Analyzer::new(AnalyzerConfig::default()));
+        let ix = empty();
         ix.add_document("multi", "zebra yak filler zebra yak")
             .unwrap();
         ix.add_document("single", "zebra yak only once here")
             .unwrap();
         let m = InferenceModel::default();
-        let scores = evaluate(&ix, &m, &parse_query("#near/2(zebra yak)").unwrap());
-        let multi = ix.store().id_of("multi").unwrap();
-        let single = ix.store().id_of("single").unwrap();
+        let scores = evaluate(
+            &ix.reader(),
+            &m,
+            &parse_query("#near/2(zebra yak)").unwrap(),
+        );
+        let multi = id(&ix, "multi");
+        let single = id(&ix, "single");
         assert!(
             scores[&multi] > scores[&single],
             "two proximity chains outrank one ({} vs {})",
@@ -488,11 +517,15 @@ mod tests {
 
     #[test]
     fn near_with_stemmed_terms() {
-        let mut ix = InvertedIndex::new(Analyzer::new(AnalyzerConfig::default()));
+        let ix = empty();
         ix.add_document("d", "connecting remote networks").unwrap();
         let m = InferenceModel::default();
         // Query terms are stemmed the same way as document terms.
-        let scores = evaluate(&ix, &m, &parse_query("#near/2(connected network)").unwrap());
+        let scores = evaluate(
+            &ix.reader(),
+            &m,
+            &parse_query("#near/2(connected network)").unwrap(),
+        );
         assert_eq!(scores.len(), 1);
     }
 
@@ -500,16 +533,29 @@ mod tests {
     fn near_absent_term_is_empty() {
         let ix = index();
         let m = InferenceModel::default();
-        assert!(evaluate(&ix, &m, &parse_query("#near/5(telnet xyzzy)").unwrap()).is_empty());
+        assert!(evaluate(
+            &ix.reader(),
+            &m,
+            &parse_query("#near/5(telnet xyzzy)").unwrap()
+        )
+        .is_empty());
     }
 
     #[test]
     fn wsum_weights_shift_ranking() {
         let ix = index();
         let m = InferenceModel::default();
-        let favour_telnet = evaluate(&ix, &m, &parse_query("#wsum(10 telnet 1 www)").unwrap());
+        let favour_telnet = evaluate(
+            &ix.reader(),
+            &m,
+            &parse_query("#wsum(10 telnet 1 www)").unwrap(),
+        );
         assert_eq!(top(&ix, &favour_telnet), "p1");
-        let favour_www = evaluate(&ix, &m, &parse_query("#wsum(1 telnet 10 www)").unwrap());
+        let favour_www = evaluate(
+            &ix.reader(),
+            &m,
+            &parse_query("#wsum(1 telnet 10 www)").unwrap(),
+        );
         assert!(top(&ix, &favour_www).starts_with('p'));
         assert_ne!(top(&ix, &favour_www), "p1");
     }
@@ -519,9 +565,9 @@ mod tests {
         let ix = index();
         let m = InferenceModel::default();
         let q = parse_query("#max(telnet www)").unwrap();
-        let scores = evaluate(&ix, &m, &q);
+        let scores = evaluate(&ix.reader(), &m, &q);
         let or_q = parse_query("#or(telnet www)").unwrap();
-        let or_scores = evaluate(&ix, &m, &or_q);
+        let or_scores = evaluate(&ix.reader(), &m, &or_q);
         for (doc, s) in &scores {
             assert!(*s <= or_scores[doc] + 1e-12, "max <= or pointwise");
         }
@@ -529,10 +575,10 @@ mod tests {
 
     #[test]
     fn deleted_documents_never_score() {
-        let mut ix = index();
+        let ix = index();
         ix.delete_document("p3").unwrap();
         let q = parse_query("nii").unwrap();
-        let scores = evaluate(&ix, &InferenceModel::default(), &q);
+        let scores = evaluate(&ix.reader(), &InferenceModel::default(), &q);
         assert!(scores.is_empty());
     }
 
@@ -546,7 +592,7 @@ mod tests {
             "#sum(www nii)",
             "protocol",
         ] {
-            let scores = evaluate(&ix, m.as_model(), &parse_query(q).unwrap());
+            let scores = evaluate(&ix.reader(), m.as_model(), &parse_query(q).unwrap());
             for (_, s) in scores {
                 assert!((0.0..=1.0).contains(&s), "query {q} score {s}");
             }
@@ -554,9 +600,44 @@ mod tests {
     }
 
     #[test]
+    fn positional_queries_skip_documents_a_corrupt_list_cannot_seek_to() {
+        use crate::index::{BlockSkip, DocStore, PostingsList};
+        let mut store = DocStore::new();
+        store.insert("a", 2).unwrap();
+        store.insert("b", 2).unwrap();
+        // CRC-clean but lying: the bytes decode to doc 1, the block header
+        // says the block ends at doc 0, so a seek to doc 1 skips it.
+        let blocks = vec![BlockSkip {
+            last_doc: 0,
+            max_tf: 1,
+            end: 3,
+        }];
+        let telnet = PostingsList::from_raw_blocks(vec![1, 1, 0], 1, 0, 1, 1, 128, blocks)
+            .expect("shape-consistent parts");
+        let mut protocol = PostingsList::new();
+        protocol.push(1, &[1]);
+        let ix = ShardedIndex::from_shard_parts(
+            Analyzer::new(AnalyzerConfig::default()),
+            store,
+            vec![vec![
+                ("telnet".into(), telnet),
+                ("protocol".into(), protocol),
+            ]],
+            1,
+        );
+        let m = InferenceModel::default();
+        for q in ["\"telnet protocol\"", "#near/3(telnet protocol)"] {
+            assert!(
+                evaluate(&ix.reader(), &m, &parse_query(q).unwrap()).is_empty(),
+                "{q}"
+            );
+        }
+    }
+
+    #[test]
     fn unknown_term_yields_empty() {
         let ix = index();
         let q = parse_query("xyzzy").unwrap();
-        assert!(evaluate(&ix, &InferenceModel::default(), &q).is_empty());
+        assert!(evaluate(&ix.reader(), &InferenceModel::default(), &q).is_empty());
     }
 }

@@ -14,7 +14,7 @@
 //! the summed numerator/denominator is bit-identical to what
 //! `DocStore::avg_len` would report for the union index.
 
-use crate::index::IndexReader;
+use crate::index::ShardedReader;
 use crate::query::QueryNode;
 
 use super::topk::compiled_terms;
@@ -116,10 +116,7 @@ impl QueryGlobals {
 /// (`#not`/`#phrase`/`#near`, or `#wsum` with negative or NaN weights) —
 /// such queries cannot be scattered because only the pruned engine
 /// accepts supplied globals.
-pub fn collect_globals<I: IndexReader + ?Sized>(
-    index: &I,
-    node: &QueryNode,
-) -> Option<QueryGlobals> {
+pub fn collect_globals(index: &ShardedReader<'_>, node: &QueryNode) -> Option<QueryGlobals> {
     let term_texts = compiled_terms(node, index.analyzer())?;
     let (min_doc_len, max_doc_len) = index.doc_len_bounds();
     // The stats leg of the scatter/gather exchange reads dictionary
@@ -144,11 +141,11 @@ pub fn collect_globals<I: IndexReader + ?Sized>(
 mod tests {
     use super::*;
     use crate::analysis::{Analyzer, AnalyzerConfig};
-    use crate::index::InvertedIndex;
+    use crate::index::ShardedIndex;
     use crate::query::parse_query;
 
-    fn index_of(docs: &[(&str, &str)]) -> InvertedIndex {
-        let mut ix = InvertedIndex::new(Analyzer::new(AnalyzerConfig::default()));
+    fn index_of(docs: &[(&str, &str)]) -> ShardedIndex {
+        let ix = ShardedIndex::new(Analyzer::new(AnalyzerConfig::default()));
         for (key, text) in docs {
             ix.add_document(key, text).unwrap();
         }
@@ -167,10 +164,10 @@ mod tests {
         let p1 = index_of(&all[..2]);
         let p2 = index_of(&all[2..]);
         let node = parse_query("#or(zebra shared)").unwrap();
-        let g1 = collect_globals(&p1, &node).unwrap();
-        let g2 = collect_globals(&p2, &node).unwrap();
+        let g1 = collect_globals(&p1.reader(), &node).unwrap();
+        let g2 = collect_globals(&p2.reader(), &node).unwrap();
         let merged = QueryGlobals::merge([&g1, &g2]).unwrap();
-        let direct = collect_globals(&union, &node).unwrap();
+        let direct = collect_globals(&union.reader(), &node).unwrap();
         assert_merged_equals_union(&merged, &direct);
     }
 
@@ -183,13 +180,13 @@ mod tests {
             ("d", "totally unrelated text block"),
             ("e", "zebra shared again"),
         ];
-        let mut union = index_of(&all);
-        let mut p1 = index_of(&all[..3]);
-        let mut p2 = index_of(&all[3..]);
+        let union = index_of(&all);
+        let p1 = index_of(&all[..3]);
+        let p2 = index_of(&all[3..]);
         // One deletion and one update in each partition, the same in the
         // union: live counts must come from the dead-postings counts.
-        for (part, deleted, updated) in [(&mut p1, "a", "b"), (&mut p2, "e", "d")] {
-            for ix in [&mut *part, &mut union] {
+        for (part, deleted, updated) in [(&p1, "a", "b"), (&p2, "e", "d")] {
+            for ix in [part, &union] {
                 ix.delete_document(deleted).unwrap();
                 ix.update_document(updated, "zebra shared rewritten")
                     .unwrap();
@@ -197,11 +194,11 @@ mod tests {
         }
         let node = parse_query("#or(zebra shared words)").unwrap();
         let merged = QueryGlobals::merge([
-            &collect_globals(&p1, &node).unwrap(),
-            &collect_globals(&p2, &node).unwrap(),
+            &collect_globals(&p1.reader(), &node).unwrap(),
+            &collect_globals(&p2.reader(), &node).unwrap(),
         ])
         .unwrap();
-        let direct = collect_globals(&union, &node).unwrap();
+        let direct = collect_globals(&union.reader(), &node).unwrap();
         assert_eq!(direct.terms[0].df, 3, "zebra: c, b', d'");
         assert_merged_equals_union(&merged, &direct);
     }
@@ -224,8 +221,8 @@ mod tests {
         let p1 = index_of(&[("a", "zebra words here")]);
         let p2 = index_of(&[]);
         let node = parse_query("zebra").unwrap();
-        let g1 = collect_globals(&p1, &node).unwrap();
-        let g2 = collect_globals(&p2, &node).unwrap();
+        let g1 = collect_globals(&p1.reader(), &node).unwrap();
+        let g2 = collect_globals(&p2.reader(), &node).unwrap();
         assert_eq!(g2.n_docs, 0);
         let merged = QueryGlobals::merge([&g1, &g2]).unwrap();
         assert_eq!(merged.len_bounds(), g1.len_bounds());
@@ -236,10 +233,10 @@ mod tests {
     #[test]
     fn mismatched_term_lists_refuse_to_merge() {
         let ix = index_of(&[("a", "zebra shared")]);
-        let g1 = collect_globals(&ix, &parse_query("zebra").unwrap()).unwrap();
-        let g2 = collect_globals(&ix, &parse_query("shared").unwrap()).unwrap();
+        let g1 = collect_globals(&ix.reader(), &parse_query("zebra").unwrap()).unwrap();
+        let g2 = collect_globals(&ix.reader(), &parse_query("shared").unwrap()).unwrap();
         assert!(QueryGlobals::merge([&g1, &g2]).is_none());
-        let g3 = collect_globals(&ix, &parse_query("#or(zebra shared)").unwrap()).unwrap();
+        let g3 = collect_globals(&ix.reader(), &parse_query("#or(zebra shared)").unwrap()).unwrap();
         assert!(QueryGlobals::merge([&g1, &g3]).is_none());
     }
 
@@ -248,7 +245,7 @@ mod tests {
         let ix = index_of(&[("a", "zebra shared")]);
         for q in ["#not(zebra)", "\"zebra shared\"", "#near/2(zebra shared)"] {
             let node = parse_query(q).unwrap();
-            assert!(collect_globals(&ix, &node).is_none(), "{q}");
+            assert!(collect_globals(&ix.reader(), &node).is_none(), "{q}");
         }
     }
 }

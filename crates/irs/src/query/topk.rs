@@ -77,7 +77,7 @@ use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 use crate::analysis::Analyzer;
-use crate::index::{DocId, IndexReader, PostingsCursor, PostingsList};
+use crate::index::{DocId, PostingsCursor, PostingsList, ShardedReader};
 use crate::model::{RetrievalModel, TermScorer};
 use crate::query::{QueryGlobals, QueryNode};
 
@@ -555,8 +555,8 @@ impl BoundMemo {
 /// Returns `None` when the tree is outside the pruned engine's fragment
 /// (`#not`/`#phrase`/`#near` operands, or `#wsum` with negative weights);
 /// callers fall back to [`evaluate`](super::evaluate).
-pub fn evaluate_top_k<I: IndexReader + ?Sized>(
-    index: &I,
+pub fn evaluate_top_k(
+    index: &ShardedReader<'_>,
     model: &dyn RetrievalModel,
     node: &QueryNode,
     k: usize,
@@ -567,8 +567,8 @@ pub fn evaluate_top_k<I: IndexReader + ?Sized>(
 /// [`evaluate_top_k`] with an explicit [`PruneStrategy`] — benchmarking
 /// hook for comparing block-max against the collection-bound baseline on
 /// identical inputs. Results are bit-identical either way.
-pub fn evaluate_top_k_with_strategy<I: IndexReader + ?Sized>(
-    index: &I,
+pub fn evaluate_top_k_with_strategy(
+    index: &ShardedReader<'_>,
     model: &dyn RetrievalModel,
     node: &QueryNode,
     k: usize,
@@ -588,8 +588,8 @@ pub fn evaluate_top_k_with_strategy<I: IndexReader + ?Sized>(
 /// `globals.terms` does not match the tree's interned term list (the
 /// globals were collected for a different query or analyzer) — scoring
 /// with mismatched statistics would be silently wrong.
-pub fn evaluate_top_k_with_globals<I: IndexReader + ?Sized>(
-    index: &I,
+pub fn evaluate_top_k_with_globals(
+    index: &ShardedReader<'_>,
     model: &dyn RetrievalModel,
     node: &QueryNode,
     k: usize,
@@ -608,8 +608,8 @@ pub fn evaluate_top_k_with_globals<I: IndexReader + ?Sized>(
 
 /// The one engine behind every `evaluate_top_k*` entry point, returning
 /// its work counters beside the ranking.
-pub(crate) fn evaluate_top_k_counted<I: IndexReader + ?Sized>(
-    index: &I,
+pub(crate) fn evaluate_top_k_counted(
+    index: &ShardedReader<'_>,
     model: &dyn RetrievalModel,
     node: &QueryNode,
     k: usize,
@@ -640,6 +640,7 @@ pub(crate) fn evaluate_top_k_counted<I: IndexReader + ?Sized>(
     let len_bounds = index.doc_len_bounds();
     let default = model.default_score();
     let tombstones = index.has_tombstones();
+    let slots = index.store().slot_count();
 
     // Hold each term's postings list (a refcount, not a copy) for the
     // query's lifetime; the cursors borrow them. (Shard locks are
@@ -732,7 +733,9 @@ pub(crate) fn evaluate_top_k_counted<I: IndexReader + ?Sized>(
                 }
             }
         }
-        if tombstones && !index.is_live(DocId(doc)) {
+        // An id past the store comes only from a corrupt postings list
+        // loaded from disk; like a tombstone, it is no candidate.
+        if doc >= slots || (tombstones && !index.is_live(DocId(doc))) {
             continue;
         }
         counters.candidates += 1;
@@ -931,16 +934,20 @@ pub(crate) fn evaluate_top_k_counted<I: IndexReader + ?Sized>(
 mod tests {
     use super::*;
     use crate::analysis::AnalyzerConfig;
-    use crate::index::InvertedIndex;
+    use crate::index::ShardedIndex;
     use crate::model::{Bm25Model, BooleanModel, InferenceModel, VectorModel};
     use crate::query::{evaluate, parse_query};
 
-    fn corpus() -> InvertedIndex {
+    fn corpus() -> ShardedIndex {
         corpus_with_block_size(crate::index::DEFAULT_BLOCK_SIZE)
     }
 
-    fn corpus_with_block_size(bs: u32) -> InvertedIndex {
-        let mut ix = InvertedIndex::with_block_size(Analyzer::new(AnalyzerConfig::default()), bs);
+    fn index_with_block_size(bs: u32) -> ShardedIndex {
+        ShardedIndex::with_block_size(Analyzer::new(AnalyzerConfig::default()), 1, bs)
+    }
+
+    fn corpus_with_block_size(bs: u32) -> ShardedIndex {
+        let ix = index_with_block_size(bs);
         for i in 0..40u32 {
             let rare = if i % 7 == 0 { "zebra" } else { "filler" };
             let text = format!(
@@ -954,22 +961,18 @@ mod tests {
 
     /// The pruned result must equal the first k of the exhaustively
     /// ranked list, bit-for-bit — under both prune strategies.
-    fn assert_matches_exhaustive(
-        ix: &InvertedIndex,
-        model: &dyn RetrievalModel,
-        q: &str,
-        k: usize,
-    ) {
+    fn assert_matches_exhaustive(ix: &ShardedIndex, model: &dyn RetrievalModel, q: &str, k: usize) {
         let node = parse_query(q).unwrap();
-        let mut full: Vec<(DocId, f64)> = evaluate(ix, model, &node).into_iter().collect();
+        let ix = ix.reader();
+        let mut full: Vec<(DocId, f64)> = evaluate(&ix, model, &node).into_iter().collect();
         full.sort_by(|a, b| {
             b.1.total_cmp(&a.1)
-                .then_with(|| ix.store().entry(a.0).key.cmp(&ix.store().entry(b.0).key))
+                .then_with(|| ix.doc_entry(a.0).key.cmp(&ix.doc_entry(b.0).key))
         });
         full.truncate(k);
         for strategy in [PruneStrategy::BlockMax, PruneStrategy::CollectionBound] {
-            let pruned =
-                evaluate_top_k_with_strategy(ix, model, &node, k, strategy).expect("prunable tree");
+            let pruned = evaluate_top_k_with_strategy(&ix, model, &node, k, strategy)
+                .expect("prunable tree");
             assert_eq!(pruned, full, "query {q} k {k} strategy {strategy:?}");
         }
     }
@@ -1029,13 +1032,13 @@ mod tests {
         ] {
             let node = parse_query(q).unwrap();
             assert!(
-                evaluate_top_k(&ix, &m, &node, 5).is_none(),
+                evaluate_top_k(&ix.reader(), &m, &node, 5).is_none(),
                 "{q} must fall back"
             );
         }
         // Negative #wsum weights break bound monotonicity → fallback.
         let node = QueryNode::WSum(vec![(-1.0, QueryNode::Term("zebra".into()))]);
-        assert!(evaluate_top_k(&ix, &m, &node, 5).is_none());
+        assert!(evaluate_top_k(&ix.reader(), &m, &node, 5).is_none());
     }
 
     #[test]
@@ -1049,15 +1052,19 @@ mod tests {
 
     #[test]
     fn empty_index_yields_empty() {
-        let ix = InvertedIndex::new(Analyzer::new(AnalyzerConfig::default()));
+        let ix = index_with_block_size(crate::index::DEFAULT_BLOCK_SIZE);
         let m = InferenceModel::default();
         let node = parse_query("anything").unwrap();
-        assert_eq!(evaluate_top_k(&ix, &m, &node, 10), Some(Vec::new()));
+        assert_eq!(
+            evaluate_top_k(&ix.reader(), &m, &node, 10),
+            Some(Vec::new())
+        );
     }
 
     #[test]
     fn leaf_bound_dominates_every_occurrence() {
         let ix = corpus();
+        let ix = ix.reader();
         let models: [&dyn RetrievalModel; 4] = [
             &BooleanModel,
             &VectorModel::default(),
@@ -1067,7 +1074,7 @@ mod tests {
         for model in models {
             for raw in ["zebra", "common", "shared"] {
                 let term = ix.analyzer().analyze_term(raw);
-                let pl = ix.postings(&term).unwrap();
+                let pl = ix.term_postings(&term).unwrap();
                 let df = pl.doc_count(); // no tombstones in this corpus
                 let scorer = model.prepare(df, ix.live_count(), ix.avg_doc_len());
                 let ub = leaf_upper_bound(
@@ -1078,7 +1085,7 @@ mod tests {
                     model.default_score(),
                 );
                 for (doc, tf) in pl.doc_tfs() {
-                    let s = scorer.score(tf, ix.store().entry(DocId(doc)).len);
+                    let s = scorer.score(tf, ix.doc_entry(DocId(doc)).len);
                     assert!(
                         s <= ub,
                         "{} score {s} exceeds bound {ub} for {raw}",
@@ -1092,9 +1099,10 @@ mod tests {
     #[test]
     fn block_bound_dominates_every_occurrence_in_its_block() {
         let ix = corpus_with_block_size(4);
+        let ix = ix.reader();
         let m = Bm25Model::default();
         let term = ix.analyzer().analyze_term("common");
-        let pl = ix.postings(&term).unwrap();
+        let pl = ix.term_postings(&term).unwrap();
         let df = pl.doc_count(); // no tombstones in this corpus
         let scorer = m.prepare(df, ix.live_count(), ix.avg_doc_len());
         let mut entries = pl.doc_tfs().peekable();
@@ -1107,7 +1115,7 @@ mod tests {
                 m.default_score(),
             );
             while let Some((doc, tf)) = entries.next_if(|&(doc, _)| doc <= skip.last_doc) {
-                let s = scorer.score(tf, ix.store().entry(DocId(doc)).len);
+                let s = scorer.score(tf, ix.doc_entry(DocId(doc)).len);
                 assert!(s <= ub, "doc {doc} in block {b}: score {s} > bound {ub}");
             }
         }
@@ -1119,7 +1127,7 @@ mod tests {
         // A few short high-tf documents among long low-tf ones (E14's
         // shape): once they fill the heap, blocks without one cannot
         // reach the threshold.
-        let mut ix = InvertedIndex::with_block_size(Analyzer::new(AnalyzerConfig::default()), 8);
+        let ix = index_with_block_size(8);
         for i in 0..200u32 {
             let text = if i % 50 == 7 {
                 "zebra ".repeat(6)
@@ -1131,7 +1139,7 @@ mod tests {
         let m = Bm25Model::default();
         let node = parse_query("zebra").unwrap();
         let run = || {
-            evaluate_top_k_counted(&ix, &m, &node, 3, None, PruneStrategy::BlockMax)
+            evaluate_top_k_counted(&ix.reader(), &m, &node, 3, None, PruneStrategy::BlockMax)
                 .expect("prunable tree")
                 .1
         };
@@ -1150,15 +1158,17 @@ mod tests {
 
     #[test]
     fn deleted_documents_never_surface() {
-        let mut ix = corpus_with_block_size(2);
+        let ix = corpus_with_block_size(2);
         ix.delete_document("d00").unwrap();
         ix.delete_document("d07").unwrap();
         let m = InferenceModel::default();
         let node = parse_query("zebra").unwrap();
-        let hits = evaluate_top_k(&ix, &m, &node, 50).unwrap();
+        let reader = ix.reader();
+        let hits = evaluate_top_k(&reader, &m, &node, 50).unwrap();
         for (doc, _) in &hits {
-            assert!(ix.store().is_live(*doc));
+            assert!(reader.is_live(*doc));
         }
+        drop(reader);
         assert_matches_exhaustive(&ix, &m, "zebra", 10);
     }
 }

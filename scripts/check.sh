@@ -4,16 +4,19 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> one copy of each storage primitive (crates/storage)"
+echo "==> one copy of each storage primitive; one index, reader and snapshot format"
 # A count, so it repeats exactly: the CRC-32 polynomial and the
 # definitions of crc32, the varint codec and the CRC-trailed file
-# helpers live in crates/storage alone. crates/shims stand in for
-# external crates and are exempt.
+# helpers live in crates/storage alone, and ShardedIndex, ShardedReader
+# and the per-shard snapshot directory (read with persisted block
+# headers, PostingsList::from_raw_blocks) are the only index, reader and
+# on-disk format. crates/shims stand in for external crates and are
+# exempt.
 copies=$(grep -rnE --include='*.rs' --exclude-dir=storage --exclude-dir=shims \
-    '0xedb8_?8320|fn (crc32|read_varint|write_varint|atomic_write|read_verified)\b' crates || true)
+    '0xedb8_?8320|fn (crc32|read_varint|write_varint|atomic_write|read_verified)\b|struct InvertedIndex\b|trait IndexReader\b|fn save_collection_flat\b|fn from_raw\(' crates || true)
 if [ -n "$copies" ]; then
     echo "$copies"
-    echo "REGRESSION: a storage primitive is defined outside crates/storage"
+    echo "REGRESSION: a storage primitive outside crates/storage, or a second index, reader or snapshot format"
     exit 1
 fi
 

@@ -220,7 +220,7 @@ fn live_df_agrees_with_the_pinned_store_under_concurrent_deletes() {
     use std::sync::Barrier;
 
     use irs::analysis::{Analyzer, AnalyzerConfig};
-    use irs::{DocId, IndexReader, ShardedIndex};
+    use irs::{DocId, ShardedIndex};
 
     const DOCS: usize = 64;
     const WORDS: [&str; 5] = ["shared", "alpha", "beta", "gamma", "delta"];

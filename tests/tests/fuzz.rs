@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use irs::persist::{load_collection, save_collection, save_collection_flat};
+use irs::persist::{load_collection, save_collection};
 use irs::{CollectionConfig, IrsCollection};
 use oodb::store::wal::{Record, Wal};
 use oodb::{Oid, Value};
@@ -14,18 +14,31 @@ fn tmp(name: &str) -> std::path::PathBuf {
     dir.join(name)
 }
 
-fn sample_index_bytes() -> Vec<u8> {
-    let mut c = IrsCollection::new(CollectionConfig::default());
+/// Save a small two-shard collection as a snapshot directory at `dir` and
+/// return its files: the manifest and the shards. With `tombstone`, one
+/// document is deleted, so the store's tombstones and the shards' dead
+/// counts are exercised; without, the top-k engine skips its liveness
+/// check.
+fn sample_snapshot(dir: &std::path::Path, tombstone: bool) -> Vec<std::path::PathBuf> {
+    let _ = std::fs::remove_dir_all(dir);
+    let mut c = IrsCollection::new(CollectionConfig {
+        shards: 2,
+        ..CollectionConfig::default()
+    });
     c.add_document("a", "telnet is a protocol for remote login")
         .unwrap();
     c.add_document("b", "the www grows and grows").unwrap();
-    c.delete_document("a").unwrap();
-    let path = tmp("fuzz_base.idx");
-    // The byte-flip fuzz wants one contiguous file, so use the flat format
-    // (the native format is a directory; it gets its own fuzz below).
-    let _ = std::fs::remove_dir_all(&path);
-    save_collection_flat(&c, &path).unwrap();
-    std::fs::read(&path).unwrap()
+    c.add_document("c", "telnet and the www protocol").unwrap();
+    if tombstone {
+        c.delete_document("a").unwrap();
+    }
+    save_collection(&c, dir).unwrap();
+    let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    files.sort();
+    files
 }
 
 /// Replay the WAL at `path` (truncating a torn tail, as open does).
@@ -66,26 +79,43 @@ fn sample_wal_bytes() -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Arbitrary byte flips in a saved index: load either fails cleanly
-    /// or yields a collection that can be searched without panicking.
+    /// Hostile bytes behind a valid CRC: 1–3 edits (flip, insert or
+    /// delete a byte) to the manifest and shard *payloads*, each file
+    /// re-framed by `storage::atomic_write` so the store, shard and
+    /// postings decoders see the bytes. Load returns `Ok` or an error and
+    /// never panics, and whatever loads answers searches, top-k searches
+    /// and globals requests without panicking.
     #[test]
     fn index_file_corruption_never_panics(
-        flips in prop::collection::vec((any::<u16>(), any::<u8>()), 1..8),
+        edits in prop::collection::vec((any::<u8>(), any::<u16>(), any::<u8>()), 1..4),
+        tombstone in any::<bool>(),
         case in 0u32..1000,
     ) {
-        let mut bytes = sample_index_bytes();
-        for (pos, val) in &flips {
-            let idx = *pos as usize % bytes.len();
-            bytes[idx] ^= *val;
+        let dir = tmp(&format!("payload_{case}.idx"));
+        let files = sample_snapshot(&dir, tombstone);
+        for (what, pos, val) in &edits {
+            let file = &files[usize::from(*what) % files.len()];
+            let mut payload = storage::read_verified(file).unwrap();
+            let at = usize::from(*pos) % (payload.len() + 1);
+            match what / 64 % 3 {
+                0 if at < payload.len() => payload[at] ^= (*val).max(1),
+                1 => payload.insert(at, *val),
+                _ if at < payload.len() => {
+                    payload.remove(at);
+                }
+                _ => payload.push(*val),
+            }
+            storage::atomic_write(file, &payload).unwrap();
         }
-        let path = tmp(&format!("flip_{case}.idx"));
-        std::fs::write(&path, &bytes).unwrap();
-        if let Ok(coll) = load_collection(&path) {
-            // Whatever loaded must behave like a collection.
-            let _ = coll.search("telnet");
+        if let Ok(coll) = load_collection(&dir) {
+            for q in ["telnet", "#or(www protocol)", "#and(telnet #not(www))"] {
+                let _ = coll.search(q);
+                let _ = coll.search_top_k(q, 2);
+                let _ = coll.query_globals(q);
+            }
             let _ = coll.len();
         }
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Byte flips anywhere inside a native per-shard snapshot directory

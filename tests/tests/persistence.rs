@@ -113,52 +113,62 @@ const FIXTURE_QUERIES: &[&str] = &[
     "#wsum(2 protocol 1 zebra)",
 ];
 
-/// A snapshot written by a historical build (pinned in the repo, never
-/// regenerated) must keep loading into today's block-structured index
-/// with bit-identical search results. `snapshot-flat-v2.idx` is the flat
-/// single-file format; `snapshot-shard-v1.idx` is a per-shard directory
-/// written before shard files carried block metadata (shard version 1);
+/// Snapshots pinned in the repo, never regenerated.
 /// `snapshot-shard-v2.idx` pins the current per-shard format with
-/// persisted block headers.
+/// persisted block headers: it must keep loading into today's
+/// block-structured index with bit-identical search results. The two
+/// formats no longer read — `snapshot-flat-v2.idx`, the flat single-file
+/// format, and `snapshot-shard-v1.idx`, a per-shard directory written
+/// before shard files carried block metadata — must be refused as
+/// corrupt, with a message that names the format.
 #[test]
 fn pinned_snapshots_load_into_block_structured_index() {
+    let path_of = |name: &str| {
+        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("fixtures")
+            .join(name)
+    };
+    for (name, format) in [
+        ("snapshot-flat-v2.idx", "flat single-file"),
+        ("snapshot-shard-v1.idx", "version 1"),
+    ] {
+        match load_collection(&path_of(name)) {
+            Err(irs::IrsError::CorruptIndex(why)) => {
+                assert!(why.contains(format), "{name}: {why}")
+            }
+            other => panic!("{name} must be refused as corrupt, got {other:?}"),
+        }
+    }
+
     let live = pinned_fixture_collection();
     let mut rebuilt = pinned_fixture_collection();
     rebuilt.force_merge();
-    for fixture in [
-        "snapshot-flat-v2.idx",
-        "snapshot-shard-v1.idx",
-        "snapshot-shard-v2.idx",
-    ] {
-        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("fixtures")
-            .join(fixture);
-        let loaded = load_collection(&path).unwrap_or_else(|e| panic!("{fixture}: {e}"));
-        assert_eq!(loaded.len(), live.len(), "{fixture}: live doc count");
-        assert!(!loaded.contains("doc:gamma"), "{fixture}: tombstone kept");
-        assert_eq!(loaded.config(), live.config(), "{fixture}: config");
-        for q in FIXTURE_QUERIES {
-            let a = live.search(q).unwrap();
-            let b = loaded.search(q).unwrap();
-            assert_eq!(a, b, "{fixture}: query {q}");
-        }
-        // The migrated index must carry real block structure: top-k with
-        // block-max pruning over the loaded index matches the live one.
-        for q in FIXTURE_QUERIES {
-            let a = live.search_top_k(q, 3).unwrap();
-            let b = loaded.search_top_k(q, 3).unwrap();
-            assert_eq!(a, b, "{fixture}: top-k query {q}");
-        }
-        // Every fixture keeps `doc:gamma` as a tombstone, so the loader
-        // counted dead postings: live df must equal that of a rebuild
-        // with no tombstones left at all.
-        for q in FIXTURE_QUERIES {
-            let dfs = |c: &IrsCollection| -> Vec<u32> {
-                let g = c.query_globals(q).unwrap();
-                g.terms.iter().map(|t| t.df).collect()
-            };
-            assert_eq!(dfs(&loaded), dfs(&rebuilt), "{fixture}: df of {q}");
-        }
+    let fixture = "snapshot-shard-v2.idx";
+    let loaded = load_collection(&path_of(fixture)).unwrap_or_else(|e| panic!("{fixture}: {e}"));
+    assert_eq!(loaded.len(), live.len(), "{fixture}: live doc count");
+    assert!(!loaded.contains("doc:gamma"), "{fixture}: tombstone kept");
+    assert_eq!(loaded.config(), live.config(), "{fixture}: config");
+    for q in FIXTURE_QUERIES {
+        let a = live.search(q).unwrap();
+        let b = loaded.search(q).unwrap();
+        assert_eq!(a, b, "{fixture}: query {q}");
+    }
+    // The loaded index must carry real block structure: top-k with
+    // block-max pruning over it matches the live one.
+    for q in FIXTURE_QUERIES {
+        let a = live.search_top_k(q, 3).unwrap();
+        let b = loaded.search_top_k(q, 3).unwrap();
+        assert_eq!(a, b, "{fixture}: top-k query {q}");
+    }
+    // The fixture keeps `doc:gamma` as a tombstone, so the loader
+    // counted dead postings: live df must equal that of a rebuild
+    // with no tombstones left at all.
+    for q in FIXTURE_QUERIES {
+        let dfs = |c: &IrsCollection| -> Vec<u32> {
+            let g = c.query_globals(q).unwrap();
+            g.terms.iter().map(|t| t.df).collect()
+        };
+        assert_eq!(dfs(&loaded), dfs(&rebuilt), "{fixture}: df of {q}");
     }
 }
 

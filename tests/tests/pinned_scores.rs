@@ -10,7 +10,7 @@
 use irs::analysis::{Analyzer, AnalyzerConfig};
 use irs::model::TermStats;
 use irs::query::evaluate;
-use irs::{evaluate_top_k, parse_query, DocId, InvertedIndex, ModelKind};
+use irs::{evaluate_top_k, parse_query, DocId, ModelKind, ShardedIndex};
 use system_tests::VOCAB;
 
 fn models() -> [ModelKind; 4] {
@@ -80,8 +80,8 @@ const TOP10_BITS: [[&[(u32, u64)]; 3]; 4] = [
 /// 120 documents of 3..40 vocabulary words drawn from a fixed LCG
 /// (skewed towards the front of the vocabulary so `df` and `tf` vary),
 /// block size 16 so lists span several blocks, two tombstones.
-fn pinned_corpus() -> InvertedIndex {
-    let mut ix = InvertedIndex::with_block_size(Analyzer::new(AnalyzerConfig::default()), 16);
+fn pinned_corpus() -> ShardedIndex {
+    let ix = ShardedIndex::with_block_size(Analyzer::new(AnalyzerConfig::default()), 1, 16);
     let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
     let mut next = move || {
         x = x
@@ -133,6 +133,7 @@ fn term_scores_are_pinned_to_the_bit() {
 #[test]
 fn whole_query_top10_lists_are_pinned_to_the_bit() {
     let ix = pinned_corpus();
+    let ix = ix.reader();
     for (m, kind) in models().iter().enumerate() {
         let model = kind.as_model();
         for (q, query) in QUERIES.iter().enumerate() {

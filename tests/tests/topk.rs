@@ -7,7 +7,8 @@ use irs::analysis::{Analyzer, AnalyzerConfig};
 use irs::query::evaluate;
 use irs::{
     collect_globals, evaluate_top_k_with_globals, evaluate_top_k_with_strategy, parse_query,
-    CollectionConfig, InvertedIndex, IrsCollection, ModelKind, PruneStrategy, QueryGlobals,
+    CollectionConfig, IrsCollection, ModelKind, PruneStrategy, QueryGlobals, ShardedIndex,
+    ShardedReader,
 };
 use proptest::prelude::*;
 use system_tests::{stress_query, VOCAB};
@@ -143,8 +144,7 @@ proptest! {
             })
             .collect();
         let index_of = |bs: u32, member: &dyn Fn(usize) -> bool| {
-            let mut ix =
-                InvertedIndex::with_block_size(Analyzer::new(AnalyzerConfig::default()), bs);
+            let ix = ShardedIndex::with_block_size(Analyzer::new(AnalyzerConfig::default()), 1, bs);
             for (i, words) in docs.iter().enumerate().filter(|(i, _)| member(*i)) {
                 let text: Vec<&str> = words
                     .iter()
@@ -157,8 +157,8 @@ proptest! {
             }
             ix
         };
-        let key = |ix: &InvertedIndex, hit: (irs::DocId, f64)| {
-            (ix.store().entry(hit.0).key.clone(), hit.1.to_bits())
+        let key = |ix: &ShardedReader<'_>, hit: (irs::DocId, f64)| {
+            (ix.doc_entry(hit.0).key.clone(), hit.1.to_bits())
         };
         // The universal ranking: score descending, key ascending.
         let rank = |hits: &mut Vec<(String, u64)>| {
@@ -170,7 +170,9 @@ proptest! {
         };
         for &bs in &[1u32, 16, 128] {
             let ix = index_of(bs, &|_| true);
+            let ix = ix.reader();
             let halves = [index_of(bs, &|i| i % 2 == 0), index_of(bs, &|i| i % 2 == 1)];
+            let halves = [halves[0].reader(), halves[1].reader()];
             for node in &nodes {
                 let mut full: Vec<(String, u64)> = evaluate(&ix, model, node)
                     .into_iter()
