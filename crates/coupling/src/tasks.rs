@@ -61,8 +61,8 @@
 //!    anything. `Started` follows `Enqueued` in the same append-only
 //!    file, so that sync also makes `Enqueued` durable for a task whose
 //!    enqueuer is still waiting.
-//! 3. `Finished` is synced before waiters resolve and before `Finished`
-//!    events publish.
+//! 3. `Finished` is synced before the task's status turns terminal and
+//!    before its `Finished` event publishes.
 //! 4. A failed write or `sync_data` poisons the ledger: every later
 //!    append or sync fails with an I/O error, success is never reported
 //!    after it, and recovery is reopen-and-replay.
@@ -78,7 +78,7 @@ use std::time::Duration;
 use oodb::Oid;
 use storage::{LogCommitter, RecordLog};
 
-use crate::error::{CouplingError, ErrorKind, Result};
+use crate::error::{CouplingError, Result};
 use crate::persist::{journal_path, tasks_ledger_path};
 use crate::propagate::{PendingOp, PropagationStrategy, Propagator};
 use crate::shared::SharedSystem;
@@ -686,12 +686,6 @@ impl Broadcast {
 // Queue
 // ---------------------------------------------------------------------
 
-/// Callback invoked exactly once with a task's outcome: the executed
-/// count on success (objects indexed / collections recorded / ops
-/// flushed), or the admission or execution error. Used by the serving
-/// layer to resolve synchronous write tickets.
-pub type TaskWaiter = Box<dyn FnOnce(Result<u64>) + Send>;
-
 /// Counters of one [`TaskQueue`], all relaxed atomics.
 #[derive(Debug, Default)]
 struct QueueCounters {
@@ -731,7 +725,6 @@ struct QueueInner {
     /// Group commit of the ledger's records, waited on outside `ledger`'s
     /// mutex; `None` for an in-memory ledger.
     committer: Option<LogCommitter>,
-    waiters: Mutex<HashMap<TaskId, TaskWaiter>>,
     /// Signalled on enqueue and close; the scheduler waits here.
     work: Condvar,
     events: Broadcast,
@@ -765,7 +758,6 @@ impl TaskQueue {
             inner: Arc::new(QueueInner {
                 committer: ledger.log.as_ref().map(RecordLog::committer),
                 ledger: Mutex::new(ledger),
-                waiters: Mutex::new(HashMap::new()),
                 work: Condvar::new(),
                 events: Broadcast::new(event_capacity),
                 counters: QueueCounters::default(),
@@ -783,59 +775,27 @@ impl TaskQueue {
     /// [`CouplingError::Overloaded`], a closed one with
     /// [`CouplingError::ShuttingDown`].
     pub fn enqueue(&self, kind: TaskKind) -> Result<TaskId> {
-        self.enqueue_inner(kind, None)
-    }
-
-    /// [`TaskQueue::enqueue`] plus a completion callback. The waiter is
-    /// always consumed: invoked with the admission error when enqueue
-    /// is refused, or with the ledger error when the acknowledgement
-    /// cannot be made durable (both return `None`), or with the
-    /// execution outcome once the task finishes.
-    pub fn enqueue_with_waiter(&self, kind: TaskKind, waiter: TaskWaiter) -> Option<TaskId> {
-        self.enqueue_inner(kind, Some(waiter)).ok()
-    }
-
-    fn enqueue_inner(&self, kind: TaskKind, mut waiter: Option<TaskWaiter>) -> Result<TaskId> {
-        let (id, seq) = match self.admit(kind, &mut waiter) {
-            Ok(admitted) => admitted,
-            Err(e) => {
-                self.inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                if let Some(waiter) = waiter {
-                    waiter(Err(e));
-                    // The error moved into the waiter; report rejection
-                    // with a synthesized twin for the Result contract.
-                    return Err(CouplingError::ShuttingDown);
-                }
-                return Err(e);
-            }
-        };
+        let (id, seq) = self.admit(kind).inspect_err(|_| {
+            self.inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
+        })?;
         self.inner.work.notify_all();
         // Group commit: this sync may be another enqueuer's or the
-        // executor's, covering this record along with theirs.
-        if let Err(e) = self.inner.sync_through(seq) {
-            // The ledger is poisoned, so the task can never start (its
-            // `Started` write fails) and finishes failed; whichever side
-            // removes the waiter first resolves it.
-            if let Some(waiter) = lock_recover(&self.inner.waiters).remove(&id) {
-                waiter(Err(CouplingError::TaskFailed {
-                    kind: e.kind(),
-                    message: e.to_string(),
-                }));
-            }
-            return Err(e);
-        }
+        // executor's, covering this record along with theirs. If it
+        // fails the ledger is poisoned, so the task can never start (its
+        // `Started` write fails) and finishes failed.
+        self.inner.sync_through(seq)?;
         Ok(id)
     }
 
     /// Admission, under the queue mutex: write the `Enqueued` record
-    /// (not yet durable) and do all the task's bookkeeping — waiter,
-    /// counters, depth, the `Enqueued` event — *before* its id enters
+    /// (not yet durable) and do all the task's bookkeeping — counters,
+    /// depth, the `Enqueued` event — *before* its id enters
     /// `pending`. From then on the executor may claim, run and finish
     /// the task at any moment, so nothing may follow; its `Started` sync
     /// makes the `Enqueued` record durable too, so running a task whose
     /// enqueuer has not synced yet is safe. Returns the id and the
     /// record's sequence number.
-    fn admit(&self, kind: TaskKind, waiter: &mut Option<TaskWaiter>) -> Result<(TaskId, u64)> {
+    fn admit(&self, kind: TaskKind) -> Result<(TaskId, u64)> {
         if self.inner.closed.load(Ordering::Acquire) {
             return Err(CouplingError::ShuttingDown);
         }
@@ -862,9 +822,6 @@ impl TaskQueue {
                 batch_id: None,
             },
         );
-        if let Some(waiter) = waiter.take() {
-            lock_recover(&self.inner.waiters).insert(id, waiter);
-        }
         self.inner.counters.enqueued.fetch_add(1, Ordering::Relaxed);
         self.inner.depth.fetch_add(1, Ordering::Relaxed);
         self.inner.events.publish(&TaskEvent::Enqueued(id));
@@ -999,47 +956,35 @@ impl TaskQueue {
         Some((Batch { tasks }, started))
     }
 
-    /// Make a batch outcome durable, then resolve its waiters and publish
-    /// its `Finished` events — in that order, so nobody learns an outcome
-    /// the ledger could still lose. If the `Finished` records cannot be
-    /// made durable, a success is reported as that I/O error instead:
-    /// never success after a failed sync (replay re-runs the tasks, and
-    /// execution is idempotent).
-    fn finish_batch(&self, batch: &Batch, outcome: std::result::Result<u64, (ErrorKind, String)>) {
-        let verdict = |outcome: &std::result::Result<u64, (ErrorKind, String)>| match outcome {
-            Ok(_) => (true, String::new()),
-            Err((_, message)) => (false, message.clone()),
-        };
-        let (ok, error) = verdict(&outcome);
+    /// Make a batch outcome durable, then mark its tasks terminal and
+    /// publish their `Finished` events — in that order, so nobody learns
+    /// an outcome the ledger could still lose. If the `Finished` records
+    /// cannot be made durable, a success is reported as that I/O error
+    /// instead: never success after a failed sync (replay re-runs the
+    /// tasks, and execution is idempotent).
+    fn finish_batch(&self, batch: &Batch, outcome: std::result::Result<(), String>) {
         let records: Vec<LedgerRecord> = batch
             .tasks
             .iter()
             .map(|t| LedgerRecord::Finished {
                 id: t.id,
-                ok,
-                error: error.clone(),
+                ok: outcome.is_ok(),
+                error: outcome.as_ref().err().cloned().unwrap_or_default(),
             })
             .collect();
         let written = lock_recover(&self.inner.ledger).write(&records);
-        let outcome = match (
-            outcome,
-            written.and_then(|seq| self.inner.sync_through(seq)),
-        ) {
-            (Ok(_), Err(e)) => Err((e.kind(), e.to_string())),
-            (outcome, _) => outcome,
+        let synced = written.and_then(|seq| self.inner.sync_through(seq));
+        let outcome = outcome.and(synced.map_err(|e| e.to_string()));
+        let ok = outcome.is_ok();
+        let status = match outcome {
+            Ok(()) => TaskStatus::Succeeded,
+            Err(error) => TaskStatus::Failed { error },
         };
-        let (ok, error) = verdict(&outcome);
         {
             let mut ledger = lock_recover(&self.inner.ledger);
             for task in &batch.tasks {
                 if let Some(t) = ledger.tasks.get_mut(&task.id) {
-                    t.status = if ok {
-                        TaskStatus::Succeeded
-                    } else {
-                        TaskStatus::Failed {
-                            error: error.clone(),
-                        }
-                    };
+                    t.status = status.clone();
                 }
             }
         }
@@ -1049,20 +994,6 @@ impl TaskQueue {
             &self.inner.counters.failed
         };
         counter.fetch_add(batch.tasks.len() as u64, Ordering::Relaxed);
-        let mut waiters = lock_recover(&self.inner.waiters);
-        for task in &batch.tasks {
-            if let Some(waiter) = waiters.remove(&task.id) {
-                let result = match &outcome {
-                    Ok(count) => Ok(*count),
-                    Err((kind, message)) => Err(CouplingError::TaskFailed {
-                        kind: *kind,
-                        message: message.clone(),
-                    }),
-                };
-                waiter(result);
-            }
-        }
-        drop(waiters);
         self.inner
             .depth
             .fetch_sub(batch.tasks.len() as u64, Ordering::Relaxed);
@@ -1250,7 +1181,7 @@ impl TaskExecutor {
             Ok(()) => self.execute(&batch),
             // The `Started` records are not durable (the ledger is
             // poisoned): nothing may run.
-            Err(e) => Err((e.kind(), e.to_string())),
+            Err(e) => Err(e.to_string()),
         };
         self.queue.finish_batch(&batch, outcome);
         true
@@ -1291,13 +1222,12 @@ impl TaskExecutor {
         });
     }
 
-    fn execute(&mut self, batch: &Batch) -> std::result::Result<u64, (ErrorKind, String)> {
+    fn execute(&mut self, batch: &Batch) -> std::result::Result<(), String> {
         // A panic inside execution must not kill the scheduler thread or
         // leave the batch unresolved.
         match catch_unwind(AssertUnwindSafe(|| self.execute_batch(batch))) {
-            Ok(Ok(count)) => Ok(count),
-            Ok(Err(e)) => Err((e.kind(), e.to_string())),
-            Err(_) => Err((ErrorKind::Other, "task execution panicked".to_string())),
+            Ok(result) => result.map_err(|e| e.to_string()),
+            Err(_) => Err("task execution panicked".to_string()),
         }
     }
 
@@ -1305,7 +1235,7 @@ impl TaskExecutor {
     /// execute **once** (the run is idempotent); merged `UpdateText`
     /// tasks apply in order under one write lock with batched
     /// propagation; merged flushes fold into one.
-    fn execute_batch(&mut self, batch: &Batch) -> Result<u64> {
+    fn execute_batch(&mut self, batch: &Batch) -> Result<()> {
         let head = &batch.tasks[0].kind;
         match head {
             TaskKind::IndexObjects {
@@ -1344,13 +1274,13 @@ impl TaskExecutor {
         }
     }
 
-    fn run_index_objects(&mut self, collection: &str, spec_query: &str) -> Result<u64> {
+    fn run_index_objects(&mut self, collection: &str, spec_query: &str) -> Result<()> {
         let shared = self.shared.clone();
         let propagators = &mut self.propagators;
         shared.write(|sys| {
             let mut coll = sys.collection_mut(collection)?;
             let db = coll.db();
-            let objects = coll.index_objects_batch(db, spec_query)?;
+            coll.index_objects_batch(db, spec_query)?;
             // A re-index invalidates any deferred ops for this collection
             // recorded before it: fold them away so the flush at shutdown
             // does not redo stale work.
@@ -1360,7 +1290,7 @@ impl TaskExecutor {
                     let _ = prop.flush(&ctx, &mut coll);
                 }
             }
-            Ok(objects as u64)
+            Ok(())
         })
     }
 
@@ -1377,7 +1307,7 @@ impl TaskExecutor {
         &mut self,
         updates: &[(Oid, String)],
         collections: &[String],
-    ) -> Result<u64> {
+    ) -> Result<()> {
         let shared = self.shared.clone();
         let planned = shared.read(|sys| {
             collections
@@ -1395,15 +1325,13 @@ impl TaskExecutor {
             .iter_mut()
             .map(|(_, prop)| prop.settle())
             .fold(Ok(()), Result::and);
-        let count = taken.len() as u64;
         for (name, prop) in taken {
             self.propagators.insert(name, prop);
         }
-        applied.and(settled)?;
-        Ok(count)
+        applied.and(settled)
     }
 
-    fn run_flush(&mut self, collection: &str) -> Result<u64> {
+    fn run_flush(&mut self, collection: &str) -> Result<()> {
         let shared = self.shared.clone();
         let mut prop = self.take_propagator(collection)?;
         let result = shared.write(|sys| {
@@ -1412,7 +1340,7 @@ impl TaskExecutor {
             prop.flush(&ctx, &mut coll)
         });
         self.propagators.insert(collection.to_string(), prop);
-        Ok(result? as u64)
+        result.map(|_| ())
     }
 }
 
@@ -1742,39 +1670,6 @@ mod tests {
         });
         assert_eq!(ghost_tasks.len(), 1);
         assert_eq!(queue.list_tasks(&TaskFilter::default()).len(), 2);
-    }
-
-    #[test]
-    fn waiters_resolve_with_outcome() {
-        let shared = two_para_system();
-        let queue = TaskQueue::open(None, 64, 16).unwrap();
-        let (tx, rx) = std::sync::mpsc::channel();
-        let id = queue
-            .enqueue_with_waiter(
-                index_task(),
-                Box::new(move |result| {
-                    tx.send(result.map_err(|e| e.kind())).unwrap();
-                }),
-            )
-            .expect("admitted");
-        assert!(id > 0);
-        let mut executor = TaskExecutor::new(shared, queue.clone(), SchedulerConfig::default());
-        executor.drain();
-        assert_eq!(rx.recv_timeout(Duration::from_secs(1)).unwrap(), Ok(2));
-        // A rejected enqueue resolves the waiter immediately.
-        queue.close();
-        let (tx, rx) = std::sync::mpsc::channel();
-        let refused = queue.enqueue_with_waiter(
-            index_task(),
-            Box::new(move |result| {
-                tx.send(result.map_err(|e| e.kind())).unwrap();
-            }),
-        );
-        assert!(refused.is_none());
-        assert_eq!(
-            rx.recv_timeout(Duration::from_secs(1)).unwrap(),
-            Err(ErrorKind::Overloaded)
-        );
     }
 
     #[test]

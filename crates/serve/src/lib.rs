@@ -11,7 +11,7 @@
 //! * **Typed protocol** — [`Request`] / [`Response`] cover the
 //!   coupling's query surface (`getIRSResult`, mixed queries,
 //!   `getIRSValue`) and its update surface (text modification with
-//!   propagation, `indexObjects`).
+//!   propagation, `indexObjects`, flush) as enqueued tasks.
 //! * **Thread-pool execution** — reads fan out across a worker pool
 //!   under the system's shared read lock; writes become durable
 //!   [`coupling::tasks`] entries executed by the scheduler's single
@@ -20,8 +20,7 @@
 //! * **Asynchronous writes** — [`Request::EnqueueTask`] answers
 //!   immediately with a task id (wire status 202); progress is observed
 //!   via [`Request::TaskStatus`] / [`Request::ListTasks`] or awaited
-//!   with [`Client::write_and_wait`]. The old synchronous write shapes
-//!   are deprecated and now ride the same queue.
+//!   with [`Client::write_and_wait`]. It is the only write request.
 //! * **Admission control** — bounded queues reject excess load
 //!   immediately ([`coupling::ErrorKind::Overloaded`]) instead of
 //!   building unbounded backlogs.

@@ -51,28 +51,6 @@ pub enum Request {
         /// The object.
         oid: Oid,
     },
-    /// Replace an object's text and propagate the modification to the
-    /// named collections, blocking until the write executes.
-    #[deprecated(note = "synchronous write shape — use Request::EnqueueTask with \
-                TaskKind::UpdateText (or Client::write_and_wait) instead")]
-    UpdateText {
-        /// The object whose `text` attribute changes.
-        oid: Oid,
-        /// The new text.
-        text: String,
-        /// Collections whose propagators must record the change.
-        collections: Vec<String>,
-    },
-    /// Run `indexObjects` with a specification query, blocking until the
-    /// write executes.
-    #[deprecated(note = "synchronous write shape — use Request::EnqueueTask with \
-                TaskKind::IndexObjects (or Client::write_and_wait) instead")]
-    IndexObjects {
-        /// Target collection name.
-        collection: String,
-        /// OODBMS specification query.
-        spec_query: String,
-    },
     /// Liveness probe: answered with [`Response::Pong`] without touching
     /// the document system. Clients use it for health checks and as the
     /// cheap trial call when a circuit breaker goes half-open.
@@ -104,9 +82,9 @@ pub enum Request {
     },
     /// Durably enqueue a mutation as an update task and return its id
     /// immediately ([`Response::TaskAccepted`], wire status 202) — the
-    /// task-handle write model that replaces the synchronous write
-    /// shapes. Progress is observed via [`Request::TaskStatus`] /
-    /// [`Request::ListTasks`].
+    /// only write request. Progress is observed via
+    /// [`Request::TaskStatus`] / [`Request::ListTasks`], or awaited with
+    /// [`crate::Client::write_and_wait`].
     EnqueueTask {
         /// The mutation to enqueue.
         kind: TaskKind,
@@ -127,23 +105,16 @@ pub enum Request {
 impl Request {
     /// True for requests that mutate the system — these funnel into the
     /// task scheduler (and are refused outright on read-only replicas).
-    #[allow(deprecated)]
     pub fn is_write(&self) -> bool {
-        matches!(
-            self,
-            Request::UpdateText { .. } | Request::IndexObjects { .. } | Request::EnqueueTask { .. }
-        )
+        matches!(self, Request::EnqueueTask { .. })
     }
 
     /// Short label for metrics/debugging.
-    #[allow(deprecated)]
     pub fn label(&self) -> &'static str {
         match self {
             Request::IrsQuery { .. } => "irs_query",
             Request::MixedQuery { .. } => "mixed_query",
             Request::GetIrsValue { .. } => "get_irs_value",
-            Request::UpdateText { .. } => "update_text",
-            Request::IndexObjects { .. } => "index_objects",
             Request::Ping => "ping",
             Request::TermStats { .. } => "term_stats",
             Request::IrsQueryGlobal { .. } => "irs_query_global",
@@ -175,16 +146,6 @@ pub enum Response {
     },
     /// A single IRS value.
     Value(f64),
-    /// Text updated; the number of collections that recorded it.
-    Updated {
-        /// Collections whose propagators recorded the modification.
-        collections: usize,
-    },
-    /// `indexObjects` ran; the number of objects (re-)indexed.
-    Indexed {
-        /// Objects indexed.
-        objects: usize,
-    },
     /// The answer to [`Request::Ping`].
     Pong,
     /// The answer to [`Request::TermStats`].
@@ -232,22 +193,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn write_classification() {
         assert!(!Request::IrsQuery {
             collection: "c".into(),
             query: "q".into()
-        }
-        .is_write());
-        assert!(Request::UpdateText {
-            oid: Oid(1),
-            text: "t".into(),
-            collections: vec![]
-        }
-        .is_write());
-        assert!(Request::IndexObjects {
-            collection: "c".into(),
-            spec_query: "ACCESS p FROM p IN PARA".into()
         }
         .is_write());
         assert_eq!(

@@ -719,7 +719,6 @@ fn decode_task_filter(d: &mut Dec<'_>) -> WireResult<TaskFilter> {
 }
 
 /// Encode a request as a frame payload.
-#[allow(deprecated)]
 pub fn encode_request(req: &Request) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
     match req {
@@ -751,27 +750,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             put_str(&mut buf, collection);
             put_str(&mut buf, query);
             put_u64(&mut buf, oid.0);
-        }
-        Request::UpdateText {
-            oid,
-            text,
-            collections,
-        } => {
-            buf.push(3);
-            put_u64(&mut buf, oid.0);
-            put_str(&mut buf, text);
-            put_u32(&mut buf, collections.len() as u32);
-            for name in collections {
-                put_str(&mut buf, name);
-            }
-        }
-        Request::IndexObjects {
-            collection,
-            spec_query,
-        } => {
-            buf.push(4);
-            put_str(&mut buf, collection);
-            put_str(&mut buf, spec_query);
         }
         Request::Ping => {
             buf.push(5);
@@ -811,7 +789,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 
 /// Decode a request frame payload. Strict: unknown tags, truncated
 /// fields, and trailing bytes are all [`WireError::Malformed`].
-#[allow(deprecated)]
 pub fn decode_request(payload: &[u8]) -> WireResult<Request> {
     let mut d = Dec::new(payload);
     let req = match d.u8("request tag")? {
@@ -831,24 +808,8 @@ pub fn decode_request(payload: &[u8]) -> WireResult<Request> {
             query: d.string("query")?,
             oid: Oid(d.u64("oid")?),
         },
-        3 => {
-            let oid = Oid(d.u64("oid")?);
-            let text = d.string("text")?;
-            let n = d.count(4, "collection list")?;
-            let mut collections = Vec::with_capacity(n);
-            for _ in 0..n {
-                collections.push(d.string("collection name")?);
-            }
-            Request::UpdateText {
-                oid,
-                text,
-                collections,
-            }
-        }
-        4 => Request::IndexObjects {
-            collection: d.string("collection")?,
-            spec_query: d.string("spec query")?,
-        },
+        // 3 and 4 were the retired synchronous writes (update text, index
+        // objects); they stay reserved and decode as unknown tags.
         5 => Request::Ping,
         6 => Request::TermStats {
             collection: d.string("collection")?,
@@ -904,14 +865,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         Response::Value(v) => {
             buf.push(2);
             put_f64(&mut buf, *v);
-        }
-        Response::Updated { collections } => {
-            buf.push(3);
-            put_u64(&mut buf, *collections as u64);
-        }
-        Response::Indexed { objects } => {
-            buf.push(4);
-            put_u64(&mut buf, *objects as u64);
         }
         Response::Pong => {
             buf.push(5);
@@ -977,12 +930,7 @@ pub fn decode_response(payload: &[u8]) -> WireResult<Response> {
             }
         }
         2 => Response::Value(d.f64("value")?),
-        3 => Response::Updated {
-            collections: d.u64("collection count")? as usize,
-        },
-        4 => Response::Indexed {
-            objects: d.u64("object count")? as usize,
-        },
+        // 3 and 4 answered the retired synchronous writes; reserved.
         5 => Response::Pong,
         6 => Response::TermStats(decode_globals(&mut d)?),
         7 => {
@@ -1140,7 +1088,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn request_codec_roundtrips_every_variant() {
         let requests = vec![
             Request::IrsQuery {
@@ -1158,15 +1105,6 @@ mod tests {
                 collection: "c".into(),
                 query: "q".into(),
                 oid: Oid(17),
-            },
-            Request::UpdateText {
-                oid: Oid(3),
-                text: "ünïcodé text".into(),
-                collections: vec!["a".into(), "b".into()],
-            },
-            Request::IndexObjects {
-                collection: "c".into(),
-                spec_query: "ACCESS p FROM p IN PARA".into(),
             },
             Request::Ping,
             Request::TermStats {
@@ -1248,8 +1186,6 @@ mod tests {
                 origin: ResultOrigin::Buffered,
             },
             Response::Value(0.725),
-            Response::Updated { collections: 2 },
-            Response::Indexed { objects: 40 },
             Response::Pong,
             Response::TermStats(sample_globals()),
             Response::IrsKeyed {
@@ -1326,6 +1262,20 @@ mod tests {
             decode_request(&[200]),
             Err(WireError::Malformed(_))
         ));
+        // The reserved tags of the retired synchronous writes, bare and
+        // followed by fields of their old shapes, in both directions.
+        for tag in [3u8, 4] {
+            for payload in [vec![tag], [&[tag][..], &[0; 8], &[0; 4]].concat()] {
+                assert!(matches!(
+                    decode_request(&payload),
+                    Err(WireError::Malformed(_))
+                ));
+                assert!(matches!(
+                    decode_response(&payload),
+                    Err(WireError::Malformed(_))
+                ));
+            }
+        }
         // Empty payload.
         assert!(matches!(decode_request(&[]), Err(WireError::Malformed(_))));
         // Truncated string.

@@ -334,6 +334,33 @@ fn malformed_frames_answered_then_closed_never_panic() {
         assert_eq!(fault.status, Status::BadRequest);
     }
 
+    // The retired synchronous write tags, framed as an old client would
+    // send them: 400, then the server closes the connection.
+    for payload in [
+        [
+            &[3u8][..],
+            &9u64.to_le_bytes(),
+            &0u32.to_le_bytes(),
+            &0u32.to_le_bytes(),
+        ]
+        .concat(),
+        [&[4u8][..], &0u32.to_le_bytes(), &0u32.to_le_bytes()].concat(),
+    ] {
+        let mut buf = Vec::new();
+        wire::write_frame(&mut buf, FrameKind::Request, &payload).unwrap();
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.write_all(&buf).unwrap();
+        let frame = read_reply(&mut s).expect("error frame");
+        assert_eq!(frame.kind, FrameKind::Error);
+        let fault = wire::decode_fault(&frame.payload).unwrap();
+        assert_eq!(fault.status, Status::BadRequest, "tag {}", payload[0]);
+        assert!(
+            matches!(wire::read_frame(&mut s), Ok(None)),
+            "tag {}: connection closed after the 400",
+            payload[0]
+        );
+    }
+
     // Truncated frame then close: the server just drops the connection.
     {
         let mut buf = Vec::new();
@@ -409,12 +436,20 @@ fn pre_expired_deadline_rejected_at_admission() {
 }
 
 /// The execution-slot invariant across both ways a read can run: with
-/// `read_workers(2)`, eight connections calling at once put exactly two
+/// `read_workers(w)`, `connections` callers at once put exactly `w`
 /// reads on their own connection threads (caller-runs) and queue the
-/// other six for the pool, and whichever thread runs a read, never more
-/// than two execute at any instant.
+/// rest for the pool, and whichever thread runs a read, exactly `w`
+/// execute at the peak — never more. At `w = 8` that peak is eight
+/// IRS-latency reads overlapping, which is what lets concurrent clients
+/// beat a single one.
 #[test]
 fn callers_and_workers_share_the_read_slots() {
+    for (workers, connections) in [(2u64, 8u64), (8, 16)] {
+        share_read_slots(workers, connections);
+    }
+}
+
+fn share_read_slots(workers: u64, connections: u64) {
     let sys = two_issue_system();
     // Every IRS call stalls, so executing reads overlap for long enough
     // to be caught exceeding the limit if they could.
@@ -426,15 +461,18 @@ fn callers_and_workers_share_the_read_slots() {
     let shared = SharedSystem::new(sys);
     let server = Server::start_shared(
         shared.clone(),
-        ServerConfig::default().read_workers(2).queue_capacity(64),
+        ServerConfig::default()
+            .read_workers(workers as usize)
+            .queue_capacity(64),
     );
     let net = NetServer::bind(server, "127.0.0.1:0").expect("bind loopback");
     let addr = net.local_addr();
-    let (connections, per_connection) = (8u64, 4u64);
+    let per_connection = 4u64;
+    let case = format!("read_workers {workers}, {connections} connections");
 
     // Under the exclusive system lock no read can finish, which pins the
-    // first wave: two callers take the two slots and block inside their
-    // read, the other six find no slot and queue.
+    // first wave: `workers` callers take the slots and block inside their
+    // read, the others find no slot and queue.
     let handles: Vec<_> = shared.write(|_sys| {
         let handles: Vec<_> = (0..connections)
             .map(|c| {
@@ -455,13 +493,17 @@ fn callers_and_workers_share_the_read_slots() {
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         loop {
             let m = net.metrics();
-            if m.submitted == connections && m.reads_in_flight_max == 2 {
-                assert_eq!((m.reads_inline, m.reads_queued), (2, connections - 2));
+            if m.submitted == connections && m.reads_in_flight_max == workers {
+                assert_eq!(
+                    (m.reads_inline, m.reads_queued),
+                    (workers, connections - workers),
+                    "{case}"
+                );
                 break;
             }
             assert!(
                 std::time::Instant::now() < deadline,
-                "first wave never fully admitted: {m:?}"
+                "{case}: first wave never fully admitted: {m:?}"
             );
             std::thread::yield_now();
         }
@@ -472,20 +514,24 @@ fn callers_and_workers_share_the_read_slots() {
     }
 
     let snapshot = net.shutdown();
-    assert_eq!(snapshot.reads_in_flight_max, 2, "never above read_workers");
-    assert_eq!(snapshot.submitted, connections * per_connection);
+    assert_eq!(
+        snapshot.reads_in_flight_max, workers,
+        "{case}: never above read_workers"
+    );
+    assert_eq!(snapshot.submitted, connections * per_connection, "{case}");
     assert_eq!(
         snapshot.reads_inline + snapshot.reads_queued,
         snapshot.submitted,
-        "every admitted read ran exactly one way"
+        "{case}: every admitted read ran exactly one way"
     );
-    assert_eq!(snapshot.completed, snapshot.submitted);
+    assert_eq!(snapshot.completed, snapshot.submitted, "{case}");
     assert_eq!(
         snapshot.origin_fresh
             + snapshot.origin_buffered
             + snapshot.origin_stale
             + snapshot.origin_none,
-        snapshot.completed
+        snapshot.completed,
+        "{case}"
     );
 }
 

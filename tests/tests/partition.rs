@@ -435,6 +435,7 @@ fn tcp_partitions_serve_single_node_results_then_degrade() {
         .expect("warmed query degrades, not fails");
     assert_eq!(origin, ResultOrigin::Stale);
     assert_eq!(hits, warm.0, "stale result is the last merged answer");
+    assert_eq!(r.stats().stale_serves, 1, "exactly the one stale serve");
     let err = r
         .search_top_k("collPara", "gopher", 10)
         .expect_err("cold query cannot be merged");

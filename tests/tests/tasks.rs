@@ -1,12 +1,10 @@
 //! Integration tests for the durable update-task queue: batching proof
 //! at the serving layer, crash-replay convergence over the journaled
-//! ledger, torn-ledger robustness, event observability through a
-//! server, and back-compatibility of the deprecated synchronous write
-//! shapes.
+//! ledger, torn-ledger robustness, the write path's `sync_data` count,
+//! and event observability through a server.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -280,6 +278,59 @@ fn merged_tasks_share_batch_ids() {
     assert_eq!(stats.merged, 4, "four executions saved by merging");
 }
 
+/// The write path's `sync_data` count, which repeats exactly: an
+/// `UpdateText` batch through a journaled eager executor costs 2
+/// propagation-journal syncs (journal the batch, settle it) whatever its
+/// size, and the ledger syncs once per sequential acknowledgement plus
+/// twice per batch (`Started`, `Finished`).
+#[test]
+fn update_batches_cost_two_journal_syncs_each() {
+    // (tasks, batch_max, expected batches): a batch of one, one batch of
+    // many, and several batches of many.
+    for (tasks, batch_max, batches) in [(1u64, 32, 1u64), (8, 32, 1), (8, 3, 3)] {
+        let dir = tmp_dir(&format!("syncs-{tasks}-{batch_max}"));
+        let shared = SharedSystem::new(two_issue_system());
+        let paras = para_oids(&shared);
+        let config = SchedulerConfig::builder()
+            .batch_max(batch_max)
+            .journal_dir(&dir)
+            .build();
+        let queue = TaskQueue::open(config.ledger_path().as_deref(), 64, 16).expect("ledger");
+        for i in 0..tasks {
+            queue
+                .enqueue(TaskKind::UpdateText {
+                    oid: paras[i as usize % paras.len()],
+                    text: format!("revised paragraph {i} on telnet sessions"),
+                    collections: vec!["collPara".into()],
+                })
+                .expect("enqueue");
+        }
+        let mut executor = TaskExecutor::new(shared, queue.clone(), config);
+        executor.drain();
+        let stats = queue.stats();
+        let journal_syncs = executor
+            .propagator("collPara")
+            .and_then(|prop| prop.journal())
+            .map(|journal| journal.syncs())
+            .expect("journaled propagator");
+        let case = format!("{tasks} tasks, batch_max {batch_max}");
+        assert_eq!(stats.succeeded, tasks, "{case}");
+        assert_eq!(stats.batches, batches, "{case}");
+        assert_eq!(
+            journal_syncs,
+            2 * batches,
+            "{case}: 2 journal syncs per batch"
+        );
+        assert_eq!(
+            stats.ledger_syncs,
+            tasks + 2 * batches,
+            "{case}: one ledger sync per ack, two per batch"
+        );
+        drop(executor);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// Task lifecycle events are observable through a running server: an
 /// enqueued write surfaces Enqueued → Started/Batched → Finished on a
 /// subscription opened before the write.
@@ -433,52 +484,11 @@ fn journaled_update_creates_collections_dir() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The deprecated synchronous write shapes still work end to end: they
-/// ride the task queue but block until execution and answer with the
-/// legacy response variants.
-#[test]
-#[allow(deprecated)]
-fn deprecated_write_shapes_still_block_and_answer() {
-    let server = Server::start(two_issue_system(), ServerConfig::default().read_workers(2));
-    let shared = server.system().clone();
-    let para = para_oids(&shared)[0];
-    let resp = server
-        .call(Request::UpdateText {
-            oid: para,
-            text: "quartz crystals resonate".into(),
-            collections: vec!["collPara".into()],
-        })
-        .expect("legacy update");
-    assert_eq!(resp, Response::Updated { collections: 1 });
-    let resp = server
-        .call(Request::IndexObjects {
-            collection: "collPara".into(),
-            spec_query: "ACCESS p FROM p IN PARA".into(),
-        })
-        .expect("legacy index");
-    assert!(matches!(resp, Response::Indexed { objects } if objects == 4));
-    // Blocking semantics: the update is visible immediately after the
-    // call returns, with no explicit wait.
-    let resp = server
-        .call(Request::IrsQuery {
-            collection: "collPara".into(),
-            query: "quartz".into(),
-        })
-        .expect("query");
-    let Response::IrsResult { hits, .. } = resp else {
-        panic!("wrong response variant");
-    };
-    assert_eq!(hits.len(), 1, "legacy write visible synchronously");
-    let snapshot = server.shutdown();
-    assert_eq!(snapshot.tasks_failed, 0);
-    assert!(snapshot.tasks_succeeded >= 2, "both writes became tasks");
-}
-
 /// Blocking writes racing a busy executor: a task becomes claimable only
-/// after its waiter, depth and `Enqueued` event are in place, so however
-/// fast the executor finishes it, every blocking caller is answered,
-/// each task's events arrive as `Enqueued` < `Started` < `Finished`, and
-/// the depth gauge never wraps below zero.
+/// after its depth and `Enqueued` event are in place, so however fast
+/// the executor finishes it, every writer waiting on its subscription
+/// sees the task finish, each task's events arrive as `Enqueued` <
+/// `Started` < `Finished`, and the depth gauge never wraps below zero.
 #[test]
 fn blocking_writes_against_a_busy_executor_resolve_in_order() {
     const WRITERS: usize = 4;
@@ -526,24 +536,30 @@ fn blocking_writes_against_a_busy_executor_resolve_in_order() {
             .map(|w| {
                 let (queue, paras) = (&queue, &paras);
                 scope.spawn(move || {
+                    // Subscribed before the first enqueue, so no
+                    // `Finished` of this writer's tasks can slip past.
+                    let finished = queue.subscribe();
                     let mut ids = Vec::with_capacity(EACH);
                     for i in 0..EACH {
-                        let (tx, rx) = mpsc::channel();
                         let kind = TaskKind::UpdateText {
                             oid: paras[(w + i) % paras.len()],
                             text: format!("stress writer {w} round {i}"),
                             collections: vec!["collPara".into()],
                         };
-                        let waiter = Box::new(move |result: coupling::Result<u64>| {
-                            let _ = tx.send(result.map_err(|e| e.to_string()));
-                        });
-                        let id = queue.enqueue_with_waiter(kind, waiter).expect("admitted");
-                        let outcome = rx
-                            .recv_timeout(Duration::from_secs(30))
-                            .expect("a blocking write was never answered");
-                        assert_eq!(outcome, Ok(1), "task {id}");
+                        let id = queue.enqueue(kind).expect("admitted");
+                        let ok = loop {
+                            match finished.recv_timeout(Duration::from_secs(30)) {
+                                Some(TaskEvent::Finished { id: done, ok }) if done == id => {
+                                    break ok
+                                }
+                                Some(_) => {}
+                                None => panic!("task {id} never finished"),
+                            }
+                        };
+                        assert!(ok, "task {id}");
                         ids.push(id);
                     }
+                    assert_eq!(finished.missed(), 0, "writer {w} missed no event");
                     ids
                 })
             })

@@ -171,10 +171,6 @@ fn task_filter_strategy() -> BoxedStrategy<TaskFilter> {
         .boxed()
 }
 
-// The deprecated synchronous write shapes stay in the strategy pool on
-// purpose: old clients still emit them, so the codec must keep
-// round-tripping them until the wire kinds are retired.
-#[allow(deprecated)]
 fn request_strategy() -> BoxedStrategy<Request> {
     let name = || "\\PC{0,20}";
     prop_oneof![
@@ -194,20 +190,6 @@ fn request_strategy() -> BoxedStrategy<Request> {
                 query,
                 oid: Oid(oid),
             }
-        }),
-        (
-            any::<u64>(),
-            "\\PC{0,40}",
-            prop::collection::vec("\\PC{0,12}".boxed(), 0..4)
-        )
-            .prop_map(|(oid, text, collections)| Request::UpdateText {
-                oid: Oid(oid),
-                text,
-                collections,
-            }),
-        (name(), name()).prop_map(|(collection, spec_query)| Request::IndexObjects {
-            collection,
-            spec_query,
         }),
         task_kind_strategy().prop_map(|kind| Request::EnqueueTask { kind }),
         any::<u64>().prop_map(|id| Request::TaskStatus { id }),
@@ -237,12 +219,6 @@ fn response_strategy() -> BoxedStrategy<Response> {
                 origin,
             }),
         (0.0..1.0f64).prop_map(Response::Value),
-        (0u64..1000).prop_map(|n| Response::Updated {
-            collections: n as usize
-        }),
-        (0u64..1000).prop_map(|n| Response::Indexed {
-            objects: n as usize
-        }),
         any::<u64>().prop_map(Response::TaskAccepted),
         task_strategy().prop_map(Response::TaskInfo),
         prop::collection::vec(task_strategy(), 0..4).prop_map(Response::TaskList),
