@@ -61,6 +61,7 @@ pub mod mixed;
 pub mod ops;
 pub mod partition;
 pub mod persist;
+mod pool;
 pub mod propagate;
 pub mod remote;
 pub mod retry;
@@ -86,7 +87,9 @@ pub use mixed::{
 pub use partition::{PartitionConfig, PartitionStats, PartitionedIrs};
 pub use persist::{journal_path, open_system, save_system, tasks_ledger_path};
 pub use propagate::{PendingOp, PropagationStrategy, Propagator};
-pub use remote::{RemoteConfig, RemoteIrs, RemoteStats, ReplicaHealth, ReplicaTransport};
+pub use remote::{
+    KeyedReply, RemoteConfig, RemoteIrs, RemoteStats, ReplicaHealth, ReplicaTransport, StatsReply,
+};
 pub use retry::{BreakerConfig, BreakerStats, CircuitBreaker, RetryPolicy, RetryStats};
 pub use shared::SharedSystem;
 pub use system::DocumentSystem;

@@ -13,7 +13,7 @@
 //! `n_docs`, `avg_doc_len`) that no partition knows alone; scoring each
 //! partition with its *local* statistics would make scores incomparable
 //! across partitions and the merged ranking diverge from a single-node
-//! index. A read therefore runs in two scatter legs:
+//! index. A cold read therefore runs in two scatter legs:
 //!
 //! 1. **Stats** — every partition reports its local
 //!    [`QueryGlobals`] for the query; the router sums them
@@ -34,24 +34,59 @@
 //! the merged result is **bit-identical** to single-node evaluation —
 //! the partition proptest in `tests/partition.rs` pins this.
 //!
+//! # Warm reads: one leg under epoch-checked statistics
+//!
+//! A frozen replica stamps its answers with its content **epoch**
+//! ([`irs::IrsCollection::epoch`]): equal epochs mean equal statistics.
+//! The router caches every stats-leg answer per partition under that
+//! epoch — the partition's counters and each term's `(df, max_tf)`, a
+//! term the partition lacks as `(0, 0)`. When every term of a query
+//! (compiled locally with the partitions' analyzer, [`irs::query_terms`])
+//! is cached for every partition, the router rebuilds each partition's
+//! [`QueryGlobals`] from the cache — the same integers leg 1 would
+//! return — and sends only leg 2. Every search answer's epoch must equal
+//! the epoch its statistics were cached under; a partition that answers
+//! under another epoch (reopened over a new snapshot, or a different
+//! replica) has its entry dropped and the read replays both legs. A
+//! replica refusing the supplied statistics is a miss too, not an error.
+//! Writable collections report epoch `0` and are never cached.
+//!
+//! The two-leg path checks epochs as well: a partition whose statistics
+//! and search answers come from different epochs (a hedge, failover or
+//! latency rotation between replicas during a rolling reopen) would
+//! score one snapshot's documents with another's `df`, so the read is
+//! replayed once and then fails as transient — never merged.
+//!
+//! Each leg waits on all partitions from the calling thread through
+//! [`crate::remote`]'s one fan-out loop; no thread is created per read.
+//!
 //! # Degradation
 //!
 //! A partial ranking silently missing one partition's documents would
 //! be indistinguishable from a correct answer, so it is never served:
-//! if any partition fails both scatter legs' hedging, the whole read
+//! if any partition fails a scatter leg's hedging, the whole read
 //! degrades — to the last merged result for the same `(collection,
 //! query)` (marked [`ResultOrigin::Stale`]), or to the partition's
 //! transient error when the store is cold.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use irs::QueryGlobals;
+use irs::analysis::Analyzer;
+use irs::{QueryGlobals, TermGlobals};
 use oodb::Oid;
+use parking_lot::RwLock;
 
 use crate::collection::ResultOrigin;
 use crate::error::{CouplingError, ErrorKind, Result};
-use crate::remote::{RemoteConfig, RemoteIrs, ReplicaTransport};
+use crate::remote::{
+    run_hedged, search_op, stats_op, KeyedReply, RemoteConfig, RemoteIrs, ReplicaTransport,
+    StatsReply,
+};
 use crate::stale::StaleStore;
+
+/// Terms cached per partition; a full entry is cleared and refilled.
+const CACHED_TERMS_PER_PARTITION: usize = 1 << 16;
 
 /// Tuning for a partitioned fan-out.
 #[derive(Debug, Clone, Default)]
@@ -80,6 +115,16 @@ pub struct PartitionStats {
     /// Requests that failed outright — a partition was down and no stale
     /// entry existed.
     pub exhausted: u64,
+    /// Statistics legs sent, each to every partition.
+    pub stats_legs: u64,
+    /// Reads answered by the search leg alone, on cached statistics.
+    pub one_leg_reads: u64,
+    /// Cached partition statistics dropped because a search answer came
+    /// from a different epoch.
+    pub cache_invalidations: u64,
+    /// Two-leg rounds in which a partition answered its statistics and
+    /// its search leg from different epochs (replayed once, then failed).
+    pub epoch_mismatches: u64,
 }
 
 #[derive(Default)]
@@ -88,6 +133,66 @@ struct Counters {
     scatter_failures: AtomicU64,
     stale_serves: AtomicU64,
     exhausted: AtomicU64,
+    stats_legs: AtomicU64,
+    one_leg_reads: AtomicU64,
+    cache_invalidations: AtomicU64,
+    epoch_mismatches: AtomicU64,
+}
+
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+/// What one partition's statistics answers said, under one epoch.
+struct CachedStats {
+    epoch: u64,
+    analyzer: Analyzer,
+    /// The partition's corpus counters, with no terms.
+    corpus: QueryGlobals,
+    /// Term → `(df, max_tf)`.
+    terms: HashMap<String, (u32, u32)>,
+}
+
+impl CachedStats {
+    fn new(reply: &StatsReply) -> CachedStats {
+        CachedStats {
+            epoch: reply.epoch,
+            analyzer: Analyzer::new(reply.analyzer.clone()),
+            corpus: QueryGlobals {
+                terms: Vec::new(),
+                ..reply.globals.clone()
+            },
+            terms: HashMap::new(),
+        }
+    }
+
+    fn absorb(&mut self, globals: &QueryGlobals) {
+        if self.terms.len() + globals.terms.len() > CACHED_TERMS_PER_PARTITION {
+            self.terms.clear();
+        }
+        for t in &globals.terms {
+            self.terms.insert(t.term.clone(), (t.df, t.max_tf));
+        }
+    }
+
+    /// The partition's statistics for `terms`, if all are cached.
+    fn globals(&self, terms: &[String]) -> Option<QueryGlobals> {
+        let terms = terms
+            .iter()
+            .map(|term| {
+                let &(df, max_tf) = self.terms.get(term)?;
+                Some(TermGlobals {
+                    term: term.clone(),
+                    df,
+                    max_tf,
+                })
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Some(QueryGlobals {
+            terms,
+            ..self.corpus.clone()
+        })
+    }
 }
 
 /// Scatter/gather router over N partition groups, each a [`RemoteIrs`]
@@ -95,6 +200,8 @@ struct Counters {
 /// policy).
 pub struct PartitionedIrs<T> {
     groups: Vec<RemoteIrs<T>>,
+    /// Per collection, one entry per partition in group order.
+    cache: RwLock<HashMap<String, Vec<Option<CachedStats>>>>,
     stale: StaleStore,
     counters: Counters,
 }
@@ -112,6 +219,7 @@ impl<T: ReplicaTransport> PartitionedIrs<T> {
                 .into_iter()
                 .map(|replicas| RemoteIrs::new(replicas, config.remote.clone()))
                 .collect(),
+            cache: RwLock::new(HashMap::new()),
             stale: StaleStore::new(capacity),
             counters: Counters::default(),
         }
@@ -135,11 +243,17 @@ impl<T: ReplicaTransport> PartitionedIrs<T> {
 
     /// Counter snapshot (monotonic since construction).
     pub fn stats(&self) -> PartitionStats {
+        let c = &self.counters;
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         PartitionStats {
-            requests: self.counters.requests.load(Ordering::Relaxed),
-            scatter_failures: self.counters.scatter_failures.load(Ordering::Relaxed),
-            stale_serves: self.counters.stale_serves.load(Ordering::Relaxed),
-            exhausted: self.counters.exhausted.load(Ordering::Relaxed),
+            requests: load(&c.requests),
+            scatter_failures: load(&c.scatter_failures),
+            stale_serves: load(&c.stale_serves),
+            exhausted: load(&c.exhausted),
+            stats_legs: load(&c.stats_legs),
+            one_leg_reads: load(&c.one_leg_reads),
+            cache_invalidations: load(&c.cache_invalidations),
+            epoch_mismatches: load(&c.epoch_mismatches),
         }
     }
 
@@ -161,16 +275,15 @@ impl<T: ReplicaTransport> PartitionedIrs<T> {
         query: &str,
         k: usize,
     ) -> Result<(Vec<(Oid, f64)>, ResultOrigin)> {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
+        bump(&self.counters.requests);
         match self.scatter_search(collection, query, k) {
             Ok(hits) => {
                 self.stale.put(collection, query, hits.clone());
                 Ok((hits, ResultOrigin::Fresh))
             }
-            Err(e) => self.degrade(collection, query, e).map(|hits| {
-                let v = hits.clone();
-                (v, ResultOrigin::Stale)
-            }),
+            Err(e) => self
+                .degrade(collection, query, e)
+                .map(|hits| (hits, ResultOrigin::Stale)),
         }
     }
 
@@ -184,7 +297,7 @@ impl<T: ReplicaTransport> PartitionedIrs<T> {
         query: &str,
         oid: Oid,
     ) -> Result<(f64, ResultOrigin)> {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
+        bump(&self.counters.requests);
         // No top-k cut: the object's exact score must survive the merge
         // wherever it ranks.
         match self.scatter_search(collection, query, usize::MAX) {
@@ -206,7 +319,8 @@ impl<T: ReplicaTransport> PartitionedIrs<T> {
             .unwrap_or(0.0)
     }
 
-    /// The two scatter legs plus the gather merge (module docs).
+    /// One scatter read (module docs): the search leg alone on cached
+    /// statistics, else both legs; then the gather merge.
     fn scatter_search(&self, collection: &str, query: &str, k: usize) -> Result<Vec<(Oid, f64)>> {
         if self.groups.is_empty() {
             return Err(CouplingError::Remote {
@@ -214,22 +328,14 @@ impl<T: ReplicaTransport> PartitionedIrs<T> {
                 message: "no partitions configured".into(),
             });
         }
-        // Leg 1: gather per-partition statistics and merge them.
-        let stats = self.collect(self.scatter(|g| g.term_stats(collection, query)))?;
-        let merged = QueryGlobals::merge(stats.iter()).ok_or_else(|| CouplingError::Remote {
-            // Permanent: partitions compiled different term lists for
-            // the same query (version/analyzer skew) — retrying or
-            // serving stale would mask real corruption.
-            kind: ErrorKind::Other,
-            message: "partitions returned mismatched query statistics".into(),
-        })?;
-        // Leg 2: every partition ranks under the merged globals.
-        let partials =
-            self.collect(self.scatter(|g| g.search_global(collection, query, k, &merged)))?;
+        let partials = match self.one_leg(collection, query, k) {
+            Some(partials) => partials?,
+            None => self.two_legs(collection, query, k)?,
+        };
 
         // Gather: merge with the engine's selection comparator (score
         // descending, ties by ascending key string), then cut to k.
-        let mut all: Vec<(String, f64)> = partials.into_iter().flatten().collect();
+        let mut all: Vec<(String, f64)> = partials.into_iter().flat_map(|r| r.hits).collect();
         all.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         // Partitions hold disjoint documents; dedup defensively anyway
         // (first occurrence = best-ranked survives).
@@ -248,27 +354,136 @@ impl<T: ReplicaTransport> PartitionedIrs<T> {
         Ok(hits)
     }
 
-    /// Run `op` against every partition group concurrently (one scoped
-    /// thread per group; each group's own hedging fans out further).
-    fn scatter<R, F>(&self, op: F) -> Vec<Result<R>>
-    where
-        R: Send,
-        F: Fn(&RemoteIrs<T>) -> Result<R> + Sync,
-    {
-        let op = &op;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self.groups.iter().map(|g| s.spawn(move || op(g))).collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(CouplingError::Remote {
-                            kind: ErrorKind::Other,
-                            message: "partition worker panicked".into(),
-                        })
-                    })
-                })
-                .collect()
+    /// The warm path: `None` when the statistics are not all cached, a
+    /// replica refused them, or an answer's epoch invalidated its entry —
+    /// the caller then runs both legs. `Some(Err)` is a transient failure
+    /// of the search leg, which degrades like any other.
+    fn one_leg(&self, collection: &str, query: &str, k: usize) -> Option<Result<Vec<KeyedReply>>> {
+        let (epochs, merged) = self.cached_globals(collection, query)?;
+        let replies = run_hedged(
+            self.groups
+                .iter()
+                .map(|g| (g, search_op(collection, query, k, merged.clone()))),
+        );
+        let mut stale_epoch = false;
+        for (p, reply) in replies.iter().enumerate() {
+            if let Ok(reply) = reply {
+                if reply.epoch != epochs[p] {
+                    stale_epoch = true;
+                    self.invalidate(collection, p, epochs[p]);
+                }
+            }
+        }
+        if replies
+            .iter()
+            .any(|r| matches!(r, Err(e) if !e.is_transient()))
+        {
+            return None;
+        }
+        let partials = match self.collect(replies) {
+            Ok(partials) => partials,
+            Err(e) => return Some(Err(e)),
+        };
+        if stale_epoch {
+            return None;
+        }
+        bump(&self.counters.one_leg_reads);
+        Some(Ok(partials))
+    }
+
+    /// Every partition's cached epoch and the merged statistics for
+    /// `query`, when every partition has every term cached under one
+    /// analyzer.
+    fn cached_globals(&self, collection: &str, query: &str) -> Option<(Vec<u64>, QueryGlobals)> {
+        let node = irs::parse_query(query).ok()?;
+        let cache = self.cache.read();
+        let cache = cache.get(collection)?;
+        let first = cache.first()?.as_ref()?;
+        let terms = irs::query_terms(&node, &first.analyzer)?;
+        let mut epochs = Vec::with_capacity(cache.len());
+        let mut parts = Vec::with_capacity(cache.len());
+        for entry in cache.iter() {
+            let entry = entry.as_ref()?;
+            if entry.analyzer.config() != first.analyzer.config() {
+                return None;
+            }
+            epochs.push(entry.epoch);
+            parts.push(entry.globals(&terms)?);
+        }
+        QueryGlobals::merge(&parts).map(|merged| (epochs, merged))
+    }
+
+    /// Drop partition `p`'s entry if it is still the one cached under
+    /// `epoch`.
+    fn invalidate(&self, collection: &str, p: usize, epoch: u64) {
+        let mut cache = self.cache.write();
+        let Some(entries) = cache.get_mut(collection) else {
+            return;
+        };
+        if entries[p].as_ref().is_some_and(|e| e.epoch == epoch) {
+            entries[p] = None;
+            bump(&self.counters.cache_invalidations);
+        }
+    }
+
+    /// Cache every epoch-stamped statistics answer.
+    fn fill(&self, collection: &str, replies: &[StatsReply]) {
+        if replies.iter().all(|r| r.epoch == 0) {
+            return;
+        }
+        let mut cache = self.cache.write();
+        let entries = cache
+            .entry(collection.to_string())
+            .or_insert_with(|| self.groups.iter().map(|_| None).collect());
+        for (entry, reply) in entries.iter_mut().zip(replies) {
+            if reply.epoch == 0 {
+                continue;
+            }
+            if entry.as_ref().is_none_or(|e| e.epoch != reply.epoch) {
+                *entry = Some(CachedStats::new(reply));
+            }
+            if let Some(e) = entry {
+                e.absorb(&reply.globals);
+            }
+        }
+    }
+
+    /// The cold path: the statistics leg, then the search leg under the
+    /// merged statistics. A partition whose two answers carry different
+    /// epochs replays the read once, then fails it as transient.
+    fn two_legs(&self, collection: &str, query: &str, k: usize) -> Result<Vec<KeyedReply>> {
+        for _ in 0..2 {
+            bump(&self.counters.stats_legs);
+            let stats = self.collect(run_hedged(
+                self.groups.iter().map(|g| (g, stats_op(collection, query))),
+            ))?;
+            self.fill(collection, &stats);
+            let merged =
+                QueryGlobals::merge(stats.iter().map(|s| &s.globals)).ok_or_else(|| {
+                    // Permanent: partitions compiled different term lists for
+                    // the same query (version/analyzer skew) — retrying or
+                    // serving stale would mask real corruption.
+                    CouplingError::Remote {
+                        kind: ErrorKind::Other,
+                        message: "partitions returned mismatched query statistics".into(),
+                    }
+                })?;
+            let partials = self.collect(run_hedged(
+                self.groups
+                    .iter()
+                    .map(|g| (g, search_op(collection, query, k, merged.clone()))),
+            ))?;
+            if stats.iter().zip(&partials).all(|(s, h)| s.epoch == h.epoch) {
+                return Ok(partials);
+            }
+            bump(&self.counters.epoch_mismatches);
+        }
+        bump(&self.counters.scatter_failures);
+        Err(CouplingError::Remote {
+            kind: ErrorKind::IrsDown,
+            message: "a partition answered the statistics and search legs from different \
+                      snapshots twice"
+                .into(),
         })
     }
 
@@ -286,17 +501,13 @@ impl<T: ReplicaTransport> PartitionedIrs<T> {
                     transient.get_or_insert(e);
                 }
                 Err(e) => {
-                    self.counters
-                        .scatter_failures
-                        .fetch_add(1, Ordering::Relaxed);
+                    bump(&self.counters.scatter_failures);
                     return Err(e);
                 }
             }
         }
         if let Some(e) = transient {
-            self.counters
-                .scatter_failures
-                .fetch_add(1, Ordering::Relaxed);
+            bump(&self.counters.scatter_failures);
             return Err(e);
         }
         Ok(ok)
@@ -310,11 +521,11 @@ impl<T: ReplicaTransport> PartitionedIrs<T> {
         }
         match self.stale.get(collection, query) {
             Some(hits) => {
-                self.counters.stale_serves.fetch_add(1, Ordering::Relaxed);
+                bump(&self.counters.stale_serves);
                 Ok(hits)
             }
             None => {
-                self.counters.exhausted.fetch_add(1, Ordering::Relaxed);
+                bump(&self.counters.exhausted);
                 Err(e)
             }
         }
@@ -324,24 +535,48 @@ impl<T: ReplicaTransport> PartitionedIrs<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irs::TermGlobals;
+    use irs::analysis::AnalyzerConfig;
+    use parking_lot::Mutex;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
-    /// Scripted fake partition: canned stats and a pre-ranked hit list.
+    /// Scripted fake partition: canned stats and a pre-ranked hit list,
+    /// served under a switchable epoch, with per-leg call counts.
     struct FakePartition {
         stats: QueryGlobals,
         hits: Vec<(String, f64)>,
         down: AtomicBool,
+        epoch: AtomicU64,
+        /// Search-leg calls to refuse as a replica refuses statistics
+        /// whose term list does not match the query.
+        refusals: AtomicU64,
+        stats_calls: AtomicU64,
+        search_calls: AtomicU64,
+        /// The statistics the last search leg was scored with.
+        last_globals: Mutex<Option<QueryGlobals>>,
     }
 
     impl FakePartition {
         fn up(stats: QueryGlobals, hits: Vec<(String, f64)>) -> Arc<Self> {
+            static NEXT_EPOCH: AtomicU64 = AtomicU64::new(1);
             Arc::new(FakePartition {
                 stats,
                 hits,
                 down: AtomicBool::new(false),
+                epoch: AtomicU64::new(NEXT_EPOCH.fetch_add(1, Ordering::Relaxed)),
+                refusals: AtomicU64::new(0),
+                stats_calls: AtomicU64::new(0),
+                search_calls: AtomicU64::new(0),
+                last_globals: Mutex::new(None),
             })
+        }
+
+        /// `(term_stats, search_global)` calls so far.
+        fn legs(&self) -> (u64, u64) {
+            (
+                self.stats_calls.load(Ordering::Relaxed),
+                self.search_calls.load(Ordering::Relaxed),
+            )
         }
 
         fn check(&self) -> Result<()> {
@@ -368,9 +603,14 @@ mod tests {
             self.check()
         }
 
-        fn term_stats(&self, _c: &str, _q: &str) -> Result<QueryGlobals> {
+        fn term_stats(&self, _c: &str, _q: &str) -> Result<StatsReply> {
+            self.stats_calls.fetch_add(1, Ordering::Relaxed);
             self.check()?;
-            Ok(self.stats.clone())
+            Ok(StatsReply {
+                globals: self.stats.clone(),
+                epoch: self.epoch.load(Ordering::Relaxed),
+                analyzer: AnalyzerConfig::default(),
+            })
         }
 
         fn search_global(
@@ -378,12 +618,26 @@ mod tests {
             _c: &str,
             _q: &str,
             k: usize,
-            _globals: &QueryGlobals,
-        ) -> Result<Vec<(String, f64)>> {
+            globals: &QueryGlobals,
+        ) -> Result<KeyedReply> {
+            self.search_calls.fetch_add(1, Ordering::Relaxed);
             self.check()?;
+            let refuse = self
+                .refusals
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
+            if refuse.is_ok() {
+                return Err(CouplingError::Remote {
+                    kind: ErrorKind::Parse,
+                    message: "mismatched term statistics".into(),
+                });
+            }
+            *self.last_globals.lock() = Some(globals.clone());
             let mut hits = self.hits.clone();
             hits.truncate(k);
-            Ok(hits)
+            Ok(KeyedReply {
+                hits,
+                epoch: self.epoch.load(Ordering::Relaxed),
+            })
         }
     }
 
@@ -502,6 +756,114 @@ mod tests {
         let err = r.search_top_k("coll", "www", 10).unwrap_err();
         assert!(!err.is_transient(), "statistics skew is not retryable");
         assert_eq!(err.kind(), ErrorKind::Other);
+    }
+
+    fn two_partitions() -> (Arc<FakePartition>, Arc<FakePartition>) {
+        (
+            FakePartition::up(stats_for(10, 2), vec![("oid:1".into(), 0.9)]),
+            FakePartition::up(stats_for(20, 1), vec![("oid:2".into(), 0.5)]),
+        )
+    }
+
+    #[test]
+    fn a_cold_read_sends_both_legs_and_a_warm_one_only_the_search_leg() {
+        let (a, b) = two_partitions();
+        let r = router(vec![Arc::clone(&a), Arc::clone(&b)]);
+        let (cold, _) = r.search_top_k("coll", "www", 5).unwrap();
+        assert_eq!((a.legs(), b.legs()), ((1, 1), (1, 1)), "cold: 1 + 1");
+        let leg_one = a.last_globals.lock().clone().unwrap();
+        let (warm, origin) = r.search_top_k("coll", "www", 5).unwrap();
+        assert_eq!((a.legs(), b.legs()), ((1, 2), (1, 2)), "warm: 0 + 1");
+        assert_eq!((warm, origin), (cold, ResultOrigin::Fresh));
+        assert_eq!(
+            a.last_globals.lock().clone().unwrap(),
+            leg_one,
+            "cached statistics are the integers leg 1 returned"
+        );
+        // getIRSValue shares the cache.
+        r.get_irs_value("coll", "www", Oid(2)).unwrap();
+        assert_eq!((a.legs(), b.legs()), ((1, 3), (1, 3)));
+        let s = r.stats();
+        assert_eq!((s.stats_legs, s.one_leg_reads), (1, 2));
+        assert_eq!((s.cache_invalidations, s.epoch_mismatches), (0, 0));
+    }
+
+    #[test]
+    fn warm_reads_spawn_no_threads() {
+        let (a, b) = two_partitions();
+        let r = router(vec![a, b]);
+        let spawned = |r: &PartitionedIrs<Arc<FakePartition>>| -> u64 {
+            r.groups().iter().map(|g| g.stats().threads_spawned).sum()
+        };
+        r.search_top_k("coll", "www", 5).unwrap();
+        let after_first = spawned(&r);
+        assert!(after_first >= 1);
+        for _ in 0..100 {
+            r.search_top_k("coll", "www", 5).unwrap();
+        }
+        assert_eq!(spawned(&r), after_first, "100 warm reads, 0 new threads");
+        assert_eq!(r.stats().one_leg_reads, 100);
+    }
+
+    #[test]
+    fn a_new_epoch_drops_the_entry_and_replays_both_legs() {
+        let (a, b) = two_partitions();
+        let r = router(vec![Arc::clone(&a), Arc::clone(&b)]);
+        let (before, _) = r.search_top_k("coll", "www", 5).unwrap();
+        // Partition b reopens over a new snapshot.
+        b.epoch.fetch_add(1000, Ordering::Relaxed);
+        let (after, origin) = r.search_top_k("coll", "www", 5).unwrap();
+        assert_eq!((after, origin), (before, ResultOrigin::Fresh));
+        assert_eq!(b.legs(), (2, 3), "speculative leg, then both legs");
+        let s = r.stats();
+        assert_eq!(
+            (s.cache_invalidations, s.stats_legs, s.one_leg_reads),
+            (1, 2, 0)
+        );
+        // The replay refilled the cache under the new epoch.
+        r.search_top_k("coll", "www", 5).unwrap();
+        assert_eq!(b.legs(), (2, 4));
+        assert_eq!(r.stats().one_leg_reads, 1);
+    }
+
+    #[test]
+    fn writable_partitions_are_never_cached() {
+        let (a, b) = two_partitions();
+        a.epoch.store(0, Ordering::Relaxed);
+        let r = router(vec![Arc::clone(&a), b]);
+        for _ in 0..3 {
+            r.search_top_k("coll", "www", 5).unwrap();
+        }
+        assert_eq!(a.legs(), (3, 3));
+        assert_eq!(r.stats().one_leg_reads, 0);
+    }
+
+    #[test]
+    fn refused_statistics_are_a_miss_not_an_error() {
+        let (a, b) = two_partitions();
+        let r = router(vec![a, Arc::clone(&b)]);
+        let (cold, _) = r.search_top_k("coll", "www", 5).unwrap();
+        b.refusals.store(1, Ordering::Relaxed);
+        let (hits, origin) = r.search_top_k("coll", "www", 5).unwrap();
+        assert_eq!((hits, origin), (cold, ResultOrigin::Fresh));
+        assert_eq!(b.legs(), (2, 3));
+        let s = r.stats();
+        assert_eq!((s.stats_legs, s.scatter_failures), (2, 0));
+    }
+
+    #[test]
+    fn a_warm_read_degrades_like_a_cold_one() {
+        let (a, b) = two_partitions();
+        let r = router(vec![a, Arc::clone(&b)]);
+        let (warm, _) = r.search_top_k("coll", "www", 5).unwrap();
+        b.down.store(true, Ordering::Relaxed);
+        let (hits, origin) = r.search_top_k("coll", "www", 5).unwrap();
+        assert_eq!((hits, origin), (warm, ResultOrigin::Stale));
+        let s = r.stats();
+        assert_eq!(
+            (s.stats_legs, s.scatter_failures, s.stale_serves),
+            (1, 1, 1)
+        );
     }
 
     #[test]

@@ -35,6 +35,20 @@
 //! [`RemoteStats`]; tests assert on those counters to prove hedges fire
 //! and breakers open when the fault plan says they must.
 //!
+//! # Threads
+//!
+//! Attempts run on the replica set's cached pool of attempt threads
+//! (`coupling::pool`): an idle worker takes the next attempt, and a
+//! thread is spawned only when none is idle, so a stalled attempt never
+//! delays a hedge. The read itself waits on the calling thread: the
+//! hedging policy is a per-read state machine (`Hedged`) that starts
+//! the primary, handles each attempt's outcome and names its next timer
+//! (hedge, backoff, deadline). One loop (`run_hedged`) drives any
+//! number of such reads over one channel, so a partitioned router waits
+//! on all of its partitions from the caller's thread, and a plain read
+//! is the same loop with one read. A warm replica set creates no thread
+//! per read ([`RemoteStats::threads_spawned`]).
+//!
 //! # Determinism and time
 //!
 //! Backoff between retry rounds uses [`RetryPolicy::backoff_for`]'s
@@ -49,13 +63,38 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
+use irs::analysis::AnalyzerConfig;
 use irs::QueryGlobals;
 use oodb::Oid;
 
 use crate::collection::ResultOrigin;
 use crate::error::{CouplingError, ErrorKind, Result};
+use crate::pool::AttemptPool;
 use crate::retry::{BreakerConfig, BreakerStats, CircuitBreaker, RetryPolicy};
 use crate::stale::StaleStore;
+
+/// One partition's answer to the statistics leg of scatter/gather,
+/// stamped with the content it was read from.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StatsReply {
+    /// The partition's corpus statistics for the query.
+    pub globals: QueryGlobals,
+    /// The replica's content epoch ([`irs::IrsCollection::epoch`]):
+    /// equal epochs mean equal statistics; `0` means "do not cache".
+    pub epoch: u64,
+    /// The analyzer the replica compiles queries with.
+    pub analyzer: AnalyzerConfig,
+}
+
+/// One partition's answer to the search leg of scatter/gather.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KeyedReply {
+    /// Raw `(IRS key, score)` pairs in the top-k engine's selection
+    /// order.
+    pub hits: Vec<(String, f64)>,
+    /// The content epoch the hits were ranked under.
+    pub epoch: u64,
+}
 
 /// A connection to one IRS replica.
 ///
@@ -81,7 +120,7 @@ pub trait ReplicaTransport: Send + Sync + 'static {
     /// ([`crate::partition::PartitionedIrs`]). The default errors
     /// permanently: transports predating partitioned serving simply do
     /// not participate, and the error must not trigger failover.
-    fn term_stats(&self, collection: &str, query: &str) -> Result<QueryGlobals> {
+    fn term_stats(&self, collection: &str, query: &str) -> Result<StatsReply> {
         let _ = (collection, query);
         Err(CouplingError::Remote {
             kind: ErrorKind::Other,
@@ -99,7 +138,7 @@ pub trait ReplicaTransport: Send + Sync + 'static {
         query: &str,
         k: usize,
         globals: &QueryGlobals,
-    ) -> Result<Vec<(String, f64)>> {
+    ) -> Result<KeyedReply> {
         let _ = (collection, query, k, globals);
         Err(CouplingError::Remote {
             kind: ErrorKind::Other,
@@ -163,6 +202,9 @@ pub struct RemoteStats {
     /// Requests that failed outright — all attempts failed and no stale
     /// entry existed.
     pub exhausted: u64,
+    /// Attempt threads started; attempts beyond these ran on reused
+    /// workers.
+    pub threads_spawned: u64,
 }
 
 /// Health snapshot of one replica (see [`RemoteIrs::health`]).
@@ -241,12 +283,17 @@ enum LaunchKind {
     Failover,
 }
 
+/// One attempt's result, tagged with the read (`slot`) it belongs to.
 struct Outcome<R> {
+    slot: usize,
     replica: usize,
     kind: LaunchKind,
     latency: Duration,
     result: Result<R>,
 }
+
+/// The call an attempt makes on a replica's transport.
+pub(crate) type AttemptOp<T, R> = Arc<dyn Fn(&T) -> Result<R> + Send + Sync>;
 
 #[derive(Default)]
 struct Counters {
@@ -267,6 +314,7 @@ pub struct RemoteIrs<T> {
     config: RemoteConfig,
     counters: Counters,
     stale: StaleStore,
+    pool: AttemptPool,
 }
 
 impl<T: ReplicaTransport> RemoteIrs<T> {
@@ -291,6 +339,7 @@ impl<T: ReplicaTransport> RemoteIrs<T> {
             config,
             counters: Counters::default(),
             stale,
+            pool: AttemptPool::default(),
         }
     }
 
@@ -314,6 +363,7 @@ impl<T: ReplicaTransport> RemoteIrs<T> {
             breaker_skips: self.counters.breaker_skips.load(Ordering::Relaxed),
             stale_serves: self.counters.stale_serves.load(Ordering::Relaxed),
             exhausted: self.counters.exhausted.load(Ordering::Relaxed),
+            threads_spawned: self.pool.spawned(),
         }
     }
 
@@ -369,7 +419,7 @@ impl<T: ReplicaTransport> RemoteIrs<T> {
         query: &str,
     ) -> Result<(Vec<(Oid, f64)>, ResultOrigin)> {
         let (c, q) = (collection.to_string(), query.to_string());
-        let outcome = self.hedged(move |t: &T| t.search(&c, &q));
+        let outcome = self.hedged(Arc::new(move |t: &T| t.search(&c, &q)));
         match outcome {
             Ok((hits, origin)) => {
                 self.stale.put(collection, query, hits.clone());
@@ -400,8 +450,9 @@ impl<T: ReplicaTransport> RemoteIrs<T> {
         oid: Oid,
     ) -> Result<(f64, ResultOrigin)> {
         let (c, q) = (collection.to_string(), query.to_string());
-        let outcome =
-            self.hedged(move |t: &T| t.value(&c, &q, oid).map(|v| (v, ResultOrigin::Fresh)));
+        let outcome = self.hedged(Arc::new(move |t: &T| {
+            t.value(&c, &q, oid).map(|v| (v, ResultOrigin::Fresh))
+        }));
         match outcome {
             Ok(v) => Ok(v),
             Err(e) if e.is_transient() => match self.stale.get(collection, query) {
@@ -430,8 +481,8 @@ impl<T: ReplicaTransport> RemoteIrs<T> {
     /// the merged-result level ([`crate::partition::PartitionedIrs`])
     /// instead.
     pub fn term_stats(&self, collection: &str, query: &str) -> Result<QueryGlobals> {
-        let (c, q) = (collection.to_string(), query.to_string());
-        self.hedged(move |t: &T| t.term_stats(&c, &q))
+        self.hedged(stats_op(collection, query))
+            .map(|reply| reply.globals)
     }
 
     /// Hedged globally-scored ranked retrieval (the gather leg of
@@ -445,8 +496,8 @@ impl<T: ReplicaTransport> RemoteIrs<T> {
         k: usize,
         globals: &QueryGlobals,
     ) -> Result<Vec<(String, f64)>> {
-        let (c, q, g) = (collection.to_string(), query.to_string(), globals.clone());
-        self.hedged(move |t: &T| t.search_global(&c, &q, k, &g))
+        self.hedged(search_op(collection, query, k, globals.clone()))
+            .map(|reply| reply.hits)
     }
 
     /// Candidate order for the next round: breaker-closed replicas
@@ -462,15 +513,22 @@ impl<T: ReplicaTransport> RemoteIrs<T> {
         order.into()
     }
 
-    /// The hedging engine. Launches attempts per the module-level
-    /// policy; returns the first success, a permanent error as soon as
-    /// one is seen, or the last transient error once attempts are
-    /// exhausted.
-    fn hedged<R, F>(&self, op: F) -> Result<R>
-    where
-        R: Send + 'static,
-        F: Fn(&T) -> Result<R> + Send + Sync + 'static,
-    {
+    /// One hedged read on this replica set, driven to completion on the
+    /// calling thread.
+    fn hedged<R: Send + 'static>(&self, op: AttemptOp<T, R>) -> Result<R> {
+        run_hedged([(self, op)])
+            .pop()
+            .expect("one read, one result")
+    }
+
+    /// Start a hedged read: count it and launch the primary. `Err` when
+    /// it is over before it began (no replicas, every breaker open).
+    fn begin<R: Send + 'static>(
+        &self,
+        slot: usize,
+        op: AttemptOp<T, R>,
+        tx: mpsc::Sender<Outcome<R>>,
+    ) -> Result<Hedged<'_, T, R>> {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
         if self.replicas.is_empty() {
             return Err(CouplingError::Remote {
@@ -478,79 +536,24 @@ impl<T: ReplicaTransport> RemoteIrs<T> {
                 message: "no replicas configured".into(),
             });
         }
-
         let started = Instant::now();
-        let deadline = started + self.config.hedge_delay + self.config.attempt_timeout;
-        let op: Arc<F> = Arc::new(op);
-        let (tx, rx) = mpsc::channel::<Outcome<R>>();
-
-        let mut queue = self.ranked();
-        let mut launches: u32 = 0;
-        let mut in_flight: usize = 0;
-        // Replicas with an attempt still outstanding; charged a breaker
-        // failure if we abandon them at the deadline, so a black-holed
-        // replica trips open even though its socket never errors.
-        let mut outstanding: Vec<usize> = Vec::new();
-        let mut round: u32 = 0;
-        let mut hedge_armed = true;
-        let hedge_due = started + self.config.hedge_delay;
-        let mut last_err: Option<CouplingError> = None;
-
-        // Launch the next breaker-admitted candidate from `queue`.
-        // Returns true if an attempt started.
-        let launch = |queue: &mut VecDeque<usize>,
-                      kind: LaunchKind,
-                      launches: &mut u32,
-                      in_flight: &mut usize,
-                      outstanding: &mut Vec<usize>|
-         -> bool {
-            while let Some(i) = queue.pop_front() {
-                if *launches >= self.config.max_attempts {
-                    return false;
-                }
-                if self.replicas[i].breaker.try_acquire().is_err() {
-                    self.counters.breaker_skips.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                *launches += 1;
-                *in_flight += 1;
-                outstanding.push(i);
-                match kind {
-                    LaunchKind::Hedge => {
-                        self.counters.hedges_fired.fetch_add(1, Ordering::Relaxed);
-                    }
-                    LaunchKind::Failover => {
-                        self.counters.failovers.fetch_add(1, Ordering::Relaxed);
-                    }
-                    LaunchKind::Primary => {}
-                }
-                let replica = Arc::clone(&self.replicas[i]);
-                let op = Arc::clone(&op);
-                let tx = tx.clone();
-                std::thread::spawn(move || {
-                    let t0 = Instant::now();
-                    let result = op(&replica.transport);
-                    // The receiver may be gone (request already won or
-                    // abandoned); a dead letter is fine.
-                    let _ = tx.send(Outcome {
-                        replica: i,
-                        kind,
-                        latency: t0.elapsed(),
-                        result,
-                    });
-                });
-                return true;
-            }
-            false
+        let mut read = Hedged {
+            remote: self,
+            slot,
+            op,
+            tx,
+            started,
+            deadline: started + self.config.hedge_delay + self.config.attempt_timeout,
+            hedge_due: Some(started + self.config.hedge_delay),
+            resume_at: None,
+            queue: self.ranked(),
+            launches: 0,
+            in_flight: 0,
+            outstanding: Vec::new(),
+            round: 0,
+            last_err: None,
         };
-
-        if !launch(
-            &mut queue,
-            LaunchKind::Primary,
-            &mut launches,
-            &mut in_flight,
-            &mut outstanding,
-        ) {
+        if !read.launch(LaunchKind::Primary) {
             // Every replica's breaker is open: fail fast, stale fallback
             // (in the caller) is the only remaining defence.
             return Err(CouplingError::Remote {
@@ -558,115 +561,272 @@ impl<T: ReplicaTransport> RemoteIrs<T> {
                 message: "all replica circuit breakers open".into(),
             });
         }
+        Ok(read)
+    }
+}
 
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
+/// The statistics-leg call, owning its arguments.
+pub(crate) fn stats_op<T: ReplicaTransport>(
+    collection: &str,
+    query: &str,
+) -> AttemptOp<T, StatsReply> {
+    let (c, q) = (collection.to_string(), query.to_string());
+    Arc::new(move |t: &T| t.term_stats(&c, &q))
+}
+
+/// The search-leg call, owning its arguments.
+pub(crate) fn search_op<T: ReplicaTransport>(
+    collection: &str,
+    query: &str,
+    k: usize,
+    globals: QueryGlobals,
+) -> AttemptOp<T, KeyedReply> {
+    let (c, q) = (collection.to_string(), query.to_string());
+    Arc::new(move |t: &T| t.search_global(&c, &q, k, &globals))
+}
+
+/// One hedged read in flight: the hedging policy of the module docs as
+/// a state machine. [`Hedged::on_outcome`] and [`Hedged::on_timer`]
+/// advance it and return the result once it is decided;
+/// [`Hedged::next_timer`] says when it next needs a timer.
+struct Hedged<'a, T, R> {
+    remote: &'a RemoteIrs<T>,
+    slot: usize,
+    op: AttemptOp<T, R>,
+    tx: mpsc::Sender<Outcome<R>>,
+    started: Instant,
+    deadline: Instant,
+    /// When the hedge launches; `None` once it has.
+    hedge_due: Option<Instant>,
+    /// End of the backoff after an exhausted round, if in one.
+    resume_at: Option<Instant>,
+    /// Candidates of the current round.
+    queue: VecDeque<usize>,
+    launches: u32,
+    in_flight: usize,
+    /// Replicas with an attempt still outstanding; charged a breaker
+    /// failure if the read gives up on them at the deadline, so a
+    /// black-holed replica trips open even though its socket never
+    /// errors.
+    outstanding: Vec<usize>,
+    round: u32,
+    last_err: Option<CouplingError>,
+}
+
+impl<T: ReplicaTransport, R: Send + 'static> Hedged<'_, T, R> {
+    /// Launch the next breaker-admitted candidate of the round on the
+    /// attempt pool. Returns true if an attempt started.
+    fn launch(&mut self, kind: LaunchKind) -> bool {
+        let remote = self.remote;
+        while let Some(i) = self.queue.pop_front() {
+            if self.launches >= remote.config.max_attempts {
+                return false;
             }
-            let wait = if hedge_armed && hedge_due > now {
-                hedge_due - now
-            } else {
-                deadline - now
-            };
-            if hedge_armed && hedge_due <= now {
-                hedge_armed = false;
-                launch(
-                    &mut queue,
-                    LaunchKind::Hedge,
-                    &mut launches,
-                    &mut in_flight,
-                    &mut outstanding,
-                );
+            if remote.replicas[i].breaker.try_acquire().is_err() {
+                remote
+                    .counters
+                    .breaker_skips
+                    .fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            match rx.recv_timeout(wait) {
-                Ok(outcome) => {
-                    in_flight -= 1;
-                    outstanding.retain(|&r| r != outcome.replica);
-                    let rep = &self.replicas[outcome.replica];
-                    match outcome.result {
-                        Ok(v) => {
-                            rep.breaker.on_success();
-                            rep.record_success(outcome.latency);
-                            if outcome.kind != LaunchKind::Primary {
-                                self.counters.hedge_wins.fetch_add(1, Ordering::Relaxed);
-                            }
-                            let elapsed = started.elapsed();
-                            for &slow in &outstanding {
-                                self.replicas[slow].record_abandon(elapsed);
-                            }
-                            return Ok(v);
-                        }
-                        Err(e) if e.is_transient() => {
-                            rep.record_failure();
-                            last_err = Some(e);
-                            // Fast failover: don't wait for the hedge
-                            // timer, move on immediately.
-                            let started_one = launch(
-                                &mut queue,
-                                LaunchKind::Failover,
-                                &mut launches,
-                                &mut in_flight,
-                                &mut outstanding,
-                            );
-                            if !started_one && in_flight == 0 {
-                                // Round exhausted with nothing in the
-                                // air: back off, re-rank, go again —
-                                // breakers opened this round now sort
-                                // (and are skipped) accordingly.
-                                if launches >= self.config.max_attempts {
-                                    break;
-                                }
-                                round += 1;
-                                let backoff = self.config.retry.backoff_for(round);
-                                if Instant::now() + backoff >= deadline {
-                                    break;
-                                }
-                                std::thread::sleep(backoff);
-                                queue = self.ranked();
-                                if !launch(
-                                    &mut queue,
-                                    LaunchKind::Failover,
-                                    &mut launches,
-                                    &mut in_flight,
-                                    &mut outstanding,
-                                ) {
-                                    break;
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            // Permanent (parse error, unknown name,
-                            // read-only write): the request itself is at
-                            // fault; no failover, no breaker penalty.
-                            return Err(e);
-                        }
-                    }
+            self.launches += 1;
+            self.in_flight += 1;
+            self.outstanding.push(i);
+            match kind {
+                LaunchKind::Hedge => {
+                    remote.counters.hedges_fired.fetch_add(1, Ordering::Relaxed);
                 }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    // Either the hedge timer or the deadline; the top of
-                    // the loop disambiguates.
-                    continue;
+                LaunchKind::Failover => {
+                    remote.counters.failovers.fetch_add(1, Ordering::Relaxed);
                 }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                LaunchKind::Primary => {}
+            }
+            let replica = Arc::clone(&remote.replicas[i]);
+            let op = Arc::clone(&self.op);
+            let tx = self.tx.clone();
+            let slot = self.slot;
+            remote.pool.execute(move || {
+                let t0 = Instant::now();
+                let result = op(&replica.transport);
+                let latency = t0.elapsed();
+                Box::new(move || {
+                    // The receiver may be gone (the read already won or
+                    // gave up); a dead letter is fine.
+                    let _ = tx.send(Outcome {
+                        slot,
+                        replica: i,
+                        kind,
+                        latency,
+                        result,
+                    });
+                })
+            });
+            return true;
+        }
+        false
+    }
+
+    /// When this read next needs [`Hedged::on_timer`].
+    fn next_timer(&self) -> Instant {
+        match (self.resume_at, self.hedge_due) {
+            (Some(resume), _) => resume,
+            (None, Some(hedge)) => hedge.min(self.deadline),
+            (None, None) => self.deadline,
+        }
+    }
+
+    /// A timer fired: end a backoff, give up at the deadline, or launch
+    /// the hedge.
+    fn on_timer(&mut self, now: Instant) -> Option<Result<R>> {
+        if let Some(resume) = self.resume_at {
+            if now < resume {
+                return None;
+            }
+            // Backoff over: re-rank — breakers opened last round now
+            // sort (and are skipped) accordingly — and go again.
+            self.resume_at = None;
+            self.queue = self.remote.ranked();
+            if !self.launch(LaunchKind::Failover) {
+                return Some(self.give_up());
             }
         }
-
-        // Deadline (or attempts) exhausted. Attempts still in the air are
-        // abandoned; charge their replicas so stalled-but-open sockets
-        // (black holes) trip breakers and stop being ranked.
-        for &i in &outstanding {
-            self.replicas[i].record_failure();
+        if now >= self.deadline {
+            return Some(self.give_up());
         }
-        Err(last_err.unwrap_or_else(|| CouplingError::Remote {
-            kind: ErrorKind::Timeout,
-            message: format!(
-                "no replica answered within {:?}",
-                self.config.hedge_delay + self.config.attempt_timeout
-            ),
-        }))
+        if self.hedge_due.is_some_and(|due| due <= now) {
+            self.hedge_due = None;
+            self.launch(LaunchKind::Hedge);
+        }
+        None
     }
+
+    /// An attempt of this read finished.
+    fn on_outcome(&mut self, outcome: Outcome<R>) -> Option<Result<R>> {
+        let remote = self.remote;
+        self.in_flight -= 1;
+        self.outstanding.retain(|&r| r != outcome.replica);
+        let rep = &remote.replicas[outcome.replica];
+        match outcome.result {
+            Ok(v) => {
+                rep.breaker.on_success();
+                rep.record_success(outcome.latency);
+                if outcome.kind != LaunchKind::Primary {
+                    remote.counters.hedge_wins.fetch_add(1, Ordering::Relaxed);
+                }
+                let elapsed = self.started.elapsed();
+                for &slow in &self.outstanding {
+                    remote.replicas[slow].record_abandon(elapsed);
+                }
+                Some(Ok(v))
+            }
+            Err(e) if e.is_transient() => {
+                rep.record_failure();
+                self.last_err = Some(e);
+                // Fast failover: don't wait for the hedge timer, move on
+                // immediately.
+                if !self.launch(LaunchKind::Failover) && self.in_flight == 0 {
+                    // Round exhausted with nothing in the air: back off,
+                    // then re-rank and go again (see `on_timer`).
+                    if self.launches >= remote.config.max_attempts {
+                        return Some(self.give_up());
+                    }
+                    self.round += 1;
+                    let backoff = remote.config.retry.backoff_for(self.round);
+                    let now = Instant::now();
+                    if now + backoff >= self.deadline {
+                        return Some(self.give_up());
+                    }
+                    self.resume_at = Some(now + backoff);
+                }
+                None
+            }
+            // Permanent (parse error, unknown name, read-only write): the
+            // request itself is at fault; no failover, no breaker
+            // penalty.
+            Err(e) => Some(Err(e)),
+        }
+    }
+
+    /// Deadline (or attempts) exhausted. Attempts still in the air are
+    /// abandoned; charge their replicas so stalled-but-open sockets
+    /// (black holes) trip breakers and stop being ranked.
+    fn give_up(&mut self) -> Result<R> {
+        let remote = self.remote;
+        for &i in &self.outstanding {
+            remote.replicas[i].record_failure();
+        }
+        Err(self
+            .last_err
+            .take()
+            .unwrap_or_else(|| CouplingError::Remote {
+                kind: ErrorKind::Timeout,
+                message: format!(
+                    "no replica answered within {:?}",
+                    remote.config.hedge_delay + remote.config.attempt_timeout
+                ),
+            }))
+    }
+}
+
+/// Run one hedged read per `(replica set, call)` pair at once and wait
+/// for all of them on the calling thread: the attempts run on each
+/// set's pool and report over one channel, and the loop sleeps until
+/// the next outcome or the earliest timer of any read. Results come
+/// back in input order.
+pub(crate) fn run_hedged<'a, T, R>(
+    reads: impl IntoIterator<Item = (&'a RemoteIrs<T>, AttemptOp<T, R>)>,
+) -> Vec<Result<R>>
+where
+    T: ReplicaTransport,
+    R: Send + 'static,
+{
+    let (tx, rx) = mpsc::channel();
+    let mut live = Vec::new();
+    let mut done = Vec::new();
+    for (slot, (remote, op)) in reads.into_iter().enumerate() {
+        match remote.begin(slot, op, tx.clone()) {
+            Ok(read) => {
+                live.push(Some(read));
+                done.push(None);
+            }
+            Err(e) => {
+                live.push(None);
+                done.push(Some(Err(e)));
+            }
+        }
+    }
+    drop(tx);
+    loop {
+        let now = Instant::now();
+        let mut wake: Option<Instant> = None;
+        for (slot, entry) in live.iter_mut().enumerate() {
+            let Some(read) = entry else { continue };
+            if read.next_timer() <= now {
+                if let Some(result) = read.on_timer(now) {
+                    done[slot] = Some(result);
+                    *entry = None;
+                    continue;
+                }
+            }
+            let at = read.next_timer();
+            wake = Some(wake.map_or(at, |w| w.min(at)));
+        }
+        let Some(wake) = wake else { break };
+        // Every live read holds a sender, so the channel cannot close
+        // while one waits; a finished read's late outcome is dropped.
+        if let Ok(outcome) = rx.recv_timeout(wake.saturating_duration_since(now)) {
+            let slot = outcome.slot;
+            if let Some(read) = live[slot].as_mut() {
+                if let Some(result) = read.on_outcome(outcome) {
+                    done[slot] = Some(result);
+                    live[slot] = None;
+                }
+            }
+        }
+    }
+    done.into_iter()
+        .map(|r| r.expect("every read finished"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -1022,6 +1182,45 @@ mod tests {
             "stalled replica must rank last, got EWMA {ewma}"
         );
         assert_eq!(rep.wins.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn sequential_reads_reuse_the_attempt_threads() {
+        let remote = engine(
+            vec![FakeReplica::healthy(hits()), FakeReplica::healthy(hits())],
+            fast_config(),
+        );
+        remote.search_top_k("coll", "telnet").unwrap();
+        assert_eq!(remote.stats().threads_spawned, 1);
+        for _ in 0..100 {
+            remote.search_top_k("coll", "telnet").unwrap();
+        }
+        assert_eq!(remote.stats().threads_spawned, 1, "no thread per read");
+    }
+
+    #[test]
+    fn one_loop_hedges_each_read_on_its_own_timers() {
+        // Two replica sets waited on together: the first answers at once,
+        // the second's primary stalls and its hedge wins. Neither read
+        // waits for the other's timers.
+        let quick = engine(vec![FakeReplica::healthy(hits())], fast_config());
+        let slow = FakeReplica::healthy(hits());
+        *slow.delay.lock() = Duration::from_millis(200);
+        let hedged = engine(vec![slow, FakeReplica::healthy(hits())], fast_config());
+        let op: AttemptOp<Arc<FakeReplica>, Vec<(Oid, f64)>> =
+            Arc::new(|t: &Arc<FakeReplica>| t.search("coll", "telnet").map(|(h, _)| h));
+        let started = Instant::now();
+        let results = run_hedged([(&quick, Arc::clone(&op)), (&hedged, op)]);
+        assert!(started.elapsed() < Duration::from_millis(180));
+        assert_eq!(results.len(), 2);
+        for r in results {
+            assert_eq!(r.unwrap(), hits());
+        }
+        assert_eq!(quick.stats().hedges_fired, 0);
+        assert_eq!(
+            (hedged.stats().hedges_fired, hedged.stats().hedge_wins),
+            (1, 1)
+        );
     }
 
     #[test]

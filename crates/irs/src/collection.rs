@@ -193,6 +193,22 @@ pub struct IrsCollection {
     /// Read replicas set this after loading a saved index so a stray
     /// write request can never fork a replica's state from its primary.
     read_only: bool,
+    /// Identity of the frozen content; `0` means none (see
+    /// [`IrsCollection::epoch`]).
+    epoch: u64,
+}
+
+/// A process-unique, non-zero epoch for content frozen in memory:
+/// the clock, the process id and a counter, mixed, so two processes
+/// freezing different content do not collide.
+fn fresh_epoch() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    let nanos = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_nanos() as u64);
+    let seed = nanos ^ u64::from(std::process::id()).rotate_left(32);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    crate::fault::splitmix64(seed ^ crate::fault::splitmix64(n)).max(1)
 }
 
 impl IrsCollection {
@@ -208,6 +224,7 @@ impl IrsCollection {
             stats: WorkCounters::default(),
             fault: None,
             read_only: false,
+            epoch: 0,
         }
     }
 
@@ -215,9 +232,28 @@ impl IrsCollection {
     /// every mutating operation fails with [`IrsError::ReadOnly`] and the
     /// index keeps serving the loaded snapshot unchanged. Read replicas
     /// set this after loading a saved index so a stray write request can
-    /// never fork a replica's state from its primary.
+    /// never fork a replica's state from its primary. Freezing content
+    /// that has no epoch yet gives it a fresh one.
     pub fn set_read_only(&mut self, read_only: bool) {
         self.read_only = read_only;
+        if read_only && self.epoch == 0 {
+            self.epoch = fresh_epoch();
+        }
+    }
+
+    /// The identity of the content this collection serves: equal epochs
+    /// mean equal statistics for every query, so a router may cache a
+    /// partition's term statistics under it. A loaded snapshot's epoch
+    /// is derived from its verified bytes ([`crate::persist`]), so two
+    /// replicas opened from one directory agree; content frozen in
+    /// memory gets a process-unique one. Any mutation clears it, and a
+    /// writable collection always reports `0` — "never cache".
+    pub fn epoch(&self) -> u64 {
+        if self.read_only {
+            self.epoch
+        } else {
+            0
+        }
     }
 
     /// True while the collection refuses mutation.
@@ -225,13 +261,16 @@ impl IrsCollection {
         self.read_only
     }
 
-    /// Guard at the top of every mutating operation.
-    fn check_writable(&self) -> Result<()> {
+    /// Guard at the top of every document mutation: refuse while
+    /// read-only, consult the fault plan, and forget the content epoch.
+    fn begin_mutation(&mut self) -> Result<()> {
         if self.read_only {
             return Err(IrsError::ReadOnly(
                 "collection serves a frozen replica snapshot".into(),
             ));
         }
+        self.check_fault()?;
+        self.epoch = 0;
         Ok(())
     }
 
@@ -287,8 +326,7 @@ impl IrsCollection {
 
     /// Add a document under `key` (in the coupling: the object's OID).
     pub fn add_document(&mut self, key: &str, text: &str) -> Result<DocId> {
-        self.check_writable()?;
-        self.check_fault()?;
+        self.begin_mutation()?;
         WorkCounters::bump(&self.stats.adds);
         self.index.add_document(key, text)
     }
@@ -297,8 +335,7 @@ impl IrsCollection {
     /// across worker threads before merging into the index. All-or-nothing
     /// on duplicate keys.
     pub fn add_documents(&mut self, docs: &[(String, String)]) -> Result<Vec<DocId>> {
-        self.check_writable()?;
-        self.check_fault()?;
+        self.begin_mutation()?;
         let ids = self.index.index_documents(docs)?;
         self.stats
             .adds
@@ -308,16 +345,14 @@ impl IrsCollection {
 
     /// Delete the document stored under `key`.
     pub fn delete_document(&mut self, key: &str) -> Result<DocId> {
-        self.check_writable()?;
-        self.check_fault()?;
+        self.begin_mutation()?;
         WorkCounters::bump(&self.stats.deletes);
         self.index.delete_document(key)
     }
 
     /// Replace the document stored under `key`.
     pub fn update_document(&mut self, key: &str, text: &str) -> Result<DocId> {
-        self.check_writable()?;
-        self.check_fault()?;
+        self.begin_mutation()?;
         WorkCounters::bump(&self.stats.deletes);
         WorkCounters::bump(&self.stats.adds);
         self.index.update_document(key, text)
@@ -342,8 +377,7 @@ impl IrsCollection {
     /// [`IrsCollection::commit`].
     pub fn maybe_merge(&mut self) -> Option<MergeStats> {
         if self.index.with_store(|s| s.tombstone_ratio()) > 0.2 {
-            WorkCounters::bump(&self.stats.merges);
-            Some(self.index.merge())
+            Some(self.force_merge())
         } else {
             None
         }
@@ -358,6 +392,7 @@ impl IrsCollection {
     /// Force a full compaction regardless of tombstone ratio.
     pub fn force_merge(&mut self) -> MergeStats {
         WorkCounters::bump(&self.stats.merges);
+        self.epoch = 0;
         self.index.merge()
     }
 
@@ -511,14 +546,16 @@ impl IrsCollection {
     }
 
     /// Internal constructor used by native per-shard persistence: the
-    /// index arrives already sharded, no re-partitioning.
-    pub(crate) fn from_sharded(config: CollectionConfig, index: ShardedIndex) -> Self {
+    /// index arrives already sharded, no re-partitioning, stamped with
+    /// the snapshot's `epoch` (see [`IrsCollection::epoch`]).
+    pub(crate) fn from_sharded(config: CollectionConfig, index: ShardedIndex, epoch: u64) -> Self {
         IrsCollection {
             config,
             index,
             stats: WorkCounters::default(),
             fault: None,
             read_only: false,
+            epoch,
         }
     }
 }
@@ -668,6 +705,31 @@ mod tests {
         // Thawing restores writability.
         c.set_read_only(false);
         assert!(c.add_document("p9", "fresh text").is_ok());
+    }
+
+    #[test]
+    fn frozen_content_gets_an_epoch_and_mutation_clears_it() {
+        let mut a = populated(ModelKind::default());
+        let mut b = populated(ModelKind::default());
+        assert_eq!(a.epoch(), 0);
+        a.set_read_only(true);
+        b.set_read_only(true);
+        let first = a.epoch();
+        assert_ne!(first, 0);
+        assert_ne!(first, b.epoch(), "each freeze in memory is unique");
+        // Thawing hides the epoch; refreezing unchanged content keeps it.
+        a.set_read_only(false);
+        assert_eq!(a.epoch(), 0);
+        a.set_read_only(true);
+        assert_eq!(a.epoch(), first);
+        // Any mutation (a merge included) forgets it.
+        a.set_read_only(false);
+        a.delete_document("p1").unwrap();
+        a.set_read_only(true);
+        let second = a.epoch();
+        assert_ne!(second, first);
+        a.force_merge();
+        assert_eq!(a.epoch(), 0);
     }
 
     #[test]

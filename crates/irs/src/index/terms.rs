@@ -388,7 +388,7 @@ mod proptests {
             shards: index.shard_count() + 1,
             ..CollectionConfig::default()
         };
-        save_collection(&IrsCollection::from_sharded(config, index), path).unwrap();
+        save_collection(&IrsCollection::from_sharded(config, index, 0), path).unwrap();
         load_collection(path).unwrap().sharded_index().clone()
     }
 

@@ -59,5 +59,5 @@ pub use model::{
 };
 pub use query::{
     collect_globals, evaluate_top_k, evaluate_top_k_with_globals, evaluate_top_k_with_strategy,
-    parse_query, PruneStrategy, QueryGlobals, QueryNode, TermGlobals,
+    parse_query, query_terms, PruneStrategy, QueryGlobals, QueryNode, TermGlobals,
 };

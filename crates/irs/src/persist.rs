@@ -36,12 +36,14 @@
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use storage::{atomic_write, read_varint, read_verified, write_varint};
+use storage::{atomic_write, read_varint, read_verified_with_crc, write_varint};
 
 use crate::analysis::{Analyzer, AnalyzerConfig};
 use crate::collection::{CollectionConfig, IrsCollection};
 use crate::error::{IrsError, Result};
+use crate::fault::splitmix64;
 use crate::index::{DocId, DocStore, PostingsList, ShardedIndex, TermTable};
 use crate::model::{Bm25Model, InferenceModel, ModelKind, VectorModel};
 
@@ -412,10 +414,15 @@ pub fn save_collection(coll: &IrsCollection, path: &Path) -> Result<()> {
 
 /// Load a snapshot directory written by [`save_collection`]: parse the
 /// manifest, read and decode the current generation's shard files in
-/// parallel, and reconstruct the sharded index without re-partitioning
+/// parallel (at most one worker per available CPU, whatever the manifest
+/// declares), and reconstruct the sharded index without re-partitioning
 /// (unless the effective shard count changed, in which case terms are
 /// re-hashed). A regular file at `path` is a flat single-file snapshot,
 /// which is refused with [`IrsError::CorruptIndex`].
+///
+/// The collection's [`IrsCollection::epoch`] is derived from the verified
+/// bytes — the generation and the CRC-32 of the manifest and of every
+/// shard file — so every load of one snapshot gets the same epoch.
 pub fn load_collection(path: &Path) -> Result<IrsCollection> {
     if path.is_file() {
         return Err(IrsError::CorruptIndex(format!(
@@ -424,7 +431,7 @@ pub fn load_collection(path: &Path) -> Result<IrsCollection> {
             path.display()
         )));
     }
-    let buf = read_verified(&path.join(MANIFEST_NAME))?;
+    let (buf, manifest_crc) = read_verified_with_crc(&path.join(MANIFEST_NAME))?;
     let mut pos = 0usize;
     if buf.len() < 5 || &buf[0..4] != MANIFEST_MAGIC {
         return Err(IrsError::CorruptIndex("bad manifest magic".into()));
@@ -452,23 +459,41 @@ pub fn load_collection(path: &Path) -> Result<IrsCollection> {
         )));
     }
 
-    // Read and decode all shard files in parallel.
-    type ShardSlot = Option<Result<Vec<(String, PostingsList)>>>;
-    let mut slots: Vec<ShardSlot> = (0..shard_count).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (i, slot) in slots.iter_mut().enumerate() {
-            scope.spawn(move || {
-                *slot = Some(
-                    read_verified(&shard_path(path, generation, i))
-                        .map_err(IrsError::from)
-                        .and_then(|bytes| decode_shard(&bytes, generation, i)),
-                );
-            });
+    // Read and decode the shard files in parallel: a bounded set of
+    // workers pulls shard indices, so a hostile manifest's declared
+    // count cannot start one thread per shard.
+    type Loaded = (usize, Result<(Vec<(String, PostingsList)>, u32)>);
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(shard_count);
+    let next = AtomicUsize::new(0);
+    let load = || {
+        let mut out: Vec<Loaded> = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= shard_count {
+                return out;
+            }
+            let shard = read_verified_with_crc(&shard_path(path, generation, i))
+                .map_err(IrsError::from)
+                .and_then(|(bytes, crc)| Ok((decode_shard(&bytes, generation, i)?, crc)));
+            out.push((i, shard));
         }
+    };
+    let mut loaded: Vec<Loaded> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(load)).collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("shard loader panicked"))
+            .collect()
     });
+    loaded.sort_by_key(|(i, _)| *i);
+    let mut epoch = splitmix64(generation ^ splitmix64(u64::from(manifest_crc)));
     let mut shard_terms = Vec::with_capacity(shard_count);
-    for slot in slots {
-        shard_terms.push(slot.expect("shard loader ran")?);
+    for (_, shard) in loaded {
+        let (terms, crc) = shard?;
+        epoch = splitmix64(epoch ^ u64::from(crc));
+        shard_terms.push(terms);
     }
 
     let config = CollectionConfig {
@@ -482,7 +507,7 @@ pub fn load_collection(path: &Path) -> Result<IrsCollection> {
         shard_terms,
         config.resolved_shards(),
     );
-    Ok(IrsCollection::from_sharded(config, index))
+    Ok(IrsCollection::from_sharded(config, index, epoch.max(1)))
 }
 
 /// The file-based result exchange of the paper's prototype.
@@ -526,6 +551,7 @@ pub mod result_file {
 mod tests {
     use super::*;
     use crate::collection::CollectionConfig;
+    use storage::read_verified;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("irs-persist-tests");
@@ -717,6 +743,63 @@ mod tests {
         crate::fault::torn_write(&path, &bytes, bytes.len() - 2).unwrap();
         let err = IrsError::from(read_verified(&path).unwrap_err());
         assert!(matches!(err, IrsError::CorruptIndex(_)), "{err}");
+    }
+
+    #[test]
+    fn sixty_four_shards_round_trip_exactly() {
+        // More shards than loader workers: each worker pulls several.
+        let mut c = IrsCollection::new(CollectionConfig {
+            shards: 64,
+            ..CollectionConfig::default()
+        });
+        let words = ["telnet", "www", "gopher", "nii", "archie", "wais", "ftp"];
+        for i in 0..200usize {
+            let text: Vec<&str> = (0..1 + i % 6).map(|j| words[(i * 7 + j) % 7]).collect();
+            c.add_document(&format!("d{i}"), &text.join(" ")).unwrap();
+        }
+        let path = tmp("sixty_four.idx");
+        save_collection(&c, &path).unwrap();
+        assert_eq!(shard_files(&path).len(), 64);
+        let loaded = load_collection(&path).unwrap();
+        assert_eq!(loaded.sharded_index().shard_count(), 64);
+        for q in ["telnet", "#or(www gopher)", "#sum(nii archie wais ftp)"] {
+            let (a, b) = (c.search(q).unwrap(), loaded.search(q).unwrap());
+            assert_eq!(a.len(), b.len(), "{q}");
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(x.key, y.key, "{q}");
+                assert_eq!(x.score.to_bits(), y.score.to_bits(), "{q}");
+            }
+        }
+    }
+
+    #[test]
+    fn epoch_is_derived_from_the_snapshot_bytes() {
+        let path = tmp("epoch.idx");
+        save_collection(&sample(), &path).unwrap();
+        let mut a = load_collection(&path).unwrap();
+        let mut b = load_collection(&path).unwrap();
+        assert_eq!(a.epoch(), 0, "writable collections never report one");
+        a.set_read_only(true);
+        b.set_read_only(true);
+        assert_ne!(a.epoch(), 0);
+        assert_eq!(a.epoch(), b.epoch(), "two loads of one snapshot agree");
+
+        // Different content, saved to the same place: a different epoch.
+        let mut other = sample();
+        other.add_document("p4", "gopher menus").unwrap();
+        save_collection(&other, &path).unwrap();
+        let mut c = load_collection(&path).unwrap();
+        c.set_read_only(true);
+        assert_ne!(c.epoch(), a.epoch());
+
+        // A mutation forgets the snapshot: refreezing mints a fresh one.
+        c.set_read_only(false);
+        c.add_document("p5", "archie").unwrap();
+        c.set_read_only(true);
+        assert_ne!(c.epoch(), 0);
+        let mut d = load_collection(&path).unwrap();
+        d.set_read_only(true);
+        assert_ne!(c.epoch(), d.epoch());
     }
 
     #[test]

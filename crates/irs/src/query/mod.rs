@@ -28,7 +28,7 @@ mod topk;
 pub use ast::QueryNode;
 pub use eval::{evaluate, ScoredDocs};
 pub use parser::parse_query;
-pub use stats::{collect_globals, QueryGlobals, TermGlobals};
+pub use stats::{collect_globals, query_terms, QueryGlobals, TermGlobals};
 pub use topk::{
     evaluate_top_k, evaluate_top_k_with_globals, evaluate_top_k_with_strategy, PruneStrategy,
 };

@@ -14,6 +14,7 @@
 //! the summed numerator/denominator is bit-identical to what
 //! `DocStore::avg_len` would report for the union index.
 
+use crate::analysis::Analyzer;
 use crate::index::ShardedReader;
 use crate::query::QueryNode;
 
@@ -106,6 +107,15 @@ impl QueryGlobals {
         }
         Some(out)
     }
+}
+
+/// The analysed leaf terms of `node`, in the order [`collect_globals`]
+/// reports their statistics — what a router needs to look a query's
+/// terms up in statistics it cached from earlier answers. `None` when
+/// the tree is outside the pruned engine's fragment, exactly when
+/// [`collect_globals`] returns `None`.
+pub fn query_terms(node: &QueryNode, analyzer: &Analyzer) -> Option<Vec<String>> {
+    compiled_terms(node, analyzer)
 }
 
 /// One partition's statistics for `node`: the analysed leaf terms in the
@@ -246,6 +256,16 @@ mod tests {
         for q in ["#not(zebra)", "\"zebra shared\"", "#near/2(zebra shared)"] {
             let node = parse_query(q).unwrap();
             assert!(collect_globals(&ix.reader(), &node).is_none(), "{q}");
+            assert!(query_terms(&node, ix.analyzer()).is_none(), "{q}");
         }
+    }
+
+    #[test]
+    fn query_terms_name_the_collected_statistics_in_order() {
+        let ix = index_of(&[("a", "zebra shared words")]);
+        let node = parse_query("#wsum(2 Zebras 1 #or(words zebra) 1 unseen)").unwrap();
+        let globals = collect_globals(&ix.reader(), &node).unwrap();
+        let names: Vec<String> = globals.terms.into_iter().map(|t| t.term).collect();
+        assert_eq!(query_terms(&node, ix.analyzer()), Some(names));
     }
 }

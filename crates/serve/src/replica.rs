@@ -3,9 +3,12 @@
 //! A [`ReplicaServer`] is the serving side: it freezes every collection
 //! of a [`DocumentSystem`] ([`coupling::Collection::set_read_only`]),
 //! starts the server in read-only mode (writes are rejected at
-//! admission), and binds the TCP front-end — a replica answers
-//! `search`/`getIRSValue`/`ping` and nothing else, so its index can
-//! never fork from the primary it was built from.
+//! admission), and binds the TCP front-end — a replica answers reads
+//! and nothing else, so its index can never fork from the primary it
+//! was built from. Its answers to the two scatter legs carry each
+//! collection's content epoch ([`irs::IrsCollection::epoch`]), which a
+//! saved snapshot derives from its bytes: replicas opened from one
+//! directory agree, so a partitioned router can cache their statistics.
 //!
 //! [`WireTransport`] is the client side: one lazy, self-healing
 //! connection per replica implementing
@@ -21,7 +24,7 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::Path;
 use std::sync::Mutex;
 
-use coupling::remote::ReplicaTransport;
+use coupling::remote::{KeyedReply, ReplicaTransport, StatsReply};
 use coupling::{open_system, CouplingError, DocumentSystem, ErrorKind, ResultOrigin};
 use oodb::Oid;
 
@@ -207,13 +210,21 @@ impl ReplicaTransport for WireTransport {
         }
     }
 
-    fn term_stats(&self, collection: &str, query: &str) -> coupling::Result<irs::QueryGlobals> {
+    fn term_stats(&self, collection: &str, query: &str) -> coupling::Result<StatsReply> {
         let response = self.call(&Request::TermStats {
             collection: collection.into(),
             query: query.into(),
         })?;
         match response {
-            Response::TermStats(globals) => Ok(globals),
+            Response::TermStats {
+                globals,
+                epoch,
+                analyzer,
+            } => Ok(StatsReply {
+                globals,
+                epoch,
+                analyzer,
+            }),
             other => Err(self.unexpected("term_stats", &other)),
         }
     }
@@ -224,7 +235,7 @@ impl ReplicaTransport for WireTransport {
         query: &str,
         k: usize,
         globals: &irs::QueryGlobals,
-    ) -> coupling::Result<Vec<(String, f64)>> {
+    ) -> coupling::Result<KeyedReply> {
         let response = self.call(&Request::IrsQueryGlobal {
             collection: collection.into(),
             query: query.into(),
@@ -232,7 +243,7 @@ impl ReplicaTransport for WireTransport {
             globals: globals.clone(),
         })?;
         match response {
-            Response::IrsKeyed { hits } => Ok(hits),
+            Response::IrsKeyed { hits, epoch } => Ok(KeyedReply { hits, epoch }),
             other => Err(self.unexpected("search_global", &other)),
         }
     }

@@ -8,6 +8,7 @@
 
 use coupling::tasks::{Task, TaskFilter, TaskId, TaskKind};
 use coupling::{MixedStrategy, ResultOrigin};
+use irs::analysis::AnalyzerConfig;
 use irs::QueryGlobals;
 use oodb::Oid;
 
@@ -149,7 +150,16 @@ pub enum Response {
     /// The answer to [`Request::Ping`].
     Pong,
     /// The answer to [`Request::TermStats`].
-    TermStats(QueryGlobals),
+    TermStats {
+        /// The partition's corpus statistics for the query.
+        globals: QueryGlobals,
+        /// The collection's content epoch
+        /// ([`irs::IrsCollection::epoch`]); `0` means "do not cache".
+        epoch: u64,
+        /// The collection's analyzer: a router compiles a query's term
+        /// list with it to look the terms up in cached statistics.
+        analyzer: AnalyzerConfig,
+    },
     /// The answer to [`Request::IrsQueryGlobal`]: `(IRS key, score)`
     /// pairs sorted exactly as the top-k engine selects them — score
     /// descending, ties by ascending key string — so the router can merge
@@ -158,6 +168,9 @@ pub enum Response {
     IrsKeyed {
         /// `(IRS document key, score)` pairs.
         hits: Vec<(String, f64)>,
+        /// The content epoch the hits were ranked under; the router
+        /// checks it against the epoch of the statistics it supplied.
+        epoch: u64,
     },
     /// The task was durably enqueued (202-style accepted); poll
     /// [`Request::TaskStatus`] or wait for it with

@@ -682,7 +682,12 @@ fn execute_read(shared: &SharedSystem, state: &ServerState, request: &Request) -
         Request::TermStats { collection, query } => {
             let coll = sys.collection(collection)?;
             let globals = coll.query_globals(query)?;
-            Ok((Response::TermStats(globals), None))
+            let response = Response::TermStats {
+                globals,
+                epoch: coll.irs().epoch(),
+                analyzer: coll.irs().config().analyzer.clone(),
+            };
+            Ok((response, None))
         }
         Request::IrsQueryGlobal {
             collection,
@@ -693,7 +698,8 @@ fn execute_read(shared: &SharedSystem, state: &ServerState, request: &Request) -
             let coll = sys.collection(collection)?;
             let k = usize::try_from(*k).unwrap_or(usize::MAX);
             let hits = coll.get_irs_result_global(query, k, globals)?;
-            Ok((Response::IrsKeyed { hits }, None))
+            let epoch = coll.irs().epoch();
+            Ok((Response::IrsKeyed { hits, epoch }, None))
         }
         Request::Ping => Ok((Response::Pong, None)),
         other => Err(CouplingError::BadSpecQuery(format!(

@@ -11,7 +11,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic          b"OIRS"
-//!      4     1  version        1
+//!      4     1  version        2
 //!      5     1  kind           0 = request, 1 = response, 2 = error
 //!      6     4  payload length little-endian, <= MAX_FRAME_LEN
 //!     10     4  payload CRC-32 little-endian (IEEE, as the journal uses)
@@ -36,6 +36,7 @@ use std::io::{self, Read, Write};
 
 use coupling::tasks::{Task, TaskFilter, TaskKind, TaskStatus, TaskStatusKind};
 use coupling::{CouplingError, ErrorKind, MixedStrategy, ResultOrigin};
+use irs::analysis::AnalyzerConfig;
 use irs::{QueryGlobals, TermGlobals};
 use oodb::Oid;
 use storage::crc32;
@@ -46,8 +47,10 @@ use crate::request::{Request, Response};
 pub const MAGIC: [u8; 4] = *b"OIRS";
 
 /// Current protocol version. A server refuses frames from a different
-/// version instead of guessing at their layout.
-pub const VERSION: u8 = 1;
+/// version instead of guessing at their layout. Version 2 stamps the
+/// content epoch on term-statistics and keyed-hit answers and adds the
+/// analyzer to term-statistics answers.
+pub const VERSION: u8 = 2;
 
 /// Hard cap on a frame's payload length (8 MiB). A length field above
 /// this is rejected *before* any allocation, so a hostile or corrupt
@@ -541,6 +544,35 @@ fn put_globals(buf: &mut Vec<u8>, g: &QueryGlobals) {
     }
 }
 
+fn put_analyzer(buf: &mut Vec<u8>, a: &AnalyzerConfig) {
+    buf.push(u8::from(a.lowercase));
+    buf.push(u8::from(a.remove_stopwords));
+    buf.push(u8::from(a.stem));
+    put_u64(buf, a.min_token_len as u64);
+    put_u64(buf, a.max_token_len as u64);
+}
+
+fn decode_analyzer(d: &mut Dec<'_>) -> WireResult<AnalyzerConfig> {
+    let mut flag = |what: &str| match d.u8(what)? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(WireError::Malformed(format!("{what} flag is {other}"))),
+    };
+    let (lowercase, remove_stopwords, stem) =
+        (flag("lowercase")?, flag("stopwords")?, flag("stem")?);
+    let mut len = |what: &str| {
+        usize::try_from(d.u64(what)?)
+            .map_err(|_| WireError::Malformed(format!("{what} does not fit in usize")))
+    };
+    Ok(AnalyzerConfig {
+        lowercase,
+        remove_stopwords,
+        stem,
+        min_token_len: len("min token length")?,
+        max_token_len: len("max token length")?,
+    })
+}
+
 fn decode_globals(d: &mut Dec<'_>) -> WireResult<QueryGlobals> {
     let n_docs = d.u32("n_docs")?;
     let total_tokens = d.u64("total_tokens")?;
@@ -869,12 +901,19 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         Response::Pong => {
             buf.push(5);
         }
-        Response::TermStats(globals) => {
+        Response::TermStats {
+            globals,
+            epoch,
+            analyzer,
+        } => {
             buf.push(6);
+            put_u64(&mut buf, *epoch);
+            put_analyzer(&mut buf, analyzer);
             put_globals(&mut buf, globals);
         }
-        Response::IrsKeyed { hits } => {
+        Response::IrsKeyed { hits, epoch } => {
             buf.push(7);
+            put_u64(&mut buf, *epoch);
             put_u32(&mut buf, hits.len() as u32);
             for (key, value) in hits {
                 put_str(&mut buf, key);
@@ -932,8 +971,13 @@ pub fn decode_response(payload: &[u8]) -> WireResult<Response> {
         2 => Response::Value(d.f64("value")?),
         // 3 and 4 answered the retired synchronous writes; reserved.
         5 => Response::Pong,
-        6 => Response::TermStats(decode_globals(&mut d)?),
+        6 => Response::TermStats {
+            epoch: d.u64("epoch")?,
+            analyzer: decode_analyzer(&mut d)?,
+            globals: decode_globals(&mut d)?,
+        },
         7 => {
+            let epoch = d.u64("epoch")?;
             // Each keyed hit needs at least a key length prefix + score.
             let n = d.count(12, "keyed hit list")?;
             let mut hits = Vec::with_capacity(n);
@@ -942,7 +986,7 @@ pub fn decode_response(payload: &[u8]) -> WireResult<Response> {
                 let value = d.f64("hit value")?;
                 hits.push((key, value));
             }
-            Response::IrsKeyed { hits }
+            Response::IrsKeyed { hits, epoch }
         }
         8 => Response::TaskAccepted(d.u64("task id")?),
         9 => Response::TaskInfo(decode_task(&mut d)?),
@@ -1187,9 +1231,26 @@ mod tests {
             },
             Response::Value(0.725),
             Response::Pong,
-            Response::TermStats(sample_globals()),
+            Response::TermStats {
+                globals: sample_globals(),
+                epoch: u64::MAX,
+                analyzer: AnalyzerConfig::default(),
+            },
+            Response::TermStats {
+                globals: QueryGlobals {
+                    terms: vec![],
+                    ..sample_globals()
+                },
+                epoch: 0,
+                analyzer: AnalyzerConfig {
+                    min_token_len: 0,
+                    max_token_len: usize::MAX,
+                    ..AnalyzerConfig::exact()
+                },
+            },
             Response::IrsKeyed {
                 hits: vec![("oid:9".into(), 0.75), ("oid:10".into(), 0.75)],
+                epoch: 0x0123_4567_89ab_cdef,
             },
             Response::TaskAccepted(41),
             Response::TaskInfo(Task {
@@ -1237,6 +1298,8 @@ mod tests {
     fn hostile_term_stats_counts_rejected() {
         // A term-stats list claiming more entries than bytes remain.
         let mut buf = vec![6u8];
+        put_u64(&mut buf, 7);
+        put_analyzer(&mut buf, &AnalyzerConfig::default());
         put_u32(&mut buf, 1);
         put_u64(&mut buf, 10);
         put_u32(&mut buf, 1);
@@ -1248,10 +1311,55 @@ mod tests {
         ));
         // Same for a keyed hit list.
         let mut keyed = vec![7u8];
+        put_u64(&mut keyed, 7);
         put_u32(&mut keyed, u32::MAX);
         assert!(matches!(
             decode_response(&keyed),
             Err(WireError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn malformed_version_two_fields_are_refused() {
+        let stats = encode_response(&Response::TermStats {
+            globals: sample_globals(),
+            epoch: 3,
+            analyzer: AnalyzerConfig::default(),
+        });
+        // Tag, then an 8-byte epoch, then the analyzer's three flags.
+        for flag in 9..12 {
+            let mut bad = stats.clone();
+            bad[flag] = 2;
+            assert!(matches!(
+                decode_response(&bad),
+                Err(WireError::Malformed(_))
+            ));
+        }
+        // Every truncation of either answer is malformed, never a panic:
+        // a version-1 body (no epoch, no analyzer) is one of them.
+        let keyed = encode_response(&Response::IrsKeyed {
+            hits: vec![("oid:1".into(), 0.5)],
+            epoch: 3,
+        });
+        for full in [&stats, &keyed] {
+            for cut in 1..full.len() {
+                assert!(matches!(
+                    decode_response(&full[..cut]),
+                    Err(WireError::Malformed(_))
+                ));
+            }
+        }
+    }
+
+    #[test]
+    fn version_one_frames_are_refused() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, FrameKind::Response, b"x").unwrap();
+        assert_eq!(buf[4], 2);
+        buf[4] = 1;
+        assert!(matches!(
+            read_frame(&mut buf.as_slice()),
+            Err(WireError::BadVersion(1))
         ));
     }
 

@@ -51,6 +51,12 @@ pub fn atomic_write(path: &Path, payload: &[u8]) -> io::Result<()> {
 /// and return the payload without the trailer. A short file or a
 /// mismatching trailer is [`io::ErrorKind::InvalidData`].
 pub fn read_verified(path: &Path) -> io::Result<Vec<u8>> {
+    read_verified_with_crc(path).map(|(payload, _)| payload)
+}
+
+/// [`read_verified`], also returning the verified CRC-32 — a cheap
+/// identity of the file's bytes.
+pub fn read_verified_with_crc(path: &Path) -> io::Result<(Vec<u8>, u32)> {
     let mut buf = std::fs::read(path)?;
     if buf.len() < 4 {
         return Err(io::Error::new(
@@ -70,7 +76,7 @@ pub fn read_verified(path: &Path) -> io::Result<Vec<u8>> {
         ));
     }
     buf.truncate(crc_pos);
-    Ok(buf)
+    Ok((buf, actual))
 }
 
 #[cfg(test)]

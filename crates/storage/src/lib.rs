@@ -21,6 +21,6 @@ mod journal;
 mod varint;
 
 pub use crc::crc32;
-pub use file::{atomic_write, read_verified};
+pub use file::{atomic_write, read_verified, read_verified_with_crc};
 pub use journal::{LogCommitter, RecordLog};
 pub use varint::{read_varint, read_varint_slow, write_varint};

@@ -4,7 +4,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> one copy of each storage primitive; one index, reader, snapshot format and write shape"
+echo "==> one copy of each storage primitive; one index, reader, snapshot format and write shape; one attempt pool"
 # A count, so it repeats exactly: the CRC-32 polynomial and the
 # definitions of crc32, the varint codec and the CRC-trailed file
 # helpers live in crates/storage alone; ShardedIndex, ShardedReader
@@ -18,6 +18,16 @@ copies=$(grep -rnE --include='*.rs' --exclude-dir=storage --exclude-dir=shims \
 if [ -n "$copies" ]; then
     echo "$copies"
     echo "REGRESSION: a storage primitive outside crates/storage, a second index, reader or snapshot format, or a second write shape"
+    exit 1
+fi
+# Replica attempts run on coupling::pool's reused threads and a read
+# waits on every partition from the calling thread: the fan-out itself
+# starts no thread of its own.
+threads=$(grep -nE 'thread::(spawn|scope|Builder)\b' \
+    crates/coupling/src/remote.rs crates/coupling/src/partition.rs || true)
+if [ -n "$threads" ]; then
+    echo "$threads"
+    echo "REGRESSION: the replica fan-out starts threads outside the attempt pool"
     exit 1
 fi
 

@@ -8,6 +8,9 @@
 //! contract: losing every replica of one partition degrades to a marked
 //! stale answer or a typed transient error, never to a silent partial
 //! merge; and the same behaviour holds end-to-end over TCP replicas.
+//! Shards are frozen, so their answers carry content epochs and the
+//! router's statistics cache is in play: a merge never uses statistics
+//! from a different snapshot than the documents it ranks.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -16,7 +19,8 @@ use std::time::Duration;
 use coupling::remote::RemoteConfig;
 use coupling::retry::{BreakerConfig, RetryPolicy};
 use coupling::{
-    CouplingError, ErrorKind, PartitionConfig, PartitionedIrs, ReplicaTransport, ResultOrigin,
+    CouplingError, ErrorKind, KeyedReply, PartitionConfig, PartitionedIrs, ReplicaTransport,
+    ResultOrigin, StatsReply,
 };
 use irs::{CollectionConfig, IrsCollection, ModelKind, QueryGlobals};
 use oodb::Oid;
@@ -73,19 +77,35 @@ fn build(
     coll
 }
 
-/// In-process partition shard: one `IrsCollection` behind the transport
-/// trait, with a kill switch for failover tests.
+/// In-process partition shard: one frozen `IrsCollection` behind the
+/// transport trait, with kill switches for failover tests — for the
+/// whole shard or for one of the two scatter legs.
 struct FakeShard {
     coll: IrsCollection,
     down: AtomicBool,
+    stats_down: AtomicBool,
+    search_down: AtomicBool,
 }
 
 impl FakeShard {
-    fn new(coll: IrsCollection) -> Arc<Self> {
+    fn new(mut coll: IrsCollection) -> Arc<Self> {
+        coll.set_read_only(true);
         Arc::new(FakeShard {
             coll,
             down: AtomicBool::new(false),
+            stats_down: AtomicBool::new(false),
+            search_down: AtomicBool::new(false),
         })
+    }
+
+    fn check_leg(&self, leg: &AtomicBool) -> coupling::Result<()> {
+        if leg.load(Ordering::Relaxed) {
+            return Err(CouplingError::Remote {
+                kind: ErrorKind::Io,
+                message: "shard leg down".into(),
+            });
+        }
+        self.check()
     }
 
     fn check(&self) -> coupling::Result<()> {
@@ -129,9 +149,14 @@ impl ReplicaTransport for Shard {
         self.0.check()
     }
 
-    fn term_stats(&self, _c: &str, query: &str) -> coupling::Result<QueryGlobals> {
-        self.0.check()?;
-        self.0.coll.query_globals(query).map_err(CouplingError::Irs)
+    fn term_stats(&self, _c: &str, query: &str) -> coupling::Result<StatsReply> {
+        self.0.check_leg(&self.0.stats_down)?;
+        let coll = &self.0.coll;
+        Ok(StatsReply {
+            globals: coll.query_globals(query).map_err(CouplingError::Irs)?,
+            epoch: coll.epoch(),
+            analyzer: coll.config().analyzer.clone(),
+        })
     }
 
     fn search_global(
@@ -140,14 +165,16 @@ impl ReplicaTransport for Shard {
         query: &str,
         k: usize,
         globals: &QueryGlobals,
-    ) -> coupling::Result<Vec<(String, f64)>> {
-        self.0.check()?;
-        let hits = self
-            .0
-            .coll
+    ) -> coupling::Result<KeyedReply> {
+        self.0.check_leg(&self.0.search_down)?;
+        let coll = &self.0.coll;
+        let hits = coll
             .search_top_k_global(query, k, globals)
             .map_err(CouplingError::Irs)?;
-        Ok(hits.into_iter().map(|h| (h.key, h.score)).collect())
+        Ok(KeyedReply {
+            hits: hits.into_iter().map(|h| (h.key, h.score)).collect(),
+            epoch: coll.epoch(),
+        })
     }
 }
 
@@ -235,14 +262,20 @@ proptest! {
             })
             .collect();
         let expected = single_node_top_k(&union, &query, k);
-        let (hits, origin) = router(shards).search_top_k("coll", &query, k).unwrap();
-        prop_assert_eq!(origin, ResultOrigin::Fresh);
-        prop_assert_eq!(hits.len(), expected.len());
-        for (got, want) in hits.iter().zip(expected.iter()) {
-            prop_assert_eq!(got.0, want.0, "document set diverged for {}", query);
-            prop_assert_eq!(got.1.to_bits(), want.1.to_bits(),
-                "score mismatch for {} in {}", got.0, query);
+        // The second read runs on cached statistics.
+        let r = router(shards);
+        for _ in 0..2 {
+            let (hits, origin) = r.search_top_k("coll", &query, k).unwrap();
+            prop_assert_eq!(origin, ResultOrigin::Fresh);
+            prop_assert_eq!(hits.len(), expected.len());
+            for (got, want) in hits.iter().zip(expected.iter()) {
+                prop_assert_eq!(got.0, want.0, "document set diverged for {}", query);
+                prop_assert_eq!(got.1.to_bits(), want.1.to_bits(),
+                    "score mismatch for {} in {}", got.0, query);
+            }
         }
+        prop_assert_eq!(r.stats().stats_legs, 1);
+        prop_assert_eq!(r.stats().one_leg_reads, 1);
     }
 
     /// `get_irs_value` through the router equals the union index's score
@@ -441,6 +474,182 @@ fn tcp_partitions_serve_single_node_results_then_degrade() {
         .expect_err("cold query cannot be merged");
     assert!(err.is_transient(), "outage classifies transient: {err}");
 
+    for s in servers {
+        s.shutdown();
+    }
+}
+
+/// One partition whose two replicas serve different data, with the
+/// statistics leg forced onto one and the search leg onto the other:
+/// the kind of split a hedge, a failover or latency rotation makes
+/// during a rolling reopen. The router must notice that the two legs
+/// came from different snapshots and never merge them: a warmed query
+/// degrades to its marked stale answer, a cold one fails transiently.
+#[test]
+fn replicas_with_different_data_never_mix_statistics_into_a_merge() {
+    let docs: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i % 4, 2, i]).collect();
+    let slice = |p: usize| (0..docs.len()).filter(move |i| i % 2 == p);
+    let p0 = FakeShard::new(build(&docs, slice(0), ModelKind::default()));
+    let a = FakeShard::new(build(&docs, slice(1), ModelKind::default()));
+    // Replica b of the same partition lacks one of its documents.
+    let b = FakeShard::new(build(&docs, slice(1).skip(1), ModelKind::default()));
+    assert_ne!(a.coll.epoch(), b.coll.epoch());
+    let r = PartitionedIrs::new(
+        vec![
+            vec![("p0".into(), Shard(p0))],
+            vec![
+                ("p1-a".into(), Shard(Arc::clone(&a))),
+                ("p1-b".into(), Shard(Arc::clone(&b))),
+            ],
+        ],
+        tight_config(),
+    );
+
+    b.down.store(true, Ordering::Relaxed);
+    let union = build(&docs, 0..docs.len(), ModelKind::default());
+    let (warm, origin) = r.search_top_k("coll", "www", 8).unwrap();
+    assert_eq!(origin, ResultOrigin::Fresh);
+    assert_eq!(warm, single_node_top_k(&union, "www", 8));
+
+    // Statistics only from a, rankings only from b.
+    b.down.store(false, Ordering::Relaxed);
+    b.stats_down.store(true, Ordering::Relaxed);
+    a.search_down.store(true, Ordering::Relaxed);
+    for _ in 0..3 {
+        let (hits, origin) = r.search_top_k("coll", "www", 8).unwrap();
+        assert_eq!(origin, ResultOrigin::Stale, "a mixed merge must not pass");
+        assert_eq!(hits, warm);
+    }
+    let err = r
+        .search_top_k("coll", "telnet", 8)
+        .expect_err("nothing to fall back on");
+    assert!(err.is_transient(), "{err}");
+
+    let stats = r.stats();
+    // Each read finds a's statistics cached (every statistics leg
+    // refills them) and b's ranking under another epoch.
+    assert_eq!(stats.cache_invalidations, 3, "one per warm read");
+    assert_eq!(stats.epoch_mismatches, 8, "two rounds per read, four reads");
+    assert_eq!((stats.stale_serves, stats.exhausted), (3, 1));
+}
+
+fn scratch_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir()
+        .join(format!("coupling-partition-{}", std::process::id()))
+        .join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// The single-node answer of `sys` for `query`, in presentation order.
+fn single_node_system(sys: &coupling::DocumentSystem, query: &str) -> Vec<(Oid, f64)> {
+    let coll = sys.collection("collPara").expect("collection");
+    let mut hits: Vec<(Oid, f64)> = coll
+        .get_irs_result(query)
+        .expect("local evaluation")
+        .into_iter()
+        .collect();
+    hits.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    hits
+}
+
+fn bit_identical(got: &[(Oid, f64)], want: &[(Oid, f64)]) -> bool {
+    got.len() == want.len()
+        && got
+            .iter()
+            .zip(want)
+            .all(|(g, w)| g.0 == w.0 && g.1.to_bits() == w.1.to_bits())
+}
+
+/// Over TCP: warm the router's statistics cache, then reopen one
+/// partition over different data from a new snapshot at the same
+/// address. Every later answer equals single-node evaluation of the new
+/// data bit for bit, or is marked stale, or is an error — never a merge
+/// scored with the old snapshot's statistics — and the invalidation
+/// shows in the router's counters.
+#[test]
+fn a_reopened_replica_never_merges_under_stale_statistics() {
+    let queries = ["telnet", "www", "#or(telnet www)", "#sum(www nii home)"];
+    let mut servers = Vec::new();
+    for (p, mut sys) in carved_partitions(2).into_iter().enumerate() {
+        let dir = scratch_dir(&format!("old-{p}"));
+        coupling::save_system(&mut sys, &dir).expect("save partition");
+        servers.push(ReplicaServer::open(&dir, "127.0.0.1:0").expect("open partition"));
+    }
+    let groups = servers
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            vec![(
+                format!("part{i}"),
+                serve::WireTransport::new(s.local_addr()),
+            )]
+        })
+        .collect();
+    let r = PartitionedIrs::new(groups, tight_config());
+
+    let old = two_issue_system();
+    for _ in 0..2 {
+        for query in queries {
+            let (hits, origin) = r.search_top_k("collPara", query, 10).expect(query);
+            assert_eq!(origin, ResultOrigin::Fresh);
+            assert!(
+                bit_identical(&hits, &single_node_system(&old, query)),
+                "{query}"
+            );
+        }
+    }
+    // The second round is all warm; so is the first `#or(telnet www)`,
+    // whose terms the two queries before it cached.
+    assert_eq!(r.stats().one_leg_reads, 5, "cache warm");
+
+    // New data for partition 1: one of its paragraphs is gone. The
+    // single-node reference loses the same paragraph.
+    let mut new = two_issue_system();
+    let mut part = carved_partitions(2).pop().expect("partition 1");
+    let paras: Vec<Oid> = new
+        .query("ACCESS p FROM p IN PARA")
+        .expect("enumerate paragraphs")
+        .iter()
+        .filter_map(|row| row.oid())
+        .collect();
+    for sys in [&mut new, &mut part] {
+        let mut coll = sys.collection_mut("collPara").expect("collection");
+        coll.on_delete(paras[1])
+            .expect("delete a partition-1 paragraph");
+    }
+    let dir = scratch_dir("new-1");
+    coupling::save_system(&mut part, &dir).expect("save the new snapshot");
+    let addr = servers[1].local_addr();
+    servers.pop().expect("partition 1").shutdown();
+    servers.push(ReplicaServer::open(&dir, addr).expect("reopen at the same address"));
+
+    let mut last_round_fresh = true;
+    for round in 0..3 {
+        last_round_fresh = true;
+        for query in queries {
+            match r.search_top_k("collPara", query, 10) {
+                Ok((hits, ResultOrigin::Fresh)) => assert!(
+                    bit_identical(&hits, &single_node_system(&new, query)),
+                    "round {round}: {query} merged under stale statistics: {hits:?}"
+                ),
+                Ok((_, origin)) => {
+                    assert_eq!(origin, ResultOrigin::Stale, "{query}");
+                    last_round_fresh = false;
+                }
+                Err(e) => {
+                    assert!(e.is_transient(), "{query}: {e}");
+                    last_round_fresh = false;
+                }
+            }
+        }
+    }
+    assert!(last_round_fresh, "the reopened partition serves again");
+    assert!(
+        r.stats().cache_invalidations >= 1,
+        "invalidation counted: {:?}",
+        r.stats()
+    );
     for s in servers {
         s.shutdown();
     }

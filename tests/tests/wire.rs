@@ -9,6 +9,8 @@ use proptest::prelude::*;
 
 use coupling::tasks::{Task, TaskFilter, TaskKind, TaskStatus, TaskStatusKind};
 use coupling::{MixedStrategy, ResultOrigin};
+use irs::analysis::AnalyzerConfig;
+use irs::{QueryGlobals, TermGlobals};
 use oodb::Oid;
 use serve::wire::{
     decode_fault, decode_request, decode_response, encode_request, encode_response, read_frame,
@@ -171,6 +173,43 @@ fn task_filter_strategy() -> BoxedStrategy<TaskFilter> {
         .boxed()
 }
 
+fn globals_strategy() -> BoxedStrategy<QueryGlobals> {
+    let term = ("\\PC{0,12}", any::<u32>(), any::<u32>())
+        .prop_map(|(term, df, max_tf)| TermGlobals { term, df, max_tf });
+    (
+        (any::<u32>(), any::<u64>()),
+        (any::<u32>(), any::<u32>()),
+        prop::collection::vec(term.boxed(), 0..5),
+    )
+        .prop_map(
+            |((n_docs, total_tokens), (min_doc_len, max_doc_len), terms)| QueryGlobals {
+                n_docs,
+                total_tokens,
+                min_doc_len,
+                max_doc_len,
+                terms,
+            },
+        )
+        .boxed()
+}
+
+fn analyzer_strategy() -> BoxedStrategy<AnalyzerConfig> {
+    (
+        (any::<bool>(), any::<bool>(), any::<bool>()),
+        (any::<u32>(), any::<u64>()),
+    )
+        .prop_map(
+            |((lowercase, remove_stopwords, stem), (min, max))| AnalyzerConfig {
+                lowercase,
+                remove_stopwords,
+                stem,
+                min_token_len: min as usize,
+                max_token_len: max as usize,
+            },
+        )
+        .boxed()
+}
+
 fn request_strategy() -> BoxedStrategy<Request> {
     let name = || "\\PC{0,20}";
     prop_oneof![
@@ -191,6 +230,16 @@ fn request_strategy() -> BoxedStrategy<Request> {
                 oid: Oid(oid),
             }
         }),
+        Just(Request::Ping),
+        (name(), name()).prop_map(|(collection, query)| Request::TermStats { collection, query }),
+        (name(), name(), any::<u64>(), globals_strategy()).prop_map(
+            |(collection, query, k, globals)| Request::IrsQueryGlobal {
+                collection,
+                query,
+                k,
+                globals,
+            }
+        ),
         task_kind_strategy().prop_map(|kind| Request::EnqueueTask { kind }),
         any::<u64>().prop_map(|id| Request::TaskStatus { id }),
         task_filter_strategy().prop_map(|filter| Request::ListTasks { filter }),
@@ -219,6 +268,19 @@ fn response_strategy() -> BoxedStrategy<Response> {
                 origin,
             }),
         (0.0..1.0f64).prop_map(Response::Value),
+        Just(Response::Pong),
+        (globals_strategy(), any::<u64>(), analyzer_strategy()).prop_map(
+            |(globals, epoch, analyzer)| Response::TermStats {
+                globals,
+                epoch,
+                analyzer,
+            }
+        ),
+        (
+            prop::collection::vec(("\\PC{0,12}", 0.0..1.0f64).boxed(), 0..6),
+            any::<u64>()
+        )
+            .prop_map(|(hits, epoch)| Response::IrsKeyed { hits, epoch }),
         any::<u64>().prop_map(Response::TaskAccepted),
         task_strategy().prop_map(Response::TaskInfo),
         prop::collection::vec(task_strategy(), 0..4).prop_map(Response::TaskList),
@@ -251,6 +313,21 @@ proptest! {
         write_frame(&mut buf, FrameKind::Response, &payload).unwrap();
         let frame = read_frame(&mut buf.as_slice()).unwrap().expect("one frame");
         prop_assert_eq!(decode_response(&frame.payload).unwrap(), resp);
+    }
+
+    /// A frame stamped with any other protocol version is refused before
+    /// its payload is decoded: a version-1 peer's term statistics (no
+    /// epoch, no analyzer) are never misparsed as version 2.
+    #[test]
+    fn other_versions_are_refused(resp in response_strategy(), other in 1u8..=255) {
+        let version = serve::wire::VERSION.wrapping_add(other);
+        let mut buf = Vec::new();
+        write_frame(&mut buf, FrameKind::Response, &encode_response(&resp)).unwrap();
+        buf[4] = version;
+        prop_assert!(matches!(
+            read_frame(&mut buf.as_slice()),
+            Err(WireError::BadVersion(v)) if v == version
+        ));
     }
 
     /// Arbitrary bytes never panic any decoder — they decode or they
