@@ -562,6 +562,35 @@ mod tests {
         assert_eq!(loaded.get("telnet").unwrap()[&Oid(3)], 0.9);
     }
 
+    /// The bytes of a hex literal.
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// A `.buf` file is exactly these bytes (CRC-32 trailer included),
+    /// and the bytes load back to the same entries.
+    #[test]
+    fn buf_file_bytes_are_pinned() {
+        let dir = std::env::temp_dir().join("coupling-buffer-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pinned.buf");
+        let b = ResultBuffer::new(8);
+        b.insert("www", map(&[(2, 0.5), (1, 0.75)]));
+        b.insert("nii", map(&[(3, 0.25)]));
+        b.save(&path).unwrap();
+        let pinned = unhex("020000000000000003000000000000006e696901000000000000000300000000000000000000000000d03f030000000000000077777702000000000000000100000000000000000000000000e83f0200000000000000000000000000e03f218c89e0");
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes, pinned);
+        std::fs::write(&path, &pinned).unwrap();
+        let loaded = ResultBuffer::load(&path, 8).unwrap();
+        assert_eq!(loaded.len(), 2);
+        assert_eq!(loaded.get("www").unwrap(), map(&[(1, 0.75), (2, 0.5)]));
+        assert_eq!(loaded.get("nii").unwrap(), map(&[(3, 0.25)]));
+    }
+
     #[test]
     fn sharded_save_load_round_trip() {
         // Above the sharding threshold entries spread across shards; the

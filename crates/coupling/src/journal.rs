@@ -153,6 +153,29 @@ mod tests {
         path
     }
 
+    /// The bytes of a hex literal.
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// Each operation is exactly these 9 payload bytes, and the bytes
+    /// decode back to the operation.
+    #[test]
+    fn op_bytes_are_pinned() {
+        let oid = Oid(0x0102_0304_0506_0708);
+        for (op, hex) in [
+            (PendingOp::Insert(oid), "010807060504030201"),
+            (PendingOp::Modify(oid), "020807060504030201"),
+            (PendingOp::Delete(oid), "030807060504030201"),
+        ] {
+            assert_eq!(encode_op(op).to_vec(), unhex(hex));
+            assert_eq!(decode_op(&unhex(hex)).expect("decodes"), op);
+        }
+    }
+
     #[test]
     fn append_and_replay_round_trip() {
         let path = tmp("round_trip.journal");

@@ -1544,6 +1544,71 @@ mod tests {
         assert!(LedgerRecord::decode(&trailing).is_none());
     }
 
+    /// The bytes of a hex literal.
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// Each ledger record is exactly these payload bytes, and the bytes
+    /// decode to a record that encodes to them again (the encoding writes
+    /// every field, so that is the same record).
+    #[test]
+    fn ledger_record_bytes_are_pinned() {
+        let pinned = [
+            (
+                LedgerRecord::Enqueued {
+                    id: 7,
+                    tick: 3,
+                    kind: TaskKind::IndexObjects {
+                        collection: "c".into(),
+                        spec_query: "q".into(),
+                    },
+                },
+                "10070000000000000003000000000000000001000000630100000071",
+            ),
+            (
+                LedgerRecord::Enqueued {
+                    id: 8,
+                    tick: 4,
+                    kind: TaskKind::UpdateText {
+                        oid: Oid(0x0102),
+                        text: "wälz".into(),
+                        collections: vec!["a".into(), "bc".into()],
+                    },
+                },
+                "10080000000000000004000000000000000102010000000000000500000077c3a46c7a020000000100000061020000006263",
+            ),
+            (
+                LedgerRecord::Enqueued {
+                    id: 9,
+                    tick: 5,
+                    kind: TaskKind::Flush {
+                        collection: "c".into(),
+                    },
+                },
+                "1009000000000000000500000000000000020100000063",
+            ),
+            (LedgerRecord::Started { id: 7, batch_id: 2 }, "1107000000000000000200000000000000"),
+            (
+                LedgerRecord::Finished {
+                    id: 7,
+                    ok: false,
+                    error: "no".into(),
+                },
+                "12070000000000000000020000006e6f",
+            ),
+        ];
+        for (rec, hex) in pinned {
+            let bytes = unhex(hex);
+            assert_eq!(rec.encode(), bytes);
+            let decoded = LedgerRecord::decode(&bytes).expect("decodes");
+            assert_eq!(decoded.encode(), bytes);
+        }
+    }
+
     #[test]
     fn adjacent_identical_index_tasks_merge_into_one_batch() {
         let shared = two_para_system();

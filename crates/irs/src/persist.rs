@@ -606,6 +606,42 @@ mod tests {
         assert_eq!(orig.config(), loaded.config());
     }
 
+    /// The bytes of a hex literal.
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// A manifest is exactly these bytes (CRC-32 trailer included), and
+    /// the bytes load back to the same configuration and documents.
+    #[test]
+    fn manifest_bytes_are_pinned() {
+        let mut orig = IrsCollection::new(CollectionConfig {
+            model: ModelKind::Bm25(Bm25Model { k1: 1.5, b: 0.75 }),
+            shards: 2,
+            ..CollectionConfig::default()
+        });
+        orig.add_document("p1", "telnet is a protocol").unwrap();
+        orig.add_document("p2", "the www and the nii").unwrap();
+        orig.delete_document("p2").unwrap();
+        let path = tmp("pinned_manifest.idx");
+        save_collection(&orig, &path).unwrap();
+        let manifest = path.join(MANIFEST_NAME);
+        let bytes = std::fs::read(&manifest).unwrap();
+        let pinned = unhex("4952534d01010101014002000000000000f83f000000000000e83f02020102027031040002703205019a9d23af");
+        assert_eq!(bytes, pinned);
+        std::fs::write(&manifest, &pinned).unwrap();
+        let loaded = load_collection(&path).unwrap();
+        assert_eq!(loaded.config(), orig.config());
+        assert_eq!(loaded.len(), orig.len());
+        assert_eq!(
+            loaded.search("telnet").unwrap(),
+            orig.search("telnet").unwrap()
+        );
+    }
+
     #[test]
     fn save_never_replaces_a_regular_file() {
         let path = tmp("regular_file.idx");

@@ -212,6 +212,39 @@ mod tests {
         assert!(snap.store.next_oid() > 1);
     }
 
+    /// The bytes of a hex literal.
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// A snapshot file is exactly these bytes (CRC-32 trailer included),
+    /// and the bytes read back to the same schema, indexes and objects.
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        let (schema, indexes, store) = sample();
+        let path = tmp("pinned.snap");
+        write(&path, &schema, &indexes, &store).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let pinned = unhex("4f4442530102094952534f626a656374000450415241010001010479656172000201010103086368696c6472656e060205630007636f6e74656e74041454656c6e657420697320612070726f746f636f6c047965617202941ffea3273c");
+        assert_eq!(bytes, pinned);
+        std::fs::write(&path, &pinned).unwrap();
+        let snap = read(&path).unwrap();
+        assert_eq!(snap.schema.len(), 2);
+        assert_eq!(snap.schema.class_id("PARA").unwrap(), ClassId(1));
+        assert_eq!(snap.schema.class(ClassId(1)).parent, Some(ClassId(0)));
+        assert_eq!(snap.indexes, indexes);
+        assert_eq!(snap.store.next_oid(), store.next_oid());
+        let objects: Vec<_> = snap.store.iter_ordered().collect();
+        let expected: Vec<_> = store.iter_ordered().collect();
+        assert_eq!(objects.len(), expected.len());
+        for (a, b) in objects.iter().zip(&expected) {
+            assert_eq!((a.oid, a.class, &a.attrs), (b.oid, b.class, &b.attrs));
+        }
+    }
+
     #[test]
     fn corrupt_magic_rejected() {
         let path = tmp("badmagic.snap");

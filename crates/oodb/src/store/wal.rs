@@ -236,6 +236,61 @@ mod tests {
         ]
     }
 
+    /// The bytes of a hex literal.
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// A batch holding every record kind and every value kind is exactly
+    /// these payload bytes, and the bytes decode back to the batch.
+    #[test]
+    fn batch_bytes_are_pinned() {
+        let batch = vec![
+            Record::DefineClass {
+                name: "P".into(),
+                parent: Some("O".into()),
+            },
+            Record::DefineClass {
+                name: "O".into(),
+                parent: None,
+            },
+            Record::CreateIndex {
+                class: "P".into(),
+                attr: "y".into(),
+                kind: 1,
+            },
+            Record::Create {
+                oid: Oid(300),
+                class: "P".into(),
+            },
+            Record::SetAttr {
+                oid: Oid(300),
+                attr: "v".into(),
+                value: Value::List(vec![
+                    Value::Null,
+                    Value::Bool(true),
+                    Value::Int(-2),
+                    Value::Real(0.5),
+                    Value::Str("é".into()),
+                    Value::Oid(Oid(1)),
+                    Value::List(vec![]),
+                ]),
+            },
+            Record::Delete { oid: Oid(3) },
+        ];
+        let mut payload = Vec::new();
+        for r in &batch {
+            r.encode(&mut payload);
+        }
+        Record::Commit.encode(&mut payload);
+        let pinned = unhex("01015001014f01014f0002015001790103ac02015004ac0201760607000101020303000000000000e03f0402c3a905010600050306");
+        assert_eq!(payload, pinned);
+        assert_eq!(decode_batch(&pinned).expect("decodes"), batch);
+    }
+
     #[test]
     fn batches_round_trip() {
         let path = tmp("round_trip.wal");

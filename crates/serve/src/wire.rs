@@ -1478,6 +1478,182 @@ mod tests {
         assert_eq!(Status::Timeout.kind(), ErrorKind::Timeout);
     }
 
+    /// The bytes of a hex literal.
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    fn sample_task_kind() -> TaskKind {
+        TaskKind::UpdateText {
+            oid: Oid(0x0102),
+            text: "wälz".into(),
+            collections: vec!["a".into(), "bc".into()],
+        }
+    }
+
+    /// One request of each kind encodes to exactly these payload bytes,
+    /// and the bytes decode back to the request.
+    #[test]
+    fn request_bytes_are_pinned() {
+        let pinned = [
+            (
+                Request::IrsQuery {
+                    collection: "c".into(),
+                    query: "www".into(),
+                },
+                "00010000006303000000777777",
+            ),
+            (
+                Request::MixedQuery {
+                    collection: "c".into(),
+                    class: "PARA".into(),
+                    irs_query: "nii".into(),
+                    threshold: 0.5,
+                    strategy: MixedStrategy::IrsFirst,
+                },
+                "0101000000630400000050415241030000006e6969000000000000e03f01",
+            ),
+            (
+                Request::GetIrsValue {
+                    collection: "c".into(),
+                    query: "q".into(),
+                    oid: Oid(0x0102_0304),
+                },
+                "02010000006301000000710403020100000000",
+            ),
+            (Request::Ping, "05"),
+            (
+                Request::TermStats {
+                    collection: "c".into(),
+                    query: "q".into(),
+                },
+                "0601000000630100000071",
+            ),
+            (
+                Request::IrsQueryGlobal {
+                    collection: "c".into(),
+                    query: "q".into(),
+                    k: 10,
+                    globals: sample_globals(),
+                },
+                "07010000006301000000710a00000000000000d2040000cd81010000000000030000009c01000002000000030000007777771100000005000000030000006e69690200000001000000",
+            ),
+            (
+                Request::EnqueueTask {
+                    kind: sample_task_kind(),
+                },
+                "080102010000000000000500000077c3a46c7a020000000100000061020000006263",
+            ),
+            (Request::TaskStatus { id: 0x0a0b }, "090b0a000000000000"),
+            (
+                Request::ListTasks {
+                    filter: TaskFilter {
+                        status: Some(TaskStatusKind::Failed),
+                        collection: Some("c".into()),
+                    },
+                },
+                "0a04010100000063",
+            ),
+        ];
+        for (req, hex) in pinned {
+            let bytes = encode_request(&req);
+            assert_eq!(bytes, unhex(hex), "{req:?}");
+            assert_eq!(decode_request(&bytes).unwrap(), req);
+        }
+    }
+
+    /// One response of each kind, and a fault, encode to exactly these
+    /// payload bytes, and the bytes decode back to the value.
+    #[test]
+    fn response_and_fault_bytes_are_pinned() {
+        let pinned = [
+            (
+                Response::IrsResult {
+                    hits: vec![(Oid(1), 0.5), (Oid(2), 0.25)],
+                    origin: ResultOrigin::Buffered,
+                },
+                "0001020000000100000000000000000000000000e03f0200000000000000000000000000d03f",
+            ),
+            (
+                Response::Mixed {
+                    oids: vec![Oid(5), Oid(9)],
+                    strategy: MixedStrategy::IrsFirst,
+                    origin: ResultOrigin::Stale,
+                },
+                "0101020200000005000000000000000900000000000000",
+            ),
+            (Response::Value(0.75), "02000000000000e83f"),
+            (Response::Pong, "05"),
+            (
+                Response::TermStats {
+                    globals: sample_globals(),
+                    epoch: 0x0102_0304_0506_0708,
+                    analyzer: AnalyzerConfig::default(),
+                },
+                "06080706050403020101010101000000000000004000000000000000d2040000cd81010000000000030000009c01000002000000030000007777771100000005000000030000006e69690200000001000000",
+            ),
+            (
+                Response::IrsKeyed {
+                    hits: vec![("oid:9".into(), 0.5)],
+                    epoch: 3,
+                },
+                "07030000000000000001000000050000006f69643a39000000000000e03f",
+            ),
+            (Response::TaskAccepted(41), "082900000000000000"),
+            (
+                Response::TaskInfo(Task {
+                    id: 41,
+                    kind: TaskKind::Flush {
+                        collection: "c".into(),
+                    },
+                    status: TaskStatus::Failed {
+                        error: "no".into(),
+                    },
+                    enqueued_at: 9,
+                    batch_id: Some(3),
+                }),
+                "09290000000000000003020000006e6f0900000000000000010300000000000000020100000063",
+            ),
+            (
+                Response::TaskList(vec![
+                    Task {
+                        id: 1,
+                        kind: TaskKind::IndexObjects {
+                            collection: "c".into(),
+                            spec_query: "q".into(),
+                        },
+                        status: TaskStatus::Succeeded,
+                        enqueued_at: 0,
+                        batch_id: Some(1),
+                    },
+                    Task {
+                        id: 2,
+                        kind: sample_task_kind(),
+                        status: TaskStatus::Enqueued,
+                        enqueued_at: 1,
+                        batch_id: None,
+                    },
+                ]),
+                "0a02000000010000000000000002000000000000000001010000000000000000010000006301000000710200000000000000000100000000000000000102010000000000000500000077c3a46c7a020000000100000061020000006263",
+            ),
+        ];
+        for (resp, hex) in pinned {
+            let bytes = encode_response(&resp);
+            assert_eq!(bytes, unhex(hex), "{resp:?}");
+            assert_eq!(decode_response(&bytes).unwrap(), resp);
+        }
+        let fault = WireFault {
+            status: Status::Timeout,
+            message: "late".into(),
+        };
+        let bytes = encode_fault(&fault);
+        assert_eq!(bytes, unhex("f801040000006c617465"));
+        assert_eq!(decode_fault(&bytes).unwrap(), fault);
+    }
+
     #[test]
     fn fault_roundtrip() {
         let fault = WireFault {
