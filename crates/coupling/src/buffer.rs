@@ -31,6 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 
 use oodb::Oid;
+use storage::codec::{put_f64, put_u64, Reader};
 
 use crate::error::{CouplingError, Result};
 
@@ -387,7 +388,6 @@ impl ResultBuffer {
         entries.sort_by(|a, b| a.0.cmp(&b.0));
 
         let mut out = Vec::new();
-        let put_u64 = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
         put_u64(&mut out, entries.len() as u64);
         for (key, map) in &entries {
             put_u64(&mut out, key.len() as u64);
@@ -397,7 +397,7 @@ impl ResultBuffer {
             oids.sort_by_key(|(o, _)| **o);
             for (oid, val) in oids {
                 put_u64(&mut out, oid.0);
-                put_u64(&mut out, val.to_bits());
+                put_f64(&mut out, *val);
             }
         }
         Ok(storage::atomic_write(path, &out)?)
@@ -407,39 +407,27 @@ impl ResultBuffer {
     /// verifying its CRC-32 trailer. Capacity and statistics start fresh.
     pub fn load(path: &Path, capacity: usize) -> Result<Self> {
         let bytes = storage::read_verified(path)?;
-        let mut pos = 0usize;
-        let take_u64 = |bytes: &[u8], pos: &mut usize| -> Result<u64> {
-            if *pos + 8 > bytes.len() {
-                return Err(CouplingError::Irs(irs::IrsError::CorruptIndex(
-                    "truncated buffer file".into(),
-                )));
-            }
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&bytes[*pos..*pos + 8]);
-            *pos += 8;
-            Ok(u64::from_le_bytes(b))
-        };
-        let n = take_u64(&bytes, &mut pos)? as usize;
+        let mut r = Reader::new(&bytes);
+        // An entry takes at least its key length and its map length; a
+        // map entry is an oid and a value.
+        let n = r.u64("buffer entry count")?;
+        let n = r.count(n, 16, "buffer entry")?;
         let out = ResultBuffer::new(capacity);
         for _ in 0..n {
-            let klen = take_u64(&bytes, &mut pos)? as usize;
-            if pos + klen > bytes.len() {
-                return Err(CouplingError::Irs(irs::IrsError::CorruptIndex(
-                    "truncated buffer key".into(),
-                )));
-            }
-            let key = String::from_utf8(bytes[pos..pos + klen].to_vec()).map_err(|_| {
+            let klen = r.u64("buffer key length")?;
+            let key = r.take(r.count(klen, 1, "buffer key byte")?, "buffer key")?;
+            let key = std::str::from_utf8(key).map_err(|_| {
                 CouplingError::Irs(irs::IrsError::CorruptIndex("non-utf8 buffer key".into()))
             })?;
-            pos += klen;
-            let m = take_u64(&bytes, &mut pos)? as usize;
+            let m = r.u64("buffer map length")?;
+            let m = r.count(m, 16, "buffer map entry")?;
             let mut map = ResultMap::with_capacity(m);
             for _ in 0..m {
-                let oid = Oid(take_u64(&bytes, &mut pos)?);
-                let val = f64::from_bits(take_u64(&bytes, &mut pos)?);
+                let oid = Oid(r.u64("buffer oid")?);
+                let val = r.f64("buffer value")?;
                 map.insert(oid, val);
             }
-            out.insert(&key, map);
+            out.insert(key, map);
         }
         out.evictions.store(0, Ordering::Relaxed);
         Ok(out)
@@ -589,6 +577,26 @@ mod tests {
         assert_eq!(loaded.len(), 2);
         assert_eq!(loaded.get("www").unwrap(), map(&[(1, 0.75), (2, 0.5)]));
         assert_eq!(loaded.get("nii").unwrap(), map(&[(3, 0.25)]));
+    }
+
+    /// A CRC-valid `.buf` declaring one key with 2^40 entries is refused
+    /// as corrupt before the count sizes an allocation.
+    #[test]
+    fn hostile_entry_count_is_refused() {
+        let dir = std::env::temp_dir().join("coupling-buffer-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("hostile.buf");
+        // One entry: a one-byte key, then its map's entry count.
+        let mut payload = Vec::new();
+        put_u64(&mut payload, 1);
+        put_u64(&mut payload, 1);
+        payload.push(b'q');
+        put_u64(&mut payload, 1 << 40);
+        storage::atomic_write(&path, &payload).unwrap();
+        assert!(matches!(
+            ResultBuffer::load(&path, 8),
+            Err(CouplingError::Irs(irs::IrsError::CorruptIndex(_)))
+        ));
     }
 
     #[test]

@@ -778,11 +778,6 @@ impl Collection {
         Ok(())
     }
 
-    /// Compact the IRS index if worthwhile (tombstone ratio).
-    pub fn commit_irs(&mut self) {
-        self.irs.commit();
-    }
-
     // ------------------------------------------------------------------
     // Fault tolerance
     // ------------------------------------------------------------------
@@ -805,17 +800,6 @@ impl Collection {
     /// True while the underlying IRS collection refuses mutation.
     pub fn is_read_only(&self) -> bool {
         self.irs.is_read_only()
-    }
-
-    /// The retry policy IRS calls run under.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
-    /// Replace the retry policy (e.g. `RetryPolicy::no_retries()` for a
-    /// fail-fast baseline in E13).
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
     }
 
     /// Fault-tolerance counters: retries, give-ups, breaker activity and

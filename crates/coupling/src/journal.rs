@@ -25,6 +25,7 @@
 use std::path::Path;
 
 use oodb::Oid;
+use storage::codec::{invalid_data, Reader};
 use storage::RecordLog;
 
 use crate::error::{CouplingError, Result};
@@ -45,18 +46,16 @@ fn encode_op(op: PendingOp) -> [u8; OP_LEN] {
     payload
 }
 
-fn decode_op(payload: &[u8]) -> Option<PendingOp> {
-    if payload.len() != OP_LEN {
-        return None;
-    }
-    let mut oid_bytes = [0u8; 8];
-    oid_bytes.copy_from_slice(&payload[1..]);
-    let oid = Oid(u64::from_le_bytes(oid_bytes));
-    match payload[0] {
-        1 => Some(PendingOp::Insert(oid)),
-        2 => Some(PendingOp::Modify(oid)),
-        3 => Some(PendingOp::Delete(oid)),
-        _ => None,
+fn decode_op(payload: &[u8]) -> std::io::Result<PendingOp> {
+    let mut r = Reader::new(payload);
+    let tag = r.u8("op tag")?;
+    let oid = Oid(r.u64("op oid")?);
+    r.finish()?;
+    match tag {
+        1 => Ok(PendingOp::Insert(oid)),
+        2 => Ok(PendingOp::Modify(oid)),
+        3 => Ok(PendingOp::Delete(oid)),
+        other => Err(invalid_data(format!("unknown op tag {other}"))),
     }
 }
 
@@ -83,8 +82,8 @@ impl Journal {
         let ops = payloads
             .iter()
             .map(|p| decode_op(p))
-            .collect::<Option<Vec<_>>>()
-            .ok_or_else(|| {
+            .collect::<std::io::Result<Vec<_>>>()
+            .map_err(|_| {
                 CouplingError::Irs(irs::IrsError::CorruptIndex(format!(
                     "journal {}: a checksummed frame holds no propagation operation",
                     path.display()

@@ -343,11 +343,6 @@ impl<T: ReplicaTransport> RemoteIrs<T> {
         }
     }
 
-    /// Number of configured replicas.
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
-    }
-
     /// Entries currently held by the stale-result store.
     pub fn stale_len(&self) -> usize {
         self.stale.len()

@@ -14,7 +14,6 @@ use sgml::{load_document, parse_document, validate, Dtd, GeneratedDoc, LoadedDoc
 
 use crate::collection::{Collection, CollectionSetup};
 use crate::error::{CouplingError, Result};
-use crate::granularity::GranularityPolicy;
 use crate::propagate::{PendingOp, Propagator};
 
 /// Shared registry of coupled collections, writable from inside query
@@ -312,15 +311,6 @@ impl DocumentSystem {
             .get_mut(name)
             .ok_or_else(|| CouplingError::UnknownCollection(name.to_string()))?;
         coll.index_objects(&self.db, spec_query)
-    }
-
-    /// Apply a granularity policy to a collection.
-    pub fn apply_granularity(&mut self, name: &str, policy: &GranularityPolicy) -> Result<usize> {
-        let mut colls = self.collections.write();
-        let coll = colls
-            .get_mut(name)
-            .ok_or_else(|| CouplingError::UnknownCollection(name.to_string()))?;
-        policy.apply(&self.db, coll)
     }
 
     /// The shared collection registry (handle construction lives in

@@ -76,6 +76,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use oodb::Oid;
+use storage::codec::{invalid_data, put_str_u32, put_u32, put_u64, Reader};
 use storage::{LogCommitter, RecordLog};
 
 use crate::error::{CouplingError, Result};
@@ -304,117 +305,70 @@ const KIND_INDEX: u8 = 0;
 const KIND_UPDATE: u8 = 1;
 const KIND_FLUSH: u8 = 2;
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-struct Rd<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Rd<'a> {
-    fn new(bytes: &'a [u8]) -> Rd<'a> {
-        Rd { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len())?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn string(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        String::from_utf8(self.take(len)?.to_vec()).ok()
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-}
-
-fn encode_kind(buf: &mut Vec<u8>, kind: &TaskKind) {
-    match kind {
-        TaskKind::IndexObjects {
-            collection,
-            spec_query,
-        } => {
-            buf.push(KIND_INDEX);
-            put_str(buf, collection);
-            put_str(buf, spec_query);
-        }
-        TaskKind::UpdateText {
-            oid,
-            text,
-            collections,
-        } => {
-            buf.push(KIND_UPDATE);
-            put_u64(buf, oid.0);
-            put_str(buf, text);
-            put_u32(buf, collections.len() as u32);
-            for name in collections {
-                put_str(buf, name);
+impl TaskKind {
+    /// Append the kind's bytes — the same in a ledger `Enqueued` record
+    /// and in a wire `EnqueueTask` request or task answer: a tag byte,
+    /// then strings and counts behind `u32` lengths.
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        match self {
+            TaskKind::IndexObjects {
+                collection,
+                spec_query,
+            } => {
+                buf.push(KIND_INDEX);
+                put_str_u32(buf, collection);
+                put_str_u32(buf, spec_query);
             }
-        }
-        TaskKind::Flush { collection } => {
-            buf.push(KIND_FLUSH);
-            put_str(buf, collection);
-        }
-    }
-}
-
-fn decode_kind(r: &mut Rd<'_>) -> Option<TaskKind> {
-    match r.u8()? {
-        KIND_INDEX => Some(TaskKind::IndexObjects {
-            collection: r.string()?,
-            spec_query: r.string()?,
-        }),
-        KIND_UPDATE => {
-            let oid = Oid(r.u64()?);
-            let text = r.string()?;
-            let n = r.u32()? as usize;
-            // Each name carries at least its length prefix; a hostile
-            // count cannot drive a huge allocation past that check.
-            if n > r.bytes.len().saturating_sub(r.pos) / 4 + 1 {
-                return None;
-            }
-            let mut collections = Vec::with_capacity(n);
-            for _ in 0..n {
-                collections.push(r.string()?);
-            }
-            Some(TaskKind::UpdateText {
+            TaskKind::UpdateText {
                 oid,
                 text,
                 collections,
-            })
+            } => {
+                buf.push(KIND_UPDATE);
+                put_u64(buf, oid.0);
+                put_str_u32(buf, text);
+                put_u32(buf, collections.len() as u32);
+                for name in collections {
+                    put_str_u32(buf, name);
+                }
+            }
+            TaskKind::Flush { collection } => {
+                buf.push(KIND_FLUSH);
+                put_str_u32(buf, collection);
+            }
         }
-        KIND_FLUSH => Some(TaskKind::Flush {
-            collection: r.string()?,
-        }),
-        _ => None,
+    }
+
+    /// Inverse of [`TaskKind::encode`]. An unknown tag, a truncated field
+    /// or a count the bytes left cannot hold is an
+    /// [`std::io::ErrorKind::InvalidData`] error.
+    pub fn decode(r: &mut Reader<'_>) -> std::io::Result<TaskKind> {
+        match r.u8("task kind tag")? {
+            KIND_INDEX => Ok(TaskKind::IndexObjects {
+                collection: r.str_u32("collection")?.into(),
+                spec_query: r.str_u32("spec query")?.into(),
+            }),
+            KIND_UPDATE => {
+                let oid = Oid(r.u64("oid")?);
+                let text = r.str_u32("text")?.into();
+                // Each name carries at least its length prefix.
+                let n = r.u32("collection list")?;
+                let n = r.count(n.into(), 4, "collection list")?;
+                let mut collections = Vec::with_capacity(n);
+                for _ in 0..n {
+                    collections.push(r.str_u32("collection name")?.into());
+                }
+                Ok(TaskKind::UpdateText {
+                    oid,
+                    text,
+                    collections,
+                })
+            }
+            KIND_FLUSH => Ok(TaskKind::Flush {
+                collection: r.str_u32("collection")?.into(),
+            }),
+            other => Err(invalid_data(format!("unknown task kind tag {other}"))),
+        }
     }
 }
 
@@ -443,7 +397,7 @@ impl LedgerRecord {
                 buf.push(REC_ENQUEUED);
                 put_u64(&mut buf, *id);
                 put_u64(&mut buf, *tick);
-                encode_kind(&mut buf, kind);
+                kind.encode(&mut buf);
             }
             LedgerRecord::Started { id, batch_id } => {
                 buf.push(REC_STARTED);
@@ -454,32 +408,34 @@ impl LedgerRecord {
                 buf.push(REC_FINISHED);
                 put_u64(&mut buf, *id);
                 buf.push(u8::from(*ok));
-                put_str(&mut buf, error);
+                put_str_u32(&mut buf, error);
             }
         }
         buf
     }
 
-    fn decode(bytes: &[u8]) -> Option<LedgerRecord> {
-        let mut r = Rd::new(bytes);
-        let rec = match r.u8()? {
+    fn decode(bytes: &[u8]) -> std::io::Result<LedgerRecord> {
+        let mut r = Reader::new(bytes);
+        let rec = match r.u8("record tag")? {
             REC_ENQUEUED => LedgerRecord::Enqueued {
-                id: r.u64()?,
-                tick: r.u64()?,
-                kind: decode_kind(&mut r)?,
+                id: r.u64("task id")?,
+                tick: r.u64("tick")?,
+                kind: TaskKind::decode(&mut r)?,
             },
             REC_STARTED => LedgerRecord::Started {
-                id: r.u64()?,
-                batch_id: r.u64()?,
+                id: r.u64("task id")?,
+                batch_id: r.u64("batch id")?,
             },
+            // Any nonzero byte reads as success.
             REC_FINISHED => LedgerRecord::Finished {
-                id: r.u64()?,
-                ok: r.u8()? != 0,
-                error: r.string()?,
+                id: r.u64("task id")?,
+                ok: r.u8("ok")? != 0,
+                error: r.str_u32("error")?.into(),
             },
-            _ => return None,
+            other => return Err(invalid_data(format!("unknown ledger record tag {other}"))),
         };
-        r.done().then_some(rec)
+        r.finish()?;
+        Ok(rec)
     }
 }
 
@@ -520,7 +476,7 @@ impl Ledger {
             // Records that frame correctly but no longer decode (format
             // skew) are skipped rather than wedging recovery.
             match LedgerRecord::decode(raw) {
-                Some(LedgerRecord::Enqueued { id, tick, kind }) => {
+                Ok(LedgerRecord::Enqueued { id, tick, kind }) => {
                     ledger.tasks.insert(
                         id,
                         Task {
@@ -534,14 +490,14 @@ impl Ledger {
                     ledger.next_id = ledger.next_id.max(id + 1);
                     ledger.tick = ledger.tick.max(tick);
                 }
-                Some(LedgerRecord::Started { id, batch_id }) => {
+                Ok(LedgerRecord::Started { id, batch_id }) => {
                     if let Some(task) = ledger.tasks.get_mut(&id) {
                         task.status = TaskStatus::Processing;
                         task.batch_id = Some(batch_id);
                     }
                     ledger.next_batch = ledger.next_batch.max(batch_id + 1);
                 }
-                Some(LedgerRecord::Finished { id, ok, error }) => {
+                Ok(LedgerRecord::Finished { id, ok, error }) => {
                     if let Some(task) = ledger.tasks.get_mut(&id) {
                         task.status = if ok {
                             TaskStatus::Succeeded
@@ -550,7 +506,7 @@ impl Ledger {
                         };
                     }
                 }
-                None => {}
+                Err(_) => {}
             }
         }
         for task in ledger.tasks.values_mut() {
@@ -873,11 +829,6 @@ impl TaskQueue {
     pub fn close(&self) {
         self.inner.closed.store(true, Ordering::Release);
         self.inner.work.notify_all();
-    }
-
-    /// True once closed *and* drained.
-    pub fn is_idle(&self) -> bool {
-        self.inner.closed.load(Ordering::Acquire) && self.depth() == 0
     }
 
     /// Block up to `timeout` for claimable work. Returns `false` only
@@ -1529,8 +1480,8 @@ mod tests {
             assert_eq!(decoded.encode(), bytes, "re-encode is stable");
         }
         // Hostile bytes never panic.
-        assert!(LedgerRecord::decode(&[]).is_none());
-        assert!(LedgerRecord::decode(&[0xff, 1, 2]).is_none());
+        assert!(LedgerRecord::decode(&[]).is_err());
+        assert!(LedgerRecord::decode(&[0xff, 1, 2]).is_err());
         let mut truncated = LedgerRecord::Enqueued {
             id: 1,
             tick: 1,
@@ -1538,10 +1489,22 @@ mod tests {
         }
         .encode();
         truncated.pop();
-        assert!(LedgerRecord::decode(&truncated).is_none());
+        assert!(LedgerRecord::decode(&truncated).is_err());
         let mut trailing = LedgerRecord::Started { id: 1, batch_id: 1 }.encode();
         trailing.push(0);
-        assert!(LedgerRecord::decode(&trailing).is_none());
+        assert!(LedgerRecord::decode(&trailing).is_err());
+        // Any nonzero `ok` byte reads as success.
+        let mut lenient = LedgerRecord::Finished {
+            id: 7,
+            ok: false,
+            error: String::new(),
+        }
+        .encode();
+        lenient[9] = 2;
+        assert!(matches!(
+            LedgerRecord::decode(&lenient),
+            Ok(LedgerRecord::Finished { ok: true, .. })
+        ));
     }
 
     /// The bytes of a hex literal.

@@ -92,17 +92,6 @@ pub struct CollectionStatistics {
     pub tombstones: u64,
 }
 
-impl CollectionStatistics {
-    /// Mean query evaluation time in microseconds (0 with no queries).
-    pub fn mean_query_us(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.query_nanos as f64 / self.queries as f64 / 1_000.0
-        }
-    }
-}
-
 /// Lock-free work counters: queries are counted from `&self` so searches
 /// can run concurrently (relaxed ordering — counters only, no ordering
 /// requirements).

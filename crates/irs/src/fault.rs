@@ -134,11 +134,6 @@ impl FaultPlan {
         self.panicking.store(panicking, Ordering::Relaxed);
     }
 
-    /// True while the hard-down switch is set.
-    pub fn is_down(&self) -> bool {
-        self.down.load(Ordering::Relaxed)
-    }
-
     /// Operations observed so far.
     pub fn ops_seen(&self) -> u64 {
         self.ops.load(Ordering::Relaxed)

@@ -38,7 +38,8 @@ use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use storage::{atomic_write, read_varint, read_verified_with_crc, write_varint};
+use storage::codec::{put_bytes_varint, put_f64, put_str_varint, Reader};
+use storage::{atomic_write, read_verified_with_crc, write_varint};
 
 use crate::analysis::{Analyzer, AnalyzerConfig};
 use crate::collection::{CollectionConfig, IrsCollection};
@@ -58,53 +59,6 @@ const SHARD_MAGIC: &[u8; 4] = b"IRSS";
 /// [`PostingsList`] without decoding the postings bytes.
 const SHARD_VERSION: u8 = 2;
 
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    write_varint(out, bytes.len() as u64);
-    out.extend_from_slice(bytes);
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64> {
-    read_varint(buf, pos).ok_or_else(|| IrsError::CorruptIndex("truncated varint".into()))
-}
-
-fn get_bytes<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8]> {
-    let len = get_varint(buf, pos)? as usize;
-    let end = pos
-        .checked_add(len)
-        .filter(|&e| e <= buf.len())
-        .ok_or_else(|| IrsError::CorruptIndex("truncated byte string".into()))?;
-    let out = &buf[*pos..end];
-    *pos = end;
-    Ok(out)
-}
-
-fn get_f64(buf: &[u8], pos: &mut usize) -> Result<f64> {
-    if *pos + 8 > buf.len() {
-        return Err(IrsError::CorruptIndex("truncated f64".into()));
-    }
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&buf[*pos..*pos + 8]);
-    *pos += 8;
-    Ok(f64::from_bits(u64::from_le_bytes(b)))
-}
-
-fn get_flag(buf: &[u8], pos: &mut usize) -> Result<bool> {
-    if *pos >= buf.len() {
-        return Err(IrsError::CorruptIndex("truncated boolean flag".into()));
-    }
-    let b = buf[*pos];
-    *pos += 1;
-    match b {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(IrsError::CorruptIndex("bad boolean flag".into())),
-    }
-}
-
 fn put_analyzer(out: &mut Vec<u8>, a: &AnalyzerConfig) {
     out.push(a.lowercase as u8);
     out.push(a.remove_stopwords as u8);
@@ -113,18 +67,13 @@ fn put_analyzer(out: &mut Vec<u8>, a: &AnalyzerConfig) {
     write_varint(out, a.max_token_len as u64);
 }
 
-fn get_analyzer(buf: &[u8], pos: &mut usize) -> Result<AnalyzerConfig> {
-    let lowercase = get_flag(buf, pos)?;
-    let remove_stopwords = get_flag(buf, pos)?;
-    let stem = get_flag(buf, pos)?;
-    let min_token_len = get_varint(buf, pos)? as usize;
-    let max_token_len = get_varint(buf, pos)? as usize;
+fn get_analyzer(r: &mut Reader<'_>) -> Result<AnalyzerConfig> {
     Ok(AnalyzerConfig {
-        lowercase,
-        remove_stopwords,
-        stem,
-        min_token_len,
-        max_token_len,
+        lowercase: r.flag("lowercase")?,
+        remove_stopwords: r.flag("stopwords")?,
+        stem: r.flag("stem")?,
+        min_token_len: r.varint("min token length")? as usize,
+        max_token_len: r.varint("max token length")? as usize,
     })
 }
 
@@ -141,26 +90,22 @@ fn put_model(out: &mut Vec<u8>, model: &ModelKind) {
     }
 }
 
-fn get_model(buf: &[u8], pos: &mut usize) -> Result<ModelKind> {
-    if *pos >= buf.len() {
-        return Err(IrsError::CorruptIndex("truncated model tag".into()));
-    }
-    let tag = buf[*pos];
-    *pos += 1;
+fn get_model(r: &mut Reader<'_>) -> Result<ModelKind> {
+    let tag = r.u8("model tag")?;
     Ok(
         match ModelKind::from_tag(tag)
             .ok_or_else(|| IrsError::CorruptIndex(format!("unknown model tag {tag}")))?
         {
             ModelKind::Boolean => ModelKind::Boolean,
             ModelKind::Vector(_) => ModelKind::Vector(VectorModel {
-                slope: get_f64(buf, pos)?,
+                slope: r.f64("slope")?,
             }),
             ModelKind::Bm25(_) => ModelKind::Bm25(Bm25Model {
-                k1: get_f64(buf, pos)?,
-                b: get_f64(buf, pos)?,
+                k1: r.f64("k1")?,
+                b: r.f64("b")?,
             }),
             ModelKind::Inference(_) => ModelKind::Inference(InferenceModel {
-                default_belief: get_f64(buf, pos)?,
+                default_belief: r.f64("default belief")?,
             }),
         },
     )
@@ -171,7 +116,7 @@ fn put_store(out: &mut Vec<u8>, store: &DocStore) {
     write_varint(out, u64::from(store.slot_count()));
     for slot in 0..store.slot_count() {
         let e = store.entry(DocId(slot));
-        put_bytes(out, e.key.as_bytes());
+        put_str_varint(out, &e.key);
         write_varint(out, u64::from(e.len));
         out.push(e.deleted as u8);
     }
@@ -179,20 +124,20 @@ fn put_store(out: &mut Vec<u8>, store: &DocStore) {
 
 /// Rebuild a doc store by replaying inserts (and deletes for tombstones)
 /// in slot order, so internal ids are reproduced exactly.
-fn get_store(buf: &[u8], pos: &mut usize) -> Result<DocStore> {
-    let slots = get_varint(buf, pos)? as usize;
+fn get_store(r: &mut Reader<'_>) -> Result<DocStore> {
+    // A slot takes at least a key length, a length and a flag.
+    let slots = r.varint("slot count")?;
+    let slots = r.count(slots, 3, "slot")?;
     let mut store = DocStore::new();
     for _ in 0..slots {
-        let key = std::str::from_utf8(get_bytes(buf, pos)?)
-            .map_err(|_| IrsError::CorruptIndex("non-utf8 key".into()))?
-            .to_string();
-        let len = get_varint(buf, pos)? as u32;
-        let deleted = get_flag(buf, pos)?;
+        let key = r.str_varint("key")?;
+        let len = r.varint("document length")? as u32;
+        let deleted = r.flag("deleted")?;
         store
-            .insert(&key, len)
+            .insert(key, len)
             .ok_or_else(|| IrsError::CorruptIndex(format!("duplicate live key {key}")))?;
         if deleted {
-            store.delete(&key);
+            store.delete(key);
         }
     }
     Ok(store)
@@ -254,13 +199,13 @@ fn encode_shard(i: usize, generation: u64, terms: &TermTable) -> Vec<u8> {
     write_varint(&mut out, i as u64);
     write_varint(&mut out, terms.len() as u64);
     for (term, pl, _) in terms.entries() {
-        put_bytes(&mut out, term.as_bytes());
+        put_str_varint(&mut out, term);
         let (bytes, doc_count, last_doc, total_tf, max_tf) = pl.raw();
         write_varint(&mut out, u64::from(doc_count));
         write_varint(&mut out, u64::from(last_doc));
         write_varint(&mut out, total_tf);
         write_varint(&mut out, u64::from(max_tf));
-        put_bytes(&mut out, bytes);
+        put_bytes_varint(&mut out, bytes);
         // Block-skip headers (v2). The block count is derived from
         // `doc_count` and the block size, so only the size is stored;
         // `last_doc` and `end` are ascending across blocks and delta-code
@@ -283,12 +228,11 @@ fn encode_shard(i: usize, generation: u64, terms: &TermTable) -> Vec<u8> {
 /// lists are reassembled from the persisted block headers via
 /// [`PostingsList::from_raw_blocks`], with no postings decode.
 fn decode_shard(buf: &[u8], generation: u64, i: usize) -> Result<Vec<(String, PostingsList)>> {
-    let mut pos = 0usize;
-    if buf.len() < 5 || &buf[0..4] != SHARD_MAGIC {
+    let mut r = Reader::new(buf);
+    if buf.len() < 5 || r.take(4, "magic")? != SHARD_MAGIC {
         return Err(IrsError::CorruptIndex("bad shard magic".into()));
     }
-    pos += 4;
-    match buf[pos] {
+    match r.u8("shard version")? {
         SHARD_VERSION => {}
         1 => {
             return Err(IrsError::CorruptIndex(
@@ -303,40 +247,41 @@ fn decode_shard(buf: &[u8], generation: u64, i: usize) -> Result<Vec<(String, Po
             )))
         }
     }
-    pos += 1;
-    let file_gen = get_varint(buf, &mut pos)?;
-    let file_idx = get_varint(buf, &mut pos)? as usize;
+    let file_gen = r.varint("generation")?;
+    let file_idx = r.varint("shard index")? as usize;
     if file_gen != generation || file_idx != i {
         return Err(IrsError::CorruptIndex(format!(
             "shard file is generation {file_gen} index {file_idx}, expected {generation}/{i}"
         )));
     }
-    let term_count = get_varint(buf, &mut pos)? as usize;
-    let mut terms = Vec::with_capacity(term_count.min(buf.len()));
+    // A term takes at least seven varints: the term and postings
+    // lengths, four statistics and the block size.
+    let term_count = r.varint("term count")?;
+    let term_count = r.count(term_count, 7, "term")?;
+    let mut terms = Vec::with_capacity(term_count);
     for _ in 0..term_count {
-        let term = std::str::from_utf8(get_bytes(buf, &mut pos)?)
-            .map_err(|_| IrsError::CorruptIndex("non-utf8 term".into()))?
-            .to_string();
-        let doc_count = get_varint(buf, &mut pos)? as u32;
-        let last_doc = get_varint(buf, &mut pos)? as u32;
-        let total_tf = get_varint(buf, &mut pos)?;
-        let max_tf = get_varint(buf, &mut pos)? as u32;
-        let bytes = get_bytes(buf, &mut pos)?.to_vec();
-        let block_size = get_varint(buf, &mut pos)? as u32;
+        let term = r.str_varint("term")?.to_string();
+        let doc_count = r.varint("doc count")? as u32;
+        let last_doc = r.varint("last doc")? as u32;
+        let total_tf = r.varint("total tf")?;
+        let max_tf = r.varint("max tf")? as u32;
+        let bytes = r.bytes_varint("postings")?.to_vec();
+        let block_size = r.varint("block size")? as u32;
         if block_size == 0 {
             return Err(IrsError::CorruptIndex("zero block size".into()));
         }
+        // A block header is three varints.
         let n_blocks = (doc_count as usize).div_ceil(block_size as usize);
-        let mut blocks = Vec::with_capacity(n_blocks.min(buf.len()));
+        let mut blocks = Vec::with_capacity(r.count(n_blocks as u64, 3, "block")?);
         let mut prev_last = 0u32;
         let mut prev_end = 0usize;
         for _ in 0..n_blocks {
             let last_doc = prev_last
-                .checked_add(get_varint(buf, &mut pos)? as u32)
+                .checked_add(r.varint("block last doc")? as u32)
                 .ok_or_else(|| IrsError::CorruptIndex("block last_doc overflow".into()))?;
-            let max_tf = get_varint(buf, &mut pos)? as u32;
+            let max_tf = r.varint("block max tf")? as u32;
             let end = prev_end
-                .checked_add(get_varint(buf, &mut pos)? as usize)
+                .checked_add(r.varint("block end")? as usize)
                 .ok_or_else(|| IrsError::CorruptIndex("block end overflow".into()))?;
             blocks.push(crate::index::BlockSkip {
                 last_doc,
@@ -354,9 +299,7 @@ fn decode_shard(buf: &[u8], generation: u64, i: usize) -> Result<Vec<(String, Po
         })?;
         terms.push((term, pl));
     }
-    if pos != buf.len() {
-        return Err(IrsError::CorruptIndex("trailing bytes in shard".into()));
-    }
+    r.finish()?;
     Ok(terms)
 }
 
@@ -432,27 +375,23 @@ pub fn load_collection(path: &Path) -> Result<IrsCollection> {
         )));
     }
     let (buf, manifest_crc) = read_verified_with_crc(&path.join(MANIFEST_NAME))?;
-    let mut pos = 0usize;
-    if buf.len() < 5 || &buf[0..4] != MANIFEST_MAGIC {
+    let mut r = Reader::new(&buf);
+    if buf.len() < 5 || r.take(4, "magic")? != MANIFEST_MAGIC {
         return Err(IrsError::CorruptIndex("bad manifest magic".into()));
     }
-    pos += 4;
-    let version = buf[pos];
-    pos += 1;
+    let version = r.u8("manifest version")?;
     if version != MANIFEST_VERSION {
         return Err(IrsError::CorruptIndex(format!(
             "unsupported manifest version {version}"
         )));
     }
-    let analyzer_cfg = get_analyzer(&buf, &mut pos)?;
-    let model = get_model(&buf, &mut pos)?;
-    let shards_cfg = get_varint(&buf, &mut pos)? as usize;
-    let shard_count = get_varint(&buf, &mut pos)? as usize;
-    let generation = get_varint(&buf, &mut pos)?;
-    let store = get_store(&buf, &mut pos)?;
-    if pos != buf.len() {
-        return Err(IrsError::CorruptIndex("trailing bytes".into()));
-    }
+    let analyzer_cfg = get_analyzer(&mut r)?;
+    let model = get_model(&mut r)?;
+    let shards_cfg = r.varint("configured shards")? as usize;
+    let shard_count = r.varint("shard count")? as usize;
+    let generation = r.varint("generation")?;
+    let store = get_store(&mut r)?;
+    r.finish()?;
     if shard_count == 0 || shard_count > 1 << 16 || shards_cfg > 1 << 16 {
         return Err(IrsError::CorruptIndex(format!(
             "implausible shard count {shard_count} (configured {shards_cfg})"
@@ -927,13 +866,13 @@ mod tests {
             write_varint(&mut out, i as u64);
             write_varint(&mut out, terms.len() as u64);
             for (term, pl) in &terms {
-                put_bytes(&mut out, term.as_bytes());
+                put_str_varint(&mut out, term);
                 let (bytes, doc_count, last_doc, total_tf, max_tf) = pl.raw();
                 write_varint(&mut out, u64::from(doc_count));
                 write_varint(&mut out, u64::from(last_doc));
                 write_varint(&mut out, total_tf);
                 write_varint(&mut out, u64::from(max_tf));
-                put_bytes(&mut out, bytes);
+                put_bytes_varint(&mut out, bytes);
                 write_varint(&mut out, u64::from(pl.block_size()));
                 let mut prev_last = 0u32;
                 for b in pl.blocks() {

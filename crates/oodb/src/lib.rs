@@ -38,7 +38,6 @@ pub mod query;
 pub mod schema;
 pub mod store;
 pub mod txn;
-pub mod util;
 pub mod value;
 
 pub use database::Database;

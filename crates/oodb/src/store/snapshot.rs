@@ -6,14 +6,14 @@
 
 use std::path::Path;
 
-use storage::{atomic_write, read_verified};
+use storage::codec::{put_str_varint, Reader};
+use storage::{atomic_write, read_verified, write_varint};
 
 use crate::error::{DbError, Result};
 use crate::object::Object;
 use crate::oid::Oid;
 use crate::schema::{ClassId, Schema};
 use crate::store::ObjectStore;
-use crate::util::{read_str, read_varint, write_str, write_varint};
 use crate::value::Value;
 
 const MAGIC: &[u8; 4] = b"ODBS";
@@ -55,7 +55,7 @@ pub fn write(
     // Schema in class-id order; parents reference earlier ids.
     write_varint(&mut out, schema.len() as u64);
     for (_, def) in schema.iter() {
-        write_str(&mut out, &def.name);
+        put_str_varint(&mut out, &def.name);
         match def.parent {
             Some(p) => {
                 out.push(1);
@@ -69,7 +69,7 @@ pub fn write(
     write_varint(&mut out, indexes.len() as u64);
     for ix in indexes {
         write_varint(&mut out, u64::from(ix.class.0));
-        write_str(&mut out, &ix.attr);
+        put_str_varint(&mut out, &ix.attr);
         out.push(ix.kind);
     }
 
@@ -83,7 +83,7 @@ pub fn write(
         write_varint(&mut out, u64::from(obj.class.0));
         write_varint(&mut out, obj.attrs.len() as u64);
         for (name, value) in &obj.attrs {
-            write_str(&mut out, name);
+            put_str_varint(&mut out, name);
             value.encode(&mut out);
         }
     }
@@ -95,67 +95,62 @@ pub fn write(
 /// Load a snapshot previously written by [`write`].
 pub fn read(path: &Path) -> Result<Snapshot> {
     let buf = read_verified(path)?;
-    let mut pos = 0usize;
+    let mut r = Reader::new(&buf);
 
-    if buf.len() < 5 || &buf[0..4] != MAGIC {
+    if r.take(4, "magic").ok() != Some(MAGIC.as_slice()) {
         return Err(DbError::Corrupt("snapshot: bad magic".into()));
     }
-    pos += 4;
-    if buf[pos] != VERSION {
-        return Err(DbError::Corrupt(format!("snapshot: version {}", buf[pos])));
+    let version = r.u8("version")?;
+    if version != VERSION {
+        return Err(DbError::Corrupt(format!("snapshot: version {version}")));
     }
-    pos += 1;
 
-    let corrupt = |what: &str| DbError::Corrupt(format!("snapshot: truncated {what}"));
-
-    let class_count = read_varint(&buf, &mut pos).ok_or_else(|| corrupt("class count"))? as usize;
+    // A class takes at least a name length and a parent flag.
+    let class_count = r.varint("class count")?;
+    let class_count = r.count(class_count, 2, "class")?;
     let mut schema = Schema::new();
     for _ in 0..class_count {
-        let name = read_str(&buf, &mut pos).ok_or_else(|| corrupt("class name"))?;
-        let has_parent = *buf.get(pos).ok_or_else(|| corrupt("parent flag"))?;
-        pos += 1;
-        let parent = match has_parent {
-            0 => None,
-            1 => Some(ClassId(
-                read_varint(&buf, &mut pos).ok_or_else(|| corrupt("parent id"))? as u32,
-            )),
-            _ => return Err(DbError::Corrupt("snapshot: bad parent flag".into())),
+        let name = r.str_varint("class name")?;
+        let parent = if r.flag("parent")? {
+            Some(ClassId(r.varint("parent id")? as u32))
+        } else {
+            None
         };
-        schema.define(&name, parent)?;
+        schema.define(name, parent)?;
     }
 
-    let index_count = read_varint(&buf, &mut pos).ok_or_else(|| corrupt("index count"))? as usize;
+    // An index takes at least a class id, an attribute length and a kind.
+    let index_count = r.varint("index count")?;
+    let index_count = r.count(index_count, 3, "index")?;
     let mut indexes = Vec::with_capacity(index_count);
     for _ in 0..index_count {
-        let class =
-            ClassId(read_varint(&buf, &mut pos).ok_or_else(|| corrupt("index class"))? as u32);
-        let attr = read_str(&buf, &mut pos).ok_or_else(|| corrupt("index attr"))?;
-        let kind = *buf.get(pos).ok_or_else(|| corrupt("index kind"))?;
-        pos += 1;
-        indexes.push(IndexDef { class, attr, kind });
+        indexes.push(IndexDef {
+            class: ClassId(r.varint("index class")? as u32),
+            attr: r.str_varint("index attr")?.into(),
+            kind: r.u8("index kind")?,
+        });
     }
 
-    let next_oid = read_varint(&buf, &mut pos).ok_or_else(|| corrupt("next oid"))?;
+    let next_oid = r.varint("next oid")?;
     let mut store = ObjectStore::new();
     store.bump_oid_floor(next_oid);
 
-    let obj_count = read_varint(&buf, &mut pos).ok_or_else(|| corrupt("object count"))? as usize;
-    for _ in 0..obj_count {
-        let oid = Oid(read_varint(&buf, &mut pos).ok_or_else(|| corrupt("oid"))?);
-        let class = ClassId(read_varint(&buf, &mut pos).ok_or_else(|| corrupt("class id"))? as u32);
-        let attr_count = read_varint(&buf, &mut pos).ok_or_else(|| corrupt("attr count"))? as usize;
+    // An object takes at least an oid, a class id and an attribute count;
+    // an attribute at least a name length and a value tag.
+    let obj_count = r.varint("object count")?;
+    for _ in 0..r.count(obj_count, 3, "object")? {
+        let oid = Oid(r.varint("oid")?);
+        let class = ClassId(r.varint("class id")? as u32);
+        let attr_count = r.varint("attr count")?;
         let mut obj = Object::new(oid, class);
-        for _ in 0..attr_count {
-            let name = read_str(&buf, &mut pos).ok_or_else(|| corrupt("attr name"))?;
-            let value = Value::decode(&buf, &mut pos).ok_or_else(|| corrupt("attr value"))?;
-            obj.attrs.insert(name, value);
+        for _ in 0..r.count(attr_count, 2, "attr")? {
+            let name = r.str_varint("attr name")?.into();
+            obj.attrs.insert(name, Value::decode(&mut r)?);
         }
         store.put(obj);
     }
 
-    if pos != buf.len() {
-        return Err(DbError::Corrupt("snapshot: trailing bytes".into()));
-    }
+    r.finish()?;
     Ok(Snapshot {
         schema,
         indexes,
@@ -285,7 +280,10 @@ mod tests {
         for bad in [&padded[..], &overflow[..]] {
             // An OID value (tag 5) spelled with the bad varint.
             let value = [&[5u8][..], bad].concat();
-            assert_eq!(Value::decode(&value, &mut 0), None, "{bad:02x?}");
+            assert!(
+                Value::decode(&mut Reader::new(&value)).is_err(),
+                "{bad:02x?}"
+            );
 
             // A CRC-valid snapshot of an empty database whose next-oid
             // field is spelled with the bad varint.
@@ -297,6 +295,41 @@ mod tests {
                 "{bad:02x?}"
             );
         }
+    }
+
+    #[test]
+    fn crc32_matches_known_vector() {
+        // The checksum framing every WAL record and snapshot file is the
+        // standard CRC-32 (IEEE).
+        assert_eq!(storage::crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(storage::crc32(b""), 0);
+    }
+
+    /// A CRC-valid snapshot whose index count claims 2^40 entries is
+    /// refused as corrupt before the count sizes an allocation.
+    #[test]
+    fn hostile_index_count_is_refused() {
+        let mut payload = [&MAGIC[..], &[VERSION, 0]].concat();
+        write_varint(&mut payload, 1 << 40);
+        let path = tmp("hostile_count.snap");
+        atomic_write(&path, &payload).unwrap();
+        assert!(matches!(read(&path), Err(DbError::Corrupt(_))));
+    }
+
+    /// A value nested 100 000 lists deep is refused as corrupt instead of
+    /// recursing until the stack overflows.
+    #[test]
+    fn deeply_nested_value_is_refused() {
+        // No classes, no indexes, next oid 2, and one object (oid 1,
+        // class 0) with one attribute `v`.
+        let mut payload = [&MAGIC[..], &[VERSION, 0, 0, 2, 1, 1, 0, 1, 1, b'v']].concat();
+        for _ in 0..100_000 {
+            payload.extend_from_slice(&[6, 1]);
+        }
+        payload.push(0);
+        let path = tmp("deep_value.snap");
+        atomic_write(&path, &payload).unwrap();
+        assert!(matches!(read(&path), Err(DbError::Corrupt(_))));
     }
 
     #[test]

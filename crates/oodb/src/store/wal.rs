@@ -8,13 +8,14 @@
 //! is truncated away rather than replayed. DDL (class and index
 //! definitions) is logged the same way as its own single-record batch.
 
+use std::io;
 use std::path::Path;
 
-use storage::RecordLog;
+use storage::codec::{invalid_data, put_str_varint, Reader};
+use storage::{write_varint, RecordLog};
 
 use crate::error::{DbError, Result};
 use crate::oid::Oid;
-use crate::util::{read_str, read_varint, write_str, write_varint};
 use crate::value::Value;
 
 /// One redo record.
@@ -66,30 +67,30 @@ impl Record {
         match self {
             Record::DefineClass { name, parent } => {
                 out.push(1);
-                write_str(out, name);
+                put_str_varint(out, name);
                 match parent {
                     Some(p) => {
                         out.push(1);
-                        write_str(out, p);
+                        put_str_varint(out, p);
                     }
                     None => out.push(0),
                 }
             }
             Record::CreateIndex { class, attr, kind } => {
                 out.push(2);
-                write_str(out, class);
-                write_str(out, attr);
+                put_str_varint(out, class);
+                put_str_varint(out, attr);
                 out.push(*kind);
             }
             Record::Create { oid, class } => {
                 out.push(3);
                 write_varint(out, oid.0);
-                write_str(out, class);
+                put_str_varint(out, class);
             }
             Record::SetAttr { oid, attr, value } => {
                 out.push(4);
                 write_varint(out, oid.0);
-                write_str(out, attr);
+                put_str_varint(out, attr);
                 value.encode(out);
             }
             Record::Delete { oid } => {
@@ -100,55 +101,51 @@ impl Record {
         }
     }
 
-    fn decode(buf: &[u8], pos: &mut usize) -> Option<Record> {
-        let tag = *buf.get(*pos)?;
-        *pos += 1;
-        Some(match tag {
+    fn decode(r: &mut Reader<'_>) -> io::Result<Record> {
+        Ok(match r.u8("record tag")? {
             1 => {
-                let name = read_str(buf, pos)?;
-                let has_parent = *buf.get(*pos)?;
-                *pos += 1;
-                let parent = match has_parent {
-                    0 => None,
-                    1 => Some(read_str(buf, pos)?),
-                    _ => return None,
+                let name = r.str_varint("class name")?.into();
+                let parent = if r.flag("parent")? {
+                    Some(r.str_varint("parent name")?.into())
+                } else {
+                    None
                 };
                 Record::DefineClass { name, parent }
             }
-            2 => {
-                let class = read_str(buf, pos)?;
-                let attr = read_str(buf, pos)?;
-                let kind = *buf.get(*pos)?;
-                *pos += 1;
-                Record::CreateIndex { class, attr, kind }
-            }
+            2 => Record::CreateIndex {
+                class: r.str_varint("index class")?.into(),
+                attr: r.str_varint("index attr")?.into(),
+                kind: r.u8("index kind")?,
+            },
             3 => Record::Create {
-                oid: Oid(read_varint(buf, pos)?),
-                class: read_str(buf, pos)?,
+                oid: Oid(r.varint("oid")?),
+                class: r.str_varint("class name")?.into(),
             },
             4 => Record::SetAttr {
-                oid: Oid(read_varint(buf, pos)?),
-                attr: read_str(buf, pos)?,
-                value: Value::decode(buf, pos)?,
+                oid: Oid(r.varint("oid")?),
+                attr: r.str_varint("attr name")?.into(),
+                value: Value::decode(r)?,
             },
             5 => Record::Delete {
-                oid: Oid(read_varint(buf, pos)?),
+                oid: Oid(r.varint("oid")?),
             },
             6 => Record::Commit,
-            _ => return None,
+            other => return Err(invalid_data(format!("unknown record tag {other}"))),
         })
     }
 }
 
 /// Decode one batch: records up to the commit marker, which must end it.
-fn decode_batch(payload: &[u8]) -> Option<Vec<Record>> {
-    let mut pos = 0usize;
+fn decode_batch(payload: &[u8]) -> io::Result<Vec<Record>> {
+    let mut r = Reader::new(payload);
     let mut batch = Vec::new();
     loop {
-        match Record::decode(payload, &mut pos)? {
-            Record::Commit if pos == payload.len() => return Some(batch),
-            Record::Commit => return None,
-            r => batch.push(r),
+        match Record::decode(&mut r)? {
+            Record::Commit => {
+                r.finish()?;
+                return Ok(batch);
+            }
+            rec => batch.push(rec),
         }
     }
 }
@@ -170,8 +167,8 @@ impl Wal {
         let (log, payloads) = RecordLog::open(path, u32::MAX as usize)?;
         let mut records = Vec::new();
         for (i, payload) in payloads.iter().enumerate() {
-            let batch = decode_batch(payload).ok_or_else(|| {
-                DbError::Corrupt(format!("{}: undecodable batch {i}", path.display()))
+            let batch = decode_batch(payload).map_err(|e| {
+                DbError::Corrupt(format!("{}: undecodable batch {i}: {e}", path.display()))
             })?;
             records.extend(batch);
         }

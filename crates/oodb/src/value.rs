@@ -8,8 +8,17 @@
 use std::cmp::Ordering;
 use std::fmt;
 
+use std::io;
+
+use storage::codec::{invalid_data, put_f64, put_str_varint, Reader};
+use storage::write_varint;
+
 use crate::oid::Oid;
-use crate::util::{read_str, read_varint, write_str, write_varint};
+
+/// Deepest nesting of `List`s that [`Value::decode`] accepts: a deeper
+/// value is refused as corrupt, so hostile bytes cannot exhaust the
+/// stack.
+pub const MAX_DECODE_DEPTH: usize = 128;
 
 /// A typed attribute value.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,11 +155,11 @@ impl Value {
             }
             Value::Real(r) => {
                 buf.push(3);
-                buf.extend_from_slice(&r.to_bits().to_le_bytes());
+                put_f64(buf, *r);
             }
             Value::Str(s) => {
                 buf.push(4);
-                write_str(buf, s);
+                put_str_varint(buf, s);
             }
             Value::Oid(o) => {
                 buf.push(5);
@@ -166,41 +175,40 @@ impl Value {
         }
     }
 
-    /// Inverse of [`Value::encode`].
-    pub fn decode(buf: &[u8], pos: &mut usize) -> Option<Value> {
-        let tag = *buf.get(*pos)?;
-        *pos += 1;
-        Some(match tag {
+    /// Inverse of [`Value::encode`]. A `List` nested deeper than
+    /// [`MAX_DECODE_DEPTH`] is an [`io::ErrorKind::InvalidData`] error, as
+    /// is every other byte sequence that does not decode.
+    pub fn decode(r: &mut Reader<'_>) -> io::Result<Value> {
+        Value::decode_at(r, 0)
+    }
+
+    fn decode_at(r: &mut Reader<'_>, depth: usize) -> io::Result<Value> {
+        Ok(match r.u8("value tag")? {
             0 => Value::Null,
-            1 => {
-                let b = *buf.get(*pos)?;
-                *pos += 1;
-                Value::Bool(b != 0)
-            }
+            1 => Value::Bool(r.u8("bool")? != 0),
             2 => {
-                let z = read_varint(buf, pos)?;
+                let z = r.varint("int")?;
                 Value::Int(((z >> 1) as i64) ^ -((z & 1) as i64))
             }
-            3 => {
-                if *pos + 8 > buf.len() {
-                    return None;
-                }
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&buf[*pos..*pos + 8]);
-                *pos += 8;
-                Value::Real(f64::from_bits(u64::from_le_bytes(b)))
-            }
-            4 => Value::Str(read_str(buf, pos)?),
-            5 => Value::Oid(Oid(read_varint(buf, pos)?)),
+            3 => Value::Real(r.f64("real")?),
+            4 => Value::Str(r.str_varint("string")?.into()),
+            5 => Value::Oid(Oid(r.varint("oid")?)),
             6 => {
-                let n = read_varint(buf, pos)? as usize;
-                let mut l = Vec::with_capacity(n.min(1024));
+                if depth == MAX_DECODE_DEPTH {
+                    return Err(invalid_data(format!(
+                        "list nested deeper than {MAX_DECODE_DEPTH} at offset {}",
+                        r.pos()
+                    )));
+                }
+                let n = r.varint("list length")?;
+                let n = r.count(n, 1, "list")?;
+                let mut l = Vec::with_capacity(n);
                 for _ in 0..n {
-                    l.push(Value::decode(buf, pos)?);
+                    l.push(Value::decode_at(r, depth + 1)?);
                 }
                 Value::List(l)
             }
-            _ => return None,
+            other => return Err(invalid_data(format!("unknown value tag {other}"))),
         })
     }
 }
@@ -320,19 +328,28 @@ mod tests {
         for v in &vals {
             let mut buf = Vec::new();
             v.encode(&mut buf);
-            let mut pos = 0;
-            let back = Value::decode(&buf, &mut pos).unwrap();
+            let mut r = Reader::new(&buf);
+            let back = Value::decode(&mut r).unwrap();
             assert_eq!(&back, v);
-            assert_eq!(pos, buf.len());
+            assert_eq!(r.pos(), buf.len());
         }
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        assert_eq!(Value::decode(&[200], &mut 0), None);
-        assert_eq!(Value::decode(&[], &mut 0), None);
+        assert!(Value::decode(&mut Reader::new(&[200])).is_err());
+        assert!(Value::decode(&mut Reader::new(&[])).is_err());
         // Truncated f64.
-        assert_eq!(Value::decode(&[3, 0, 0], &mut 0), None);
+        assert!(Value::decode(&mut Reader::new(&[3, 0, 0])).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_decode_depth() {
+        let nested = |depth: usize| [&[6u8, 1].repeat(depth)[..], &[0]].concat();
+        let ok = Value::decode(&mut Reader::new(&nested(MAX_DECODE_DEPTH))).unwrap();
+        assert!(matches!(ok, Value::List(_)));
+        let err = Value::decode(&mut Reader::new(&nested(MAX_DECODE_DEPTH + 1))).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -376,11 +393,11 @@ mod proptests {
         fn encode_decode_round_trips(v in value_strategy()) {
             let mut buf = Vec::new();
             v.encode(&mut buf);
-            let mut pos = 0;
-            let back = Value::decode(&buf, &mut pos).unwrap();
+            let mut r = Reader::new(&buf);
+            let back = Value::decode(&mut r).unwrap();
             // NaN != NaN under PartialEq, so compare via total order.
             prop_assert_eq!(back.total_cmp(&v), std::cmp::Ordering::Equal);
-            prop_assert_eq!(pos, buf.len());
+            prop_assert_eq!(r.pos(), buf.len());
         }
 
         #[test]

@@ -258,12 +258,6 @@ impl Ticket {
                 .unwrap_or_else(|e| e.into_inner());
         }
     }
-
-    /// True once an outcome is available (then [`Ticket::wait`] will
-    /// not block).
-    pub fn is_ready(&self) -> bool {
-        lock_recover(&self.state.slot).is_some()
-    }
 }
 
 /// Worker-side handle that must deliver exactly one outcome to the

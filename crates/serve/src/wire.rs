@@ -19,11 +19,14 @@
 //! ```
 //!
 //! The payload codec is hand-rolled (the workspace deliberately carries
-//! no serde): little-endian fixed-width integers, `f64` as IEEE-754
-//! bits, strings and sequences length-prefixed with `u32`. Decoding is
-//! strict — trailing bytes, truncated fields, unknown tags, and
-//! out-of-range discriminants are all [`WireError::Malformed`], never a
-//! panic.
+//! no serde) on [`storage::codec`]: little-endian fixed-width integers,
+//! `f64` as IEEE-754 bits, strings and sequences length-prefixed with
+//! `u32`, and every element count bounded by the bytes left
+//! ([`storage::codec::Reader::count`]). Decoding is strict — trailing
+//! bytes, truncated fields, unknown tags, and out-of-range discriminants
+//! are all [`WireError::Malformed`], never a panic. A task's kind is
+//! written by [`TaskKind::encode`], the same bytes the task ledger
+//! stores.
 //!
 //! Failures cross the wire as an *error frame* whose payload is a
 //! [`WireFault`]: a [`Status`] code in the HTTP idiom (429 overloaded,
@@ -39,6 +42,7 @@ use coupling::{CouplingError, ErrorKind, MixedStrategy, ResultOrigin};
 use irs::analysis::AnalyzerConfig;
 use irs::{QueryGlobals, TermGlobals};
 use oodb::Oid;
+use storage::codec::{invalid_data, put_f64, put_str_u32, put_u16, put_u32, put_u64, Reader};
 use storage::crc32;
 
 use crate::request::{Request, Response};
@@ -392,107 +396,13 @@ impl fmt::Display for WireFault {
 // Payload codec
 // ---------------------------------------------------------------------
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-/// Strict payload reader: every accessor bounds-checks, and
-/// [`Dec::finish`] rejects trailing bytes.
-struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(bytes: &'a [u8]) -> Dec<'a> {
-        Dec { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> WireResult<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
-        match end {
-            Some(end) => {
-                let slice = &self.bytes[self.pos..end];
-                self.pos = end;
-                Ok(slice)
-            }
-            None => Err(WireError::Malformed(format!(
-                "truncated {what}: need {n} bytes at offset {}, payload is {}",
-                self.pos,
-                self.bytes.len()
-            ))),
-        }
-    }
-
-    fn u8(&mut self, what: &str) -> WireResult<u8> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u16(&mut self, what: &str) -> WireResult<u16> {
-        Ok(u16::from_le_bytes(
-            self.take(2, what)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    fn u32(&mut self, what: &str) -> WireResult<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4, what)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self, what: &str) -> WireResult<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f64(&mut self, what: &str) -> WireResult<f64> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    fn string(&mut self, what: &str) -> WireResult<String> {
-        let len = self.u32(what)? as usize;
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| WireError::Malformed(format!("{what} is not valid UTF-8")))
-    }
-
-    /// A `u32` element count, sanity-bounded by the bytes actually left
-    /// (each element needs at least `min_elem_len` bytes), so a corrupt
-    /// count cannot drive a huge allocation.
-    fn count(&mut self, min_elem_len: usize, what: &str) -> WireResult<usize> {
-        let n = self.u32(what)? as usize;
-        let remaining = self.bytes.len() - self.pos;
-        if n.saturating_mul(min_elem_len.max(1)) > remaining {
-            return Err(WireError::Malformed(format!(
-                "{what} count {n} cannot fit in {remaining} remaining bytes"
-            )));
-        }
-        Ok(n)
-    }
-
-    fn finish(self) -> WireResult<()> {
-        if self.pos != self.bytes.len() {
-            return Err(WireError::Malformed(format!(
-                "{} trailing bytes after payload",
-                self.bytes.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
+/// Decode a whole payload with `f`. A field that does not decode, and a
+/// byte left over after the last field, is [`WireError::Malformed`].
+fn decode<T>(payload: &[u8], f: impl FnOnce(&mut Reader<'_>) -> io::Result<T>) -> WireResult<T> {
+    let mut r = Reader::new(payload);
+    f(&mut r)
+        .and_then(|value| r.finish().map(|()| value))
+        .map_err(|e| WireError::Malformed(e.to_string()))
 }
 
 fn strategy_byte(s: MixedStrategy) -> u8 {
@@ -502,13 +412,11 @@ fn strategy_byte(s: MixedStrategy) -> u8 {
     }
 }
 
-fn strategy_from(b: u8) -> WireResult<MixedStrategy> {
+fn strategy_from(b: u8) -> io::Result<MixedStrategy> {
     match b {
         0 => Ok(MixedStrategy::Independent),
         1 => Ok(MixedStrategy::IrsFirst),
-        other => Err(WireError::Malformed(format!(
-            "unknown mixed strategy {other}"
-        ))),
+        other => Err(invalid_data(format!("unknown mixed strategy {other}"))),
     }
 }
 
@@ -520,14 +428,12 @@ fn origin_byte(o: ResultOrigin) -> u8 {
     }
 }
 
-fn origin_from(b: u8) -> WireResult<ResultOrigin> {
+fn origin_from(b: u8) -> io::Result<ResultOrigin> {
     match b {
         0 => Ok(ResultOrigin::Fresh),
         1 => Ok(ResultOrigin::Buffered),
         2 => Ok(ResultOrigin::Stale),
-        other => Err(WireError::Malformed(format!(
-            "unknown result origin {other}"
-        ))),
+        other => Err(invalid_data(format!("unknown result origin {other}"))),
     }
 }
 
@@ -538,7 +444,7 @@ fn put_globals(buf: &mut Vec<u8>, g: &QueryGlobals) {
     put_u32(buf, g.max_doc_len);
     put_u32(buf, g.terms.len() as u32);
     for t in &g.terms {
-        put_str(buf, &t.term);
+        put_str_u32(buf, &t.term);
         put_u32(buf, t.df);
         put_u32(buf, t.max_tf);
     }
@@ -552,17 +458,12 @@ fn put_analyzer(buf: &mut Vec<u8>, a: &AnalyzerConfig) {
     put_u64(buf, a.max_token_len as u64);
 }
 
-fn decode_analyzer(d: &mut Dec<'_>) -> WireResult<AnalyzerConfig> {
-    let mut flag = |what: &str| match d.u8(what)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => Err(WireError::Malformed(format!("{what} flag is {other}"))),
-    };
+fn decode_analyzer(r: &mut Reader<'_>) -> io::Result<AnalyzerConfig> {
     let (lowercase, remove_stopwords, stem) =
-        (flag("lowercase")?, flag("stopwords")?, flag("stem")?);
-    let mut len = |what: &str| {
-        usize::try_from(d.u64(what)?)
-            .map_err(|_| WireError::Malformed(format!("{what} does not fit in usize")))
+        (r.flag("lowercase")?, r.flag("stopwords")?, r.flag("stem")?);
+    let mut len = |what: &'static str| {
+        usize::try_from(r.u64(what)?)
+            .map_err(|_| invalid_data(format!("{what} does not fit in usize")))
     };
     Ok(AnalyzerConfig {
         lowercase,
@@ -573,19 +474,20 @@ fn decode_analyzer(d: &mut Dec<'_>) -> WireResult<AnalyzerConfig> {
     })
 }
 
-fn decode_globals(d: &mut Dec<'_>) -> WireResult<QueryGlobals> {
-    let n_docs = d.u32("n_docs")?;
-    let total_tokens = d.u64("total_tokens")?;
-    let min_doc_len = d.u32("min_doc_len")?;
-    let max_doc_len = d.u32("max_doc_len")?;
+fn decode_globals(r: &mut Reader<'_>) -> io::Result<QueryGlobals> {
+    let n_docs = r.u32("n_docs")?;
+    let total_tokens = r.u64("total_tokens")?;
+    let min_doc_len = r.u32("min_doc_len")?;
+    let max_doc_len = r.u32("max_doc_len")?;
     // Each term entry needs at least a string length prefix + df + max_tf.
-    let n = d.count(12, "term stats list")?;
+    let n = r.u32("term stats list")?;
+    let n = r.count(n.into(), 12, "term stats list")?;
     let mut terms = Vec::with_capacity(n);
     for _ in 0..n {
         terms.push(TermGlobals {
-            term: d.string("term")?,
-            df: d.u32("df")?,
-            max_tf: d.u32("max_tf")?,
+            term: r.str_u32("term")?.into(),
+            df: r.u32("df")?,
+            max_tf: r.u32("max_tf")?,
         });
     }
     Ok(QueryGlobals {
@@ -597,65 +499,6 @@ fn decode_globals(d: &mut Dec<'_>) -> WireResult<QueryGlobals> {
     })
 }
 
-fn put_task_kind(buf: &mut Vec<u8>, kind: &TaskKind) {
-    match kind {
-        TaskKind::IndexObjects {
-            collection,
-            spec_query,
-        } => {
-            buf.push(0);
-            put_str(buf, collection);
-            put_str(buf, spec_query);
-        }
-        TaskKind::UpdateText {
-            oid,
-            text,
-            collections,
-        } => {
-            buf.push(1);
-            put_u64(buf, oid.0);
-            put_str(buf, text);
-            put_u32(buf, collections.len() as u32);
-            for name in collections {
-                put_str(buf, name);
-            }
-        }
-        TaskKind::Flush { collection } => {
-            buf.push(2);
-            put_str(buf, collection);
-        }
-    }
-}
-
-fn decode_task_kind(d: &mut Dec<'_>) -> WireResult<TaskKind> {
-    match d.u8("task kind tag")? {
-        0 => Ok(TaskKind::IndexObjects {
-            collection: d.string("collection")?,
-            spec_query: d.string("spec query")?,
-        }),
-        1 => {
-            let oid = Oid(d.u64("oid")?);
-            let text = d.string("text")?;
-            let n = d.count(4, "collection list")?;
-            let mut collections = Vec::with_capacity(n);
-            for _ in 0..n {
-                collections.push(d.string("collection name")?);
-            }
-            Ok(TaskKind::UpdateText {
-                oid,
-                text,
-                collections,
-            })
-        }
-        2 => Ok(TaskKind::Flush {
-            collection: d.string("collection")?,
-        }),
-        other => Err(WireError::Malformed(format!(
-            "unknown task kind tag {other}"
-        ))),
-    }
-}
-
 fn status_kind_byte(k: TaskStatusKind) -> u8 {
     match k {
         TaskStatusKind::Enqueued => 0,
@@ -665,13 +508,13 @@ fn status_kind_byte(k: TaskStatusKind) -> u8 {
     }
 }
 
-fn status_kind_from(b: u8) -> WireResult<TaskStatusKind> {
+fn status_kind_from(b: u8) -> io::Result<TaskStatusKind> {
     match b {
         0 => Ok(TaskStatusKind::Enqueued),
         1 => Ok(TaskStatusKind::Processing),
         2 => Ok(TaskStatusKind::Succeeded),
         3 => Ok(TaskStatusKind::Failed),
-        other => Err(WireError::Malformed(format!("unknown task status {other}"))),
+        other => Err(invalid_data(format!("unknown task status {other}"))),
     }
 }
 
@@ -679,7 +522,7 @@ fn put_task(buf: &mut Vec<u8>, task: &Task) {
     put_u64(buf, task.id);
     buf.push(status_kind_byte(task.status.kind()));
     if let TaskStatus::Failed { error } = &task.status {
-        put_str(buf, error);
+        put_str_u32(buf, error);
     }
     put_u64(buf, task.enqueued_at);
     match task.batch_id {
@@ -689,26 +532,25 @@ fn put_task(buf: &mut Vec<u8>, task: &Task) {
         }
         None => buf.push(0),
     }
-    put_task_kind(buf, &task.kind);
+    task.kind.encode(buf);
 }
 
-fn decode_task(d: &mut Dec<'_>) -> WireResult<Task> {
-    let id = d.u64("task id")?;
-    let status = match status_kind_from(d.u8("task status")?)? {
+fn decode_task(r: &mut Reader<'_>) -> io::Result<Task> {
+    let id = r.u64("task id")?;
+    let status = match status_kind_from(r.u8("task status")?)? {
         TaskStatusKind::Enqueued => TaskStatus::Enqueued,
         TaskStatusKind::Processing => TaskStatus::Processing,
         TaskStatusKind::Succeeded => TaskStatus::Succeeded,
         TaskStatusKind::Failed => TaskStatus::Failed {
-            error: d.string("task error")?,
+            error: r.str_u32("task error")?.into(),
         },
     };
-    let enqueued_at = d.u64("enqueued tick")?;
-    let batch_id = match d.u8("batch flag")? {
-        0 => None,
-        1 => Some(d.u64("batch id")?),
-        other => return Err(WireError::Malformed(format!("unknown batch flag {other}"))),
+    let enqueued_at = r.u64("enqueued tick")?;
+    let batch_id = match r.flag("batch")? {
+        false => None,
+        true => Some(r.u64("batch id")?),
     };
-    let kind = decode_task_kind(d)?;
+    let kind = TaskKind::decode(r)?;
     Ok(Task {
         id,
         kind,
@@ -727,25 +569,20 @@ fn put_task_filter(buf: &mut Vec<u8>, filter: &TaskFilter) {
     match &filter.collection {
         Some(name) => {
             buf.push(1);
-            put_str(buf, name);
+            put_str_u32(buf, name);
         }
         None => buf.push(0),
     }
 }
 
-fn decode_task_filter(d: &mut Dec<'_>) -> WireResult<TaskFilter> {
-    let status = match d.u8("status filter")? {
+fn decode_task_filter(r: &mut Reader<'_>) -> io::Result<TaskFilter> {
+    let status = match r.u8("status filter")? {
         0 => None,
         b => Some(status_kind_from(b - 1)?),
     };
-    let collection = match d.u8("collection filter flag")? {
-        0 => None,
-        1 => Some(d.string("collection filter")?),
-        other => {
-            return Err(WireError::Malformed(format!(
-                "unknown collection filter flag {other}"
-            )))
-        }
+    let collection = match r.flag("collection filter")? {
+        false => None,
+        true => Some(r.str_u32("collection filter")?.into()),
     };
     Ok(TaskFilter { status, collection })
 }
@@ -756,8 +593,8 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
     match req {
         Request::IrsQuery { collection, query } => {
             buf.push(0);
-            put_str(&mut buf, collection);
-            put_str(&mut buf, query);
+            put_str_u32(&mut buf, collection);
+            put_str_u32(&mut buf, query);
         }
         Request::MixedQuery {
             collection,
@@ -767,9 +604,9 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             strategy,
         } => {
             buf.push(1);
-            put_str(&mut buf, collection);
-            put_str(&mut buf, class);
-            put_str(&mut buf, irs_query);
+            put_str_u32(&mut buf, collection);
+            put_str_u32(&mut buf, class);
+            put_str_u32(&mut buf, irs_query);
             put_f64(&mut buf, *threshold);
             buf.push(strategy_byte(*strategy));
         }
@@ -779,8 +616,8 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             oid,
         } => {
             buf.push(2);
-            put_str(&mut buf, collection);
-            put_str(&mut buf, query);
+            put_str_u32(&mut buf, collection);
+            put_str_u32(&mut buf, query);
             put_u64(&mut buf, oid.0);
         }
         Request::Ping => {
@@ -788,8 +625,8 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         }
         Request::TermStats { collection, query } => {
             buf.push(6);
-            put_str(&mut buf, collection);
-            put_str(&mut buf, query);
+            put_str_u32(&mut buf, collection);
+            put_str_u32(&mut buf, query);
         }
         Request::IrsQueryGlobal {
             collection,
@@ -798,14 +635,14 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             globals,
         } => {
             buf.push(7);
-            put_str(&mut buf, collection);
-            put_str(&mut buf, query);
+            put_str_u32(&mut buf, collection);
+            put_str_u32(&mut buf, query);
             put_u64(&mut buf, *k);
             put_globals(&mut buf, globals);
         }
         Request::EnqueueTask { kind } => {
             buf.push(8);
-            put_task_kind(&mut buf, kind);
+            kind.encode(&mut buf);
         }
         Request::TaskStatus { id } => {
             buf.push(9);
@@ -822,50 +659,49 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 /// Decode a request frame payload. Strict: unknown tags, truncated
 /// fields, and trailing bytes are all [`WireError::Malformed`].
 pub fn decode_request(payload: &[u8]) -> WireResult<Request> {
-    let mut d = Dec::new(payload);
-    let req = match d.u8("request tag")? {
-        0 => Request::IrsQuery {
-            collection: d.string("collection")?,
-            query: d.string("query")?,
-        },
-        1 => Request::MixedQuery {
-            collection: d.string("collection")?,
-            class: d.string("class")?,
-            irs_query: d.string("irs query")?,
-            threshold: d.f64("threshold")?,
-            strategy: strategy_from(d.u8("strategy")?)?,
-        },
-        2 => Request::GetIrsValue {
-            collection: d.string("collection")?,
-            query: d.string("query")?,
-            oid: Oid(d.u64("oid")?),
-        },
-        // 3 and 4 were the retired synchronous writes (update text, index
-        // objects); they stay reserved and decode as unknown tags.
-        5 => Request::Ping,
-        6 => Request::TermStats {
-            collection: d.string("collection")?,
-            query: d.string("query")?,
-        },
-        7 => Request::IrsQueryGlobal {
-            collection: d.string("collection")?,
-            query: d.string("query")?,
-            k: d.u64("k")?,
-            globals: decode_globals(&mut d)?,
-        },
-        8 => Request::EnqueueTask {
-            kind: decode_task_kind(&mut d)?,
-        },
-        9 => Request::TaskStatus {
-            id: d.u64("task id")?,
-        },
-        10 => Request::ListTasks {
-            filter: decode_task_filter(&mut d)?,
-        },
-        other => return Err(WireError::Malformed(format!("unknown request tag {other}"))),
-    };
-    d.finish()?;
-    Ok(req)
+    decode(payload, |r| {
+        Ok(match r.u8("request tag")? {
+            0 => Request::IrsQuery {
+                collection: r.str_u32("collection")?.into(),
+                query: r.str_u32("query")?.into(),
+            },
+            1 => Request::MixedQuery {
+                collection: r.str_u32("collection")?.into(),
+                class: r.str_u32("class")?.into(),
+                irs_query: r.str_u32("irs query")?.into(),
+                threshold: r.f64("threshold")?,
+                strategy: strategy_from(r.u8("strategy")?)?,
+            },
+            2 => Request::GetIrsValue {
+                collection: r.str_u32("collection")?.into(),
+                query: r.str_u32("query")?.into(),
+                oid: Oid(r.u64("oid")?),
+            },
+            // 3 and 4 were the retired synchronous writes (update text, index
+            // objects); they stay reserved and decode as unknown tags.
+            5 => Request::Ping,
+            6 => Request::TermStats {
+                collection: r.str_u32("collection")?.into(),
+                query: r.str_u32("query")?.into(),
+            },
+            7 => Request::IrsQueryGlobal {
+                collection: r.str_u32("collection")?.into(),
+                query: r.str_u32("query")?.into(),
+                k: r.u64("k")?,
+                globals: decode_globals(r)?,
+            },
+            8 => Request::EnqueueTask {
+                kind: TaskKind::decode(r)?,
+            },
+            9 => Request::TaskStatus {
+                id: r.u64("task id")?,
+            },
+            10 => Request::ListTasks {
+                filter: decode_task_filter(r)?,
+            },
+            other => return Err(invalid_data(format!("unknown request tag {other}"))),
+        })
+    })
 }
 
 /// Encode a response as a frame payload.
@@ -916,7 +752,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             put_u64(&mut buf, *epoch);
             put_u32(&mut buf, hits.len() as u32);
             for (key, value) in hits {
-                put_str(&mut buf, key);
+                put_str_u32(&mut buf, key);
                 put_f64(&mut buf, *value);
             }
         }
@@ -941,92 +777,93 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 
 /// Decode a response frame payload (strict, like [`decode_request`]).
 pub fn decode_response(payload: &[u8]) -> WireResult<Response> {
-    let mut d = Dec::new(payload);
-    let resp = match d.u8("response tag")? {
-        0 => {
-            let origin = origin_from(d.u8("origin")?)?;
-            let n = d.count(16, "hit list")?;
-            let mut hits = Vec::with_capacity(n);
-            for _ in 0..n {
-                let oid = Oid(d.u64("hit oid")?);
-                let value = d.f64("hit value")?;
-                hits.push((oid, value));
+    decode(payload, |r| {
+        Ok(match r.u8("response tag")? {
+            0 => {
+                let origin = origin_from(r.u8("origin")?)?;
+                let n = r.u32("hit list")?;
+                let n = r.count(n.into(), 16, "hit list")?;
+                let mut hits = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let oid = Oid(r.u64("hit oid")?);
+                    let value = r.f64("hit value")?;
+                    hits.push((oid, value));
+                }
+                Response::IrsResult { hits, origin }
             }
-            Response::IrsResult { hits, origin }
-        }
-        1 => {
-            let strategy = strategy_from(d.u8("strategy")?)?;
-            let origin = origin_from(d.u8("origin")?)?;
-            let n = d.count(8, "oid list")?;
-            let mut oids = Vec::with_capacity(n);
-            for _ in 0..n {
-                oids.push(Oid(d.u64("oid")?));
+            1 => {
+                let strategy = strategy_from(r.u8("strategy")?)?;
+                let origin = origin_from(r.u8("origin")?)?;
+                let n = r.u32("oid list")?;
+                let n = r.count(n.into(), 8, "oid list")?;
+                let mut oids = Vec::with_capacity(n);
+                for _ in 0..n {
+                    oids.push(Oid(r.u64("oid")?));
+                }
+                Response::Mixed {
+                    oids,
+                    strategy,
+                    origin,
+                }
             }
-            Response::Mixed {
-                oids,
-                strategy,
-                origin,
+            2 => Response::Value(r.f64("value")?),
+            // 3 and 4 answered the retired synchronous writes; reserved.
+            5 => Response::Pong,
+            6 => Response::TermStats {
+                epoch: r.u64("epoch")?,
+                analyzer: decode_analyzer(r)?,
+                globals: decode_globals(r)?,
+            },
+            7 => {
+                let epoch = r.u64("epoch")?;
+                // Each keyed hit needs at least a key length prefix + score.
+                let n = r.u32("keyed hit list")?;
+                let n = r.count(n.into(), 12, "keyed hit list")?;
+                let mut hits = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let key = r.str_u32("hit key")?.into();
+                    let value = r.f64("hit value")?;
+                    hits.push((key, value));
+                }
+                Response::IrsKeyed { hits, epoch }
             }
-        }
-        2 => Response::Value(d.f64("value")?),
-        // 3 and 4 answered the retired synchronous writes; reserved.
-        5 => Response::Pong,
-        6 => Response::TermStats {
-            epoch: d.u64("epoch")?,
-            analyzer: decode_analyzer(&mut d)?,
-            globals: decode_globals(&mut d)?,
-        },
-        7 => {
-            let epoch = d.u64("epoch")?;
-            // Each keyed hit needs at least a key length prefix + score.
-            let n = d.count(12, "keyed hit list")?;
-            let mut hits = Vec::with_capacity(n);
-            for _ in 0..n {
-                let key = d.string("hit key")?;
-                let value = d.f64("hit value")?;
-                hits.push((key, value));
+            8 => Response::TaskAccepted(r.u64("task id")?),
+            9 => Response::TaskInfo(decode_task(r)?),
+            10 => {
+                // Each task needs at least id + status + tick + batch flag
+                // + a minimal kind (tag + one length prefix).
+                let n = r.u32("task list")?;
+                let n = r.count(n.into(), 23, "task list")?;
+                let mut tasks = Vec::with_capacity(n);
+                for _ in 0..n {
+                    tasks.push(decode_task(r)?);
+                }
+                Response::TaskList(tasks)
             }
-            Response::IrsKeyed { hits, epoch }
-        }
-        8 => Response::TaskAccepted(d.u64("task id")?),
-        9 => Response::TaskInfo(decode_task(&mut d)?),
-        10 => {
-            // Each task needs at least id + status + tick + batch flag
-            // + a minimal kind (tag + one length prefix).
-            let n = d.count(23, "task list")?;
-            let mut tasks = Vec::with_capacity(n);
-            for _ in 0..n {
-                tasks.push(decode_task(&mut d)?);
-            }
-            Response::TaskList(tasks)
-        }
-        other => {
-            return Err(WireError::Malformed(format!(
-                "unknown response tag {other}"
-            )))
-        }
-    };
-    d.finish()?;
-    Ok(resp)
+            other => return Err(invalid_data(format!("unknown response tag {other}"))),
+        })
+    })
 }
 
 /// Encode a fault as an error-frame payload.
 pub fn encode_fault(fault: &WireFault) -> Vec<u8> {
     let mut buf = Vec::with_capacity(16 + fault.message.len());
-    buf.extend_from_slice(&fault.status.code().to_le_bytes());
-    put_str(&mut buf, &fault.message);
+    put_u16(&mut buf, fault.status.code());
+    put_str_u32(&mut buf, &fault.message);
     buf
 }
 
 /// Decode an error-frame payload.
 pub fn decode_fault(payload: &[u8]) -> WireResult<WireFault> {
-    let mut d = Dec::new(payload);
-    let code = d.u16("status code")?;
-    let status = Status::from_code(code)
-        .ok_or_else(|| WireError::Malformed(format!("unknown status code {code}")))?;
-    let message = d.string("error message")?;
-    d.finish()?;
-    Ok(WireFault { status, message })
+    decode(payload, |r| {
+        let code = r.u16("status code")?;
+        let status = Status::from_code(code)
+            .ok_or_else(|| invalid_data(format!("unknown status code {code}")))?;
+        Ok(WireFault {
+            status,
+            message: r.str_u32("error message")?.into(),
+        })
+    })
 }
 
 #[cfg(test)]
@@ -1563,6 +1400,41 @@ mod tests {
             assert_eq!(bytes, unhex(hex), "{req:?}");
             assert_eq!(decode_request(&bytes).unwrap(), req);
         }
+    }
+
+    /// A task kind crosses the wire in exactly the bytes the task ledger
+    /// stores for it: each kind's request body appears verbatim in the
+    /// ledger file of a queue it was enqueued on.
+    #[test]
+    fn wire_task_kind_bytes_equal_the_ledger_bytes() {
+        let dir = std::env::temp_dir().join(format!("serve-wire-ledger-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("tasks.ledger");
+        let kinds = [
+            TaskKind::IndexObjects {
+                collection: "c".into(),
+                spec_query: "q".into(),
+            },
+            sample_task_kind(),
+            TaskKind::Flush {
+                collection: "c".into(),
+            },
+        ];
+        let queue = coupling::tasks::TaskQueue::open(Some(&path), 8, 8).unwrap();
+        for kind in &kinds {
+            queue.enqueue(kind.clone()).unwrap();
+        }
+        let ledger = std::fs::read(&path).unwrap();
+        for kind in kinds {
+            let wire = encode_request(&Request::EnqueueTask { kind });
+            let body = &wire[1..];
+            assert!(
+                ledger.windows(body.len()).any(|w| w == body),
+                "{body:02x?} not in the ledger"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// One response of each kind, and a fault, encode to exactly these

@@ -4,6 +4,12 @@
 //! * [`crc32`] — CRC-32 (IEEE), the checksum of every frame and file.
 //! * [`write_varint`] / [`read_varint`] — canonical LEB128 varints: the
 //!   postings lists, the snapshots and the WAL records all use them.
+//! * [`codec`] — the byte codec every binary format is written in: free
+//!   `put_*` functions for fixed-width integers, `f64`s and
+//!   length-prefixed strings, and one bounded [`codec::Reader`] with a
+//!   single element-count bound, [`codec::Reader::count`]. The wire
+//!   protocol, the task ledger, the result-buffer file, the irs snapshot
+//!   files and the oodb snapshot, WAL and values all read through it.
 //! * [`atomic_write`] / [`read_verified`] — whole-file snapshots with a
 //!   CRC-32 trailer, replaced atomically (temp file, `sync_all`, rename,
 //!   directory sync) — the same replace [`RecordLog::rewrite`] uses.
@@ -15,6 +21,7 @@
 //! mismatch) is [`std::io::ErrorKind::InvalidData`], which each caller's
 //! error type maps to its own "corrupt" variant.
 
+pub mod codec;
 mod crc;
 mod file;
 mod journal;

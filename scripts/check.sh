@@ -4,20 +4,23 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> one copy of each storage primitive; one index, reader, snapshot format and write shape; one attempt pool"
+echo "==> one copy of each storage primitive and of the byte codec; one index, reader, snapshot format and write shape; one attempt pool"
 # A count, so it repeats exactly: the CRC-32 polynomial and the
 # definitions of crc32, the varint codec and the CRC-trailed file
-# helpers live in crates/storage alone; ShardedIndex, ShardedReader
+# helpers live in crates/storage alone, and so does the byte codec
+# every binary format reads and writes through (storage::codec: no
+# second cursor struct, no private put_*/get_*/read_str/write_str
+# helpers, no take_u64 closure); ShardedIndex, ShardedReader
 # and the per-shard snapshot directory (read with persisted block
 # headers, PostingsList::from_raw_blocks) are the only index, reader and
 # on-disk format; and an enqueued task is the only write request, so no
 # deprecated shape and no task-completion callback remain. crates/shims
 # stand in for external crates and are exempt.
 copies=$(grep -rnE --include='*.rs' --exclude-dir=storage --exclude-dir=shims \
-    '0xedb8_?8320|fn (crc32|read_varint|write_varint|atomic_write|read_verified)\b|struct InvertedIndex\b|trait IndexReader\b|fn save_collection_flat\b|fn from_raw\(|#\[(allow\()?deprecated|\bTaskWaiter\b|fn enqueue_with_waiter\b' crates || true)
+    '0xedb8_?8320|fn (crc32|read_varint|write_varint|atomic_write|read_verified)\b|struct InvertedIndex\b|trait IndexReader\b|fn save_collection_flat\b|fn from_raw\(|#\[(allow\()?deprecated|\bTaskWaiter\b|fn enqueue_with_waiter\b|struct (Dec|Rd)\b|fn (put_u32|put_u64|put_f64|put_str|get_varint|get_bytes|get_f64|read_str|write_str)\b|take_u64\b' crates || true)
 if [ -n "$copies" ]; then
     echo "$copies"
-    echo "REGRESSION: a storage primitive outside crates/storage, a second index, reader or snapshot format, or a second write shape"
+    echo "REGRESSION: a storage primitive or byte-codec helper outside crates/storage, a second index, reader or snapshot format, or a second write shape"
     exit 1
 fi
 # Replica attempts run on coupling::pool's reused threads and a read
