@@ -286,9 +286,15 @@ impl Database {
         Ok(oid)
     }
 
-    /// Set `attr` of `oid` (Null clears).
+    /// Set `attr` of `oid` (Null clears). A value that nests `List`s
+    /// deeper than [`MAX_LIST_DEPTH`](crate::value::MAX_LIST_DEPTH) is
+    /// refused with [`DbError::ValueTooDeep`] and changes nothing: the WAL
+    /// and snapshot readers would refuse it as corrupt.
     pub fn set_attr(&mut self, txn: &mut Txn, oid: Oid, attr: &str, value: Value) -> Result<()> {
         Self::check_active(txn)?;
+        if value.nests_too_deep() {
+            return Err(DbError::ValueTooDeep { attr: attr.into() });
+        }
         let class = self.store.get(oid)?.class;
         let old = self.store.get_mut(oid)?.set_attr(attr, value.clone());
         self.maintain_indexes(class, attr, oid, &old, &value);
@@ -836,6 +842,44 @@ mod tests {
             // OID allocation continues above recovered objects.
             assert!(db.store().next_oid() > b.0);
         }
+    }
+
+    #[test]
+    fn values_too_deep_to_read_back_are_refused_at_set_attr() {
+        use crate::value::{nested_list, MAX_LIST_DEPTH};
+        let dir = std::env::temp_dir().join("oodb-db-tests").join("deep");
+        let _ = std::fs::remove_dir_all(&dir);
+        let deepest = nested_list(MAX_LIST_DEPTH);
+        let a;
+        {
+            let mut db = Database::open(&dir).unwrap();
+            let c = db.define_class("PARA", None).unwrap();
+            let mut txn = db.begin();
+            a = db.create_object(&mut txn, c).unwrap();
+            db.set_attr(&mut txn, a, "v", Value::Int(1)).unwrap();
+            let err = db
+                .set_attr(&mut txn, a, "v", nested_list(MAX_LIST_DEPTH + 1))
+                .unwrap_err();
+            assert!(
+                matches!(&err, DbError::ValueTooDeep { attr } if attr == "v"),
+                "{err}"
+            );
+            assert_eq!(
+                db.get_attr(a, "v").unwrap(),
+                Value::Int(1),
+                "refusal changes nothing"
+            );
+            db.set_attr(&mut txn, a, "v", deepest.clone()).unwrap();
+            db.commit(txn).unwrap();
+        }
+        // Replayed from the WAL.
+        let mut db = Database::open(&dir).unwrap();
+        assert_eq!(db.get_attr(a, "v").unwrap(), deepest);
+        db.checkpoint().unwrap();
+        drop(db);
+        // Read from the snapshot.
+        let db = Database::open(&dir).unwrap();
+        assert_eq!(db.get_attr(a, "v").unwrap(), deepest);
     }
 
     #[test]

@@ -36,6 +36,13 @@ pub enum DbError {
     QueryEval(String),
     /// A transaction handle was used after commit/abort.
     InactiveTxn,
+    /// An attribute value nests `List`s deeper than
+    /// [`MAX_LIST_DEPTH`](crate::value::MAX_LIST_DEPTH), so it could not
+    /// be read back from the WAL or a snapshot.
+    ValueTooDeep {
+        /// The attribute the value was meant for.
+        attr: String,
+    },
     /// The WAL or snapshot file is corrupt.
     Corrupt(String),
     /// Underlying I/O failure.
@@ -57,6 +64,11 @@ impl fmt::Display for DbError {
             }
             DbError::QueryEval(why) => write!(f, "query evaluation error: {why}"),
             DbError::InactiveTxn => write!(f, "transaction is no longer active"),
+            DbError::ValueTooDeep { attr } => write!(
+                f,
+                "value of attribute {attr:?} nests lists deeper than {}",
+                crate::value::MAX_LIST_DEPTH
+            ),
             DbError::Corrupt(why) => write!(f, "corrupt database file: {why}"),
             DbError::Io(e) => write!(f, "i/o error: {e}"),
         }

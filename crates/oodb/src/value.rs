@@ -15,10 +15,19 @@ use storage::write_varint;
 
 use crate::oid::Oid;
 
-/// Deepest nesting of `List`s that [`Value::decode`] accepts: a deeper
-/// value is refused as corrupt, so hostile bytes cannot exhaust the
-/// stack.
-pub const MAX_DECODE_DEPTH: usize = 128;
+/// Deepest nesting of `List`s a stored value may have.
+/// `Database::set_attr` refuses a deeper value, and [`Value::decode`]
+/// refuses one as corrupt, so whatever is written reads back and hostile
+/// bytes cannot exhaust the stack.
+pub const MAX_LIST_DEPTH: usize = 128;
+
+/// Whether a `List` may start at nesting `depth` (0 for a top-level
+/// value): the one depth check shared by [`Value::nests_too_deep`] and
+/// [`Value::decode`].
+#[inline]
+fn list_fits_at(depth: usize) -> bool {
+    depth < MAX_LIST_DEPTH
+}
 
 /// A typed attribute value.
 #[derive(Debug, Clone, PartialEq)]
@@ -140,6 +149,19 @@ impl Value {
         }
     }
 
+    /// Whether this value nests `List`s deeper than [`MAX_LIST_DEPTH`].
+    /// Walks at most that many levels, whatever the value's depth.
+    pub fn nests_too_deep(&self) -> bool {
+        self.too_deep_at(0)
+    }
+
+    fn too_deep_at(&self, depth: usize) -> bool {
+        match self {
+            Value::List(l) => !list_fits_at(depth) || l.iter().any(|v| v.too_deep_at(depth + 1)),
+            _ => false,
+        }
+    }
+
     /// Serialise into `buf` (tag byte + payload).
     pub fn encode(&self, buf: &mut Vec<u8>) {
         match self {
@@ -176,7 +198,7 @@ impl Value {
     }
 
     /// Inverse of [`Value::encode`]. A `List` nested deeper than
-    /// [`MAX_DECODE_DEPTH`] is an [`io::ErrorKind::InvalidData`] error, as
+    /// [`MAX_LIST_DEPTH`] is an [`io::ErrorKind::InvalidData`] error, as
     /// is every other byte sequence that does not decode.
     pub fn decode(r: &mut Reader<'_>) -> io::Result<Value> {
         Value::decode_at(r, 0)
@@ -194,9 +216,9 @@ impl Value {
             4 => Value::Str(r.str_varint("string")?.into()),
             5 => Value::Oid(Oid(r.varint("oid")?)),
             6 => {
-                if depth == MAX_DECODE_DEPTH {
+                if !list_fits_at(depth) {
                     return Err(invalid_data(format!(
-                        "list nested deeper than {MAX_DECODE_DEPTH} at offset {}",
+                        "list nested deeper than {MAX_LIST_DEPTH} at offset {}",
                         r.pos()
                     )));
                 }
@@ -272,6 +294,12 @@ impl From<Oid> for Value {
     }
 }
 
+/// `Null` wrapped in `depth` one-element `List`s.
+#[cfg(test)]
+pub(crate) fn nested_list(depth: usize) -> Value {
+    (0..depth).fold(Value::Null, |v, _| Value::List(vec![v]))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,12 +372,24 @@ mod tests {
     }
 
     #[test]
-    fn nesting_is_capped_at_max_decode_depth() {
-        let nested = |depth: usize| [&[6u8, 1].repeat(depth)[..], &[0]].concat();
-        let ok = Value::decode(&mut Reader::new(&nested(MAX_DECODE_DEPTH))).unwrap();
-        assert!(matches!(ok, Value::List(_)));
-        let err = Value::decode(&mut Reader::new(&nested(MAX_DECODE_DEPTH + 1))).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    fn nesting_is_capped_at_max_list_depth() {
+        for depth in [0, 1, MAX_LIST_DEPTH - 1, MAX_LIST_DEPTH, MAX_LIST_DEPTH + 1] {
+            let v = nested_list(depth);
+            let mut buf = Vec::new();
+            v.encode(&mut buf);
+            let decoded = Value::decode(&mut Reader::new(&buf));
+            assert_eq!(v.nests_too_deep(), depth > MAX_LIST_DEPTH, "depth {depth}");
+            match decoded {
+                Ok(back) => assert!(!v.nests_too_deep() && back == v, "depth {depth}"),
+                Err(e) => {
+                    assert!(v.nests_too_deep(), "depth {depth}: {e}");
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+                }
+            }
+        }
+        // Depth is the deepest branch, not the first.
+        let wide = Value::List(vec![Value::Int(1), nested_list(MAX_LIST_DEPTH)]);
+        assert!(wide.nests_too_deep());
     }
 
     #[test]
