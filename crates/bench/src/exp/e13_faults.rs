@@ -49,7 +49,8 @@ pub struct DegradedPoint {
     pub fresh: usize,
     /// Answered from the valid result buffer.
     pub buffered: usize,
-    /// Answered from the stale store (IRS calls exhausted retries).
+    /// Answered from an invalidated buffer entry (IRS calls exhausted
+    /// retries).
     pub stale: usize,
     /// Surfaced a transient error (no stale copy available).
     pub failed: usize,

@@ -4,9 +4,16 @@
 //! calls are buffered persistently in a dictionary of type
 //! `||STRING → ||IRSObjects → REAL|| ||`. Its keys are IRS queries"
 //! (Section 4.2). The buffer is LRU-bounded, counts hits and misses (the
-//! E4 experiment's metrics), is invalidated wholesale when update
-//! propagation changes the underlying IRS collection, and can be saved
-//! to / loaded from disk.
+//! E4 experiment's metrics), and can be saved to / loaded from disk.
+//!
+//! **Validity:** a buffered result is valid exactly as long as the IRS
+//! content it was computed from (Section 4.6). Every entry carries the
+//! [`irs::IrsCollection::epoch`] it was computed at, and
+//! [`ResultBuffer::get`] hits only when that tag equals the collection's
+//! current epoch. Update propagation therefore needs no invalidation
+//! call: any IRS mutation mints a new epoch, and every older entry stops
+//! answering fresh lookups at once — including after a mutation whose
+//! caller later failed.
 //!
 //! Internally the buffer is a set of independently locked LRU shards
 //! (query hashed to a shard), so concurrent query threads rarely contend;
@@ -14,19 +21,21 @@
 //! `&self`. Each shard is an intrusive doubly linked list over a slab, so
 //! touch and eviction are O(1) instead of the previous O(n) `Vec` scan.
 //! Small capacities (below [`SHARDING_THRESHOLD`]) use a single shard so
-//! eviction order stays exact global LRU.
+//! eviction order stays exact global LRU. Entries are shared
+//! `Arc<ResultMap>`s, so a hit is a pointer bump, not a map copy.
 //!
-//! **Degraded-mode serving:** invalidated entries are not discarded —
-//! they move into a bounded *stale* side store. Fresh lookups never see
-//! them ([`ResultBuffer::get`] still misses after an invalidation), but
-//! when the IRS is unavailable the collection can fall back to
-//! [`ResultBuffer::get_stale`] and serve the last known result, marked
-//! with [`crate::ResultOrigin::Stale`] and counted in
+//! **Degraded-mode serving:** an entry from an older epoch stays in its
+//! slot until a fresh result for the same query replaces it or LRU
+//! eviction drops it. When the IRS is unavailable the collection falls
+//! back to [`ResultBuffer::get_stale`], which returns the entry whatever
+//! its tag — the last known result, marked with
+//! [`crate::ResultOrigin::Stale`] and counted in
 //! [`BufferStats::stale_hits`].
 
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -47,9 +56,8 @@ pub struct BufferStats {
     pub misses: u64,
     /// Entries dropped by LRU eviction.
     pub evictions: u64,
-    /// Whole-buffer invalidations (update propagation).
-    pub invalidations: u64,
-    /// Lookups served from the stale store while the IRS was unavailable.
+    /// Lookups answered by an entry of any epoch while the IRS was
+    /// unavailable.
     pub stale_hits: u64,
 }
 
@@ -62,18 +70,24 @@ const N_SHARDS: usize = 8;
 
 const NIL: usize = usize::MAX;
 
+/// The tag [`ResultBuffer::invalidate_all`] gives every entry: no IRS
+/// content has epoch `0`, so a retired entry never answers fresh.
+const RETIRED: u64 = 0;
+
 /// Slab node of one shard's intrusive LRU list.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Node {
     key: String,
-    value: ResultMap,
+    value: Arc<ResultMap>,
+    /// The IRS epoch `value` was computed at.
+    epoch: u64,
     prev: usize,
     next: usize,
 }
 
 /// One LRU shard: key → slab slot, plus a doubly linked recency list
 /// (head = least recently used, tail = most recently used).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct LruShard {
     map: HashMap<String, usize>,
     nodes: Vec<Node>,
@@ -126,18 +140,23 @@ impl LruShard {
         }
     }
 
-    /// O(1) lookup + recency update. Returns a clone so no lock is held
-    /// by the caller.
-    fn get(&mut self, query: &str) -> Option<ResultMap> {
+    /// O(1) lookup + recency update of the entry for `query` if its tag
+    /// satisfies `valid`. Returns a shared pointer, so no lock is held by
+    /// the caller and no map is copied.
+    fn get(&mut self, query: &str, valid: impl Fn(u64) -> bool) -> Option<Arc<ResultMap>> {
         let slot = *self.map.get(query)?;
+        if !valid(self.nodes[slot].epoch) {
+            return None;
+        }
         self.touch(slot);
-        Some(self.nodes[slot].value.clone())
+        Some(Arc::clone(&self.nodes[slot].value))
     }
 
     /// Insert or update; returns the number of evictions performed (0/1).
-    fn insert(&mut self, query: &str, result: ResultMap) -> u64 {
+    fn insert(&mut self, query: &str, epoch: u64, result: Arc<ResultMap>) -> u64 {
         if let Some(&slot) = self.map.get(query) {
             self.nodes[slot].value = result;
+            self.nodes[slot].epoch = epoch;
             self.touch(slot);
             return 0;
         }
@@ -146,7 +165,7 @@ impl LruShard {
             let victim = self.head;
             self.unlink(victim);
             let key = std::mem::take(&mut self.nodes[victim].key);
-            self.nodes[victim].value = ResultMap::new();
+            self.nodes[victim].value = Arc::default();
             self.map.remove(&key);
             self.free.push(victim);
             evictions = 1;
@@ -155,12 +174,14 @@ impl LruShard {
             Some(slot) => {
                 self.nodes[slot].key = query.to_string();
                 self.nodes[slot].value = result;
+                self.nodes[slot].epoch = epoch;
                 slot
             }
             None => {
                 self.nodes.push(Node {
                     key: query.to_string(),
                     value: result,
+                    epoch,
                     prev: NIL,
                     next: NIL,
                 });
@@ -171,21 +192,6 @@ impl LruShard {
         self.map.insert(query.to_string(), slot);
         evictions
     }
-
-    fn clear(&mut self) {
-        self.map.clear();
-        self.nodes.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-    }
-
-    /// `(key, value)` pairs in unspecified order.
-    fn entries(&self) -> impl Iterator<Item = (&String, &ResultMap)> {
-        self.map
-            .iter()
-            .map(|(k, &slot)| (k, &self.nodes[slot].value))
-    }
 }
 
 /// The IRS-result buffer. All operations take `&self`; shards are locked
@@ -193,40 +199,15 @@ impl LruShard {
 #[derive(Debug)]
 pub struct ResultBuffer {
     shards: Box<[Mutex<LruShard>]>,
-    /// Entries displaced by [`ResultBuffer::invalidate_all`], kept for
-    /// degraded-mode serving. Bounded at twice the buffer capacity.
-    stale: Mutex<HashMap<String, ResultMap>>,
-    capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    invalidations: AtomicU64,
     stale_hits: AtomicU64,
 }
 
 impl Default for ResultBuffer {
     fn default() -> Self {
         Self::new(256)
-    }
-}
-
-impl Clone for ResultBuffer {
-    fn clone(&self) -> Self {
-        let stats = self.stats();
-        ResultBuffer {
-            shards: self
-                .shards
-                .iter()
-                .map(|s| Mutex::new(s.lock().clone()))
-                .collect(),
-            stale: Mutex::new(self.stale.lock().clone()),
-            capacity: self.capacity,
-            hits: AtomicU64::new(stats.hits),
-            misses: AtomicU64::new(stats.misses),
-            evictions: AtomicU64::new(stats.evictions),
-            invalidations: AtomicU64::new(stats.invalidations),
-            stale_hits: AtomicU64::new(stats.stale_hits),
-        }
     }
 }
 
@@ -258,12 +239,9 @@ impl ResultBuffer {
             .collect();
         ResultBuffer {
             shards,
-            stale: Mutex::new(HashMap::new()),
-            capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
             stale_hits: AtomicU64::new(0),
         }
     }
@@ -272,7 +250,7 @@ impl ResultBuffer {
         &self.shards[(shard_hash(query) % self.shards.len() as u64) as usize]
     }
 
-    /// Number of buffered queries.
+    /// Number of buffered queries, whatever their epoch.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().map.len()).sum()
     }
@@ -288,101 +266,79 @@ impl ResultBuffer {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
             stale_hits: self.stale_hits.load(Ordering::Relaxed),
         }
     }
 
-    /// Look up the buffered result of `query`, updating hit/miss counters
-    /// and recency. Returns a clone — callers hold no lock afterwards.
-    pub fn get(&self, query: &str) -> Option<ResultMap> {
-        match self.shard(query).lock().get(query) {
-            Some(map) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(map)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+    /// Look up the result of `query` computed at IRS `epoch`, updating
+    /// hit/miss counters and recency. An entry from any other epoch is a
+    /// miss. Returns a shared pointer — callers hold no lock afterwards.
+    pub fn get(&self, query: &str, epoch: u64) -> Option<Arc<ResultMap>> {
+        let hit = self.shard(query).lock().get(query, |tag| tag == epoch);
+        let counter = if hit.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
     }
 
-    /// Check presence without touching counters or recency (planning).
+    /// Check presence, whatever the epoch, without touching counters or
+    /// recency.
     pub fn contains(&self, query: &str) -> bool {
         self.shard(query).lock().map.contains_key(query)
     }
 
-    /// Buffer the result of `query`, evicting the least recently used
-    /// entry of its shard if at capacity.
-    pub fn insert(&self, query: &str, result: ResultMap) {
-        let evicted = self.shard(query).lock().insert(query, result);
+    /// Buffer the result of `query` computed at IRS `epoch`, replacing
+    /// any older entry for it and evicting the least recently used entry
+    /// of its shard if at capacity.
+    pub fn insert(&self, query: &str, epoch: u64, result: Arc<ResultMap>) {
+        let evicted = self.shard(query).lock().insert(query, epoch, result);
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
-        // A fresh result supersedes any stale copy of the same query.
-        self.stale.lock().remove(query);
     }
 
-    /// Drop every fresh entry — called after the IRS collection changed.
-    /// Displaced entries move into the stale store so degraded-mode
-    /// serving can still answer while the IRS is down.
+    /// Retire every entry: fresh lookups miss until each query is
+    /// recomputed, while the retired entries still answer
+    /// [`ResultBuffer::get_stale`]. For changes the IRS epoch does not
+    /// see, such as a new ranking cap.
     pub fn invalidate_all(&self) {
-        let mut drained: Vec<(String, ResultMap)> = Vec::new();
         for shard in self.shards.iter() {
-            let mut shard = shard.lock();
-            for (k, v) in shard.entries() {
-                drained.push((k.clone(), v.clone()));
-            }
-            shard.clear();
-        }
-        {
-            let mut stale = self.stale.lock();
-            let fresh_keys: Vec<&String> = drained.iter().map(|(k, _)| k).collect();
-            for (k, v) in &drained {
-                stale.insert(k.clone(), v.clone());
-            }
-            // Bound the stale store: if repeated invalidations piled up
-            // entries, keep only the most recently displaced generation.
-            if stale.len() > self.capacity * 2 {
-                let keep: HashMap<String, ResultMap> = fresh_keys
-                    .iter()
-                    .filter_map(|k| stale.get(*k).map(|v| ((*k).clone(), v.clone())))
-                    .collect();
-                *stale = keep;
+            for node in shard.lock().nodes.iter_mut() {
+                node.epoch = RETIRED;
             }
         }
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Serve the last known (pre-invalidation) result of `query`, if any.
-    /// Used only when the IRS is unavailable; counted in
-    /// [`BufferStats::stale_hits`] when it succeeds.
-    pub fn get_stale(&self, query: &str) -> Option<ResultMap> {
-        let map = self.stale.lock().get(query).cloned();
+    /// Serve the buffered result of `query` whatever its epoch — the
+    /// last known result. Used only when the IRS is unavailable; counted
+    /// in [`BufferStats::stale_hits`] when it succeeds.
+    pub fn get_stale(&self, query: &str) -> Option<Arc<ResultMap>> {
+        let map = self.shard(query).lock().get(query, |_| true);
         if map.is_some() {
             self.stale_hits.fetch_add(1, Ordering::Relaxed);
         }
         map
     }
 
-    /// Number of entries currently in the stale store.
-    pub fn stale_len(&self) -> usize {
-        self.stale.lock().len()
-    }
-
     /// Persist the buffer to `path` (the paper buffers *persistently*).
     /// Crash-safe: temp file + fsync + atomic rename with a CRC-32
-    /// trailer ([`storage::atomic_write`]). Only fresh entries are
-    /// saved; the stale store is a runtime-degradation artifact.
-    pub fn save(&self, path: &Path) -> Result<()> {
+    /// trailer ([`storage::atomic_write`]). Only entries computed at
+    /// `epoch` — the collection's current one — are saved; older entries
+    /// are a runtime-degradation artifact.
+    pub fn save(&self, path: &Path, epoch: u64) -> Result<()> {
         // Collect the union of all shards, sorted by key so the file is
         // deterministic and independent of shard layout.
-        let mut entries: Vec<(String, ResultMap)> = Vec::new();
+        let mut entries: Vec<(String, Arc<ResultMap>)> = Vec::new();
         for shard in self.shards.iter() {
             let shard = shard.lock();
-            for (k, v) in shard.entries() {
-                entries.push((k.clone(), v.clone()));
+            for (k, &slot) in &shard.map {
+                let node = &shard.nodes[slot];
+                if node.epoch == epoch {
+                    entries.push((k.clone(), Arc::clone(&node.value)));
+                }
             }
         }
         entries.sort_by(|a, b| a.0.cmp(&b.0));
@@ -404,8 +360,10 @@ impl ResultBuffer {
     }
 
     /// Load a buffer previously written by [`ResultBuffer::save`],
-    /// verifying its CRC-32 trailer. Capacity and statistics start fresh.
-    pub fn load(path: &Path, capacity: usize) -> Result<Self> {
+    /// verifying its CRC-32 trailer, with every entry tagged `epoch` —
+    /// the epoch of the IRS collection loaded beside it. Capacity and
+    /// statistics start fresh.
+    pub fn load(path: &Path, capacity: usize, epoch: u64) -> Result<Self> {
         let bytes = storage::read_verified(path)?;
         let mut r = Reader::new(&bytes);
         // An entry takes at least its key length and its map length; a
@@ -427,8 +385,9 @@ impl ResultBuffer {
                 let val = r.f64("buffer value")?;
                 map.insert(oid, val);
             }
-            out.insert(key, map);
+            out.insert(key, epoch, Arc::new(map));
         }
+        r.finish()?;
         out.evictions.store(0, Ordering::Relaxed);
         Ok(out)
     }
@@ -438,16 +397,19 @@ impl ResultBuffer {
 mod tests {
     use super::*;
 
-    fn map(pairs: &[(u64, f64)]) -> ResultMap {
-        pairs.iter().map(|&(o, v)| (Oid(o), v)).collect()
+    /// The epoch most tests buffer under.
+    const E: u64 = 7;
+
+    fn map(pairs: &[(u64, f64)]) -> Arc<ResultMap> {
+        Arc::new(pairs.iter().map(|&(o, v)| (Oid(o), v)).collect())
     }
 
     #[test]
     fn hit_and_miss_counting() {
         let b = ResultBuffer::new(8);
-        assert!(b.get("q1").is_none());
-        b.insert("q1", map(&[(1, 0.7)]));
-        assert_eq!(b.get("q1").unwrap()[&Oid(1)], 0.7);
+        assert!(b.get("q1", E).is_none());
+        b.insert("q1", E, map(&[(1, 0.7)]));
+        assert_eq!(b.get("q1", E).unwrap()[&Oid(1)], 0.7);
         let s = b.stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
@@ -456,11 +418,11 @@ mod tests {
     #[test]
     fn lru_eviction_drops_oldest() {
         let b = ResultBuffer::new(2);
-        b.insert("q1", map(&[(1, 0.1)]));
-        b.insert("q2", map(&[(2, 0.2)]));
+        b.insert("q1", E, map(&[(1, 0.1)]));
+        b.insert("q2", E, map(&[(2, 0.2)]));
         // Touch q1 so q2 becomes LRU.
-        b.get("q1");
-        b.insert("q3", map(&[(3, 0.3)]));
+        b.get("q1", E);
+        b.insert("q3", E, map(&[(3, 0.3)]));
         assert!(b.contains("q1"));
         assert!(!b.contains("q2"));
         assert!(b.contains("q3"));
@@ -470,15 +432,15 @@ mod tests {
     #[test]
     fn lru_order_follows_every_touch() {
         let b = ResultBuffer::new(3);
-        b.insert("q1", map(&[(1, 0.1)]));
-        b.insert("q2", map(&[(2, 0.2)]));
-        b.insert("q3", map(&[(3, 0.3)]));
+        b.insert("q1", E, map(&[(1, 0.1)]));
+        b.insert("q2", E, map(&[(2, 0.2)]));
+        b.insert("q3", E, map(&[(3, 0.3)]));
         // Recency now q1 < q2 < q3; touch q1 then q2, leaving q3 oldest.
-        b.get("q1");
-        b.get("q2");
-        b.insert("q4", map(&[(4, 0.4)]));
+        b.get("q1", E);
+        b.get("q2", E);
+        b.insert("q4", E, map(&[(4, 0.4)]));
         assert!(!b.contains("q3"), "q3 was least recently used");
-        b.insert("q5", map(&[(5, 0.5)]));
+        b.insert("q5", E, map(&[(5, 0.5)]));
         assert!(!b.contains("q1"), "then q1");
         assert!(b.contains("q2") && b.contains("q4") && b.contains("q5"));
         assert_eq!(b.stats().evictions, 2);
@@ -488,7 +450,7 @@ mod tests {
     fn eviction_at_capacity_is_bounded() {
         let b = ResultBuffer::new(4);
         for i in 0..20 {
-            b.insert(&format!("q{i}"), map(&[(i, i as f64)]));
+            b.insert(&format!("q{i}"), E, map(&[(i, i as f64)]));
         }
         assert_eq!(b.len(), 4);
         assert_eq!(b.stats().evictions, 16);
@@ -501,37 +463,54 @@ mod tests {
     #[test]
     fn invalidation_clears_everything() {
         let b = ResultBuffer::new(8);
-        b.insert("q1", map(&[(1, 0.5)]));
+        b.insert("q1", E, map(&[(1, 0.5)]));
+        b.insert("q2", E + 1, map(&[(2, 0.5)]));
         b.invalidate_all();
-        assert!(b.is_empty());
-        assert!(b.get("q1").is_none());
-        assert_eq!(b.stats().invalidations, 1);
+        // No epoch answers a retired entry fresh.
+        for epoch in [E, E + 1, u64::MAX] {
+            assert!(b.get("q1", epoch).is_none());
+            assert!(b.get("q2", epoch).is_none());
+        }
+    }
+
+    #[test]
+    fn entries_answer_only_the_epoch_they_were_computed_at() {
+        let b = ResultBuffer::new(8);
+        b.insert("q1", E, map(&[(1, 0.5)]));
+        assert!(b.get("q1", E + 1).is_none(), "the IRS moved on");
+        assert_eq!(b.get("q1", E).unwrap()[&Oid(1)], 0.5);
+        // Recomputing at the new epoch replaces the entry in place.
+        b.insert("q1", E + 1, map(&[(1, 0.25)]));
+        assert_eq!(b.len(), 1);
+        assert!(b.get("q1", E).is_none());
+        assert_eq!(b.get("q1", E + 1).unwrap()[&Oid(1)], 0.25);
+        let s = b.stats();
+        assert_eq!((s.hits, s.misses), (2, 2));
     }
 
     #[test]
     fn stats_after_invalidate_keep_history() {
         let b = ResultBuffer::new(8);
-        b.insert("q1", map(&[(1, 0.5)]));
-        b.get("q1");
-        b.get("nope");
+        b.insert("q1", E, map(&[(1, 0.5)]));
+        b.get("q1", E);
+        b.get("nope", E);
         b.invalidate_all();
-        b.invalidate_all(); // counted even when already empty
+        b.invalidate_all();
         let s = b.stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
-        assert_eq!(s.invalidations, 2);
         // Post-invalidation lookups miss and are counted as misses.
-        assert!(b.get("q1").is_none());
+        assert!(b.get("q1", E).is_none());
         assert_eq!(b.stats().misses, 2);
     }
 
     #[test]
     fn reinsert_updates_value_without_eviction() {
         let b = ResultBuffer::new(2);
-        b.insert("q1", map(&[(1, 0.1)]));
-        b.insert("q1", map(&[(1, 0.9)]));
+        b.insert("q1", E, map(&[(1, 0.1)]));
+        b.insert("q1", E, map(&[(1, 0.9)]));
         assert_eq!(b.len(), 1);
-        assert_eq!(b.get("q1").unwrap()[&Oid(1)], 0.9);
+        assert_eq!(b.get("q1", E).unwrap()[&Oid(1)], 0.9);
         assert_eq!(b.stats().evictions, 0);
     }
 
@@ -541,13 +520,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("buf.bin");
         let b = ResultBuffer::new(8);
-        b.insert("#and(www nii)", map(&[(1, 0.75), (2, 0.5)]));
-        b.insert("telnet", map(&[(3, 0.9)]));
-        b.save(&path).unwrap();
-        let loaded = ResultBuffer::load(&path, 8).unwrap();
+        b.insert("#and(www nii)", E, map(&[(1, 0.75), (2, 0.5)]));
+        b.insert("telnet", E, map(&[(3, 0.9)]));
+        b.save(&path, E).unwrap();
+        let loaded = ResultBuffer::load(&path, 8, E).unwrap();
         assert_eq!(loaded.len(), 2);
-        assert_eq!(loaded.get("#and(www nii)").unwrap()[&Oid(2)], 0.5);
-        assert_eq!(loaded.get("telnet").unwrap()[&Oid(3)], 0.9);
+        assert_eq!(loaded.get("#and(www nii)", E).unwrap()[&Oid(2)], 0.5);
+        assert_eq!(loaded.get("telnet", E).unwrap()[&Oid(3)], 0.9);
     }
 
     /// The bytes of a hex literal.
@@ -566,17 +545,17 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("pinned.buf");
         let b = ResultBuffer::new(8);
-        b.insert("www", map(&[(2, 0.5), (1, 0.75)]));
-        b.insert("nii", map(&[(3, 0.25)]));
-        b.save(&path).unwrap();
+        b.insert("www", E, map(&[(2, 0.5), (1, 0.75)]));
+        b.insert("nii", E, map(&[(3, 0.25)]));
+        b.save(&path, E).unwrap();
         let pinned = unhex("020000000000000003000000000000006e696901000000000000000300000000000000000000000000d03f030000000000000077777702000000000000000100000000000000000000000000e83f0200000000000000000000000000e03f218c89e0");
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(bytes, pinned);
         std::fs::write(&path, &pinned).unwrap();
-        let loaded = ResultBuffer::load(&path, 8).unwrap();
+        let loaded = ResultBuffer::load(&path, 8, E).unwrap();
         assert_eq!(loaded.len(), 2);
-        assert_eq!(loaded.get("www").unwrap(), map(&[(1, 0.75), (2, 0.5)]));
-        assert_eq!(loaded.get("nii").unwrap(), map(&[(3, 0.25)]));
+        assert_eq!(loaded.get("www", E).unwrap(), map(&[(1, 0.75), (2, 0.5)]));
+        assert_eq!(loaded.get("nii", E).unwrap(), map(&[(3, 0.25)]));
     }
 
     /// A CRC-valid `.buf` declaring one key with 2^40 entries is refused
@@ -594,7 +573,7 @@ mod tests {
         put_u64(&mut payload, 1 << 40);
         storage::atomic_write(&path, &payload).unwrap();
         assert!(matches!(
-            ResultBuffer::load(&path, 8),
+            ResultBuffer::load(&path, 8, E),
             Err(CouplingError::Irs(irs::IrsError::CorruptIndex(_)))
         ));
     }
@@ -608,14 +587,14 @@ mod tests {
         let path = dir.join("buf_sharded.bin");
         let b = ResultBuffer::new(SHARDING_THRESHOLD * 2);
         for i in 0..40 {
-            b.insert(&format!("query-{i}"), map(&[(i, i as f64 / 40.0)]));
+            b.insert(&format!("query-{i}"), E, map(&[(i, i as f64 / 40.0)]));
         }
-        b.save(&path).unwrap();
-        let loaded = ResultBuffer::load(&path, SHARDING_THRESHOLD * 2).unwrap();
+        b.save(&path, E).unwrap();
+        let loaded = ResultBuffer::load(&path, SHARDING_THRESHOLD * 2, E).unwrap();
         assert_eq!(loaded.len(), 40);
         for i in 0..40 {
             assert_eq!(
-                loaded.get(&format!("query-{i}")).unwrap()[&Oid(i)],
+                loaded.get(&format!("query-{i}"), E).unwrap()[&Oid(i)],
                 i as f64 / 40.0
             );
         }
@@ -626,7 +605,7 @@ mod tests {
         let cap = SHARDING_THRESHOLD * 2;
         let b = ResultBuffer::new(cap);
         for i in 0..cap * 3 {
-            b.insert(&format!("q{i}"), map(&[(i as u64, 0.5)]));
+            b.insert(&format!("q{i}"), E, map(&[(i as u64, 0.5)]));
         }
         assert!(b.len() <= cap, "len {} exceeds capacity {cap}", b.len());
         assert!(b.stats().evictions >= (cap * 3 - cap) as u64 / 2);
@@ -638,36 +617,43 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trunc.bin");
         let b = ResultBuffer::new(8);
-        b.insert("q", map(&[(1, 0.5)]));
-        b.save(&path).unwrap();
+        b.insert("q", E, map(&[(1, 0.5)]));
+        b.save(&path, E).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 4]).unwrap();
-        assert!(ResultBuffer::load(&path, 8).is_err());
+        assert!(ResultBuffer::load(&path, 8, E).is_err());
     }
 
     #[test]
     fn invalidated_entries_move_to_stale_store() {
         let b = ResultBuffer::new(8);
-        b.insert("q1", map(&[(1, 0.5)]));
+        b.insert("q1", E, map(&[(1, 0.5)]));
+        b.insert("q2", E, map(&[(2, 0.5)]));
         b.invalidate_all();
         // Fresh lookups still miss — correctness of normal serving.
-        assert!(b.get("q1").is_none());
-        assert!(b.is_empty());
-        // But the stale store can still answer in degraded mode.
+        assert!(b.get("q1", E).is_none());
+        // But the stale rung can still answer in degraded mode, as it
+        // answers an entry from an older epoch.
         assert_eq!(b.get_stale("q1").unwrap()[&Oid(1)], 0.5);
-        assert!(b.get_stale("q2").is_none());
-        assert_eq!(b.stats().stale_hits, 1);
-        assert_eq!(b.stale_len(), 1);
+        b.insert("q2", E + 1, map(&[(2, 0.9)]));
+        assert!(b.get("q2", E + 2).is_none());
+        assert_eq!(b.get_stale("q2").unwrap()[&Oid(2)], 0.9);
+        assert!(b.get_stale("q3").is_none());
+        assert_eq!(b.stats().stale_hits, 2);
     }
 
     #[test]
     fn fresh_insert_supersedes_stale_copy() {
         let b = ResultBuffer::new(8);
-        b.insert("q1", map(&[(1, 0.5)]));
+        b.insert("q1", E, map(&[(1, 0.5)]));
         b.invalidate_all();
-        b.insert("q1", map(&[(1, 0.9)]));
-        assert!(b.get_stale("q1").is_none(), "stale copy dropped");
-        assert_eq!(b.get("q1").unwrap()[&Oid(1)], 0.9);
+        b.insert("q1", E, map(&[(1, 0.9)]));
+        assert_eq!(
+            b.get_stale("q1").unwrap()[&Oid(1)],
+            0.9,
+            "stale copy dropped"
+        );
+        assert_eq!(b.get("q1", E).unwrap()[&Oid(1)], 0.9);
     }
 
     #[test]
@@ -675,17 +661,49 @@ mod tests {
         let b = ResultBuffer::new(4);
         for round in 0..10 {
             for i in 0..4 {
-                b.insert(&format!("r{round}-q{i}"), map(&[(i, 0.5)]));
+                b.insert(&format!("r{round}-q{i}"), round, map(&[(i, 0.5)]));
             }
-            b.invalidate_all();
         }
-        assert!(
-            b.stale_len() <= 8,
-            "stale store {} exceeds 2x capacity",
-            b.stale_len()
-        );
+        // Entries of every epoch share the one LRU bound.
+        assert_eq!(b.len(), 4);
         // The latest generation survives.
         assert!(b.get_stale("r9-q0").is_some());
+        assert!(b.get_stale("r8-q3").is_none());
+    }
+
+    #[test]
+    fn save_writes_only_entries_of_the_current_epoch() {
+        let dir = std::env::temp_dir().join("coupling-buffer-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("current.buf");
+        let b = ResultBuffer::new(8);
+        b.insert("old", E, map(&[(1, 0.5)]));
+        b.insert("new", E + 1, map(&[(2, 0.5)]));
+        b.save(&path, E + 1).unwrap();
+        // The loaded entries take the epoch of the index loaded beside them.
+        let loaded = ResultBuffer::load(&path, 8, 42).unwrap();
+        assert_eq!(loaded.len(), 1);
+        assert!(!loaded.contains("old"));
+        assert_eq!(loaded.get("new", 42).unwrap(), map(&[(2, 0.5)]));
+    }
+
+    /// A CRC-valid `.buf` with bytes after its last entry is refused, as
+    /// every other decoder refuses trailing bytes.
+    #[test]
+    fn trailing_bytes_after_the_last_entry_are_refused() {
+        let dir = std::env::temp_dir().join("coupling-buffer-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trailing.buf");
+        let b = ResultBuffer::new(8);
+        b.insert("q", E, map(&[(1, 0.5)]));
+        b.save(&path, E).unwrap();
+        let mut payload = storage::read_verified(&path).unwrap();
+        payload.extend_from_slice(&[0; 7]);
+        storage::atomic_write(&path, &payload).unwrap();
+        assert!(matches!(
+            ResultBuffer::load(&path, 8, E),
+            Err(CouplingError::Irs(irs::IrsError::CorruptIndex(_)))
+        ));
     }
 
     #[test]
@@ -694,20 +712,20 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bitflip.bin");
         let b = ResultBuffer::new(8);
-        b.insert("q", map(&[(1, 0.5)]));
-        b.save(&path).unwrap();
+        b.insert("q", E, map(&[(1, 0.5)]));
+        b.save(&path, E).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
-        assert!(ResultBuffer::load(&path, 8).is_err());
+        assert!(ResultBuffer::load(&path, 8, E).is_err());
     }
 
     #[test]
     fn capacity_floor_is_one() {
         let b = ResultBuffer::new(0);
-        b.insert("q1", map(&[(1, 0.1)]));
-        b.insert("q2", map(&[(2, 0.2)]));
+        b.insert("q1", E, map(&[(1, 0.1)]));
+        b.insert("q2", E, map(&[(2, 0.2)]));
         assert_eq!(b.len(), 1);
     }
 
@@ -720,8 +738,8 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..50 {
                         let q = format!("t{t}-q{i}");
-                        b.insert(&q, map(&[(i, 0.5)]));
-                        assert_eq!(b.get(&q).unwrap()[&Oid(i)], 0.5);
+                        b.insert(&q, E, map(&[(i, 0.5)]));
+                        assert_eq!(b.get(&q, E).unwrap()[&Oid(i)], 0.5);
                     }
                 });
             }

@@ -51,10 +51,11 @@ pub struct CollectionSetup {
 pub enum ResultOrigin {
     /// Evaluated by the IRS for this call.
     Fresh,
-    /// Served from the (valid) result buffer.
+    /// Served from the result buffer, computed at the IRS content's
+    /// current epoch.
     Buffered,
-    /// The IRS was unavailable; served from the stale store — the last
-    /// result buffered before the most recent invalidation.
+    /// The IRS was unavailable; served from the result buffer although
+    /// the entry was computed at an older epoch — the last known result.
     Stale,
 }
 
@@ -70,7 +71,7 @@ pub struct FaultStats {
     pub breaker_opens: u64,
     /// Calls rejected by the open breaker without reaching the IRS.
     pub breaker_rejections: u64,
-    /// Queries answered from the stale store while the IRS was down.
+    /// Queries answered from an older buffer entry while the IRS was down.
     pub stale_serves: u64,
 }
 
@@ -355,7 +356,8 @@ impl Collection {
     }
 
     /// Change the per-query ranking cap. The result buffer is
-    /// invalidated: buffered answers were computed under the old limit.
+    /// invalidated: buffered answers were computed under the old limit,
+    /// which the IRS epoch does not record.
     pub fn set_result_limit(&mut self, limit: Option<usize>) {
         if self.result_limit != limit {
             self.result_limit = limit;
@@ -414,7 +416,6 @@ impl Collection {
         for oid in &oids {
             self.index_one(&ctx, *oid)?;
         }
-        self.buffer.invalidate_all();
         Ok(oids.len())
     }
 
@@ -461,7 +462,6 @@ impl Collection {
                 CouplingCounters::bump(&self.stats.indexed_objects);
             }
         }
-        self.buffer.invalidate_all();
         Ok(oids.len())
     }
 
@@ -513,7 +513,6 @@ impl Collection {
         for &root in roots {
             passages += self.reindex_segmented(&ctx, root)?;
         }
-        self.buffer.invalidate_all();
         Ok(passages)
     }
 
@@ -581,18 +580,27 @@ impl Collection {
     }
 
     /// Like [`Collection::get_irs_result`], but also reports where the
-    /// answer came from. When the IRS is unavailable (a transient error
-    /// that survives the retry policy), the last invalidated buffer entry
-    /// for `query` — if any — is served instead, marked
-    /// [`ResultOrigin::Stale`]. Degraded answers are never re-inserted
-    /// into the fresh buffer.
+    /// answer came from. A buffer entry answers only if it was computed
+    /// at the IRS content's current epoch. When the IRS is unavailable
+    /// (a transient error that survives the retry policy), the buffer's
+    /// entry for `query` from an older epoch — if any — is served
+    /// instead, marked [`ResultOrigin::Stale`].
     pub fn get_irs_result_with_origin(&self, query: &str) -> Result<(ResultMap, ResultOrigin)> {
-        if let Some(hit) = self.buffer.get(query) {
+        self.shared_result(query)
+            .map(|(map, origin)| (Arc::unwrap_or_clone(map), origin))
+    }
+
+    /// [`Collection::get_irs_result_with_origin`] without the copy: the
+    /// buffer's own shared map.
+    pub(crate) fn shared_result(&self, query: &str) -> Result<(Arc<ResultMap>, ResultOrigin)> {
+        let epoch = self.irs.epoch();
+        if let Some(hit) = self.buffer.get(query, epoch) {
             return Ok((hit, ResultOrigin::Buffered));
         }
         match self.evaluate_uncached(query) {
             Ok(map) => {
-                self.buffer.insert(query, map.clone());
+                let map = Arc::new(map);
+                self.buffer.insert(query, epoch, Arc::clone(&map));
                 Ok((map, ResultOrigin::Fresh))
             }
             Err(e) if e.is_transient() => match self.buffer.get_stale(query) {
@@ -698,7 +706,7 @@ impl Collection {
     /// otherwise deriveIRSValue is invoked."
     pub fn get_irs_value(&self, ctx: &MethodCtx<'_>, query: &str, oid: Oid) -> Result<f64> {
         if self.is_represented(oid) {
-            let result = self.get_irs_result(query)?;
+            let (result, _) = self.shared_result(query)?;
             Ok(result.get(&oid).copied().unwrap_or(0.0))
         } else {
             CouplingCounters::bump(&self.stats.derivations);
@@ -714,9 +722,7 @@ impl Collection {
 
     /// Propagate an object insertion into the IRS collection.
     pub fn on_insert(&mut self, ctx: &MethodCtx<'_>, oid: Oid) -> Result<()> {
-        self.index_one(ctx, oid)?;
-        self.buffer.invalidate_all();
-        Ok(())
+        self.index_one(ctx, oid)
     }
 
     /// Propagate a text modification. Directly represented objects are
@@ -730,11 +736,9 @@ impl Collection {
                 self.irs.update_document(&key, &text)
             })?;
             CouplingCounters::bump(&self.stats.indexed_objects);
-            self.buffer.invalidate_all();
         }
         if self.segmented.contains(&oid) {
             self.reindex_segmented(ctx, oid)?;
-            self.buffer.invalidate_all();
         }
         Ok(())
     }
@@ -773,7 +777,6 @@ impl Collection {
                 self.represented.insert(oid);
                 return Err(e);
             }
-            self.buffer.invalidate_all();
         }
         Ok(())
     }
@@ -822,8 +825,8 @@ impl IrsAccess for Collection {
     }
 
     fn value_of(&self, _ctx: &MethodCtx<'_>, query: &str, oid: Oid) -> f64 {
-        match self.get_irs_result(query) {
-            Ok(map) => map.get(&oid).copied().unwrap_or(0.0),
+        match self.shared_result(query) {
+            Ok((map, _)) => map.get(&oid).copied().unwrap_or(0.0),
             Err(_) => 0.0,
         }
     }
@@ -964,14 +967,59 @@ mod tests {
         let mut coll = Collection::new("c", CollectionSetup::default());
         coll.index_objects(&db, "ACCESS p FROM p IN PARA").unwrap();
         coll.get_irs_result("telnet").unwrap();
-        let inval_before = coll.buffer_stats().invalidations;
+        let epoch_before = coll.irs().epoch();
         // elements[2] is the first PARA (0 = MMFDOC, 1 = DOCTITLE).
         coll.on_delete(loaded[0].elements[2].1).unwrap();
-        assert!(coll.buffer_stats().invalidations > inval_before);
+        assert_ne!(coll.irs().epoch(), epoch_before);
         // Next query is a miss again.
         let calls_before = coll.stats().irs_calls;
         coll.get_irs_result("telnet").unwrap();
         assert_eq!(coll.stats().irs_calls, calls_before + 1);
+    }
+
+    /// An `indexObjects` whose first IRS update lands and whose second
+    /// fails still changes the IRS content, so the buffered answer from
+    /// before it must not be served as valid.
+    #[test]
+    fn a_partly_applied_update_never_leaves_a_buffered_answer_valid() {
+        let (mut db, loaded) = db_with_docs();
+        let mut coll = Collection::new("c", CollectionSetup::default());
+        coll.index_objects(&db, "ACCESS p FROM p IN PARA").unwrap();
+        assert_eq!(coll.get_irs_result("telnet").unwrap().len(), 2);
+        // elements[2] and [3] are the two telnet paragraphs.
+        let mut txn = db.begin();
+        for (_, para) in &loaded[0].elements[2..4] {
+            db.set_attr(&mut txn, *para, "text", Value::from("gopher menus"))
+                .unwrap();
+        }
+        db.commit(txn).unwrap();
+        // The first IRS update succeeds, every later one fails.
+        coll.inject_faults(Some(Arc::new(FaultPlan::new(7).with_outage(1, 1_000_000))));
+        assert!(coll.index_objects(&db, "ACCESS p FROM p IN PARA").is_err());
+        coll.inject_faults(None);
+        let (map, origin) = coll.get_irs_result_with_origin("telnet").unwrap();
+        assert_eq!(origin, ResultOrigin::Fresh);
+        let irs: ResultMap = coll
+            .irs()
+            .search("telnet")
+            .unwrap()
+            .into_iter()
+            .map(|h| (Oid::parse(&h.key).unwrap(), h.score))
+            .collect();
+        assert_eq!(irs.len(), 1, "one telnet paragraph was rewritten");
+        assert_eq!(map, irs);
+    }
+
+    #[test]
+    fn value_lookups_share_the_buffered_map() {
+        let (db, _) = db_with_docs();
+        let mut coll = Collection::new("c", CollectionSetup::default());
+        coll.index_objects(&db, "ACCESS p FROM p IN PARA").unwrap();
+        let (first, origin) = coll.shared_result("telnet").unwrap();
+        assert_eq!(origin, ResultOrigin::Fresh);
+        let (second, origin) = coll.shared_result("telnet").unwrap();
+        assert_eq!(origin, ResultOrigin::Buffered);
+        assert!(Arc::ptr_eq(&first, &second), "no copy per lookup");
     }
 
     #[test]

@@ -146,7 +146,7 @@ pub fn evaluate_mixed_planned(
     strategy: MixedStrategy,
 ) -> Result<(MixedOutcome, MixedPlan)> {
     let class_id = db.schema().class_id(class)?;
-    let (content, origin) = coll.get_irs_result_with_origin(irs_query)?;
+    let (content, origin) = coll.shared_result(irs_query)?;
     let survivors = content.values().filter(|&&v| v > threshold).count();
     let plan = plan_mixed(db.extent_len(class_id, true), survivors, origin, strategy);
     let (oids, structural_checks) =
@@ -464,7 +464,7 @@ mod tests {
     #[test]
     fn stale_content_forces_independent_fallback() {
         let (db, mut coll) = setup();
-        // Prime the buffer, then invalidate so only the stale store holds
+        // Prime the buffer, then invalidate so only the stale rung answers
         // the result, and take the IRS down.
         coll.get_irs_result("telnet").unwrap();
         coll.buffer().invalidate_all();

@@ -36,8 +36,9 @@
 //!
 //! # Warm reads: one leg under epoch-checked statistics
 //!
-//! A frozen replica stamps its answers with its content **epoch**
-//! ([`irs::IrsCollection::epoch`]): equal epochs mean equal statistics.
+//! A replica stamps its answers with its content **epoch**
+//! ([`irs::IrsCollection::epoch`]): equal epochs mean equal statistics,
+//! and every write to the partition mints a new one.
 //! The router caches every stats-leg answer per partition under that
 //! epoch — the partition's counters and each term's `(df, max_tf)`, a
 //! term the partition lacks as `(0, 0)`. When every term of a query
@@ -49,13 +50,16 @@
 //! under another epoch (reopened over a new snapshot, or a different
 //! replica) has its entry dropped and the read replays both legs. A
 //! replica refusing the supplied statistics is a miss too, not an error.
-//! Writable collections report epoch `0` and are never cached.
+//! A writable partition is cached like a frozen one: a write between two
+//! reads costs the next read one invalidation and both legs, and the read
+//! after that is one leg again.
 //!
 //! The two-leg path checks epochs as well: a partition whose statistics
-//! and search answers come from different epochs (a hedge, failover or
-//! latency rotation between replicas during a rolling reopen) would
-//! score one snapshot's documents with another's `df`, so the read is
-//! replayed once and then fails as transient — never merged.
+//! and search answers come from different epochs (a write landing
+//! between the legs, or a hedge, failover or latency rotation between
+//! replicas during a rolling reopen) would score one state's documents
+//! with another's `df`, so the read is replayed once and then fails as
+//! transient — never merged.
 //!
 //! Each leg waits on all partitions from the calling thread through
 //! [`crate::remote`]'s one fan-out loop; no thread is created per read.
@@ -426,19 +430,13 @@ impl<T: ReplicaTransport> PartitionedIrs<T> {
         }
     }
 
-    /// Cache every epoch-stamped statistics answer.
+    /// Cache every statistics answer under its epoch.
     fn fill(&self, collection: &str, replies: &[StatsReply]) {
-        if replies.iter().all(|r| r.epoch == 0) {
-            return;
-        }
         let mut cache = self.cache.write();
         let entries = cache
             .entry(collection.to_string())
             .or_insert_with(|| self.groups.iter().map(|_| None).collect());
         for (entry, reply) in entries.iter_mut().zip(replies) {
-            if reply.epoch == 0 {
-                continue;
-            }
             if entry.as_ref().is_none_or(|e| e.epoch != reply.epoch) {
                 *entry = Some(CachedStats::new(reply));
             }
@@ -824,18 +822,6 @@ mod tests {
         r.search_top_k("coll", "www", 5).unwrap();
         assert_eq!(b.legs(), (2, 4));
         assert_eq!(r.stats().one_leg_reads, 1);
-    }
-
-    #[test]
-    fn writable_partitions_are_never_cached() {
-        let (a, b) = two_partitions();
-        a.epoch.store(0, Ordering::Relaxed);
-        let r = router(vec![Arc::clone(&a), b]);
-        for _ in 0..3 {
-            r.search_top_k("coll", "www", 5).unwrap();
-        }
-        assert_eq!(a.legs(), (3, 3));
-        assert_eq!(r.stats().one_leg_reads, 0);
     }
 
     #[test]

@@ -187,7 +187,8 @@ pub fn save_system(sys: &mut DocumentSystem, dir: &Path) -> Result<()> {
         );
         storage::atomic_write(&coll_dir.join(format!("{name}.meta")), meta.as_bytes())?;
         irs::persist::save_collection(coll.irs(), &coll_dir.join(format!("{name}.idx")))?;
-        coll.buffer().save(&coll_dir.join(format!("{name}.buf")))?;
+        coll.buffer()
+            .save(&coll_dir.join(format!("{name}.buf")), coll.irs().epoch())?;
     }
     Ok(())
 }
@@ -260,7 +261,11 @@ pub fn open_system(dir: &Path) -> Result<DocumentSystem> {
         };
 
         let irs_coll = irs::persist::load_collection(&coll_dir.join(format!("{name}.idx")))?;
-        let buffer = crate::buffer::ResultBuffer::load(&coll_dir.join(format!("{name}.buf")), 256)?;
+        let buffer = crate::buffer::ResultBuffer::load(
+            &coll_dir.join(format!("{name}.buf")),
+            256,
+            irs_coll.epoch(),
+        )?;
         let mut coll = Collection::from_saved(
             &name,
             irs_coll,
@@ -288,7 +293,8 @@ pub fn open_system(dir: &Path) -> Result<DocumentSystem> {
                 }
                 prop.flush(&ctx, &mut coll)?;
                 irs::persist::save_collection(coll.irs(), &coll_dir.join(format!("{name}.idx")))?;
-                coll.buffer().save(&coll_dir.join(format!("{name}.buf")))?;
+                coll.buffer()
+                    .save(&coll_dir.join(format!("{name}.buf")), coll.irs().epoch())?;
                 journal.clear()?;
             }
         }

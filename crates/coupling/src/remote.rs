@@ -80,7 +80,8 @@ pub struct StatsReply {
     /// The partition's corpus statistics for the query.
     pub globals: QueryGlobals,
     /// The replica's content epoch ([`irs::IrsCollection::epoch`]):
-    /// equal epochs mean equal statistics; `0` means "do not cache".
+    /// equal epochs mean equal statistics, and every write mints a new
+    /// one.
     pub epoch: u64,
     /// The analyzer the replica compiles queries with.
     pub analyzer: AnalyzerConfig,

@@ -182,14 +182,13 @@ pub struct IrsCollection {
     /// Read replicas set this after loading a saved index so a stray
     /// write request can never fork a replica's state from its primary.
     read_only: bool,
-    /// Identity of the frozen content; `0` means none (see
-    /// [`IrsCollection::epoch`]).
+    /// Identity of the content; never `0` (see [`IrsCollection::epoch`]).
     epoch: u64,
 }
 
-/// A process-unique, non-zero epoch for content frozen in memory:
+/// A process-unique, non-zero epoch for content built in memory:
 /// the clock, the process id and a counter, mixed, so two processes
-/// freezing different content do not collide.
+/// building different content do not collide.
 fn fresh_epoch() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     let nanos = std::time::SystemTime::now()
@@ -213,7 +212,7 @@ impl IrsCollection {
             stats: WorkCounters::default(),
             fault: None,
             read_only: false,
-            epoch: 0,
+            epoch: fresh_epoch(),
         }
     }
 
@@ -221,28 +220,21 @@ impl IrsCollection {
     /// every mutating operation fails with [`IrsError::ReadOnly`] and the
     /// index keeps serving the loaded snapshot unchanged. Read replicas
     /// set this after loading a saved index so a stray write request can
-    /// never fork a replica's state from its primary. Freezing content
-    /// that has no epoch yet gives it a fresh one.
+    /// never fork a replica's state from its primary.
     pub fn set_read_only(&mut self, read_only: bool) {
         self.read_only = read_only;
-        if read_only && self.epoch == 0 {
-            self.epoch = fresh_epoch();
-        }
     }
 
     /// The identity of the content this collection serves: equal epochs
-    /// mean equal statistics for every query, so a router may cache a
-    /// partition's term statistics under it. A loaded snapshot's epoch
-    /// is derived from its verified bytes ([`crate::persist`]), so two
-    /// replicas opened from one directory agree; content frozen in
-    /// memory gets a process-unique one. Any mutation clears it, and a
-    /// writable collection always reports `0` — "never cache".
+    /// mean equal answers to every query, so a result computed under one
+    /// epoch stays valid exactly while the collection reports it — the
+    /// coupling's result buffer and a router's term-statistics cache
+    /// both key on it. A loaded snapshot's epoch is derived from its
+    /// verified bytes ([`crate::persist`]), so two replicas opened from
+    /// one directory agree; a new collection, every mutation and every
+    /// merge mint a process-unique one. It is never `0`.
     pub fn epoch(&self) -> u64 {
-        if self.read_only {
-            self.epoch
-        } else {
-            0
-        }
+        self.epoch
     }
 
     /// True while the collection refuses mutation.
@@ -251,7 +243,7 @@ impl IrsCollection {
     }
 
     /// Guard at the top of every document mutation: refuse while
-    /// read-only, consult the fault plan, and forget the content epoch.
+    /// read-only, consult the fault plan, and mint a new content epoch.
     fn begin_mutation(&mut self) -> Result<()> {
         if self.read_only {
             return Err(IrsError::ReadOnly(
@@ -259,7 +251,7 @@ impl IrsCollection {
             ));
         }
         self.check_fault()?;
-        self.epoch = 0;
+        self.epoch = fresh_epoch();
         Ok(())
     }
 
@@ -381,7 +373,7 @@ impl IrsCollection {
     /// Force a full compaction regardless of tombstone ratio.
     pub fn force_merge(&mut self) -> MergeStats {
         WorkCounters::bump(&self.stats.merges);
-        self.epoch = 0;
+        self.epoch = fresh_epoch();
         self.index.merge()
     }
 
@@ -697,28 +689,31 @@ mod tests {
     }
 
     #[test]
-    fn frozen_content_gets_an_epoch_and_mutation_clears_it() {
+    fn every_mutation_mints_a_fresh_epoch() {
         let mut a = populated(ModelKind::default());
-        let mut b = populated(ModelKind::default());
-        assert_eq!(a.epoch(), 0);
-        a.set_read_only(true);
-        b.set_read_only(true);
+        let b = populated(ModelKind::default());
         let first = a.epoch();
         assert_ne!(first, 0);
-        assert_ne!(first, b.epoch(), "each freeze in memory is unique");
-        // Thawing hides the epoch; refreezing unchanged content keeps it.
-        a.set_read_only(false);
-        assert_eq!(a.epoch(), 0);
+        assert_ne!(
+            first,
+            b.epoch(),
+            "each collection built in memory is unique"
+        );
+        // Freezing and thawing leave the content, and so the epoch, alone.
         a.set_read_only(true);
         assert_eq!(a.epoch(), first);
-        // Any mutation (a merge included) forgets it.
+        assert!(a.delete_document("p1").is_err());
+        assert_eq!(a.epoch(), first, "a refused mutation changes nothing");
         a.set_read_only(false);
+        assert_eq!(a.epoch(), first);
+        // Any mutation (a merge included) mints a new one.
         a.delete_document("p1").unwrap();
-        a.set_read_only(true);
         let second = a.epoch();
         assert_ne!(second, first);
+        assert_ne!(second, 0);
         a.force_merge();
-        assert_eq!(a.epoch(), 0);
+        assert_ne!(a.epoch(), second);
+        assert_ne!(a.epoch(), 0);
     }
 
     #[test]

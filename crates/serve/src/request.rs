@@ -154,7 +154,8 @@ pub enum Response {
         /// The partition's corpus statistics for the query.
         globals: QueryGlobals,
         /// The collection's content epoch
-        /// ([`irs::IrsCollection::epoch`]); `0` means "do not cache".
+        /// ([`irs::IrsCollection::epoch`]): equal epochs mean equal
+        /// statistics, and every write mints a new one.
         epoch: u64,
         /// The collection's analyzer: a router compiles a query's term
         /// list with it to look the terms up in cached statistics.

@@ -14,13 +14,23 @@ echo "==> one copy of each storage primitive and of the byte codec; one index, r
 # and the per-shard snapshot directory (read with persisted block
 # headers, PostingsList::from_raw_blocks) are the only index, reader and
 # on-disk format; and an enqueued task is the only write request, so no
-# deprecated shape and no task-completion callback remain. crates/shims
-# stand in for external crates and are exempt.
+# deprecated shape and no task-completion callback remain. The IRS
+# content epoch is the one validity rule of buffered results and cached
+# statistics: no epoch means "never cache" (so no `epoch == 0` test), and
+# Collection's mutators invalidate nothing by hand (set_result_limit's
+# call, for a change the epoch does not see, is the one left).
+# crates/shims stand in for external crates and are exempt.
 copies=$(grep -rnE --include='*.rs' --exclude-dir=storage --exclude-dir=shims \
-    '0xedb8_?8320|fn (crc32|read_varint|write_varint|atomic_write|read_verified)\b|struct InvertedIndex\b|trait IndexReader\b|fn save_collection_flat\b|fn from_raw\(|#\[(allow\()?deprecated|\bTaskWaiter\b|fn enqueue_with_waiter\b|struct (Dec|Rd)\b|fn (put_u32|put_u64|put_f64|put_str|get_varint|get_bytes|get_f64|read_str|write_str)\b|take_u64\b' crates || true)
+    '0xedb8_?8320|fn (crc32|read_varint|write_varint|atomic_write|read_verified)\b|struct InvertedIndex\b|trait IndexReader\b|fn save_collection_flat\b|fn from_raw\(|#\[(allow\()?deprecated|\bTaskWaiter\b|fn enqueue_with_waiter\b|struct (Dec|Rd)\b|fn (put_u32|put_u64|put_f64|put_str|get_varint|get_bytes|get_f64|read_str|write_str)\b|take_u64\b|epoch == 0\b' crates || true)
 if [ -n "$copies" ]; then
     echo "$copies"
-    echo "REGRESSION: a storage primitive or byte-codec helper outside crates/storage, a second index, reader or snapshot format, or a second write shape"
+    echo "REGRESSION: a storage primitive or byte-codec helper outside crates/storage, a second index, reader or snapshot format, a second write shape, or an epoch that means \"never cache\""
+    exit 1
+fi
+invalidations=$(grep -c 'self\.buffer\.invalidate_all()' crates/coupling/src/collection.rs || true)
+if [ "$invalidations" -gt 1 ]; then
+    grep -n 'self\.buffer\.invalidate_all()' crates/coupling/src/collection.rs
+    echo "REGRESSION: Collection invalidates its result buffer by hand; the IRS epoch already retires every entry a mutation outdates"
     exit 1
 fi
 # Replica attempts run on coupling::pool's reused threads and a read

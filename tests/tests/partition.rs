@@ -8,12 +8,13 @@
 //! contract: losing every replica of one partition degrades to a marked
 //! stale answer or a typed transient error, never to a silent partial
 //! merge; and the same behaviour holds end-to-end over TCP replicas.
-//! Shards are frozen, so their answers carry content epochs and the
-//! router's statistics cache is in play: a merge never uses statistics
-//! from a different snapshot than the documents it ranks.
+//! Every answer carries its shard's content epoch, so the router's
+//! statistics cache is in play for frozen and writable shards alike: a
+//! merge never uses statistics from a different state than the documents
+//! it ranks, and a write costs the next read both legs, not every read.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
 use coupling::remote::RemoteConfig;
@@ -68,34 +69,57 @@ fn build(
         ..CollectionConfig::default()
     });
     for i in indices {
-        let text: Vec<&str> = docs[i]
-            .iter()
-            .map(|&w| VOCAB[w as usize % VOCAB.len()])
-            .collect();
-        coll.add_document(&key_of(i), &text.join(" ")).unwrap();
+        coll.add_document(&key_of(i), &text_of(&docs[i])).unwrap();
     }
     coll
 }
 
-/// In-process partition shard: one frozen `IrsCollection` behind the
-/// transport trait, with kill switches for failover tests — for the
-/// whole shard or for one of the two scatter legs.
+fn text_of(doc: &[u8]) -> String {
+    let words: Vec<&str> = doc
+        .iter()
+        .map(|&w| VOCAB[w as usize % VOCAB.len()])
+        .collect();
+    words.join(" ")
+}
+
+/// In-process partition shard: one `IrsCollection` behind a lock and
+/// the transport trait, with kill switches for failover tests — for the
+/// whole shard or for one of the two scatter legs — and a write that can
+/// be made to land between the two legs of the next read.
 struct FakeShard {
-    coll: IrsCollection,
+    coll: RwLock<IrsCollection>,
     down: AtomicBool,
     stats_down: AtomicBool,
     search_down: AtomicBool,
+    /// A `(key, text)` document to add right after the next statistics
+    /// answer, before that read's search leg.
+    between_legs: Mutex<Option<(String, String)>>,
 }
 
 impl FakeShard {
+    /// A frozen shard, as a read replica serves it.
     fn new(mut coll: IrsCollection) -> Arc<Self> {
         coll.set_read_only(true);
+        Self::writable(coll)
+    }
+
+    /// A shard that takes writes while it serves.
+    fn writable(coll: IrsCollection) -> Arc<Self> {
         Arc::new(FakeShard {
-            coll,
+            coll: RwLock::new(coll),
             down: AtomicBool::new(false),
             stats_down: AtomicBool::new(false),
             search_down: AtomicBool::new(false),
+            between_legs: Mutex::new(None),
         })
+    }
+
+    fn add(&self, key: &str, text: &str) {
+        self.coll.write().unwrap().add_document(key, text).unwrap();
+    }
+
+    fn epoch(&self) -> u64 {
+        self.coll.read().unwrap().epoch()
     }
 
     fn check_leg(&self, leg: &AtomicBool) -> coupling::Result<()> {
@@ -127,7 +151,13 @@ struct Shard(Arc<FakeShard>);
 impl ReplicaTransport for Shard {
     fn search(&self, _c: &str, query: &str) -> coupling::Result<(Vec<(Oid, f64)>, ResultOrigin)> {
         self.0.check()?;
-        let hits = self.0.coll.search(query).map_err(CouplingError::Irs)?;
+        let hits = self
+            .0
+            .coll
+            .read()
+            .unwrap()
+            .search(query)
+            .map_err(CouplingError::Irs)?;
         Ok((
             hits.into_iter()
                 .filter_map(|h| Oid::parse(&h.key).map(|o| (o, h.score)))
@@ -151,12 +181,18 @@ impl ReplicaTransport for Shard {
 
     fn term_stats(&self, _c: &str, query: &str) -> coupling::Result<StatsReply> {
         self.0.check_leg(&self.0.stats_down)?;
-        let coll = &self.0.coll;
-        Ok(StatsReply {
-            globals: coll.query_globals(query).map_err(CouplingError::Irs)?,
-            epoch: coll.epoch(),
-            analyzer: coll.config().analyzer.clone(),
-        })
+        let reply = {
+            let coll = self.0.coll.read().unwrap();
+            StatsReply {
+                globals: coll.query_globals(query).map_err(CouplingError::Irs)?,
+                epoch: coll.epoch(),
+                analyzer: coll.config().analyzer.clone(),
+            }
+        };
+        if let Some((key, text)) = self.0.between_legs.lock().unwrap().take() {
+            self.0.add(&key, &text);
+        }
+        Ok(reply)
     }
 
     fn search_global(
@@ -167,7 +203,7 @@ impl ReplicaTransport for Shard {
         globals: &QueryGlobals,
     ) -> coupling::Result<KeyedReply> {
         self.0.check_leg(&self.0.search_down)?;
-        let coll = &self.0.coll;
+        let coll = self.0.coll.read().unwrap();
         let hits = coll
             .search_top_k_global(query, k, globals)
             .map_err(CouplingError::Irs)?;
@@ -315,6 +351,89 @@ proptest! {
         let (absent, _) = r.get_irs_value("coll", &query, Oid(999_999)).unwrap();
         prop_assert_eq!(absent, 0.0);
     }
+
+    /// Writable partitions: after every write to one of them, the next
+    /// read replays both legs and the read after it runs on cached
+    /// statistics again — and both equal single-node evaluation of the
+    /// union index at the post-write state, bit for bit.
+    #[test]
+    fn writes_between_reads_stay_bit_identical(
+        docs in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..30), 2..12),
+        writes in prop::collection::vec(
+            (any::<u8>(), prop::collection::vec(any::<u8>(), 1..30)), 1..5),
+        parts in 1usize..=3,
+        model_choice in any::<u8>(),
+        shape in any::<u8>(),
+        (a, b, c) in (any::<u8>(), any::<u8>(), any::<u8>()),
+        k in 1usize..15,
+    ) {
+        let query = query_for(shape, a, b, c);
+        let mut union = build(&docs, 0..docs.len(), model_for(model_choice));
+        let shards: Vec<Arc<FakeShard>> = (0..parts)
+            .map(|p| {
+                FakeShard::writable(build(
+                    &docs,
+                    (0..docs.len()).filter(|i| i % parts == p),
+                    model_for(model_choice),
+                ))
+            })
+            .collect();
+        let r = router(shards.clone());
+        r.search_top_k("coll", &query, k).unwrap();
+        for (n, (target, doc)) in writes.iter().enumerate() {
+            let key = key_of(docs.len() + n);
+            shards[*target as usize % parts].add(&key, &text_of(doc));
+            union.add_document(&key, &text_of(doc)).unwrap();
+            let expected = single_node_top_k(&union, &query, k);
+            let before = r.stats();
+            for _ in 0..2 {
+                let (hits, origin) = r.search_top_k("coll", &query, k).unwrap();
+                prop_assert_eq!(origin, ResultOrigin::Fresh);
+                prop_assert!(bit_identical(&hits, &expected),
+                    "{} after write {}: {:?} != {:?}", query, n, hits, expected);
+            }
+            let after = r.stats();
+            prop_assert_eq!(after.cache_invalidations, before.cache_invalidations + 1);
+            prop_assert_eq!(after.stats_legs, before.stats_legs + 1);
+            prop_assert_eq!(after.one_leg_reads, before.one_leg_reads + 1);
+        }
+        prop_assert_eq!(r.stats().epoch_mismatches, 0);
+    }
+}
+
+/// A write landing between a read's statistics leg and its search leg
+/// would score the new documents with the old `df`: the router sees the
+/// epochs differ, replays the read, and merges only the consistent
+/// second round.
+#[test]
+fn a_write_between_the_legs_is_replayed_never_merged() {
+    let docs: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i % 4, 2, i]).collect();
+    let shards: Vec<Arc<FakeShard>> = (0..2)
+        .map(|p| {
+            FakeShard::writable(build(
+                &docs,
+                (0..docs.len()).filter(|i| i % 2 == p),
+                ModelKind::default(),
+            ))
+        })
+        .collect();
+    let r = router(shards.clone());
+    let mut union = build(&docs, 0..docs.len(), ModelKind::default());
+    let text = "www www www gopher";
+    *shards[0].between_legs.lock().unwrap() = Some((key_of(docs.len()), text.into()));
+    union.add_document(&key_of(docs.len()), text).unwrap();
+
+    let (hits, origin) = r.search_top_k("coll", "www", 8).unwrap();
+    assert_eq!(origin, ResultOrigin::Fresh);
+    assert!(
+        bit_identical(&hits, &single_node_top_k(&union, "www", 8)),
+        "merged at the post-write state: {hits:?}"
+    );
+    let s = r.stats();
+    assert_eq!((s.epoch_mismatches, s.stats_legs), (1, 2), "replayed once");
+    // The replay cached the post-write statistics.
+    r.search_top_k("coll", "www", 8).unwrap();
+    assert_eq!(r.stats().one_leg_reads, 1);
 }
 
 /// Queries outside the partitionable fragment fail permanently at the
@@ -493,7 +612,7 @@ fn replicas_with_different_data_never_mix_statistics_into_a_merge() {
     let a = FakeShard::new(build(&docs, slice(1), ModelKind::default()));
     // Replica b of the same partition lacks one of its documents.
     let b = FakeShard::new(build(&docs, slice(1).skip(1), ModelKind::default()));
-    assert_ne!(a.coll.epoch(), b.coll.epoch());
+    assert_ne!(a.epoch(), b.epoch());
     let r = PartitionedIrs::new(
         vec![
             vec![("p0".into(), Shard(p0))],

@@ -187,17 +187,17 @@ fn result_buffer_persists_between_sessions() {
         // Persist through the buffer type directly (the paper buffers
         // "persistently in a dictionary").
         let buffer = ResultBuffer::new(16);
-        let telnet = sys
-            .collection("collPara")
-            .unwrap()
-            .get_irs_result("telnet")
-            .unwrap();
-        buffer.insert("telnet", telnet);
-        buffer.save(&buf_path).unwrap();
+        let coll = sys.collection("collPara").unwrap();
+        let telnet = coll.get_irs_result("telnet").unwrap();
+        let epoch = coll.irs().epoch();
+        buffer.insert("telnet", epoch, std::sync::Arc::new(telnet));
+        buffer.save(&buf_path, epoch).unwrap();
     }
     {
-        let buffer = ResultBuffer::load(&buf_path, 16).unwrap();
-        let hit = buffer.get("telnet").expect("persisted entry");
+        // Loaded entries take the epoch of the index loaded beside them.
+        let epoch = 1;
+        let buffer = ResultBuffer::load(&buf_path, 16, epoch).unwrap();
+        let hit = buffer.get("telnet", epoch).expect("persisted entry");
         assert_eq!(hit.len(), 2, "both telnet paragraphs persisted");
         for v in hit.values() {
             assert!((0.0..=1.0).contains(v));
