@@ -22,12 +22,20 @@
 //!   the maintained dead-postings counts), or
 //! * block-max is slower than the collection-bound engine at any tier
 //!   beyond a noise allowance (block metadata must pay for itself —
-//!   strictest at the largest tier, where skipping matters most).
+//!   strictest at the largest tier, where skipping matters most), or
+//! * on `--smoke`, the block-max engine scores more candidates exactly,
+//!   summed over the sweep, than [`SMOKE_EXACT_SCORED_CEILING`]: a count
+//!   that repeats exactly, so a bound that loosens fails here even when
+//!   no timing moves.
 //!
 //! CI greps for the `REGRESSION` marker.
 
 use coupling_bench::exp::e14_topk;
 use coupling_bench::workload::WorkloadConfig;
+
+/// Candidates the smoke sweep scores exactly: the count this build
+/// records, which only a tighter bound may lower.
+const SMOKE_EXACT_SCORED_CEILING: u64 = 5_954;
 
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
@@ -75,10 +83,11 @@ fn main() {
     out.push_str(&format!(
         "  \"tombstoned_rankings_match\": {tombstoned_rankings_match},\n"
     ));
+    out.push_str(&format!("  \"exact_scored\": {},\n", report.exact_scored));
     out.push_str("  \"sweep\": [\n");
     for (i, p) in report.sweep.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"docs\": {}, \"k\": {}, \"blockmax_us\": {}, \"collbound_us\": {}, \"exhaustive_us\": {}, \"speedup\": {:.3}, \"blockmax_vs_collbound\": {:.3}}}{}\n",
+            "    {{\"docs\": {}, \"k\": {}, \"blockmax_us\": {}, \"collbound_us\": {}, \"exhaustive_us\": {}, \"speedup\": {:.3}, \"blockmax_vs_collbound\": {:.3}, \"exact_scored\": {}}}{}\n",
             p.docs,
             p.k,
             p.blockmax_us,
@@ -86,6 +95,7 @@ fn main() {
             p.exhaustive_us,
             p.speedup,
             p.blockmax_vs_collbound,
+            p.exact_scored,
             if i + 1 < report.sweep.len() { "," } else { "" }
         ));
     }
@@ -130,6 +140,13 @@ fn main() {
             );
             failed = true;
         }
+    }
+    if smoke && report.exact_scored > SMOKE_EXACT_SCORED_CEILING {
+        eprintln!(
+            "REGRESSION: block-max scored {} candidates exactly over the smoke sweep, above the ceiling of {}",
+            report.exact_scored, SMOKE_EXACT_SCORED_CEILING
+        );
+        failed = true;
     }
     if failed {
         std::process::exit(1);

@@ -93,8 +93,12 @@ pub struct TopKPoint {
     /// Exhaustive / block-max latency.
     pub speedup: f64,
     /// Collection-bound / block-max latency — the win attributable to
-    /// block-level skip metadata alone.
+    /// block-level bounds alone.
     pub blockmax_vs_collbound: f64,
+    /// Candidates the block-max engine scored exactly, summed over the
+    /// probe set (one evaluation per query). A count, so it repeats
+    /// exactly run to run.
+    pub exact_scored: u64,
 }
 
 /// E14 measurements.
@@ -109,6 +113,8 @@ pub struct Report {
     /// True iff both pruned rankings were bitwise identical to the first
     /// k entries of the exhaustive ranking, across the whole sweep.
     pub rankings_match: bool,
+    /// [`TopKPoint::exact_scored`] summed over the sweep.
+    pub exact_scored: u64,
 }
 
 /// Deterministic xorshift generator (the experiments avoid external RNG
@@ -161,8 +167,9 @@ fn build_corpus(docs: usize, vocab: usize, seed: u64) -> IrsCollection {
 
 /// The probe queries: single terms and operator trees mixing common
 /// (low-index), mid-frequency, and rarer terms — the shapes
-/// `getIRSResult` sees. Mid-frequency topical terms (the MMF topic-query
-/// regime) are where block skipping has the most room to work.
+/// `getIRSResult` sees, `#and` among them. Mid-frequency topical terms
+/// (the MMF topic-query regime) are where block skipping has the most
+/// room to work.
 fn probe_queries() -> Vec<String> {
     vec![
         term_name(0),
@@ -177,6 +184,7 @@ fn probe_queries() -> Vec<String> {
             term_name(800)
         ),
         format!("#or({} {})", term_name(100), term_name(300)),
+        format!("#and({} {})", term_name(2), term_name(30)),
     ]
 }
 
@@ -278,6 +286,18 @@ pub fn run(config: &WorkloadConfig, include_large_tier: bool) -> Report {
 
     for &docs in &sizes {
         let coll = build_corpus(docs, vocab, SEED);
+        // The engine's work per k, counted once per query through the
+        // collection's own top-k path.
+        let exact_scored: Vec<u64> = K_SWEEP
+            .iter()
+            .map(|&k| {
+                let before = coll.work_stats().topk_exact_scored;
+                for q in &queries {
+                    coll.search_top_k(q, k).expect("probe query searches");
+                }
+                coll.work_stats().topk_exact_scored - before
+            })
+            .collect();
         // Measure at the engine level through the collection's reader:
         // all three rungs share the identical index, model, and parsed
         // tree, so the timings differ only by evaluation strategy.
@@ -287,7 +307,7 @@ pub fn run(config: &WorkloadConfig, include_large_tier: bool) -> Report {
             .iter()
             .map(|q| parse_query(q).expect("probe query parses"))
             .collect();
-        for &k in &K_SWEEP {
+        for (&k, &exact_scored) in K_SWEEP.iter().zip(&exact_scored) {
             let mut blockmax_samples = Vec::new();
             let mut collbound_samples = Vec::new();
             let mut exhaustive_samples = Vec::new();
@@ -333,6 +353,7 @@ pub fn run(config: &WorkloadConfig, include_large_tier: bool) -> Report {
                 exhaustive_us,
                 speedup: exhaustive_us.max(1) as f64 / blockmax_us.max(1) as f64,
                 blockmax_vs_collbound: collbound_us.max(1) as f64 / blockmax_us.max(1) as f64,
+                exact_scored,
             });
         }
     }
@@ -340,6 +361,7 @@ pub fn run(config: &WorkloadConfig, include_large_tier: bool) -> Report {
     Report {
         sizes,
         query_set: queries.len(),
+        exact_scored: sweep.iter().map(|p| p.exact_scored).sum(),
         sweep,
         rankings_match,
     }
@@ -358,22 +380,35 @@ impl std::fmt::Display for Report {
         )?;
         writeln!(
             f,
-            "{:<10} {:>6} {:>13} {:>14} {:>14} {:>9} {:>9}",
-            "docs", "k", "blockmax(us)", "collbound(us)", "exhaustive(us)", "speedup", "vs-cb"
+            "{:<10} {:>6} {:>13} {:>14} {:>14} {:>9} {:>9} {:>8}",
+            "docs",
+            "k",
+            "blockmax(us)",
+            "collbound(us)",
+            "exhaustive(us)",
+            "speedup",
+            "vs-cb",
+            "exact"
         )?;
         for p in &self.sweep {
             writeln!(
                 f,
-                "{:<10} {:>6} {:>13} {:>14} {:>14} {:>9.2} {:>9.2}",
+                "{:<10} {:>6} {:>13} {:>14} {:>14} {:>9.2} {:>9.2} {:>8}",
                 p.docs,
                 p.k,
                 p.blockmax_us,
                 p.collbound_us,
                 p.exhaustive_us,
                 p.speedup,
-                p.blockmax_vs_collbound
+                p.blockmax_vs_collbound,
+                p.exact_scored
             )?;
         }
+        writeln!(
+            f,
+            "candidates scored exactly by block-max, summed: {}",
+            self.exact_scored
+        )?;
         writeln!(
             f,
             "rankings bitwise identical: {}",

@@ -283,6 +283,8 @@ impl Collection {
     /// Rebuild a collection from persisted parts (see
     /// [`crate::persist`]). The represented/segmented sets are
     /// reconstructed from the IRS document keys (`oid:N` vs `oid:N#k`).
+    /// `buffer` must hold answers computed under `result_limit`.
+    #[allow(clippy::too_many_arguments)]
     pub fn from_saved(
         name: &str,
         irs: IrsCollection,
@@ -291,6 +293,7 @@ impl Collection {
         spec_query: Option<String>,
         buffer: ResultBuffer,
         segment_config: Option<(usize, usize)>,
+        result_limit: Option<usize>,
     ) -> Self {
         let mut represented = HashSet::new();
         let mut segmented = HashSet::new();
@@ -330,7 +333,7 @@ impl Collection {
             retry: RetryPolicy::default(),
             breaker: CircuitBreaker::new(BreakerConfig::default()),
             retry_stats: RetryStats::default(),
-            result_limit: None,
+            result_limit,
         }
     }
 

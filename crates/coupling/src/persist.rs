@@ -11,6 +11,7 @@
 //! <dir>/collections/<name>.idx      IRS index per collection
 //! <dir>/collections/<name>.buf      result buffer per collection
 //! <dir>/collections/<name>.meta     text mode / derivation / spec query
+//!                                   / segments / result limit
 //! <dir>/collections/<name>.journal  pending deferred propagation ops
 //! ```
 //!
@@ -179,8 +180,12 @@ pub fn save_system(sys: &mut DocumentSystem, dir: &Path) -> Result<()> {
             Some((w, st)) => format!("segments {w} {st}"),
             None => "segments none".to_string(),
         };
+        let limit = match coll.result_limit() {
+            Some(k) => format!("limit {k}"),
+            None => "limit none".to_string(),
+        };
         let meta = format!(
-            "{META_VERSION}\n{}\n{}\n{}\n{segments}\n",
+            "{META_VERSION}\n{}\n{}\n{}\n{segments}\n{limit}\n",
             mode_to_meta(coll.text_mode())?,
             derivation_to_meta(coll.derivation()),
             coll.spec_query().map(escape_line).unwrap_or_default(),
@@ -260,12 +265,31 @@ pub fn open_system(dir: &Path) -> Result<DocumentSystem> {
             }
         };
 
+        // `None` for metadata written before the limit was saved: its
+        // limit is unknown, so neither is the one its buffered answers
+        // were computed under.
+        let result_limit = match lines.next().unwrap_or_default() {
+            "" => None,
+            "limit none" => Some(None),
+            other => match other.strip_prefix("limit ").map(str::parse) {
+                Some(Ok(k)) => Some(Some(k)),
+                _ => {
+                    return Err(CouplingError::Irs(irs::IrsError::CorruptIndex(format!(
+                        "bad result limit line {other:?}"
+                    ))))
+                }
+            },
+        };
+
         let irs_coll = irs::persist::load_collection(&coll_dir.join(format!("{name}.idx")))?;
-        let buffer = crate::buffer::ResultBuffer::load(
-            &coll_dir.join(format!("{name}.buf")),
-            256,
-            irs_coll.epoch(),
-        )?;
+        let buffer = match result_limit {
+            Some(_) => crate::buffer::ResultBuffer::load(
+                &coll_dir.join(format!("{name}.buf")),
+                256,
+                irs_coll.epoch(),
+            )?,
+            None => crate::buffer::ResultBuffer::new(256),
+        };
         let mut coll = Collection::from_saved(
             &name,
             irs_coll,
@@ -274,6 +298,7 @@ pub fn open_system(dir: &Path) -> Result<DocumentSystem> {
             spec_query,
             buffer,
             segment_config,
+            result_limit.flatten(),
         );
         // Crash recovery: deferred updates journaled before the crash are
         // re-applied now, so the reopened collection reflects every
@@ -306,7 +331,7 @@ pub fn open_system(dir: &Path) -> Result<DocumentSystem> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collection::CollectionSetup;
+    use crate::collection::{CollectionSetup, ResultOrigin};
     use crate::derive::DerivationScheme;
     use std::sync::Arc;
 
@@ -378,6 +403,56 @@ mod tests {
             c.stats().irs_calls
         };
         assert_eq!(calls, 0, "buffered result survived the restart");
+    }
+
+    /// A collection limited to one hit, with `telnet` (two matching
+    /// paragraphs) buffered under that limit, saved to `dir`.
+    fn save_limited(dir: &Path) {
+        let mut sys = build();
+        sys.load_sgml("<MMFDOC><DOCTITLE>Remote</DOCTITLE><PARA>telnet again</PARA></MMFDOC>")
+            .unwrap();
+        sys.index_collection("collPara", "ACCESS p FROM p IN PARA")
+            .unwrap();
+        {
+            let mut c = sys.collection_mut("collPara").unwrap();
+            c.set_result_limit(Some(1));
+            assert_eq!(c.get_irs_result("telnet").unwrap().len(), 1);
+        }
+        save_system(&mut sys, dir).unwrap();
+    }
+
+    #[test]
+    fn reopened_collections_keep_their_result_limit() {
+        let dir = tmp("limit");
+        save_limited(&dir);
+        let reopened = open_system(&dir).unwrap();
+        let c = reopened.collection("collPara").unwrap();
+        assert_eq!(c.result_limit(), Some(1));
+        let (map, origin) = c.get_irs_result_with_origin("telnet").unwrap();
+        assert_eq!((map.len(), origin), (1, ResultOrigin::Buffered));
+    }
+
+    #[test]
+    fn metadata_without_a_limit_drops_the_buffered_answers() {
+        // Metadata written before the limit line existed: the answers in
+        // `.buf` were computed under a limit nobody recorded.
+        let dir = tmp("limit_unrecorded");
+        save_limited(&dir);
+        let meta_path = dir.join("collections").join("collPara.meta");
+        let meta = String::from_utf8(storage::read_verified(&meta_path).unwrap()).unwrap();
+        let old: String = meta
+            .lines()
+            .filter(|l| !l.starts_with("limit "))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_ne!(old, meta);
+        storage::atomic_write(&meta_path, old.as_bytes()).unwrap();
+
+        let reopened = open_system(&dir).unwrap();
+        let c = reopened.collection("collPara").unwrap();
+        assert_eq!(c.result_limit(), None);
+        let (map, origin) = c.get_irs_result_with_origin("telnet").unwrap();
+        assert_eq!((map.len(), origin), (2, ResultOrigin::Fresh));
     }
 
     #[test]

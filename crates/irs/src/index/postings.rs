@@ -11,9 +11,22 @@
 //! block a skip header ([`BlockSkip`]) records the block's last doc id, its
 //! end offset in the byte stream, and the block-local maximum term
 //! frequency. The headers let a [`PostingsCursor`] seek past whole blocks
-//! without decoding a single varint, and give the top-k engine *block-max*
-//! score bounds (BMW-style pruning): a block whose `max_tf` corner bound
-//! cannot beat the current heap threshold is skipped outright.
+//! without decoding a single varint.
+//!
+//! Beside the headers, every block keeps the *frontier* of its postings'
+//! `(tf, doc_len)` pairs: the Pareto set of pairs that no other posting of
+//! the block beats with both a higher `tf` and a shorter document. The
+//! list keeps one frontier for all its postings. Every shipped term score
+//! is nondecreasing in `tf` and nonincreasing in `doc_len`, so the best
+//! score over a frontier is exactly the best score of any posting behind
+//! it, whatever the model and its corpus statistics — the top-k engine's
+//! block-max bound (BMW-style pruning): a block whose frontier cannot
+//! beat the current heap threshold is skipped outright. Frontiers are
+//! derived state, never persisted: [`PostingsList::push`] maintains them,
+//! and a list reassembled from disk gets them from
+//! [`PostingsList::derive_frontiers`], one positions-skipping walk. A
+//! posting whose document is later deleted stays in its frontier, which
+//! then bounds a superset of the live postings and stays sound.
 //!
 //! Because every entry is delta-encoded against its predecessor, block `b`
 //! decodes standalone by priming the delta base with block `b-1`'s
@@ -52,8 +65,8 @@ pub struct BlockSkip {
     /// Largest (= last) doc id in the block — the seek key, and the delta
     /// base for the *next* block.
     pub last_doc: u32,
-    /// Largest per-document term frequency within the block; feeds the
-    /// block-max score bound.
+    /// Largest per-document term frequency within the block (persisted;
+    /// the score bounds read the block's frontier instead).
     pub max_tf: u32,
     /// Byte offset one past the block's last entry (the next block's
     /// start). The block's byte length is `end - previous.end`.
@@ -67,7 +80,7 @@ pub struct BlockSkip {
 /// and by the index's store write lock, under which every append runs; see
 /// [`super::ShardedIndex`]). Entries are grouped
 /// into blocks of [`PostingsList::block_size`] documents with one
-/// [`BlockSkip`] header each.
+/// [`BlockSkip`] header and one `(tf, doc_len)` frontier each.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PostingsList {
     bytes: Vec<u8>,
@@ -77,6 +90,14 @@ pub struct PostingsList {
     last_doc: u32,
     total_tf: u64,
     max_tf: u32,
+    /// Every block's frontier, flat: block `b`'s points are
+    /// `block_frontiers[block_frontier_ends[b - 1]..block_frontier_ends[b]]`
+    /// (from 0 for block 0), each run ascending in both `tf` and
+    /// `doc_len`.
+    block_frontiers: Vec<(u32, u32)>,
+    block_frontier_ends: Vec<u32>,
+    /// The frontier of the whole list, in the same order.
+    frontier: Vec<(u32, u32)>,
 }
 
 impl Default for PostingsList {
@@ -102,6 +123,9 @@ impl PostingsList {
             last_doc: 0,
             total_tf: 0,
             max_tf: 0,
+            block_frontiers: Vec::new(),
+            block_frontier_ends: Vec::new(),
+            frontier: Vec::new(),
         }
     }
 
@@ -137,6 +161,88 @@ impl PostingsList {
         &self.blocks
     }
 
+    /// The Pareto frontier of the whole list's `(tf, doc_len)` pairs,
+    /// ascending in both: for every posting some point has at least its
+    /// `tf` and at most its document's length.
+    pub fn frontier(&self) -> &[(u32, u32)] {
+        &self.frontier
+    }
+
+    /// [`Self::frontier`] of block `b`'s postings alone.
+    pub fn block_frontier(&self, b: usize) -> &[(u32, u32)] {
+        let start = b.checked_sub(1).map_or(0, |p| self.block_frontier_ends[p]);
+        &self.block_frontiers[start as usize..self.block_frontier_ends[b] as usize]
+    }
+
+    /// Count a posting of `tf` in a document of `doc_len` tokens into the
+    /// frontiers of the list and of its last block.
+    fn extend_frontiers(&mut self, tf: u32, doc_len: u32) {
+        let b = self.block_frontier_ends.len() - 1;
+        let start = b.checked_sub(1).map_or(0, |p| self.block_frontier_ends[p]);
+        // A posting off its block's frontier is off the list's too.
+        if insert_pareto(&mut self.block_frontiers, start as usize, tf, doc_len) {
+            self.block_frontier_ends[b] = self.block_frontiers.len() as u32;
+            insert_pareto(&mut self.frontier, 0, tf, doc_len);
+        }
+    }
+
+    /// Rebuild every frontier from the postings, with `doc_len(doc)` the
+    /// length of document `doc` — one positions-skipping walk, for a list
+    /// reassembled by [`Self::from_raw_blocks`]. `visit` sees each doc id
+    /// on the way, so a caller can fold a count into the same walk.
+    ///
+    /// Each block is walked from its predecessor's header, as a cursor
+    /// entering it would, so a decode error ends only that block: a
+    /// cursor can still seek past it into the next. A posting `doc_len`
+    /// has no length for (an id past the store) is left out, as no cursor
+    /// delivers it as a candidate.
+    pub fn derive_frontiers(
+        &mut self,
+        doc_len: impl Fn(u32) -> Option<u32>,
+        mut visit: impl FnMut(u32),
+    ) {
+        self.block_frontiers.clear();
+        self.block_frontier_ends.clear();
+        self.frontier.clear();
+        for b in 0..self.blocks.len() {
+            let (mut pos, mut doc) = match b.checked_sub(1) {
+                Some(p) => (self.blocks[p].end, self.blocks[p].last_doc),
+                None => (0, 0),
+            };
+            let start = self.block_frontiers.len();
+            for _ in 0..self.docs_in_block(b) {
+                let bytes = &self.bytes;
+                let (Some(delta), Some(tf)) =
+                    (read_varint(bytes, &mut pos), read_varint(bytes, &mut pos))
+                else {
+                    break;
+                };
+                let Some(next) = doc.checked_add(delta as u32) else {
+                    break;
+                };
+                doc = next;
+                visit(doc);
+                if let Some(len) = doc_len(doc) {
+                    insert_pareto(&mut self.block_frontiers, start, tf as u32, len);
+                }
+                // Step over the positions: one varint ends at each byte
+                // below 0x80.
+                let mut left = tf;
+                while left > 0 {
+                    let Some(&byte) = bytes.get(pos) else { break };
+                    pos += 1;
+                    left -= u64::from(byte < 0x80);
+                }
+            }
+            self.block_frontier_ends
+                .push(self.block_frontiers.len() as u32);
+            // A posting off its block's frontier is off the list's too.
+            for &(tf, len) in &self.block_frontiers[start..] {
+                insert_pareto(&mut self.frontier, 0, tf, len);
+            }
+        }
+    }
+
     /// Number of documents stored in block `b`.
     fn docs_in_block(&self, b: usize) -> u32 {
         if b + 1 < self.blocks.len() {
@@ -146,9 +252,10 @@ impl PostingsList {
         }
     }
 
-    /// Append an occurrence record. `positions` must be ascending and
-    /// non-empty; `doc` must exceed every previously appended doc id.
-    pub fn push(&mut self, doc: u32, positions: &[u32]) {
+    /// Append an occurrence record of a document `doc_len` tokens long.
+    /// `positions` must be ascending and non-empty; `doc` must exceed
+    /// every previously appended doc id.
+    pub fn push(&mut self, doc: u32, positions: &[u32], doc_len: u32) {
         debug_assert!(!positions.is_empty(), "a posting must have >= 1 position");
         debug_assert!(
             self.doc_count == 0 || doc > self.last_doc,
@@ -175,12 +282,15 @@ impl PostingsList {
                 max_tf: tf,
                 end: self.bytes.len(),
             });
+            self.block_frontier_ends
+                .push(self.block_frontiers.len() as u32);
         } else {
             let b = self.blocks.last_mut().expect("non-empty list has a block");
             b.last_doc = doc;
             b.max_tf = b.max_tf.max(tf);
             b.end = self.bytes.len();
         }
+        self.extend_frontiers(tf, doc_len);
         self.last_doc = doc;
         self.doc_count += 1;
         self.total_tf += u64::from(tf);
@@ -202,8 +312,8 @@ impl PostingsList {
     /// A seekable decoding cursor: [`Iterator::next`] yields `(doc, tf)`
     /// pairs, [`PostingsCursor::seek`] skips whole blocks via the headers,
     /// [`PostingsCursor::positions`] materialises the current posting's
-    /// positions on demand, and [`PostingsCursor::peek_block_for`] exposes
-    /// block-max metadata without decoding.
+    /// positions on demand, and [`PostingsCursor::peek_block_for`] names
+    /// the block a document would be in without decoding.
     pub fn cursor(&self) -> PostingsCursor<'_> {
         PostingsCursor {
             list: self,
@@ -232,7 +342,8 @@ impl PostingsList {
     }
 
     /// Reassemble from persisted raw parts *plus* persisted skip headers
-    /// — no decode pass. The headers are
+    /// — no decode pass, so the frontiers are empty until
+    /// [`Self::derive_frontiers`] fills them. The headers are
     /// validated for shape (count, monotonicity, final offsets) so a
     /// corrupt-but-CRC-clean file cannot produce out-of-bounds block
     /// accesses; `None` when they are inconsistent.
@@ -283,8 +394,35 @@ impl PostingsList {
             last_doc,
             total_tf,
             max_tf,
+            block_frontiers: Vec::new(),
+            block_frontier_ends: Vec::new(),
+            frontier: Vec::new(),
         })
     }
+}
+
+/// Add `(tf, len)` to the Pareto frontier `points[start..]` (ascending in
+/// both coordinates), unless a point with at least `tf` and at most `len`
+/// is there already; the points it dominates in turn are dropped. Returns
+/// whether it was added.
+fn insert_pareto(points: &mut Vec<(u32, u32)>, start: usize, tf: u32, len: u32) -> bool {
+    let run = &points[start..];
+    // First point with at least `tf`: the shortest among those.
+    let at = run.partition_point(|p| p.0 < tf);
+    if run.get(at).is_some_and(|p| p.1 <= len) {
+        return false;
+    }
+    // The points below `tf` that are no shorter, and one at `tf` exactly
+    // (longer, or the test above would have returned), are dominated.
+    let from = run[..at].partition_point(|p| p.1 < len);
+    let to = at + usize::from(run.get(at).is_some_and(|p| p.0 == tf));
+    if from == to {
+        points.insert(start + from, (tf, len));
+    } else {
+        points[start + from] = (tf, len);
+        points.drain(start + from + 1..start + to);
+    }
+    true
 }
 
 /// Decoding iterator over a [`PostingsList`], positions materialised.
@@ -317,8 +455,8 @@ pub type DocTfIter<'a> = PostingsCursor<'a>;
 /// via [`PostingsCursor::positions`]. [`PostingsCursor::seek`] uses the
 /// skip headers to step over whole blocks without decoding;
 /// [`PostingsCursor::peek_block_for`] advances the block pointer the same
-/// way but stops short of decoding, exposing the candidate block's
-/// `max_tf` for block-max pruning.
+/// way but stops short of decoding, naming the candidate block whose
+/// frontier bounds it for block-max pruning.
 ///
 /// Both seek-style calls only move forward: callers must probe ascending
 /// doc ids (the document-at-a-time discipline).
@@ -387,15 +525,14 @@ impl PostingsCursor<'_> {
 
     /// Step the block pointer to the first block that could contain
     /// `target` (or the head's block if the head already satisfies it) and
-    /// return `(block_index, block_max_tf)` — without decoding anything.
-    /// `None` when every remaining block ends before `target`.
-    pub fn peek_block_for(&mut self, target: u32) -> Option<(usize, u32)> {
+    /// return its index — without decoding anything. `None` when every
+    /// remaining block ends before `target`.
+    pub fn peek_block_for(&mut self, target: u32) -> Option<usize> {
         match self.head {
             Some((d, _)) if d >= target => {}
             _ => self.skip_blocks_before(target),
         }
-        let skip = self.list.blocks.get(self.block)?;
-        Some((self.block, skip.max_tf))
+        (self.block < self.list.blocks.len()).then_some(self.block)
     }
 
     /// Advance `block` past every block whose `last_doc < target`,
@@ -562,9 +699,9 @@ mod tests {
     #[test]
     fn postings_round_trip() {
         let mut pl = PostingsList::new();
-        pl.push(0, &[3, 7, 21]);
-        pl.push(5, &[0]);
-        pl.push(6, &[1, 2]);
+        pl.push(0, &[3, 7, 21], 10);
+        pl.push(5, &[0], 10);
+        pl.push(6, &[1, 2], 10);
         let decoded: Vec<Posting> = pl.iter().collect();
         assert_eq!(decoded.len(), 3);
         assert_eq!(
@@ -596,7 +733,7 @@ mod tests {
     fn delta_encoding_is_compact_for_dense_lists() {
         let mut pl = PostingsList::new();
         for doc in 0..1000u32 {
-            pl.push(doc, &[0]);
+            pl.push(doc, &[0], 10);
         }
         // doc_delta=1|0, tf=1, pos=0 → 3 bytes per entry.
         assert!(pl.byte_size() <= 3 * 1000, "got {}", pl.byte_size());
@@ -605,9 +742,9 @@ mod tests {
     #[test]
     fn block_headers_track_pushes() {
         let mut pl = PostingsList::with_block_size(2);
-        pl.push(3, &[0, 4]);
-        pl.push(9, &[1]);
-        pl.push(40, &[0, 1, 2]);
+        pl.push(3, &[0, 4], 10);
+        pl.push(9, &[1], 10);
+        pl.push(40, &[0, 1, 2], 10);
         assert_eq!(pl.blocks().len(), 2);
         assert_eq!(pl.blocks()[0].last_doc, 9);
         assert_eq!(pl.blocks()[0].max_tf, 2);
@@ -619,13 +756,29 @@ mod tests {
     }
 
     #[test]
+    fn frontiers_keep_the_undominated_pairs() {
+        let mut pl = PostingsList::with_block_size(3);
+        pl.push(0, &[0], 5);
+        pl.push(1, &[0, 1, 2], 20);
+        pl.push(2, &[0, 1], 8);
+        // (2, 4) dominates every other pair of block 1, and (1, 5) and
+        // (2, 8) of block 0 in the list's frontier.
+        pl.push(3, &[0, 1], 30);
+        pl.push(4, &[0, 1], 4);
+        pl.push(5, &[0], 9);
+        assert_eq!(pl.block_frontier(0), &[(1, 5), (2, 8), (3, 20)]);
+        assert_eq!(pl.block_frontier(1), &[(2, 4)]);
+        assert_eq!(pl.frontier(), &[(2, 4), (3, 20)]);
+    }
+
+    #[test]
     fn from_raw_blocks_round_trip_and_validation() {
         let mut pl = PostingsList::with_block_size(2);
         for doc in [2u32, 9, 11, 30, 31] {
-            pl.push(doc, &[0, doc + 1]);
+            pl.push(doc, &[0, doc + 1], 10);
         }
         let (bytes, dc, last, tf, max_tf) = pl.raw();
-        let rebuilt = PostingsList::from_raw_blocks(
+        let mut rebuilt = PostingsList::from_raw_blocks(
             bytes.to_vec(),
             dc,
             last,
@@ -635,6 +788,8 @@ mod tests {
             pl.blocks().to_vec(),
         )
         .expect("self-consistent parts");
+        assert!(rebuilt.frontier().is_empty(), "not derived yet");
+        rebuilt.derive_frontiers(|_| Some(10), |_| {});
         assert_eq!(rebuilt, pl);
 
         // Wrong block count.
@@ -682,9 +837,9 @@ mod tests {
     #[test]
     fn cursor_mixes_skips_and_reads() {
         let mut pl = PostingsList::new();
-        pl.push(0, &[3, 7, 21]);
-        pl.push(5, &[0]);
-        pl.push(6, &[1, 2]);
+        pl.push(0, &[3, 7, 21], 10);
+        pl.push(5, &[0], 10);
+        pl.push(6, &[1, 2], 10);
         let mut cur = pl.cursor();
         assert_eq!(cur.next(), Some((0, 3))); // skip positions
         assert_eq!(cur.next(), Some((5, 1)));
@@ -698,7 +853,7 @@ mod tests {
     fn cursor_seek_skips_blocks() {
         let mut pl = PostingsList::with_block_size(2);
         for doc in [1u32, 4, 10, 12, 20, 33, 47] {
-            pl.push(doc, &[0, 3]);
+            pl.push(doc, &[0, 3], 10);
         }
         let mut cur = pl.cursor();
         assert_eq!(cur.seek(0), Some((1, 2)));
@@ -717,18 +872,18 @@ mod tests {
     #[test]
     fn cursor_peek_block_reports_block_max() {
         let mut pl = PostingsList::with_block_size(2);
-        pl.push(1, &[0]);
-        pl.push(4, &[0, 1, 2]); // block 0: max_tf 3
-        pl.push(10, &[0, 1]);
-        pl.push(12, &[0]); // block 1: max_tf 2
-        pl.push(20, &[0, 1, 2, 3]); // block 2: max_tf 4
+        pl.push(1, &[0], 10);
+        pl.push(4, &[0, 1, 2], 10); // block 0: max_tf 3
+        pl.push(10, &[0, 1], 10);
+        pl.push(12, &[0], 10); // block 1: max_tf 2
+        pl.push(20, &[0, 1, 2, 3], 10); // block 2: max_tf 4
         let mut cur = pl.cursor();
-        assert_eq!(cur.peek_block_for(0), Some((0, 3)));
+        assert_eq!(cur.peek_block_for(0), Some(0));
         // Peeking does not decode: the first next() still yields doc 1.
         assert_eq!(cur.next(), Some((1, 1)));
-        assert_eq!(cur.peek_block_for(11), Some((1, 2)));
+        assert_eq!(cur.peek_block_for(11), Some(1));
         assert_eq!(cur.block_index(), 1);
-        assert_eq!(cur.peek_block_for(13), Some((2, 4)));
+        assert_eq!(cur.peek_block_for(13), Some(2));
         assert_eq!(cur.peek_block_for(21), None);
         assert_eq!(cur.next(), None);
         // Size hints stay exact across block skips.
@@ -739,7 +894,7 @@ mod tests {
     fn cursor_seek_after_positions_read() {
         let mut pl = PostingsList::with_block_size(2);
         for doc in [2u32, 5, 9, 14] {
-            pl.push(doc, &[1, 6]);
+            pl.push(doc, &[1, 6], 10);
         }
         let mut cur = pl.cursor();
         assert_eq!(cur.next(), Some((2, 2)));
@@ -839,9 +994,9 @@ mod tests {
     #[test]
     fn doc_tfs_skips_positions() {
         let mut pl = PostingsList::new();
-        pl.push(0, &[3, 7, 21]);
-        pl.push(5, &[0]);
-        pl.push(6, &[1, 2]);
+        pl.push(0, &[3, 7, 21], 10);
+        pl.push(5, &[0], 10);
+        pl.push(6, &[1, 2], 10);
         let pairs: Vec<(u32, u32)> = pl.doc_tfs().collect();
         assert_eq!(pairs, vec![(0, 3), (5, 1), (6, 2)]);
         assert_eq!(pl.max_tf(), 3);
@@ -851,8 +1006,8 @@ mod tests {
     #[test]
     fn iterator_size_hint_is_exact() {
         let mut pl = PostingsList::new();
-        pl.push(1, &[0]);
-        pl.push(2, &[0]);
+        pl.push(1, &[0], 10);
+        pl.push(2, &[0], 10);
         let it = pl.iter();
         assert_eq!(it.size_hint(), (2, Some(2)));
     }
@@ -920,7 +1075,7 @@ mod proptests {
             for (gap, posset) in &entries {
                 doc += gap;
                 let positions: Vec<u32> = posset.iter().copied().collect();
-                pl.push(doc, &positions);
+                pl.push(doc, &positions, 10);
                 expected.push(Posting { doc, positions });
             }
             let decoded: Vec<Posting> = pl.iter().collect();
@@ -952,7 +1107,7 @@ mod proptests {
             for &(gap, tf) in &gaps {
                 doc += gap;
                 let positions: Vec<u32> = (0..tf).collect();
-                pl.push(doc, &positions);
+                pl.push(doc, &positions, 10);
                 all.push((doc, tf));
             }
             // Reference model: `head` mirrors the cursor's head, `next`

@@ -125,11 +125,12 @@ impl ShardedIndex {
     }
 
     /// Rebuild from per-shard `(term, postings)` lists saved by the native
-    /// format, counting each list's dead postings against `store`. When
-    /// `shard_terms.len()` matches the desired count the shards are
-    /// reconstructed verbatim (terms were partitioned by [`term_hash`]
-    /// when saved); otherwise terms are re-hashed into `n_shards`
-    /// partitions.
+    /// format, deriving each list's frontiers and counting its dead
+    /// postings against `store` — shards in parallel, on at most one
+    /// thread per available CPU. When `shard_terms.len()` matches the
+    /// desired count the shards are reconstructed verbatim (terms were
+    /// partitioned by [`term_hash`] when saved); otherwise terms are
+    /// re-hashed into `n_shards` partitions.
     pub(crate) fn from_shard_parts(
         analyzer: Analyzer,
         store: DocStore,
@@ -147,10 +148,32 @@ impl ShardedIndex {
             }
             rehashed
         };
-        let shards = shard_terms
-            .into_iter()
-            .map(|terms| RwLock::new(TermTable::from_lists(terms, &store)))
-            .collect();
+        // Contiguous runs of shards, one run per worker.
+        let workers = std::thread::available_parallelism().map_or(1, |w| w.get());
+        let run = n.div_ceil(workers.min(n));
+        let mut runs = Vec::new();
+        let mut rest = shard_terms;
+        while !rest.is_empty() {
+            let tail = rest.split_off(run.min(rest.len()));
+            runs.push(std::mem::replace(&mut rest, tail));
+        }
+        let shards = std::thread::scope(|scope| {
+            let builders: Vec<_> = runs
+                .into_iter()
+                .map(|run| {
+                    let store = &store;
+                    scope.spawn(move || {
+                        run.into_iter()
+                            .map(|terms| RwLock::new(TermTable::from_lists(terms, store)))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            builders
+                .into_iter()
+                .flat_map(|b| b.join().expect("shard builder panicked"))
+                .collect()
+        });
         ShardedIndex {
             analyzer,
             store: RwLock::new(store),
@@ -183,7 +206,7 @@ impl ShardedIndex {
     /// Append one analysed document's postings to the shards. The caller
     /// must hold the store write lock so doc ids reach each shard in
     /// ascending order.
-    fn apply_to_shards(&self, doc: u32, entries: &[(&str, Vec<u32>)]) {
+    fn apply_to_shards(&self, doc: u32, doc_len: u32, entries: &[(&str, Vec<u32>)]) {
         let mut i = 0;
         while i < entries.len() {
             // `entries` is term-sorted, not shard-sorted; batch consecutive
@@ -192,7 +215,7 @@ impl ShardedIndex {
             let mut shard = self.shards[shard_idx].write();
             while i < entries.len() && self.shard_of(entries[i].0) == shard_idx {
                 let tid = shard.intern(entries[i].0);
-                shard.append(tid, doc, &entries[i].1);
+                shard.append(tid, doc, &entries[i].1, doc_len);
                 i += 1;
             }
         }
@@ -212,7 +235,7 @@ impl ShardedIndex {
         let id = store
             .insert(key, len)
             .ok_or_else(|| IrsError::DuplicateDocument(key.to_string()))?;
-        self.apply_to_shards(id.0, &entries);
+        self.apply_to_shards(id.0, len, &entries);
         Ok(id)
     }
 
@@ -282,7 +305,7 @@ impl ShardedIndex {
             let mut shard = shard.write();
             for (term, doc, positions) in bucket {
                 let tid = shard.intern(term);
-                shard.append(tid, doc, &positions);
+                shard.append(tid, doc, &positions, store.entry(DocId(doc)).len);
             }
         }
         Ok(ids)
@@ -357,7 +380,7 @@ impl ShardedIndex {
         let docs_purged = store.tombstone_count();
         let (compacted, remap) = store.compacted();
         for shard in shards.iter_mut() {
-            shard.compact(&remap);
+            shard.compact(&remap, &compacted);
         }
         *store = compacted;
         MergeStats {

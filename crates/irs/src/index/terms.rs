@@ -59,22 +59,25 @@ impl TermTable {
     }
 
     /// A table over persisted `(term, list)` pairs whose documents live
-    /// in `store`, with every list's dead postings counted — one
-    /// positions-skipping walk of the lists, none while the store has no
-    /// tombstones.
+    /// in `store`, with every list's frontiers derived and its dead
+    /// postings counted in the same positions-skipping walk.
     pub(crate) fn from_lists(
         lists: impl IntoIterator<Item = (String, PostingsList)>,
         store: &DocStore,
     ) -> Self {
         let mut table = TermTable::new(super::DEFAULT_BLOCK_SIZE);
-        for (term, list) in lists {
-            let dead = if store.has_tombstones() {
-                list.doc_tfs()
-                    .filter(|&(d, _)| !store.is_live(DocId(d)))
-                    .count() as u32
-            } else {
-                0
-            };
+        let slots = store.slot_count();
+        let tombstones = store.has_tombstones();
+        for (term, mut list) in lists {
+            let mut dead = 0;
+            list.derive_frontiers(
+                |d| (d < slots).then(|| store.entry(DocId(d)).len),
+                |d| {
+                    if tombstones && !store.is_live(DocId(d)) {
+                        dead += 1;
+                    }
+                },
+            );
             table.insert(&term, Arc::new(list), dead);
         }
         table
@@ -125,11 +128,12 @@ impl TermTable {
         tid
     }
 
-    /// Append `doc`'s positions to `tid`'s list. Doc ids must ascend
-    /// across calls on one table (the postings delta encoding and the
-    /// forward list's runs both rely on it).
-    pub(crate) fn append(&mut self, tid: TermId, doc: u32, positions: &[u32]) {
-        Arc::make_mut(&mut self.postings[tid.0 as usize]).push(doc, positions);
+    /// Append `doc`'s positions to `tid`'s list; the document is
+    /// `doc_len` tokens long. Doc ids must ascend across calls on one
+    /// table (the postings delta encoding and the forward list's runs
+    /// both rely on it).
+    pub(crate) fn append(&mut self, tid: TermId, doc: u32, positions: &[u32], doc_len: u32) {
+        Arc::make_mut(&mut self.postings[tid.0 as usize]).push(doc, positions, doc_len);
         if let Some(forward) = &mut self.forward {
             forward.push(doc, tid.0);
         }
@@ -159,14 +163,16 @@ impl TermTable {
     }
 
     /// The table's half of a merge: rewrite every list under `remap` (old
-    /// doc id → new, `None` for a purged document). No posting is dead
-    /// afterwards, and the forward list is dropped until the next delete.
-    pub(crate) fn compact(&mut self, remap: &[Option<u32>]) {
+    /// doc id → new, `None` for a purged document) into the compacted
+    /// `store`. No posting is dead afterwards, and the forward list is
+    /// dropped until the next delete.
+    pub(crate) fn compact(&mut self, remap: &[Option<u32>], store: &DocStore) {
         for list in &mut self.postings {
             let mut compacted = PostingsList::with_block_size(self.block_size);
             for p in list.iter() {
                 if let Some(new_doc) = remap.get(p.doc as usize).copied().flatten() {
-                    compacted.push(new_doc, &p.positions);
+                    let len = store.entry(DocId(new_doc)).len;
+                    compacted.push(new_doc, &p.positions, len);
                 }
             }
             *list = Arc::new(compacted);
@@ -274,7 +280,7 @@ mod tests {
             for t in *terms {
                 for table in [&mut grown, &mut built] {
                     let tid = table.intern(t);
-                    table.append(tid, doc as u32, &[0]);
+                    table.append(tid, doc as u32, &[0], 1);
                 }
             }
         }
@@ -297,7 +303,7 @@ mod tests {
         for (doc, terms) in [(0u32, ["x", "y"]), (1, ["y", "z"]), (2, ["x", "z"])] {
             for t in terms {
                 let tid = table.intern(t);
-                table.append(tid, doc, &[0, 1]);
+                table.append(tid, doc, &[0, 1], 2);
             }
         }
         let id = store.delete("k1").unwrap();
@@ -308,14 +314,14 @@ mod tests {
         // A later document lands in the already-built forward list.
         store.insert("k3", 1).unwrap();
         let tid = table.intern("y");
-        table.append(tid, 3, &[0]);
+        table.append(tid, 3, &[0], 1);
         let id = store.delete("k3").unwrap();
         table.tombstone(id, store.slot_count());
         assert_eq!(table.summary("y"), Some((1, 2)));
         assert_eq!(table.summary("absent"), None);
         // Compaction drops the dead postings and zeroes the counts.
-        let (_, remap) = store.compacted();
-        table.compact(&remap);
+        let (compacted, remap) = store.compacted();
+        table.compact(&remap, &compacted);
         assert_eq!(table.summary("y"), Some((1, 2)));
         assert_eq!(table.postings("y").unwrap().doc_count(), 1);
     }
@@ -326,7 +332,7 @@ mod tests {
         store.delete("k2").unwrap();
         let mut list = PostingsList::new();
         for doc in 0..4 {
-            list.push(doc, &[doc]);
+            list.push(doc, &[doc], 1);
         }
         let table = TermTable::from_lists([("t".to_string(), list)], &store);
         assert_eq!(table.summary("t"), Some((3, 1)));

@@ -65,6 +65,13 @@ pub enum TermScorer {
 impl TermScorer {
     /// Score of an occurrence with frequency `tf` in a document of
     /// `doc_len` tokens.
+    ///
+    /// Contract: for `1 <= tf <= doc_len` (every posting's case, since a
+    /// term occurs at most once per token) the score is nondecreasing in
+    /// `tf` and nonincreasing in `doc_len`, under any `df <= n_docs`, any
+    /// `avg_doc_len > 0` and any in-range model parameters — rounding
+    /// included. The top-k engine's bounds rely on it: the best score
+    /// over a block's `(tf, doc_len)` frontier is the block's best score.
     #[inline]
     pub fn score(&self, tf: u32, doc_len: u32) -> f64 {
         match self {
@@ -268,5 +275,82 @@ mod tests {
         let s = m.as_model().combine_wsum(&[(3.0, 1.0), (1.0, 0.0)]);
         assert!((s - 0.75).abs() < 1e-12);
         assert_eq!(m.as_model().combine_wsum(&[(0.0, 1.0)]), 0.0);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Corpus statistics: a share of `n_docs` as `df`, `n_docs` and
+    /// `avg_doc_len`.
+    fn corpus() -> impl Strategy<Value = (f64, u32, f64)> {
+        (0.0..=1.0f64, 1u32..=1_000_000, 0.01f64..10_000.0)
+    }
+
+    /// `(tf, tf step, length beyond the larger tf, length step)`.
+    fn postings() -> impl Strategy<Value = (u32, u32, u32, u32)> {
+        (1u32..=4096, 0u32..=4096, 0u32..=100_000, 0u32..=100_000)
+    }
+
+    /// The [`TermScorer::score`] contract at `tf <= tf_hi <= len <=
+    /// len_hi`.
+    fn check_monotone(
+        model: &dyn RetrievalModel,
+        (df_share, n_docs, avg_doc_len): (f64, u32, f64),
+        (tf, tf_step, len_pad, len_step): (u32, u32, u32, u32),
+    ) -> TestCaseResult {
+        let df = (df_share * f64::from(n_docs)) as u32;
+        let scorer = model.prepare(df, n_docs, avg_doc_len);
+        let tf_hi = tf + tf_step;
+        let len = tf_hi + len_pad;
+        let len_hi = len + len_step;
+        prop_assert!(
+            scorer.score(tf, len) <= scorer.score(tf_hi, len),
+            "{} not nondecreasing in tf: {tf} -> {tf_hi} at length {len}",
+            model.name()
+        );
+        prop_assert!(
+            scorer.score(tf, len_hi) <= scorer.score(tf, len),
+            "{} not nonincreasing in length: {len} -> {len_hi} at tf {tf}",
+            model.name()
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn boolean_scores_are_monotone(corpus in corpus(), postings in postings()) {
+            check_monotone(&BooleanModel, corpus, postings)?;
+        }
+
+        #[test]
+        fn vector_scores_are_monotone(
+            slope in 0.0..=1.0f64,
+            corpus in corpus(),
+            postings in postings(),
+        ) {
+            check_monotone(&VectorModel { slope }, corpus, postings)?;
+        }
+
+        #[test]
+        fn bm25_scores_are_monotone(
+            k1 in 0.1..=3.0f64,
+            b in 0.0..=1.0f64,
+            corpus in corpus(),
+            postings in postings(),
+        ) {
+            check_monotone(&Bm25Model { k1, b }, corpus, postings)?;
+        }
+
+        #[test]
+        fn inference_scores_are_monotone(
+            default_belief in 0.0..=1.0f64,
+            corpus in corpus(),
+            postings in postings(),
+        ) {
+            check_monotone(&InferenceModel { default_belief }, corpus, postings)?;
+        }
     }
 }

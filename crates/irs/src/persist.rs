@@ -190,7 +190,8 @@ fn cleanup_stale_generations(dir: &Path, current: u64) {
 
 /// Serialise one shard's dictionary and postings (term text, stats, raw
 /// delta-encoded bytes — including `max_tf` and the block-skip headers,
-/// so loads need no decode).
+/// so a load reassembles each list without decoding it; only the
+/// frontier walk of `TermTable::from_lists` reads the postings).
 fn encode_shard(i: usize, generation: u64, terms: &TermTable) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(SHARD_MAGIC);
@@ -832,8 +833,8 @@ mod tests {
         // slots, no tombstones) never assigned.
         let mut terms = TermTable::new(128);
         let tid = terms.intern("telnet");
-        terms.append(tid, 0, &[0]);
-        terms.append(tid, 5, &[0]);
+        terms.append(tid, 0, &[0], 1);
+        terms.append(tid, 5, &[0], 1);
         let name = &shard_files(&path)[0];
         let (generation, i) = parse_shard_name(name).unwrap();
         atomic_write(&path.join(name), &encode_shard(i, generation, &terms)).unwrap();

@@ -615,7 +615,7 @@ mod tests {
         let telnet = PostingsList::from_raw_blocks(vec![1, 1, 0], 1, 0, 1, 1, 128, blocks)
             .expect("shape-consistent parts");
         let mut protocol = PostingsList::new();
-        protocol.push(1, &[1]);
+        protocol.push(1, &[1], 2);
         let ix = ShardedIndex::from_shard_parts(
             Analyzer::new(AnalyzerConfig::default()),
             store,

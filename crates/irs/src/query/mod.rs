@@ -16,8 +16,8 @@
 //!          | (weight expr)+             for #wsum
 //! ```
 //!
-//! Examples: `WWW`, `#and(WWW NII)`, `#wsum(2 WWW 1 NII)`,
-//! `"information retrieval"`.
+//! Operators nest at most [`MAX_QUERY_DEPTH`] deep. Examples: `WWW`,
+//! `#and(WWW NII)`, `#wsum(2 WWW 1 NII)`, `"information retrieval"`.
 
 mod ast;
 mod eval;
@@ -27,7 +27,7 @@ mod topk;
 
 pub use ast::QueryNode;
 pub use eval::{evaluate, ScoredDocs};
-pub use parser::parse_query;
+pub use parser::{parse_query, MAX_QUERY_DEPTH};
 pub use stats::{collect_globals, query_terms, QueryGlobals, TermGlobals};
 pub use topk::{
     evaluate_top_k, evaluate_top_k_with_globals, evaluate_top_k_with_strategy, PruneStrategy,

@@ -3,15 +3,23 @@
 use super::QueryNode;
 use crate::error::{IrsError, Result};
 
+/// Deepest operator nesting a query may have: `expr` and `operator`
+/// recurse into each other once per level, so a deeper text is refused
+/// with [`IrsError::QueryParse`] instead of exhausting the stack.
+pub const MAX_QUERY_DEPTH: usize = 128;
+
 struct Parser<'a> {
     input: &'a str,
     pos: usize,
+    /// Operators open around the current position.
+    depth: usize,
 }
 
 /// Parse an IRS query string into a [`QueryNode`].
 ///
 /// A top-level list of more than one expression becomes an implicit
 /// `#sum(...)`, matching INQUERY's treatment of bag-of-words queries.
+/// Operators nest at most [`MAX_QUERY_DEPTH`] deep.
 ///
 /// ```
 /// use irs::query::parse_query;
@@ -19,7 +27,11 @@ struct Parser<'a> {
 /// assert_eq!(q.to_string(), "#and(www nii)");
 /// ```
 pub fn parse_query(input: &str) -> Result<QueryNode> {
-    let mut p = Parser { input, pos: 0 };
+    let mut p = Parser {
+        input,
+        pos: 0,
+        depth: 0,
+    };
     let mut exprs = Vec::new();
     p.skip_ws();
     while !p.at_end() {
@@ -128,6 +140,16 @@ impl<'a> Parser<'a> {
     }
 
     fn operator(&mut self) -> Result<QueryNode> {
+        if self.depth == MAX_QUERY_DEPTH {
+            return Err(self.err(&format!("operators nested deeper than {MAX_QUERY_DEPTH}")));
+        }
+        self.depth += 1;
+        let node = self.operator_body();
+        self.depth -= 1;
+        node
+    }
+
+    fn operator_body(&mut self) -> Result<QueryNode> {
         self.expect('#')?;
         let name_start = self.pos;
         while matches!(self.peek(), Some(c) if c.is_ascii_alphabetic()) {
@@ -339,6 +361,28 @@ mod tests {
         assert!(parse_query("\"unterminated").is_err());
         assert!(parse_query("#wsum(x y)").is_err());
         assert!(parse_query("#and()").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_query_depth() {
+        let nested = |depth: usize| format!("{}www{}", "#and(".repeat(depth), ")".repeat(depth));
+        // `depth` counts the term as a level of its own.
+        assert_eq!(
+            parse_query(&nested(MAX_QUERY_DEPTH)).unwrap().depth(),
+            MAX_QUERY_DEPTH + 1
+        );
+        // Refused at the operator one level too deep, wherever the text
+        // would have ended.
+        let too_deep = MAX_QUERY_DEPTH * "#and(".len();
+        for text in [nested(MAX_QUERY_DEPTH + 1), "#and(".repeat(20_000)] {
+            match parse_query(&text) {
+                Err(IrsError::QueryParse { offset, .. }) => assert_eq!(offset, too_deep),
+                other => panic!("expected a parse error, got {other:?}"),
+            }
+        }
+        // Depth counts open operators, not operators seen.
+        let wide = format!("#sum({})", nested(MAX_QUERY_DEPTH - 1).repeat(3));
+        assert!(parse_query(&wide).is_ok());
     }
 
     #[test]

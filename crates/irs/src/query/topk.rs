@@ -12,16 +12,17 @@
 //!
 //! Candidates are pruned in two stages of increasing cost:
 //!
-//! 1. **Collection bound** — per-term corner bounds from collection-wide
-//!    `max_tf`/length ranges, evaluated over the matched + non-essential
-//!    presence pattern (the MaxScore part). No postings access at all.
-//! 2. **Block max** — survivors are re-bounded with each term's *block*
-//!    `max_tf` taken from the [`BlockSkip`](crate::index::BlockSkip)
-//!    headers of the blocks that (could) contain the candidate. Getting a
-//!    non-essential term's block header only steps its cursor's block
-//!    pointer forward — no varint is decoded — so a block whose corner
-//!    bound cannot beat the heap threshold is skipped wholesale (BMW-style
-//!    pruning over the operator tree instead of plain WAND sums).
+//! 1. **List bound** — per-term bounds from each whole list's
+//!    `(tf, doc_len)` [frontier](crate::index::PostingsList::frontier),
+//!    evaluated over the matched + non-essential presence pattern (the
+//!    MaxScore part). No postings access at all.
+//! 2. **Block max** — survivors are re-bounded with the frontier of each
+//!    term's *block* that (could) contain the candidate, found through the
+//!    [`BlockSkip`](crate::index::BlockSkip) headers. Finding a
+//!    non-essential term's block only steps its cursor's block pointer
+//!    forward — no varint is decoded — so a block whose bound cannot beat
+//!    the heap threshold is skipped wholesale (BMW-style pruning over the
+//!    operator tree instead of plain WAND sums).
 //!
 //! Only candidates surviving both stages decode postings for exact
 //! scoring, and non-essential lists are advanced with
@@ -30,11 +31,11 @@
 //!
 //! # The scoring kernel
 //!
-//! Where paragraph lengths and term frequencies span a narrow range no
-//! bound can fall under the k-th best score, and nearly every candidate is
-//! scored exactly (DESIGN.md §8 has the counts). What a candidate costs is
-//! then pure constant factor, so the per-candidate path allocates nothing
-//! and recomputes nothing that cannot have changed: the query is compiled
+//! Exact bounds keep most documents of a query from becoming candidates
+//! at all, but nearly every candidate that is enumerated is scored
+//! exactly (DESIGN.md §8 has the counts). What a candidate costs is pure
+//! constant factor, so the per-candidate path allocates nothing and
+//! recomputes nothing that cannot have changed: the query is compiled
 //! once into a postfix [`Program`] that both tree walks run over
 //! reusable stacks ([`Kernel`]); each term's model is
 //! [prepared](RetrievalModel::prepare) once, so `idf` and its logarithms
@@ -43,21 +44,28 @@
 //!
 //! # Soundness of the bounds
 //!
-//! Every shipped model's `term_score` is coordinate-wise monotone in `tf`
-//! and `doc_len`, so the maximum over the four corners of the
-//! `[1, max_tf] × [min_len, max_len]` box (with the *exact* query-time
-//! `df`) bounds any live occurrence's score. The block-max stage merely
-//! shrinks the `tf` range to the block's own maximum: any posting of the
+//! [`TermScorer::score`] is nondecreasing in `tf` and nonincreasing in
+//! `doc_len` for every shipped model, whatever its `df`, `n_docs` and
+//! `avg_doc_len`. A frontier holds, for every posting behind it, a point
+//! with at least the posting's `tf` and at most its document's length, so
+//! the best score over the frontier — under the *exact* query-time scorer
+//! — is the best score of any of those postings: the bound is exact, not
+//! a corner no posting occupies. A list's frontier bounds the term in any
+//! document; a block's bounds it within the block, and any posting of the
 //! term at or beyond the candidate doc id lies in the reported block or a
 //! later one — the cursor only ever *under*-reports progress, never
-//! overshoots — and within the block `tf ≤ block max_tf`. Every combine
-//! operator is monotone nondecreasing on nonnegative child scores (sums,
-//! products and noisy-or on `[0,1]` beliefs, min, max, nonnegative-weight
-//! means), so evaluating the tree over leaf upper bounds — taking
-//! `max(op(children), default)` at each node, because a document absent
-//! from a node's result map contributes the model default at its parent —
-//! bounds the exhaustive score. `#wsum` with a negative weight would break
-//! monotonicity and falls back, as do `#not`/`#phrase`/`#near` operands.
+//! overshoots. Every combine operator is monotone nondecreasing on
+//! nonnegative child scores (sums, products and noisy-or on `[0,1]`
+//! beliefs, min, max, nonnegative-weight means), so evaluating the tree
+//! over leaf upper bounds bounds the exhaustive score. Each non-root node
+//! takes `max(op(children), default)`, because a document absent from the
+//! node's result map contributes the model default at its parent. The
+//! root takes no such maximum: a candidate matches at least one leaf, so
+//! [`exact_value`](Kernel::exact_value) always scores it as
+//! `op(children)` — which keeps an inference-model `#and`, a product of
+//! beliefs, below the 0.4 default instead of clamped above every
+//! threshold. `#wsum` with a negative weight would break monotonicity and
+//! falls back, as do `#not`/`#phrase`/`#near` operands.
 //!
 //! # Equivalence with the exhaustive evaluator
 //!
@@ -118,14 +126,14 @@ struct Program {
 /// Which upper bound the pruned engine consults before exact scoring.
 /// [`PruneStrategy::BlockMax`] is the default; [`CollectionBound`]
 /// (`PruneStrategy::CollectionBound`) reproduces the pre-block engine and
-/// exists so benchmarks can measure exactly what the block headers buy.
+/// exists so benchmarks can measure exactly what the block bounds buy.
 /// Both produce bit-identical results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PruneStrategy {
-    /// Two-stage pruning: collection-level corner bounds, then per-block
-    /// `max_tf` refinement from the skip headers.
+    /// Two-stage pruning: list-level frontier bounds, then per-block
+    /// frontier refinement located through the skip headers.
     BlockMax,
-    /// Collection-level corner bounds only.
+    /// List-level frontier bounds only.
     CollectionBound,
 }
 
@@ -312,20 +320,23 @@ impl<'m> Kernel<'m> {
         self.present[0].then(|| self.vals[0])
     }
 
-    /// Upper bound on the score of any document whose per-leaf
-    /// contribution is at most `leaf[t]`. Each operator takes
+    /// Upper bound on the score of any candidate whose per-leaf
+    /// contribution is at most `leaf[t]`. Each non-root operator takes
     /// `max(op(children), default)` because a document absent from the
     /// node's map contributes the default at the parent instead of the
-    /// operator value.
+    /// operator value; the root, last in postfix order, is always present
+    /// for a candidate and takes `op(children)` alone.
     fn bound_value(&mut self, leaf: &[f64]) -> f64 {
         self.vals.clear();
+        let root = self.code.len() - 1;
         for i in 0..self.code.len() {
             let instr = self.code[i];
             let value = match instr {
                 Instr::Leaf(t) => leaf[t],
                 Instr::Op { arity, .. } | Instr::WSum { arity, .. } => {
                     let top = self.vals.len() - arity;
-                    let value = self.apply(instr, top).max(self.default);
+                    let op = self.apply(instr, top);
+                    let value = if i == root { op } else { op.max(self.default) };
                     self.vals.truncate(top);
                     value
                 }
@@ -336,27 +347,15 @@ impl<'m> Kernel<'m> {
     }
 }
 
-/// Per-term corner upper bound: the term's scorer (the exact query-time
-/// `df`) with `tf` and `doc_len` pushed to the extremes of their ranges.
-/// With `max_tf` from the whole collection this is the MaxScore bound;
-/// with a block's `max_tf` it is the block-max bound.
-fn leaf_upper_bound(
-    scorer: &TermScorer,
-    df: u32,
-    max_tf: u32,
-    len_bounds: (u32, u32),
-    default: f64,
-) -> f64 {
-    if df == 0 {
-        return default;
-    }
-    let mut best = default;
-    for tf in [1, max_tf.max(1)] {
-        for doc_len in [len_bounds.0, len_bounds.1] {
-            best = best.max(scorer.score(tf, doc_len));
-        }
-    }
-    best
+/// Upper bound of a leaf over the postings behind `frontier`: the best
+/// score the term's scorer (the exact query-time statistics) gives any
+/// frontier point, or the default an absent term contributes. Over a
+/// whole list this is the MaxScore bound; over a block, the block-max
+/// bound.
+fn frontier_bound(scorer: &TermScorer, frontier: &[(u32, u32)], default: f64) -> f64 {
+    frontier
+        .iter()
+        .fold(default, |best, &(tf, len)| best.max(scorer.score(tf, len)))
 }
 
 /// A heap entry ordered *worst-first* so [`BinaryHeap`]'s max is the
@@ -391,21 +390,17 @@ impl PartialEq for Cand<'_> {
 
 impl Eq for Cand<'_> {}
 
-/// Per-term leaf bounds: the collection-level corner bounds, fixed for
-/// the query, and the block-level refinements of them, each with a
-/// version that counts how often it has changed.
+/// Per-term leaf bounds: the list-level frontier bounds, fixed for the
+/// query, and the block-level refinements of them, each with a version
+/// that counts how often it has changed.
 struct LeafBounds {
     scorers: Vec<TermScorer>,
-    dfs: Vec<u32>,
-    /// Collection-level `max_tf` per term.
-    max_tfs: Vec<u32>,
-    len_bounds: (u32, u32),
     default: f64,
-    /// Collection-level bound per term.
+    /// List-level bound per term.
     ubs: Vec<f64>,
-    /// The last non-flat block bounded per term, and its bound: reused
-    /// while consecutive candidates fall into the same block — the common
-    /// case at realistic block sizes.
+    /// The last block bounded per term, and its bound: reused while
+    /// consecutive candidates fall into the same block — the common case
+    /// at realistic block sizes.
     cached_block: Vec<usize>,
     cached_bound: Vec<f64>,
     /// What [`refine`](Self::refine) last returned per term.
@@ -416,22 +411,18 @@ struct LeafBounds {
 }
 
 impl LeafBounds {
-    fn new(
-        scorers: Vec<TermScorer>,
-        dfs: Vec<u32>,
-        max_tfs: Vec<u32>,
-        len_bounds: (u32, u32),
-        default: f64,
-    ) -> Self {
+    fn new(scorers: Vec<TermScorer>, lists: &[Option<Arc<PostingsList>>], default: f64) -> Self {
         let n_terms = scorers.len();
-        let ubs: Vec<f64> = (0..n_terms)
-            .map(|t| leaf_upper_bound(&scorers[t], dfs[t], max_tfs[t], len_bounds, default))
+        let ubs: Vec<f64> = scorers
+            .iter()
+            .zip(lists)
+            .map(|(scorer, list)| {
+                let frontier = list.as_ref().map_or(&[][..], |l| l.frontier());
+                frontier_bound(scorer, frontier, default)
+            })
             .collect();
         LeafBounds {
             scorers,
-            dfs,
-            max_tfs,
-            len_bounds,
             default,
             cached_block: vec![usize::MAX; n_terms],
             cached_bound: vec![0.0; n_terms],
@@ -441,29 +432,16 @@ impl LeafBounds {
         }
     }
 
-    fn corner(&self, t: usize, max_tf: u32) -> f64 {
-        leaf_upper_bound(
-            &self.scorers[t],
-            self.dfs[t],
-            max_tf,
-            self.len_bounds,
-            self.default,
-        )
-    }
-
-    /// Bound of term `t` given the `(index, max_tf)` of the block it was
+    /// Bound of term `t` given the `(index, frontier)` of the block it was
     /// found in or could next occur in — `None` when its list is
-    /// exhausted, so it cannot occur at all. A flat block (its `max_tf`
-    /// is the collection-level one) bounds to exactly `ubs[t]`, no corner
-    /// evaluation needed.
-    fn refine(&mut self, t: usize, block: Option<(usize, u32)>) -> f64 {
+    /// exhausted, so it cannot occur at all.
+    fn refine(&mut self, t: usize, block: Option<(usize, &[(u32, u32)])>) -> f64 {
         let bound = match block {
             None => self.default,
-            Some((_, max_tf)) if max_tf >= self.max_tfs[t] => self.ubs[t],
-            Some((b, max_tf)) => {
+            Some((b, frontier)) => {
                 if self.cached_block[t] != b {
                     self.cached_block[t] = b;
-                    self.cached_bound[t] = self.corner(t, max_tf);
+                    self.cached_bound[t] = frontier_bound(&self.scorers[t], frontier, self.default);
                 }
                 self.cached_bound[t]
             }
@@ -484,7 +462,7 @@ const MEMO_MAX_TERMS: usize = 8;
 /// The three bounds a candidate may be checked against, cheapest first.
 #[derive(Debug, Clone, Copy)]
 enum Stage {
-    /// Stage 1: every leaf at its collection-level bound.
+    /// Stage 1: every leaf at its list-level bound.
     Collection,
     /// Stage 2a: matched leaves refined to their blocks.
     MatchedBlocks,
@@ -580,9 +558,9 @@ pub fn evaluate_top_k_with_strategy(
 /// [`evaluate_top_k`] with *supplied* corpus statistics instead of the
 /// index's own: `df`/`n_docs`/`avg_doc_len` come from `globals` so a
 /// partition of a scattered collection scores its local documents exactly
-/// as the union index would. Local `max_tf` (collection- and block-level)
-/// and length bounds stay in the pruning bound — they are tighter for
-/// local documents and remain sound.
+/// as the union index would. The local lists' frontiers stay in the
+/// pruning bound: scored under the global statistics they bound the
+/// local postings exactly, so they remain sound.
 ///
 /// Returns `None` when the tree is outside the pruned fragment *or* when
 /// `globals.terms` does not match the tree's interned term list (the
@@ -637,7 +615,6 @@ pub(crate) fn evaluate_top_k_counted(
         Some(g) => (g.n_docs, g.avg_doc_len()),
         None => (index.live_count(), index.avg_doc_len()),
     };
-    let len_bounds = index.doc_len_bounds();
     let default = model.default_score();
     let tombstones = index.has_tombstones();
     let slots = index.store().slot_count();
@@ -649,21 +626,21 @@ pub(crate) fn evaluate_top_k_counted(
         term_texts.iter().map(|t| index.term_postings(t)).collect();
     let n_terms = lists.len();
 
-    // Exact live df per term — the `df` the exhaustive evaluator scores
-    // with — and the collection-level `max_tf` for the corner bounds.
-    let mut dfs = Vec::with_capacity(n_terms);
-    let mut max_tfs = Vec::with_capacity(n_terms);
-    for (i, term) in term_texts.iter().enumerate() {
-        let (local_df, max_tf) = index.term_summary(term).unwrap_or((0, 0));
-        dfs.push(globals.map_or(local_df, |g| g.terms[i].df));
-        max_tfs.push(max_tf);
-    }
-    let scorers: Vec<TermScorer> = dfs
+    // One scorer per term, prepared with the `df` the exhaustive
+    // evaluator scores with: the exact live df, or the supplied one.
+    let scorers: Vec<TermScorer> = term_texts
         .iter()
-        .map(|&df| model.prepare(df, n_docs, avg_doc_len))
+        .enumerate()
+        .map(|(i, term)| {
+            let df = match globals {
+                Some(g) => g.terms[i].df,
+                None => index.term_summary(term).map_or(0, |(df, _)| df),
+            };
+            model.prepare(df, n_docs, avg_doc_len)
+        })
         .collect();
     let mut kernel = Kernel::new(model, code, weights, scorers.clone());
-    let mut bounds = LeafBounds::new(scorers, dfs, max_tfs, len_bounds, default);
+    let mut bounds = LeafBounds::new(scorers, &lists, default);
 
     // Terms ascending by upper bound: the non-essential prefix grows in
     // this order as the heap threshold rises.
@@ -695,7 +672,7 @@ pub(crate) fn evaluate_top_k_counted(
     let mut ne_len = 0usize;
     // The heap threshold the non-essential prefix was last grown against.
     let mut grown_at = f64::NEG_INFINITY;
-    // Resting per-leaf values of the collection-level bound: `ubs[t]` for
+    // Resting per-leaf values of the list-level bound: `ubs[t]` for
     // non-essential terms (assumed present), `default` otherwise; matched
     // terms are flipped in and out per candidate.
     let mut coarse_vals = vec![default; n_terms];
@@ -746,8 +723,7 @@ pub(crate) fn evaluate_top_k_counted(
         // tie-break.
         let threshold = (heap.len() == k).then(|| heap.peek().expect("full heap").score);
         if let Some(th) = threshold {
-            // Stage 1: collection-level corner bounds (no postings
-            // access).
+            // Stage 1: list-level frontier bounds (no postings access).
             let coarse = memo.get(Stage::Collection, mask, 0, || {
                 for &(t, _, _) in &matched {
                     coarse_vals[t] = bounds.ubs[t];
@@ -766,17 +742,17 @@ pub(crate) fn evaluate_top_k_counted(
             let mut skippable = (!keep && strategy == PruneStrategy::BlockMax).then_some(false);
             // Stage 2: block-max refinement, incremental so a candidate
             // that dies early costs as little as possible. 2a re-bounds
-            // only the matched terms with the `max_tf` of the blocks
-            // they were found in (skip headers already in hand — no
+            // only the matched terms with the frontiers of the blocks
+            // they were found in (block indices already in hand — no
             // cursor access); since non-essential terms still rest at
-            // their looser collection-level bounds, a miss here implies
-            // a miss for the fully refined bound. Only survivors pay 2b:
+            // their looser list-level bounds, a miss here implies a miss
+            // for the fully refined bound. Only survivors pay 2b:
             // peeking the non-essential cursors' blocks for `doc`.
             if keep && strategy == PruneStrategy::BlockMax {
                 let mut stamp = 0u64;
                 for &(t, _, b) in &matched {
                     let list = lists[t].as_ref().expect("matched implies list");
-                    coarse_vals[t] = bounds.refine(t, Some((b, list.blocks()[b].max_tf)));
+                    coarse_vals[t] = bounds.refine(t, Some((b, list.block_frontier(b))));
                     stamp += bounds.version[t];
                 }
                 let mut fine = memo.get(Stage::MatchedBlocks, mask, stamp, || {
@@ -786,8 +762,10 @@ pub(crate) fn evaluate_top_k_counted(
                     skippable = Some(true);
                 } else if ne_len > 0 {
                     for &t in &order[..ne_len] {
-                        if let Some(cur) = cursors[t].as_mut() {
-                            coarse_vals[t] = bounds.refine(t, cur.peek_block_for(doc));
+                        if let (Some(cur), Some(list)) = (cursors[t].as_mut(), &lists[t]) {
+                            let block = cur.peek_block_for(doc);
+                            coarse_vals[t] =
+                                bounds.refine(t, block.map(|b| (b, list.block_frontier(b))));
                             stamp += bounds.version[t];
                         }
                     }
@@ -807,14 +785,14 @@ pub(crate) fn evaluate_top_k_counted(
                 counters.bound_rejects += 1;
                 // Range skip (the BMW move): the failed bound priced the
                 // matched terms by values that hold for every document
-                // `doc' ≤ range_end` — collection bounds hold anywhere;
+                // `doc' ≤ range_end` — list bounds hold anywhere;
                 // block bounds hold while each matched term stays inside
                 // its current block (`doc' ≤` the block's `last_doc`).
                 // Capping below every *other* essential head keeps
                 // `doc'`'s matched set a subset of this one, and dropping
                 // a matched term only lowers the bound (its leaf falls to
                 // the default). Non-essential terms are priced at their
-                // full collection bounds either way. So every candidate
+                // full list bounds either way. So every candidate
                 // in `(doc, range_end]` is sub-threshold: seek the
                 // matched cursors past the whole range — the seeks step
                 // over untouched blocks via the skip headers without
@@ -932,10 +910,16 @@ pub(crate) fn evaluate_top_k_counted(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+
     use super::*;
     use crate::analysis::AnalyzerConfig;
+    use crate::collection::{CollectionConfig, IrsCollection};
     use crate::index::ShardedIndex;
     use crate::model::{Bm25Model, BooleanModel, InferenceModel, VectorModel};
+    use crate::persist::{load_collection, save_collection};
     use crate::query::{evaluate, parse_query};
 
     fn corpus() -> ShardedIndex {
@@ -1061,37 +1045,44 @@ mod tests {
         );
     }
 
+    const MODELS: [&dyn RetrievalModel; 4] = [
+        &BooleanModel,
+        &VectorModel { slope: 0.25 },
+        &Bm25Model { k1: 1.2, b: 0.75 },
+        &InferenceModel {
+            default_belief: 0.4,
+        },
+    ];
+
+    /// The best score `scorer` gives the postings `entries`, or the
+    /// default: what a leaf bound over them must equal.
+    fn best_exact(
+        ix: &ShardedReader<'_>,
+        scorer: &TermScorer,
+        entries: impl Iterator<Item = (u32, u32)>,
+        default: f64,
+    ) -> f64 {
+        entries.fold(default, |best, (doc, tf)| {
+            best.max(scorer.score(tf, ix.doc_entry(DocId(doc)).len))
+        })
+    }
+
     #[test]
     fn leaf_bound_dominates_every_occurrence() {
+        // The list bound is exact: no posting scores above it, and one
+        // scores it.
         let ix = corpus();
         let ix = ix.reader();
-        let models: [&dyn RetrievalModel; 4] = [
-            &BooleanModel,
-            &VectorModel::default(),
-            &Bm25Model::default(),
-            &InferenceModel::default(),
-        ];
-        for model in models {
+        for model in MODELS {
             for raw in ["zebra", "common", "shared"] {
                 let term = ix.analyzer().analyze_term(raw);
                 let pl = ix.term_postings(&term).unwrap();
                 let df = pl.doc_count(); // no tombstones in this corpus
                 let scorer = model.prepare(df, ix.live_count(), ix.avg_doc_len());
-                let ub = leaf_upper_bound(
-                    &scorer,
-                    df,
-                    pl.max_tf(),
-                    ix.doc_len_bounds(),
-                    model.default_score(),
-                );
-                for (doc, tf) in pl.doc_tfs() {
-                    let s = scorer.score(tf, ix.doc_entry(DocId(doc)).len);
-                    assert!(
-                        s <= ub,
-                        "{} score {s} exceeds bound {ub} for {raw}",
-                        model.name()
-                    );
-                }
+                let default = model.default_score();
+                let ub = frontier_bound(&scorer, pl.frontier(), default);
+                let best = best_exact(&ix, &scorer, pl.doc_tfs(), default);
+                assert_eq!(ub.to_bits(), best.to_bits(), "{} {raw}", model.name());
             }
         }
     }
@@ -1100,26 +1091,141 @@ mod tests {
     fn block_bound_dominates_every_occurrence_in_its_block() {
         let ix = corpus_with_block_size(4);
         let ix = ix.reader();
-        let m = Bm25Model::default();
         let term = ix.analyzer().analyze_term("common");
         let pl = ix.term_postings(&term).unwrap();
         let df = pl.doc_count(); // no tombstones in this corpus
-        let scorer = m.prepare(df, ix.live_count(), ix.avg_doc_len());
-        let mut entries = pl.doc_tfs().peekable();
-        for (b, skip) in pl.blocks().iter().enumerate() {
-            let ub = leaf_upper_bound(
-                &scorer,
-                df,
-                skip.max_tf,
-                ix.doc_len_bounds(),
-                m.default_score(),
-            );
-            while let Some((doc, tf)) = entries.next_if(|&(doc, _)| doc <= skip.last_doc) {
-                let s = scorer.score(tf, ix.doc_entry(DocId(doc)).len);
-                assert!(s <= ub, "doc {doc} in block {b}: score {s} > bound {ub}");
+        for model in MODELS {
+            let scorer = model.prepare(df, ix.live_count(), ix.avg_doc_len());
+            let default = model.default_score();
+            let mut entries = pl.doc_tfs().peekable();
+            for (b, skip) in pl.blocks().iter().enumerate() {
+                let ub = frontier_bound(&scorer, pl.block_frontier(b), default);
+                let in_block = std::iter::from_fn(|| entries.next_if(|&(d, _)| d <= skip.last_doc));
+                let best = best_exact(&ix, &scorer, in_block, default);
+                assert_eq!(ub.to_bits(), best.to_bits(), "{} block {b}", model.name());
+            }
+            assert!(entries.next().is_none());
+        }
+    }
+
+    /// The Pareto set of `pairs` — highest `tf`, shortest length —
+    /// ascending by `tf`, by brute force.
+    fn pareto(pairs: &[(u32, u32)]) -> Vec<(u32, u32)> {
+        let mut out: Vec<(u32, u32)> = pairs
+            .iter()
+            .copied()
+            .filter(|&p| !pairs.iter().any(|&q| q != p && q.0 >= p.0 && q.1 <= p.1))
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// Check every list of `ix` against brute force — each block's
+    /// frontier and the list's are the Pareto sets of their postings'
+    /// `(tf, doc_len)`, and under every model a frontier bounds its
+    /// postings exactly — and return the lists by term.
+    fn checked_lists(ix: &ShardedIndex) -> Result<BTreeMap<String, PostingsList>, TestCaseError> {
+        let reader = ix.reader();
+        let mut lists = BTreeMap::new();
+        reader.for_each_term(|term, list| {
+            lists.insert(term.to_string(), list.clone());
+        });
+        for (term, list) in &lists {
+            let mut blocks: Vec<Vec<(u32, u32)>> = vec![Vec::new(); list.blocks().len()];
+            let mut b = 0;
+            for (doc, tf) in list.doc_tfs() {
+                while doc > list.blocks()[b].last_doc {
+                    b += 1;
+                }
+                blocks[b].push((tf, reader.doc_entry(DocId(doc)).len));
+            }
+            let all: Vec<(u32, u32)> = blocks.concat();
+            prop_assert_eq!(list.frontier(), &pareto(&all)[..], "{}", term);
+            let df = reader.term_summary(term).map_or(0, |(df, _)| df);
+            for model in MODELS {
+                let scorer = model.prepare(df, reader.live_count(), reader.avg_doc_len());
+                let default = model.default_score();
+                for (b, pairs) in blocks.iter().enumerate() {
+                    prop_assert_eq!(list.block_frontier(b), &pareto(pairs)[..], "{} {}", term, b);
+                    let best = pairs
+                        .iter()
+                        .fold(default, |m, &(tf, len)| m.max(scorer.score(tf, len)));
+                    let bound = frontier_bound(&scorer, list.block_frontier(b), default);
+                    prop_assert_eq!(bound.to_bits(), best.to_bits(), "{} {}", model.name(), term);
+                }
             }
         }
-        assert!(entries.next().is_none());
+        Ok(lists)
+    }
+
+    const WORDS: [&str; 6] = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Frontiers are the same whichever way a list was made — pushed
+        /// while indexing (tombstoned postings included), derived on
+        /// load, or pushed again by a merge's compaction — and each is
+        /// the brute-force Pareto set of its postings.
+        #[test]
+        fn frontiers_are_the_pareto_sets_of_their_postings(
+            docs in prop::collection::vec(
+                (prop::collection::vec((0usize..6, 1usize..5), 1..6), 0usize..20),
+                1..40,
+            ),
+            deletes in prop::collection::vec(any::<u8>(), 0..10),
+            bs_idx in 0usize..3,
+            case in 0u32..1_000_000,
+        ) {
+            let bs = [1u32, 16, 128][bs_idx];
+            // `(word, tf)` runs plus stopwords that lengthen the document
+            // without adding a term.
+            let texts: Vec<String> = docs
+                .iter()
+                .map(|(words, pad)| {
+                    let mut text = "the ".repeat(*pad);
+                    for &(w, tf) in words {
+                        text.push_str(&format!("{} ", WORDS[w]).repeat(tf));
+                    }
+                    text
+                })
+                .collect();
+            let pushed = index_with_block_size(bs);
+            for (i, text) in texts.iter().enumerate() {
+                pushed.add_document(&format!("k{i}"), text).unwrap();
+            }
+            let mut live = vec![true; texts.len()];
+            for d in deletes {
+                let i = usize::from(d) % texts.len();
+                if std::mem::replace(&mut live[i], false) {
+                    pushed.delete_document(&format!("k{i}")).unwrap();
+                }
+            }
+            let pushed_lists = checked_lists(&pushed)?;
+
+            let dir = std::env::temp_dir().join(format!("irs-frontiers-{case}"));
+            let config = CollectionConfig { shards: 1, ..CollectionConfig::default() };
+            save_collection(&IrsCollection::from_sharded(config, pushed.clone(), 1), &dir).unwrap();
+            let loaded = load_collection(&dir).unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            prop_assert_eq!(&checked_lists(loaded.sharded_index())?, &pushed_lists);
+
+            pushed.merge();
+            let fresh = index_with_block_size(bs);
+            for (i, text) in texts.iter().enumerate() {
+                if live[i] {
+                    fresh.add_document(&format!("k{i}"), text).unwrap();
+                }
+            }
+            let fresh_lists = checked_lists(&fresh)?;
+            for (term, list) in checked_lists(&pushed)? {
+                match fresh_lists.get(&term) {
+                    Some(fresh) => prop_assert_eq!(&list, fresh, "{}", term),
+                    None => prop_assert_eq!(list.doc_count(), 0, "{}", term),
+                }
+            }
+        }
     }
 
     #[test]

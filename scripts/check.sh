@@ -52,7 +52,9 @@ cargo test -q
 
 echo "==> bench smoke (query hot path, writes BENCH_query_smoke.json)"
 # Exits nonzero and prints REGRESSION if the pruned top-k ranking ever
-# differs from the exhaustive ranking.
+# differs from the exhaustive ranking, or if the engine scores more
+# candidates exactly than the count the binary records (a count, so it
+# repeats exactly).
 cargo run -q -p coupling-bench --release --bin bench_query -- --smoke
 
 echo "==> E5 planner gate (mixed-query planner does the cheaper order's structural work)"

@@ -151,6 +151,32 @@ fn remote_errors_carry_wire_statuses() {
     net.shutdown();
 }
 
+/// A query nested far past the parser's depth cap is a 400, not a
+/// crash: the parser refuses it before recursing that deep, and the
+/// server goes on answering the same connection.
+#[test]
+fn deeply_nested_queries_are_refused_with_400() {
+    let net = start_net(ServerConfig::default().read_workers(2));
+    let mut client = Client::connect(net.local_addr()).expect("connect");
+    let query = format!("{}telnet{}", "#and(".repeat(20_000), ")".repeat(20_000));
+    let err = client
+        .call(&Request::IrsQuery {
+            collection: "collPara".into(),
+            query,
+        })
+        .expect_err("nested past the cap");
+    assert_eq!(err.status(), Some(Status::BadRequest));
+    assert_eq!(err.kind(), ErrorKind::Parse);
+    let resp = client
+        .call(&Request::IrsQuery {
+            collection: "collPara".into(),
+            query: "telnet".into(),
+        })
+        .expect("the server still answers");
+    assert!(matches!(resp, Response::IrsResult { .. }));
+    net.shutdown();
+}
+
 /// Overload maps to the 429-analogue on the wire: with the workers
 /// wedged behind the system write lock, excess concurrent client calls
 /// are refused with `Status::Overloaded` instead of queueing.

@@ -233,3 +233,63 @@ fn top_k_with_huge_k_equals_full_search() {
         assert_eq!(f.score.to_bits(), t.score.to_bits());
     }
 }
+
+/// The engine's work on a seeded generator corpus, pinned exactly: the
+/// counts repeat run to run, so a bound that loosens (more candidates
+/// scored exactly) or a pruning step that stops firing fails here even
+/// though every answer stays right.
+#[test]
+fn engine_work_is_pinned_on_a_seeded_corpus() {
+    use coupling::{CollectionSetup, DocumentSystem};
+    use sgml::gen::topic_term;
+    use sgml::{CorpusConfig, CorpusGenerator};
+
+    let corpus = CorpusGenerator::new(CorpusConfig {
+        docs: 600,
+        topics: 12,
+        vocabulary: 2_000,
+        seed: 42,
+        ..CorpusConfig::default()
+    })
+    .generate_corpus();
+    let mut sys = DocumentSystem::new();
+    for doc in &corpus {
+        sys.load_generated(doc).unwrap();
+    }
+    sys.create_collection("c", CollectionSetup::default())
+        .unwrap();
+    sys.index_collection("c", "ACCESS p FROM p IN PARA")
+        .unwrap();
+    let coll = sys.collection("c").unwrap();
+    let irs = coll.irs();
+    let texts = [
+        "w0002".to_string(),
+        topic_term(4),
+        "#and(w0002 w0005)".to_string(),
+        "#or(w0002 w0005)".to_string(),
+        "#sum(w0002 w0005)".to_string(),
+        "#or(w0002 w0020)".to_string(),
+    ];
+    let mut work = Vec::new();
+    for text in &texts {
+        let before = irs.work_stats();
+        irs.search_top_k(text, 5).unwrap();
+        let after = irs.work_stats();
+        work.push((
+            after.topk_candidates - before.topk_candidates,
+            after.topk_exact_scored - before.topk_exact_scored,
+            after.topk_bound_rejects - before.topk_bound_rejects,
+            after.topk_range_skips - before.topk_range_skips,
+        ));
+    }
+    // (candidates, exact_scored, bound_rejects, range_skips) per text.
+    let pinned = [
+        (952, 935, 17, 17),
+        (257, 256, 1, 1),
+        (2400, 2065, 335, 0),
+        (2273, 1888, 385, 1),
+        (2400, 1953, 447, 0),
+        (915, 845, 70, 0),
+    ];
+    assert_eq!(work, pinned, "{texts:?}");
+}
