@@ -218,10 +218,7 @@ pub fn run(config: &WorkloadConfig) -> Report {
     // 3. Buffer capacity sweep: a round-robin workload over N distinct
     //    queries, two passes — the second pass hits iff the buffer can
     //    hold the working set.
-    let distinct_queries = 8usize.min({
-        let cs = build_corpus_system(config);
-        cs.topics
-    });
+    let distinct_queries = 8usize.min(config.corpus.topics);
     let mut buffer = Vec::new();
     for capacity in [1usize, 2, 4, 8, 16] {
         let mut cs = build_corpus_system(config);

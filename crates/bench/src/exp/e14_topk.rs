@@ -21,6 +21,12 @@
 //! rare tail, the shape under which upper-bound pruning pays off. The
 //! full sweep ends at a 10^5-document tier where the block-level skip
 //! win over collection-level bounds is made.
+//!
+//! Every document of the sweep's corpus has the same length, so no
+//! count there depends on the length half of a `(tf, doc_len)` frontier.
+//! A second corpus at the base size, from the same seed and probed by
+//! the same queries, spreads document lengths over an order of
+//! magnitude; its exact-scored count is the one a length bound moves.
 
 use std::time::Instant;
 
@@ -45,6 +51,10 @@ pub const LARGE_TIER_DOCS: usize = 100_000;
 
 /// Words per synthetic document (background draws plus bursts).
 const DOC_WORDS: usize = 50;
+
+/// Shortest and longest document of the varied-length corpus, in words:
+/// ten times apart, drawn uniformly per document.
+const VARIED_DOC_WORDS: (usize, usize) = (30, 300);
 
 /// Topical bursts per document: like the MMF generator's topic
 /// mentions, each document repeats a few terms many times. A term's
@@ -115,6 +125,8 @@ pub struct Report {
     pub rankings_match: bool,
     /// [`TopKPoint::exact_scored`] summed over the sweep.
     pub exact_scored: u64,
+    /// [`base_tier_exact_scored`] of the varied-length corpus.
+    pub varied_length_exact_scored: u64,
 }
 
 /// Deterministic xorshift generator (the experiments avoid external RNG
@@ -140,13 +152,21 @@ fn term_name(i: usize) -> String {
     format!("t{i:04}")
 }
 
-/// Build a skewed synthetic collection of `docs` documents.
-fn build_corpus(docs: usize, vocab: usize, seed: u64) -> IrsCollection {
+/// Build a skewed synthetic collection of `docs` documents, each
+/// [`DOC_WORDS`] long, or with `varied_lengths` of a length drawn from
+/// [`VARIED_DOC_WORDS`].
+fn build_corpus(docs: usize, vocab: usize, seed: u64, varied_lengths: bool) -> IrsCollection {
     let mut coll = IrsCollection::new(CollectionConfig::default());
     let mut state = seed | 1;
-    let background = DOC_WORDS - BURSTS_PER_DOC * BURST_LEN;
+    let (shortest, longest) = VARIED_DOC_WORDS;
     let batch: Vec<(String, String)> = (0..docs)
         .map(|i| {
+            let doc_words = if varied_lengths {
+                shortest + xorshift(&mut state) as usize % (longest - shortest + 1)
+            } else {
+                DOC_WORDS
+            };
+            let background = doc_words - BURSTS_PER_DOC * BURST_LEN;
             let mut words: Vec<String> = (0..background)
                 .map(|_| term_name(skewed_term(&mut state, vocab)))
                 .collect();
@@ -224,7 +244,7 @@ fn same_ranking(pruned: &[(DocId, f64)], full: &[(DocId, f64)]) -> bool {
 /// `k` of the sweep.
 pub fn tombstoned_rankings_match(config: &WorkloadConfig) -> bool {
     let docs = config.corpus.docs * 5;
-    let mut coll = build_corpus(docs, config.corpus.vocabulary.max(100), SEED);
+    let mut coll = build_corpus(docs, config.corpus.vocabulary.max(100), SEED, false);
     let mut state = SEED.rotate_left(17) | 1;
     let mut deleted = 0;
     for i in 0..docs {
@@ -261,6 +281,34 @@ pub fn tombstoned_rankings_match(config: &WorkloadConfig) -> bool {
     })
 }
 
+/// Candidates the block-max engine scores exactly for each `k` of
+/// [`K_SWEEP`], summed over the probe set: one search per query through
+/// the collection's own top-k path. A count, so it repeats exactly.
+fn exact_scored_per_k(coll: &IrsCollection, queries: &[String]) -> Vec<u64> {
+    K_SWEEP
+        .iter()
+        .map(|&k| {
+            let before = coll.work_stats().topk_exact_scored;
+            for q in queries {
+                coll.search_top_k(q, k).expect("probe query searches");
+            }
+            coll.work_stats().topk_exact_scored - before
+        })
+        .collect()
+}
+
+/// Candidates the block-max engine scores exactly on the base-size
+/// corpus, summed over the probe set and [`K_SWEEP`]; with
+/// `varied_lengths`, on the corpus whose document lengths spread over
+/// [`VARIED_DOC_WORDS`]. Only that count moves when a bound mistakes a
+/// posting's document length: every document of the other is
+/// [`DOC_WORDS`] long.
+pub fn base_tier_exact_scored(config: &WorkloadConfig, varied_lengths: bool) -> u64 {
+    let vocab = config.corpus.vocabulary.max(100);
+    let coll = build_corpus(config.corpus.docs * 5, vocab, SEED, varied_lengths);
+    exact_scored_per_k(&coll, &probe_queries()).iter().sum()
+}
+
 /// Sum of per-query minima: `samples` holds `reps` consecutive timings
 /// per query; the best rep of each query is kept and the bests summed.
 fn query_set_total(samples: &[u128], reps: usize) -> u128 {
@@ -285,19 +333,8 @@ pub fn run(config: &WorkloadConfig, include_large_tier: bool) -> Report {
     let mut rankings_match = true;
 
     for &docs in &sizes {
-        let coll = build_corpus(docs, vocab, SEED);
-        // The engine's work per k, counted once per query through the
-        // collection's own top-k path.
-        let exact_scored: Vec<u64> = K_SWEEP
-            .iter()
-            .map(|&k| {
-                let before = coll.work_stats().topk_exact_scored;
-                for q in &queries {
-                    coll.search_top_k(q, k).expect("probe query searches");
-                }
-                coll.work_stats().topk_exact_scored - before
-            })
-            .collect();
+        let coll = build_corpus(docs, vocab, SEED, false);
+        let exact_scored = exact_scored_per_k(&coll, &queries);
         // Measure at the engine level through the collection's reader:
         // all three rungs share the identical index, model, and parsed
         // tree, so the timings differ only by evaluation strategy.
@@ -364,6 +401,7 @@ pub fn run(config: &WorkloadConfig, include_large_tier: bool) -> Report {
         exact_scored: sweep.iter().map(|p| p.exact_scored).sum(),
         sweep,
         rankings_match,
+        varied_length_exact_scored: base_tier_exact_scored(config, true),
     }
 }
 
@@ -408,6 +446,11 @@ impl std::fmt::Display for Report {
             f,
             "candidates scored exactly by block-max, summed: {}",
             self.exact_scored
+        )?;
+        writeln!(
+            f,
+            "varied-length corpus ({} docs of {}-{} words), scored exactly, summed over k: {}",
+            self.sizes[0], VARIED_DOC_WORDS.0, VARIED_DOC_WORDS.1, self.varied_length_exact_scored
         )?;
         writeln!(
             f,

@@ -1,7 +1,7 @@
 //! Shared workload construction: a generated MMF corpus loaded into a
 //! [`DocumentSystem`], with ground-truth bookkeeping for quality metrics.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use coupling::{CollectionSetup, DocumentSystem};
 use oodb::Oid;
@@ -17,7 +17,7 @@ pub struct WorkloadConfig {
 }
 
 impl WorkloadConfig {
-    /// A small workload for fast Criterion iterations.
+    /// A small workload for fast unit tests.
     pub fn small() -> Self {
         WorkloadConfig {
             corpus: CorpusConfig {
@@ -62,9 +62,10 @@ pub struct CorpusSystem {
     /// Number of topics in the corpus.
     pub topics: usize,
     /// OID → document index, for mapping IRS results back to truth.
-    pub doc_of_root: HashMap<Oid, usize>,
-    /// Paragraph OID → (document index, topics).
-    pub para_truth: HashMap<Oid, (usize, Vec<usize>)>,
+    /// Ordered by OID, so every experiment that walks it repeats exactly.
+    pub doc_of_root: BTreeMap<Oid, usize>,
+    /// Paragraph OID → (document index, topics), ordered by OID.
+    pub para_truth: BTreeMap<Oid, (usize, Vec<usize>)>,
 }
 
 impl CorpusSystem {
@@ -97,8 +98,8 @@ pub fn build_corpus_system(config: &WorkloadConfig) -> CorpusSystem {
     let corpus: Vec<GeneratedDoc> = generator.generate_corpus();
     let mut sys = DocumentSystem::new();
     let mut docs = Vec::with_capacity(corpus.len());
-    let mut doc_of_root = HashMap::new();
-    let mut para_truth = HashMap::new();
+    let mut doc_of_root = BTreeMap::new();
+    let mut para_truth = BTreeMap::new();
 
     for (i, gdoc) in corpus.iter().enumerate() {
         let loaded = sys.load_generated(gdoc).expect("generated documents load");

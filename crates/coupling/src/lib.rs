@@ -49,7 +49,6 @@
 //! assert!(!rows.is_empty());
 //! ```
 
-pub mod architecture;
 pub mod buffer;
 pub mod collection;
 pub mod derive;

@@ -729,7 +729,10 @@ impl TaskQueue {
     /// `Enqueued` record is durable by then. Admission is
     /// reject-not-queue — a full queue fails immediately with
     /// [`CouplingError::Overloaded`], a closed one with
-    /// [`CouplingError::ShuttingDown`].
+    /// [`CouplingError::ShuttingDown`], and an `IndexObjects` task whose
+    /// specification query does not parse with
+    /// [`CouplingError::BadSpecQuery`], so a task that cannot run is
+    /// never logged.
     pub fn enqueue(&self, kind: TaskKind) -> Result<TaskId> {
         let (id, seq) = self.admit(kind).inspect_err(|_| {
             self.inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
@@ -743,7 +746,8 @@ impl TaskQueue {
         Ok(id)
     }
 
-    /// Admission, under the queue mutex: write the `Enqueued` record
+    /// Admission: refuse a specification query that does not parse,
+    /// then, under the queue mutex, write the `Enqueued` record
     /// (not yet durable) and do all the task's bookkeeping — counters,
     /// depth, the `Enqueued` event — *before* its id enters
     /// `pending`. From then on the executor may claim, run and finish
@@ -754,6 +758,10 @@ impl TaskQueue {
     fn admit(&self, kind: TaskKind) -> Result<(TaskId, u64)> {
         if self.inner.closed.load(Ordering::Acquire) {
             return Err(CouplingError::ShuttingDown);
+        }
+        if let TaskKind::IndexObjects { spec_query, .. } = &kind {
+            oodb::query::parse(spec_query)
+                .map_err(|e| CouplingError::BadSpecQuery(e.to_string()))?;
         }
         let mut ledger = lock_recover(&self.inner.ledger);
         if ledger.pending.len() >= self.inner.capacity {

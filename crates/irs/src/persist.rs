@@ -1,12 +1,7 @@
-//! Persistence: saving and loading collections, and the 1996-style result
-//! file exchange.
+//! Persistence: saving and loading collections.
 //!
 //! The paper's IRS stores its inverted lists "in a file system"
-//! (Section 1.1), and its prototype exchanged query results through a file
-//! that the OODBMS parsed ("Currently the IRS writes the result to a file
-//! which is parsed afterwards", Section 4.5). Both are implemented here,
-//! plus [`result_file`] for the file-based exchange that the architecture
-//! experiment (E1) uses to model the historical interface cost.
+//! (Section 1.1).
 //!
 //! A snapshot is a *directory* ([`save_collection`]) holding one
 //! CRC-framed file per term shard (`shard-<gen>-<i>`) plus a `manifest`
@@ -33,8 +28,6 @@
 //! detected at load. The coupling layer persists its own files (result
 //! buffer, collection metadata) through the same `storage` helpers.
 
-use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -448,43 +441,6 @@ pub fn load_collection(path: &Path) -> Result<IrsCollection> {
         config.resolved_shards(),
     );
     Ok(IrsCollection::from_sharded(config, index, epoch.max(1)))
-}
-
-/// The file-based result exchange of the paper's prototype.
-pub mod result_file {
-    use super::*;
-
-    /// Write `(key, score)` pairs as tab-separated lines.
-    pub fn write(path: &Path, results: &[(String, f64)]) -> Result<()> {
-        let mut w = BufWriter::new(File::create(path)?);
-        for (key, score) in results {
-            writeln!(w, "{key}\t{score:.10}")?;
-        }
-        w.flush()?;
-        Ok(())
-    }
-
-    /// Parse a result file back into `(key, score)` pairs — the
-    /// "parsed afterwards to extract the OID-relevance value pairs" step
-    /// of the paper's Section 4.5.
-    pub fn read(path: &Path) -> Result<Vec<(String, f64)>> {
-        let mut text = String::new();
-        BufReader::new(File::open(path)?).read_to_string(&mut text)?;
-        let mut out = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            if line.is_empty() {
-                continue;
-            }
-            let (key, score) = line.split_once('\t').ok_or_else(|| {
-                IrsError::CorruptIndex(format!("result file line {} lacks a tab", lineno + 1))
-            })?;
-            let score: f64 = score.parse().map_err(|_| {
-                IrsError::CorruptIndex(format!("result file line {} bad score", lineno + 1))
-            })?;
-            out.push((key.to_string(), score));
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -930,26 +886,6 @@ mod tests {
             &base.join(format!("snapshot-shard-v{SHARD_VERSION}.idx")),
         )
         .unwrap();
-    }
-
-    #[test]
-    fn result_file_round_trip() {
-        let path = tmp("results.txt");
-        let results = vec![("oid:42".to_string(), 0.875), ("oid:7".to_string(), 0.25)];
-        result_file::write(&path, &results).unwrap();
-        let back = result_file::read(&path).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[0].0, "oid:42");
-        assert!((back[0].1 - 0.875).abs() < 1e-9);
-    }
-
-    #[test]
-    fn result_file_rejects_malformed_lines() {
-        let path = tmp("bad_results.txt");
-        std::fs::write(&path, "no-tab-here\n").unwrap();
-        assert!(result_file::read(&path).is_err());
-        std::fs::write(&path, "key\tnot-a-number\n").unwrap();
-        assert!(result_file::read(&path).is_err());
     }
 }
 

@@ -5,13 +5,20 @@ use crate::query::ast::{CmpOp, Expr, Query};
 use crate::query::lexer::{lex, Spanned, Tok};
 use crate::value::Value;
 
-/// Parse a VQL query string.
+/// Deepest nesting a query may have. Each parenthesised predicate,
+/// method or aggregate argument list and `NOT` opens one level, and the
+/// parser recurses once per level, so a deeper text is refused with
+/// [`DbError::QueryParse`] instead of exhausting the stack.
+pub const MAX_QUERY_DEPTH: usize = 128;
+
+/// Parse a VQL query string. Nesting is capped at [`MAX_QUERY_DEPTH`].
 pub fn parse(input: &str) -> Result<Query> {
     let tokens = lex(input)?;
     let mut p = Parser {
         tokens,
         pos: 0,
         input_len: input.len(),
+        depth: 0,
     };
     let q = p.query()?;
     if p.pos != p.tokens.len() {
@@ -24,6 +31,8 @@ struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
     input_len: usize,
+    /// Levels open around the current position.
+    depth: usize,
 }
 
 impl Parser {
@@ -64,6 +73,18 @@ impl Parser {
         } else {
             Err(self.err(&format!("expected {what}")))
         }
+    }
+
+    /// Run `f` one nesting level deeper; the level past
+    /// [`MAX_QUERY_DEPTH`] is refused at the token that would open it.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_QUERY_DEPTH {
+            return Err(self.err(&format!("nested deeper than {MAX_QUERY_DEPTH}")));
+        }
+        self.depth += 1;
+        let parsed = f(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn ident(&mut self, what: &str) -> Result<String> {
@@ -160,8 +181,11 @@ impl Parser {
 
     /// not_pred := NOT not_pred | comparison
     fn not_pred(&mut self) -> Result<Expr> {
-        if self.eat(&Tok::Not) {
-            Ok(Expr::Not(Box::new(self.not_pred()?)))
+        if self.peek() == Some(&Tok::Not) {
+            self.nested(|p| {
+                p.pos += 1;
+                Ok(Expr::Not(Box::new(p.not_pred()?)))
+            })
         } else {
             self.comparison()
         }
@@ -193,15 +217,18 @@ impl Parser {
         let mut e = self.primary()?;
         while self.eat(&Tok::Arrow) {
             let method = self.ident("a method name")?;
-            self.expect(&Tok::LParen, "'(' after method name")?;
-            let mut args = Vec::new();
-            if self.peek() != Some(&Tok::RParen) {
-                args.push(self.expr()?);
-                while self.eat(&Tok::Comma) {
-                    args.push(self.expr()?);
+            let args = self.nested(|p| {
+                p.expect(&Tok::LParen, "'(' after method name")?;
+                let mut args = Vec::new();
+                if p.peek() != Some(&Tok::RParen) {
+                    args.push(p.expr()?);
+                    while p.eat(&Tok::Comma) {
+                        args.push(p.expr()?);
+                    }
                 }
-            }
-            self.expect(&Tok::RParen, "')'")?;
+                p.expect(&Tok::RParen, "')'")?;
+                Ok(args)
+            })?;
             e = Expr::MethodCall {
                 recv: Box::new(e),
                 method,
@@ -213,12 +240,12 @@ impl Parser {
 
     fn primary(&mut self) -> Result<Expr> {
         match self.peek().cloned() {
-            Some(Tok::LParen) => {
-                self.pos += 1;
-                let e = self.pred()?;
-                self.expect(&Tok::RParen, "')'")?;
+            Some(Tok::LParen) => self.nested(|p| {
+                p.pos += 1;
+                let e = p.pred()?;
+                p.expect(&Tok::RParen, "')'")?;
                 Ok(e)
-            }
+            }),
             Some(Tok::Ident(name)) => {
                 self.pos += 1;
                 // `NAME(expr)` is an aggregate call (COUNT/SUM/AVG/MIN/MAX).
@@ -226,9 +253,12 @@ impl Parser {
                     let Some(func) = crate::query::ast::AggFunc::from_name(&name) else {
                         return Err(self.err(&format!("unknown aggregate function {name}")));
                     };
-                    self.pos += 1;
-                    let arg = self.expr()?;
-                    self.expect(&Tok::RParen, "')' after aggregate argument")?;
+                    let arg = self.nested(|p| {
+                        p.pos += 1;
+                        let arg = p.expr()?;
+                        p.expect(&Tok::RParen, "')' after aggregate argument")?;
+                        Ok(arg)
+                    })?;
                     return Ok(Expr::Aggregate {
                         func,
                         arg: Box::new(arg),
@@ -373,5 +403,46 @@ mod tests {
                 "{bad:?} should fail"
             );
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_query_depth() {
+        const HEAD: &str = "ACCESS p FROM p IN PARA WHERE ";
+        fn parens(depth: usize) -> String {
+            format!("{HEAD}{}1 = 1{}", "(".repeat(depth), ")".repeat(depth))
+        }
+        fn nots(depth: usize) -> String {
+            format!("{HEAD}{}p = p", "NOT ".repeat(depth))
+        }
+        fn calls(depth: usize) -> String {
+            format!(
+                "{HEAD}{}p{} > 0",
+                "p -> m(".repeat(depth),
+                ")".repeat(depth)
+            )
+        }
+        for nested in [parens, nots, calls] {
+            assert!(parse(&nested(MAX_QUERY_DEPTH)).is_ok());
+        }
+        // Refused at the token opening the level one too deep, wherever
+        // the text would have ended.
+        let refusals = [
+            (parens(MAX_QUERY_DEPTH + 1), HEAD.len() + MAX_QUERY_DEPTH),
+            (parens(100_000), HEAD.len() + MAX_QUERY_DEPTH),
+            (nots(MAX_QUERY_DEPTH + 1), HEAD.len() + 4 * MAX_QUERY_DEPTH),
+            (
+                calls(MAX_QUERY_DEPTH + 1),
+                HEAD.len() + 7 * MAX_QUERY_DEPTH + "p -> m".len(),
+            ),
+        ];
+        for (text, offset) in refusals {
+            match parse(&text) {
+                Err(DbError::QueryParse { offset: at, .. }) => assert_eq!(at, offset),
+                other => panic!("expected a parse error, got {other:?}"),
+            }
+        }
+        // Depth counts open levels, not levels seen.
+        let level = &parens(MAX_QUERY_DEPTH)[HEAD.len()..];
+        assert!(parse(&format!("{HEAD}{level} AND {level} AND {level}")).is_ok());
     }
 }

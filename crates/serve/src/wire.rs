@@ -1411,10 +1411,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("tasks.ledger");
+        // Admission parses an `IndexObjects` spec query, so this one is
+        // real VQL.
         let kinds = [
             TaskKind::IndexObjects {
                 collection: "c".into(),
-                spec_query: "q".into(),
+                spec_query: "ACCESS p FROM p IN PARA".into(),
             },
             sample_task_kind(),
             TaskKind::Flush {

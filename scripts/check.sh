@@ -4,7 +4,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> one copy of each storage primitive and of the byte codec; one index, reader, snapshot format and write shape; one attempt pool"
+echo "==> one copy of each storage primitive and of the byte codec; one index, reader, snapshot format and write shape; one attempt pool; one experiment harness"
 # A count, so it repeats exactly: the CRC-32 polynomial and the
 # definitions of crc32, the varint codec and the CRC-trailed file
 # helpers live in crates/storage alone, and so does the byte codec
@@ -25,6 +25,16 @@ copies=$(grep -rnE --include='*.rs' --exclude-dir=storage --exclude-dir=shims \
 if [ -n "$copies" ]; then
     echo "$copies"
     echo "REGRESSION: a storage primitive or byte-codec helper outside crates/storage, a second index, reader or snapshot format, a second write shape, or an epoch that means \"never cache\""
+    exit 1
+fi
+# `experiments` is the one harness of the paper's numbers, and
+# crates/bench/tests/paper_claims.rs pins them: no second harness times
+# the same workloads (no criterion bench, no `[[bench]]` target).
+benches=$( (grep -rnE --include='*.rs' 'criterion_(main|group)!' crates tests examples benchmark/src
+    find . -name Cargo.toml -not -path '*/target/*' -print0 | xargs -0 grep -nF '[[bench]]') || true)
+if [ -n "$benches" ]; then
+    echo "$benches"
+    echo "REGRESSION: a second benchmark harness beside experiments"
     exit 1
 fi
 invalidations=$(grep -c 'self\.buffer\.invalidate_all()' crates/coupling/src/collection.rs || true)

@@ -244,8 +244,8 @@ proptest! {
     }
 }
 
-/// Regression (fuzz seed `"ଏ"`, see `fuzz.proptest-regressions`): a
-/// single multi-byte Indic character must survive every text entry point
+/// Regression (a fuzz input once shrunk to `"ଏ"`): a single multi-byte
+/// Indic character must survive every text entry point
 /// — parsers, the analysis chain, and indexing — without panicking on a
 /// char boundary.
 #[test]

@@ -1,10 +1,10 @@
 //! Scenario tests tracking the paper's worked examples and claims
 //! through the public API only.
 
-use coupling::architecture::{evaluate as arch_evaluate, ArchitectureKind};
 use coupling::mixed::{evaluate_mixed, execute_mixed, MixedStrategy};
 use coupling::ops;
 use coupling::{CollectionSetup, DerivationScheme, DocumentSystem};
+use coupling_bench::exp::e1_architectures::{evaluate as arch_evaluate, ArchitectureKind};
 use oodb::{Database, Oid};
 
 /// Build Figure 4's four documents with equal-length paragraphs; only

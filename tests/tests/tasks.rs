@@ -13,9 +13,9 @@ use coupling::tasks::{
     Scheduler, SchedulerConfig, TaskEvent, TaskExecutor, TaskFilter, TaskKind, TaskQueue,
     TaskStatus, TaskStatusKind,
 };
-use coupling::SharedSystem;
+use coupling::{ErrorKind, SharedSystem};
 use oodb::Oid;
-use serve::{Request, Response, Server, ServerConfig};
+use serve::{Client, NetServer, Request, Response, Server, ServerConfig, Status};
 use system_tests::two_issue_system;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -427,6 +427,79 @@ fn server_ledger_survives_restart() {
     };
     assert!(list.iter().any(|t| t.id == id), "filtered listing finds it");
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A spec query too deeply nested to parse is refused at admission over
+/// TCP with a 400 and never reaches the ledger, so neither the executor
+/// nor a restart replaying the ledger recurses into it; the server goes
+/// on answering. The executor still runs one nested to the cap.
+#[test]
+fn unparsable_spec_query_is_refused_before_the_ledger() {
+    let dir = tmp_dir("poison");
+    let start = || {
+        let config = ServerConfig::builder()
+            .read_workers(2)
+            .journal_dir(&dir)
+            .build();
+        NetServer::bind(Server::start(two_issue_system(), config), "127.0.0.1:0")
+            .expect("bind loopback")
+    };
+    let index = |depth: usize| Request::EnqueueTask {
+        kind: TaskKind::IndexObjects {
+            collection: "collPara".into(),
+            spec_query: format!(
+                "ACCESS p FROM p IN PARA WHERE {}1 = 1{}",
+                "(".repeat(depth),
+                ")".repeat(depth)
+            ),
+        },
+    };
+    let tasks = |client: &mut Client| match client.call(&Request::ListTasks {
+        filter: TaskFilter::default(),
+    }) {
+        Ok(Response::TaskList(list)) => list,
+        other => panic!("expected a task list, got {other:?}"),
+    };
+
+    let net = start();
+    let mut client = Client::connect(net.local_addr()).expect("connect");
+    let err = client
+        .call(&index(100_000))
+        .expect_err("nested past the cap");
+    assert_eq!(err.status(), Some(Status::BadRequest));
+    assert_eq!(err.kind(), ErrorKind::Parse);
+    assert!(
+        tasks(&mut client).is_empty(),
+        "the refused task is not logged"
+    );
+    net.shutdown();
+
+    // The ledger on disk holds no record of it either.
+    let net = start();
+    let mut client = Client::connect(net.local_addr()).expect("connect");
+    assert!(tasks(&mut client).is_empty());
+    let Ok(Response::TaskAccepted(id)) = client.call(&index(oodb::query::parser::MAX_QUERY_DEPTH))
+    else {
+        panic!("a spec query nested to the cap is admitted");
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        match client.call(&Request::TaskStatus { id }) {
+            Ok(Response::TaskInfo(task)) if task.status.is_terminal() => {
+                assert_eq!(task.status, TaskStatus::Succeeded);
+                break;
+            }
+            Ok(Response::TaskInfo(_)) => {}
+            other => panic!("expected task info, got {other:?}"),
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "task did not finish in time"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    net.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
