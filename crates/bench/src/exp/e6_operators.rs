@@ -24,8 +24,9 @@ use crate::workload::{build_corpus_system, with_para_collection, WorkloadConfig}
 pub struct Report {
     /// Composite query evaluated cold in the IRS, microseconds.
     pub irs_cold_us: u128,
-    /// Composite query answered from the buffer, microseconds.
-    pub irs_warm_us: u128,
+    /// Composite query answered from the buffer, nanoseconds per lookup
+    /// over a batch of [`WARM_LOOKUPS`].
+    pub irs_warm_ns: u128,
     /// OODBMS-side AND over buffered per-term results, microseconds.
     pub oodbms_and_us: u128,
     /// Largest absolute disagreement between IRS-side and OODBMS-side
@@ -34,6 +35,10 @@ pub struct Report {
     /// Documents in the combined result.
     pub result_size: usize,
 }
+
+/// Buffered lookups timed together: one alone takes less than the
+/// microsecond the other rows are measured in.
+pub const WARM_LOOKUPS: u32 = 1000;
 
 /// Run E6.
 pub fn run(config: &WorkloadConfig) -> Report {
@@ -51,10 +56,12 @@ pub fn run(config: &WorkloadConfig) -> Report {
         .expect("composite evaluates");
     let irs_cold_us = t0.elapsed().as_micros();
 
-    // (2) Warm composite (buffered).
+    // (2) Warm composite (buffered), per lookup over a batch.
     let t1 = Instant::now();
-    let _ = coll.get_irs_result(&composite).expect("buffered");
-    let irs_warm_us = t1.elapsed().as_micros();
+    for _ in 0..WARM_LOOKUPS {
+        std::hint::black_box(coll.get_irs_result(&composite).expect("buffered"));
+    }
+    let irs_warm_ns = t1.elapsed().as_nanos() / u128::from(WARM_LOOKUPS);
 
     // Buffer the per-term results, then (3) combine in the OODBMS.
     let ra = coll.get_irs_result(&a).expect("term a");
@@ -72,7 +79,7 @@ pub fn run(config: &WorkloadConfig) -> Report {
 
     Report {
         irs_cold_us,
-        irs_warm_us,
+        irs_warm_ns,
         oodbms_and_us,
         max_disagreement,
         result_size: direct.len(),
@@ -82,16 +89,16 @@ pub fn run(config: &WorkloadConfig) -> Report {
 impl std::fmt::Display for Report {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "E6 — Section 4.5.4: operator placement for #and(a b)")?;
-        writeln!(f, "{:<34} {:>10}", "variant", "time(us)")?;
-        writeln!(f, "{:<34} {:>10}", "IRS, cold", self.irs_cold_us)?;
+        writeln!(f, "{:<34} {:>10}", "variant", "time")?;
+        writeln!(f, "{:<34} {:>10} us", "IRS, cold", self.irs_cold_us)?;
         writeln!(
             f,
-            "{:<34} {:>10}",
-            "IRS, warm (result buffered)", self.irs_warm_us
+            "{:<34} {:>10} ns per lookup",
+            "IRS, warm (result buffered)", self.irs_warm_ns
         )?;
         writeln!(
             f,
-            "{:<34} {:>10}",
+            "{:<34} {:>10} us",
             "OODBMS AND over buffered terms", self.oodbms_and_us
         )?;
         writeln!(
@@ -123,6 +130,10 @@ mod tests {
             "warm OODBMS AND ({}us) should not exceed cold IRS ({}us)",
             report.oodbms_and_us,
             report.irs_cold_us
+        );
+        assert!(
+            report.irs_warm_ns > 0,
+            "a batch of lookups takes measurable time"
         );
         assert!(report.to_string().contains("agreement"));
     }

@@ -260,6 +260,11 @@ impl ResultBuffer {
         self.shards.iter().all(|s| s.lock().map.is_empty())
     }
 
+    /// The most query results the buffer holds.
+    pub fn capacity(&self) -> usize {
+        self.shards.iter().map(|s| s.lock().capacity).sum()
+    }
+
     /// Statistics so far.
     pub fn stats(&self) -> BufferStats {
         BufferStats {
@@ -327,8 +332,10 @@ impl ResultBuffer {
     /// Crash-safe: temp file + fsync + atomic rename with a CRC-32
     /// trailer ([`storage::atomic_write`]). Only entries computed at
     /// `epoch` — the collection's current one — are saved; older entries
-    /// are a runtime-degradation artifact.
-    pub fn save(&self, path: &Path, epoch: u64) -> Result<()> {
+    /// are a runtime-degradation artifact. The file records
+    /// `index_epoch`, the epoch a load of the index saved beside it will
+    /// have (what [`irs::persist::save_collection`] returns).
+    pub fn save(&self, path: &Path, epoch: u64, index_epoch: u64) -> Result<()> {
         // Collect the union of all shards, sorted by key so the file is
         // deterministic and independent of shard layout.
         let mut entries: Vec<(String, Arc<ResultMap>)> = Vec::new();
@@ -344,6 +351,7 @@ impl ResultBuffer {
         entries.sort_by(|a, b| a.0.cmp(&b.0));
 
         let mut out = Vec::new();
+        put_u64(&mut out, index_epoch);
         put_u64(&mut out, entries.len() as u64);
         for (key, map) in &entries {
             put_u64(&mut out, key.len() as u64);
@@ -356,16 +364,19 @@ impl ResultBuffer {
                 put_f64(&mut out, *val);
             }
         }
-        Ok(storage::atomic_write(path, &out)?)
+        Ok(storage::atomic_write(path, &out).map(drop)?)
     }
 
     /// Load a buffer previously written by [`ResultBuffer::save`],
     /// verifying its CRC-32 trailer, with every entry tagged `epoch` —
-    /// the epoch of the IRS collection loaded beside it. Capacity and
-    /// statistics start fresh.
+    /// the epoch of the IRS collection loaded beside it. A file that
+    /// records another index epoch was computed from other content: its
+    /// entries are decoded and dropped. Capacity and statistics start
+    /// fresh.
     pub fn load(path: &Path, capacity: usize, epoch: u64) -> Result<Self> {
         let bytes = storage::read_verified(path)?;
         let mut r = Reader::new(&bytes);
+        let current = r.u64("buffer index epoch")? == epoch;
         // An entry takes at least its key length and its map length; a
         // map entry is an oid and a value.
         let n = r.u64("buffer entry count")?;
@@ -385,7 +396,9 @@ impl ResultBuffer {
                 let val = r.f64("buffer value")?;
                 map.insert(oid, val);
             }
-            out.insert(key, epoch, Arc::new(map));
+            if current {
+                out.insert(key, epoch, Arc::new(map));
+            }
         }
         r.finish()?;
         out.evictions.store(0, Ordering::Relaxed);
@@ -522,7 +535,7 @@ mod tests {
         let b = ResultBuffer::new(8);
         b.insert("#and(www nii)", E, map(&[(1, 0.75), (2, 0.5)]));
         b.insert("telnet", E, map(&[(3, 0.9)]));
-        b.save(&path, E).unwrap();
+        b.save(&path, E, E).unwrap();
         let loaded = ResultBuffer::load(&path, 8, E).unwrap();
         assert_eq!(loaded.len(), 2);
         assert_eq!(loaded.get("#and(www nii)", E).unwrap()[&Oid(2)], 0.5);
@@ -547,8 +560,9 @@ mod tests {
         let b = ResultBuffer::new(8);
         b.insert("www", E, map(&[(2, 0.5), (1, 0.75)]));
         b.insert("nii", E, map(&[(3, 0.25)]));
-        b.save(&path, E).unwrap();
-        let pinned = unhex("020000000000000003000000000000006e696901000000000000000300000000000000000000000000d03f030000000000000077777702000000000000000100000000000000000000000000e83f0200000000000000000000000000e03f218c89e0");
+        b.save(&path, E, E).unwrap();
+        // The recorded index epoch `E`, then the entries.
+        let pinned = unhex("0700000000000000020000000000000003000000000000006e696901000000000000000300000000000000000000000000d03f030000000000000077777702000000000000000100000000000000000000000000e83f0200000000000000000000000000e03fead0d1d6");
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(bytes, pinned);
         std::fs::write(&path, &pinned).unwrap();
@@ -567,6 +581,7 @@ mod tests {
         let path = dir.join("hostile.buf");
         // One entry: a one-byte key, then its map's entry count.
         let mut payload = Vec::new();
+        put_u64(&mut payload, E);
         put_u64(&mut payload, 1);
         put_u64(&mut payload, 1);
         payload.push(b'q');
@@ -589,7 +604,7 @@ mod tests {
         for i in 0..40 {
             b.insert(&format!("query-{i}"), E, map(&[(i, i as f64 / 40.0)]));
         }
-        b.save(&path, E).unwrap();
+        b.save(&path, E, E).unwrap();
         let loaded = ResultBuffer::load(&path, SHARDING_THRESHOLD * 2, E).unwrap();
         assert_eq!(loaded.len(), 40);
         for i in 0..40 {
@@ -618,7 +633,7 @@ mod tests {
         let path = dir.join("trunc.bin");
         let b = ResultBuffer::new(8);
         b.insert("q", E, map(&[(1, 0.5)]));
-        b.save(&path, E).unwrap();
+        b.save(&path, E, E).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 4]).unwrap();
         assert!(ResultBuffer::load(&path, 8, E).is_err());
@@ -679,12 +694,27 @@ mod tests {
         let b = ResultBuffer::new(8);
         b.insert("old", E, map(&[(1, 0.5)]));
         b.insert("new", E + 1, map(&[(2, 0.5)]));
-        b.save(&path, E + 1).unwrap();
+        b.save(&path, E + 1, 42).unwrap();
         // The loaded entries take the epoch of the index loaded beside them.
         let loaded = ResultBuffer::load(&path, 8, 42).unwrap();
         assert_eq!(loaded.len(), 1);
         assert!(!loaded.contains("old"));
         assert_eq!(loaded.get("new", 42).unwrap(), map(&[(2, 0.5)]));
+    }
+
+    /// A file saved beside one index and loaded beside another keeps no
+    /// entry: its answers were computed from other content.
+    #[test]
+    fn a_file_recording_another_index_epoch_loads_empty() {
+        let dir = std::env::temp_dir().join("coupling-buffer-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("other_index.buf");
+        let b = ResultBuffer::new(8);
+        b.insert("q", E, map(&[(1, 0.5)]));
+        b.save(&path, E, 42).unwrap();
+        let loaded = ResultBuffer::load(&path, 8, 43).unwrap();
+        assert!(loaded.is_empty());
+        assert_eq!(ResultBuffer::load(&path, 8, 42).unwrap().len(), 1);
     }
 
     /// A CRC-valid `.buf` with bytes after its last entry is refused, as
@@ -696,7 +726,7 @@ mod tests {
         let path = dir.join("trailing.buf");
         let b = ResultBuffer::new(8);
         b.insert("q", E, map(&[(1, 0.5)]));
-        b.save(&path, E).unwrap();
+        b.save(&path, E, E).unwrap();
         let mut payload = storage::read_verified(&path).unwrap();
         payload.extend_from_slice(&[0; 7]);
         storage::atomic_write(&path, &payload).unwrap();
@@ -713,7 +743,7 @@ mod tests {
         let path = dir.join("bitflip.bin");
         let b = ResultBuffer::new(8);
         b.insert("q", E, map(&[(1, 0.5)]));
-        b.save(&path, E).unwrap();
+        b.save(&path, E, E).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;

@@ -46,6 +46,19 @@ pub struct CollectionSetup {
     pub result_limit: Option<usize>,
 }
 
+/// What a saved collection keeps besides its index and buffer: its setup
+/// and what it was last indexed with. [`Collection::saved_setup`] gives
+/// it and [`Collection::from_saved`] takes it back.
+#[derive(Debug, Clone)]
+pub struct SavedSetup {
+    /// The collection's setup.
+    pub setup: CollectionSetup,
+    /// The specification query of the last indexing, if any.
+    pub spec_query: Option<String>,
+    /// The `(window, stride)` of segment indexing, if any.
+    pub segment_config: Option<(usize, usize)>,
+}
+
 /// Where a `getIRSResult` answer came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResultOrigin {
@@ -280,20 +293,35 @@ impl Collection {
         &self.text_mode
     }
 
+    /// The setup this collection runs with and what it was indexed
+    /// with: what [`crate::persist`] saves.
+    pub fn saved_setup(&self) -> SavedSetup {
+        SavedSetup {
+            setup: CollectionSetup {
+                irs: self.irs.config().clone(),
+                text_mode: self.text_mode.clone(),
+                derivation: self.derivation.clone(),
+                buffer_capacity: self.buffer.capacity(),
+                retry: self.retry.clone(),
+                breaker: self.breaker.config().clone(),
+                result_limit: self.result_limit,
+            },
+            spec_query: self.spec_query.clone(),
+            segment_config: self.segment_config,
+        }
+    }
+
     /// Rebuild a collection from persisted parts (see
     /// [`crate::persist`]). The represented/segmented sets are
     /// reconstructed from the IRS document keys (`oid:N` vs `oid:N#k`).
-    /// `buffer` must hold answers computed under `result_limit`.
-    #[allow(clippy::too_many_arguments)]
+    /// `saved.setup.irs` is ignored — `irs` carries its own
+    /// configuration — and `buffer` must hold answers computed under
+    /// `saved.setup.result_limit`.
     pub fn from_saved(
         name: &str,
         irs: IrsCollection,
-        text_mode: TextMode,
-        derivation: DerivationScheme,
-        spec_query: Option<String>,
+        saved: SavedSetup,
         buffer: ResultBuffer,
-        segment_config: Option<(usize, usize)>,
-        result_limit: Option<usize>,
     ) -> Self {
         let mut represented = HashSet::new();
         let mut segmented = HashSet::new();
@@ -319,21 +347,14 @@ impl Collection {
             }
         });
         Collection {
-            name: name.to_string(),
             irs,
-            text_mode,
-            derivation,
             buffer,
             represented,
             segmented,
-            segment_config,
             segment_counts,
-            spec_query,
-            stats: CouplingCounters::default(),
-            retry: RetryPolicy::default(),
-            breaker: CircuitBreaker::new(BreakerConfig::default()),
-            retry_stats: RetryStats::default(),
-            result_limit,
+            spec_query: saved.spec_query,
+            segment_config: saved.segment_config,
+            ..Collection::new(name, saved.setup)
         }
     }
 

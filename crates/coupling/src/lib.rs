@@ -73,6 +73,7 @@ pub mod textmode;
 pub use buffer::ResultBuffer;
 pub use collection::{
     Collection, CollectionSetup, CollectionSetupBuilder, CouplingStats, FaultStats, ResultOrigin,
+    SavedSetup,
 };
 pub use derive::DerivationScheme;
 pub use error::{CouplingError, Error, ErrorKind, Result};

@@ -160,13 +160,6 @@ impl DocumentSystem {
         Ok(())
     }
 
-    /// Persist the underlying database to `dir` (snapshot + WAL). Used
-    /// by [`crate::persist::save_system`].
-    pub(crate) fn persist_db_to(&mut self, dir: &std::path::Path) -> Result<()> {
-        self.db.persist_to(dir)?;
-        Ok(())
-    }
-
     /// Convenience: update an object's `text` in one transaction and
     /// record the modification with each collection's propagator — the
     /// paper's "one out of three update methods … has to be invoked

@@ -25,8 +25,9 @@
 //! [`storage::read_verified`] rejects any file whose trailer does not
 //! match, which surfaces here as [`IrsError::CorruptIndex`]. A crash
 //! mid-save leaves the previous file intact; torn or bit-flipped files are
-//! detected at load. The coupling layer persists its own files (result
-//! buffer, collection metadata) through the same `storage` helpers.
+//! detected at load. Generation numbering and cleanup are
+//! [`storage::next_generation`] and [`storage::cleanup_stale_generations`],
+//! the rule the coupling layer's saved system commits by too.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -147,38 +148,25 @@ fn parse_shard_name(name: &str) -> Option<(u64, usize)> {
     Some((gen.parse().ok()?, idx.parse().ok()?))
 }
 
-/// Next free generation number: one past the highest found in existing
-/// shard file names (crashed saves may have left higher generations than
-/// the manifest records, so the file names are the authority).
-fn next_generation(dir: &Path) -> Result<u64> {
-    let mut max = 0u64;
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        if let Some((gen, _)) = entry.file_name().to_str().and_then(parse_shard_name) {
-            max = max.max(gen);
-        }
-    }
-    Ok(max + 1)
+/// The generation of a shard file name, for the `storage` generation
+/// helpers.
+fn shard_generation(name: &str) -> Option<u64> {
+    parse_shard_name(name).map(|(gen, _)| gen)
 }
 
-/// Best-effort removal of shard files from other generations and stray
-/// `.tmp` files from killed saves. Failures are ignored: stale files are
-/// garbage, not state.
-fn cleanup_stale_generations(dir: &Path, current: u64) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let stale = match parse_shard_name(name.strip_suffix(".tmp").unwrap_or(name)) {
-            Some((gen, _)) => gen != current || name.ends_with(".tmp"),
-            None => false,
-        };
-        if stale {
-            let _ = std::fs::remove_file(entry.path());
-        }
-    }
+/// The epoch of a snapshot, from the verified bytes: its generation and
+/// the CRC-32 of the manifest and of every shard file in index order. A
+/// save computes it from the CRCs it wrote and a load from the CRCs it
+/// read, so both agree.
+fn snapshot_epoch(
+    generation: u64,
+    manifest_crc: u32,
+    shard_crcs: impl Iterator<Item = u32>,
+) -> u64 {
+    let seed = splitmix64(generation ^ splitmix64(u64::from(manifest_crc)));
+    shard_crcs
+        .fold(seed, |epoch, crc| splitmix64(epoch ^ u64::from(crc)))
+        .max(1)
 }
 
 /// Serialise one shard's dictionary and postings (term text, stats, raw
@@ -303,17 +291,20 @@ fn decode_shard(buf: &[u8], generation: u64, i: usize) -> Result<Vec<(String, Po
 /// The store read lock is held throughout, so the snapshot is consistent
 /// even while other threads are writing to the collection.
 ///
+/// Returns the [`IrsCollection::epoch`] a [`load_collection`] of what it
+/// wrote will have.
+///
 /// Fails, touching nothing, if `path` exists and is not a directory.
-pub fn save_collection(coll: &IrsCollection, path: &Path) -> Result<()> {
+pub fn save_collection(coll: &IrsCollection, path: &Path) -> Result<u64> {
     let index = coll.sharded_index();
     std::fs::create_dir_all(path)?;
-    let generation = next_generation(path)?;
+    let generation = storage::next_generation(path, shard_generation)?;
     let n_shards = index.shard_count();
 
-    index.with_store(|store| -> Result<()> {
+    let epoch = index.with_store(|store| -> Result<u64> {
         // Shard files first; each worker serialises one shard under that
         // shard's read lock and writes it crash-safely.
-        let mut written: Vec<Result<()>> = Vec::new();
+        let mut written: Vec<Result<u32>> = Vec::new();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..n_shards)
                 .map(|i| {
@@ -329,7 +320,7 @@ pub fn save_collection(coll: &IrsCollection, path: &Path) -> Result<()> {
                 .map(|h| h.join().expect("shard writer panicked"))
                 .collect();
         });
-        written.into_iter().collect::<Result<()>>()?;
+        let shard_crcs = written.into_iter().collect::<Result<Vec<u32>>>()?;
 
         // Manifest last: until this write completes, loads still see the
         // previous generation in full.
@@ -342,11 +333,16 @@ pub fn save_collection(coll: &IrsCollection, path: &Path) -> Result<()> {
         write_varint(&mut out, n_shards as u64);
         write_varint(&mut out, generation);
         put_store(&mut out, store);
-        Ok(atomic_write(&path.join(MANIFEST_NAME), &out)?)
+        let manifest_crc = atomic_write(&path.join(MANIFEST_NAME), &out)?;
+        Ok(snapshot_epoch(
+            generation,
+            manifest_crc,
+            shard_crcs.into_iter(),
+        ))
     })?;
 
-    cleanup_stale_generations(path, generation);
-    Ok(())
+    storage::cleanup_stale_generations(path, generation, shard_generation);
+    Ok(epoch)
 }
 
 /// Load a snapshot directory written by [`save_collection`]: parse the
@@ -421,13 +417,13 @@ pub fn load_collection(path: &Path) -> Result<IrsCollection> {
             .collect()
     });
     loaded.sort_by_key(|(i, _)| *i);
-    let mut epoch = splitmix64(generation ^ splitmix64(u64::from(manifest_crc)));
-    let mut shard_terms = Vec::with_capacity(shard_count);
-    for (_, shard) in loaded {
-        let (terms, crc) = shard?;
-        epoch = splitmix64(epoch ^ u64::from(crc));
-        shard_terms.push(terms);
-    }
+    let (shard_terms, shard_crcs): (Vec<_>, Vec<u32>) = loaded
+        .into_iter()
+        .map(|(_, shard)| shard)
+        .collect::<Result<Vec<_>>>()?
+        .into_iter()
+        .unzip();
+    let epoch = snapshot_epoch(generation, manifest_crc, shard_crcs.into_iter());
 
     let config = CollectionConfig {
         analyzer: analyzer_cfg.clone(),
@@ -440,7 +436,7 @@ pub fn load_collection(path: &Path) -> Result<IrsCollection> {
         shard_terms,
         config.resolved_shards(),
     );
-    Ok(IrsCollection::from_sharded(config, index, epoch.max(1)))
+    Ok(IrsCollection::from_sharded(config, index, epoch))
 }
 
 #[cfg(test)]
@@ -707,21 +703,23 @@ mod tests {
     #[test]
     fn epoch_is_derived_from_the_snapshot_bytes() {
         let path = tmp("epoch.idx");
-        save_collection(&sample(), &path).unwrap();
+        let saved = save_collection(&sample(), &path).unwrap();
         let mut a = load_collection(&path).unwrap();
         let mut b = load_collection(&path).unwrap();
         a.set_read_only(true);
         b.set_read_only(true);
         assert_ne!(a.epoch(), 0);
         assert_eq!(a.epoch(), b.epoch(), "two loads of one snapshot agree");
+        assert_eq!(a.epoch(), saved, "the save returns the epoch a load gets");
 
         // Different content, saved to the same place: a different epoch.
         let mut other = sample();
         other.add_document("p4", "gopher menus").unwrap();
-        save_collection(&other, &path).unwrap();
+        let saved = save_collection(&other, &path).unwrap();
         let mut c = load_collection(&path).unwrap();
         c.set_read_only(true);
         assert_ne!(c.epoch(), a.epoch());
+        assert_eq!(c.epoch(), saved);
 
         // A mutation forgets the snapshot: refreezing mints a fresh one.
         c.set_read_only(false);

@@ -104,17 +104,21 @@ impl Database {
     /// Attach an in-memory (or re-homed) database to `dir` and persist
     /// it there: snapshot written, WAL opened for future commits.
     pub fn persist_to(&mut self, dir: &Path) -> Result<()> {
-        std::fs::create_dir_all(dir)?;
-        self.dir = Some(dir.to_path_buf());
-        self.checkpoint()
+        self.persist_to_then(dir, || Ok(()))
     }
 
-    /// Write a snapshot and truncate the WAL. Also compacts lazy-deleted
-    /// B+tree nodes.
-    pub fn checkpoint(&mut self) -> Result<()> {
-        let Some(dir) = self.dir.clone() else {
-            return Ok(()); // in-memory: nothing to do
-        };
+    /// [`Database::persist_to`], moving to `dir` only once `commit`
+    /// succeeds: the snapshot and an empty WAL are written there first,
+    /// and until `commit` returns `Ok` — for good if anything fails —
+    /// the database stays in its current home and appends to its WAL.
+    /// A caller whose own record (a manifest) names `dir` writes it in
+    /// `commit`, so no commit lands in a WAL that record does not name.
+    pub fn persist_to_then(
+        &mut self,
+        dir: &Path,
+        commit: impl FnOnce() -> std::io::Result<()>,
+    ) -> Result<()> {
+        std::fs::create_dir_all(dir)?;
         self.indexes.compact();
         snapshot::write(
             &dir.join(SNAPSHOT_FILE),
@@ -122,15 +126,22 @@ impl Database {
             &self.index_defs,
             &self.store,
         )?;
-        // Everything the WAL in `dir` holds is now in the snapshot. A
-        // database re-homed by `persist_to` leaves its old WAL alone: that
-        // directory's snapshot still needs it.
-        let wal_path = dir.join(WAL_FILE);
-        let wal = match &mut self.wal {
-            Some(wal) if wal.path() == wal_path => wal,
-            _ => self.wal.insert(Wal::open(&wal_path)?.0),
-        };
-        wal.clear()
+        // Everything a WAL already in `dir` holds is now in the snapshot.
+        let (mut wal, _) = Wal::open(&dir.join(WAL_FILE))?;
+        wal.clear()?;
+        commit()?;
+        self.dir = Some(dir.to_path_buf());
+        self.wal = Some(wal);
+        Ok(())
+    }
+
+    /// Write a snapshot and truncate the WAL. Also compacts lazy-deleted
+    /// B+tree nodes.
+    pub fn checkpoint(&mut self) -> Result<()> {
+        match self.dir.clone() {
+            Some(dir) => self.persist_to(&dir),
+            None => Ok(()), // in-memory: nothing to do
+        }
     }
 
     // ------------------------------------------------------------------
@@ -899,6 +910,9 @@ mod tests {
             let mut txn = db.begin();
             a = db.create_object(&mut txn, c).unwrap();
             db.commit(txn).unwrap();
+            // A move whose commit step fails leaves the database in A.
+            let refused = db.persist_to_then(&root.join("c"), || Err(std::io::Error::other("x")));
+            assert!(refused.is_err());
             set(&mut db, a, 1); // only in A's WAL
             db.persist_to(&dir_b).unwrap();
             let mut txn = db.begin();

@@ -89,7 +89,7 @@ pub fn write(
     }
 
     // Crash-safe: temp file + fsync + atomic rename, CRC-32 trailer.
-    Ok(atomic_write(path, &out)?)
+    Ok(atomic_write(path, &out).map(drop)?)
 }
 
 /// Load a snapshot previously written by [`write`].

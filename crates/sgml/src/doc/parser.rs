@@ -8,8 +8,10 @@
 
 use crate::doc::tree::{DocTree, NodeId};
 use crate::error::{Result, SgmlError};
+use crate::MAX_DEPTH;
 
-/// Parse an SGML document into a [`DocTree`].
+/// Parse an SGML document into a [`DocTree`]. Elements nest at most
+/// [`MAX_DEPTH`] deep.
 ///
 /// ```
 /// use sgml::parse_document;
@@ -18,7 +20,11 @@ use crate::error::{Result, SgmlError};
 /// assert_eq!(t.node(root).name(), Some("DOC"));
 /// ```
 pub fn parse_document(input: &str) -> Result<DocTree> {
-    let mut p = Parser { input, pos: 0 };
+    let mut p = Parser {
+        input,
+        pos: 0,
+        depth: 0,
+    };
     let mut tree = DocTree::new();
 
     p.skip_ws_comments_doctype()?;
@@ -37,6 +43,8 @@ pub fn parse_document(input: &str) -> Result<DocTree> {
 struct Parser<'a> {
     input: &'a str,
     pos: usize,
+    /// Elements open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -147,6 +155,10 @@ impl<'a> Parser<'a> {
 
     /// Parse the content of `element` up to and including its end tag.
     fn content(&mut self, tree: &mut DocTree, element: NodeId) -> Result<()> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("elements nested deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
         let mut text = String::new();
         loop {
             match self.peek() {
@@ -180,6 +192,7 @@ impl<'a> Parser<'a> {
                             return Err(self
                                 .err(&format!("end tag </{name}> does not match <{open_name}>")));
                         }
+                        self.depth -= 1;
                         return Ok(());
                     }
                     let child = self.start_tag(tree, Some(element))?;
@@ -219,6 +232,21 @@ mod tests {
             t.subtree_text(root),
             "Telnet Telnet is a protocol for remote work Telnet enables sessions"
         );
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}x{}", "<A>".repeat(depth), "</A>".repeat(depth));
+        assert!(parse_document(&nested(MAX_DEPTH)).is_ok());
+        for depth in [MAX_DEPTH + 1, 100_000] {
+            match parse_document(&nested(depth)) {
+                Err(SgmlError::DocParse { reason, offset }) => {
+                    assert_eq!(offset, (MAX_DEPTH + 1) * "<A>".len());
+                    assert!(reason.contains("nested deeper than 128"), "{reason}");
+                }
+                other => panic!("depth {depth}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -5,8 +5,10 @@ use crate::dtd::model::{
     AttDecl, AttDefault, ContentSpec, Cp, CpKind, Dtd, ElementDecl, Occurrence,
 };
 use crate::error::{Result, SgmlError};
+use crate::MAX_DEPTH;
 
-/// Parse DTD text into a [`Dtd`].
+/// Parse DTD text into a [`Dtd`]. Content-model groups nest at most
+/// [`MAX_DEPTH`] deep.
 ///
 /// ```
 /// use sgml::parse_dtd;
@@ -14,7 +16,11 @@ use crate::error::{Result, SgmlError};
 /// assert_eq!(dtd.len(), 3);
 /// ```
 pub fn parse_dtd(input: &str) -> Result<Dtd> {
-    let mut p = Parser { input, pos: 0 };
+    let mut p = Parser {
+        input,
+        pos: 0,
+        depth: 0,
+    };
     let mut dtd = Dtd::new();
     loop {
         p.skip_ws_and_comments()?;
@@ -41,6 +47,8 @@ pub fn parse_dtd(input: &str) -> Result<Dtd> {
 struct Parser<'a> {
     input: &'a str,
     pos: usize,
+    /// Groups open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -143,6 +151,10 @@ impl<'a> Parser<'a> {
     fn group(&mut self) -> Result<Cp> {
         self.skip_ws();
         self.expect_char('(')?;
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("groups nested deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
         let mut parts = vec![self.cp()?];
         self.skip_ws();
         let connector = match self.peek() {
@@ -162,6 +174,7 @@ impl<'a> Parser<'a> {
             }
         }
         self.expect_char(')')?;
+        self.depth -= 1;
         let occ = self.occurrence();
         let kind = if parts.len() == 1 {
             // A single-particle group keeps its inner kind but the group's
@@ -272,6 +285,22 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested =
+            |depth: usize| format!("<!ELEMENT X {}A{}>", "(".repeat(depth), ")".repeat(depth));
+        assert!(parse_dtd(&nested(MAX_DEPTH)).is_ok());
+        for depth in [MAX_DEPTH + 1, 100_000] {
+            match parse_dtd(&nested(depth)) {
+                Err(SgmlError::DtdParse { reason, offset }) => {
+                    assert_eq!(offset, "<!ELEMENT X ".len() + MAX_DEPTH + 1);
+                    assert!(reason.contains("nested deeper than 128"), "{reason}");
+                }
+                other => panic!("depth {depth}: {other:?}"),
+            }
+        }
+    }
 
     #[test]
     fn simple_sequence_model() {

@@ -30,6 +30,12 @@ pub mod load;
 pub mod mmf;
 pub mod validate;
 
+/// How deep either parser nests: elements inside elements in a
+/// document, groups inside groups in a DTD content model. One level
+/// deeper is a parse error at the offending offset, so hostile input
+/// cannot exhaust the stack.
+pub const MAX_DEPTH: usize = 128;
+
 pub use doc::{parse_document, DocTree, Node, NodeContent, NodeId};
 pub use dtd::{parse_dtd, ContentSpec, Cp, CpKind, Dtd, ElementDecl, Occurrence};
 pub use error::{Result, SgmlError};

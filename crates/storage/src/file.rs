@@ -1,4 +1,11 @@
-//! Crash-safe whole-file writes.
+//! Crash-safe file writes: whole files replaced atomically, and the
+//! generation rule of multi-file snapshots. A saver writes each new
+//! version of its files under a fresh generation ([`next_generation`]),
+//! commits it by rewriting one manifest last with [`atomic_write`], and
+//! only then removes the other generations
+//! ([`cleanup_stale_generations`]), so a crash leaves the manifest naming
+//! a complete set. `generation_of` maps an entry name of the snapshot
+//! directory to its generation, `None` for entries outside the rule.
 
 use std::fs::File;
 use std::io::{self, Write};
@@ -42,9 +49,12 @@ pub(crate) fn replace_file(path: &Path, parts: &[&[u8]]) -> io::Result<()> {
 }
 
 /// Crash-safe file write: `payload` plus a 4-byte little-endian CRC-32
-/// trailer, through [`replace_file`].
-pub fn atomic_write(path: &Path, payload: &[u8]) -> io::Result<()> {
-    replace_file(path, &[payload, &crc32(payload).to_le_bytes()])
+/// trailer, through [`replace_file`]. Returns that CRC-32, the identity
+/// [`read_verified_with_crc`] reads back.
+pub fn atomic_write(path: &Path, payload: &[u8]) -> io::Result<u32> {
+    let crc = crc32(payload);
+    replace_file(path, &[payload, &crc.to_le_bytes()])?;
+    Ok(crc)
 }
 
 /// Read a file written by [`atomic_write`], verify its CRC-32 trailer,
@@ -79,6 +89,38 @@ pub fn read_verified_with_crc(path: &Path) -> io::Result<(Vec<u8>, u32)> {
     Ok((buf, actual))
 }
 
+/// Next free generation in `dir`: one past the highest that
+/// `generation_of` finds among its entry names. A crashed save may have
+/// left a higher generation than the manifest records, so the names, not
+/// the manifest, are the authority.
+pub fn next_generation(dir: &Path, generation_of: impl Fn(&str) -> Option<u64>) -> io::Result<u64> {
+    let mut max = 0;
+    for entry in std::fs::read_dir(dir)? {
+        let name = entry?.file_name();
+        max = max.max(name.to_str().and_then(&generation_of).unwrap_or(0));
+    }
+    Ok(max + 1)
+}
+
+/// Best-effort removal of the entries of `dir` from generations other
+/// than `current`, and of stray `<entry>.tmp` files of any generation
+/// (atomic writes a crash interrupted). A directory goes with its
+/// contents. Failures are ignored: stale entries are garbage, not state.
+pub fn cleanup_stale_generations(
+    dir: &Path,
+    current: u64,
+    generation_of: impl Fn(&str) -> Option<u64>,
+) {
+    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        let name = entry.file_name().to_string_lossy().into_owned();
+        let tmp = name.strip_suffix(".tmp");
+        if generation_of(tmp.unwrap_or(&name)).is_some_and(|gen| tmp.is_some() || gen != current) {
+            let path = entry.path();
+            let _ = std::fs::remove_dir_all(&path).or_else(|_| std::fs::remove_file(&path));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,8 +130,11 @@ mod tests {
         let dir = std::env::temp_dir().join("storage-file-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("atomic.bin");
-        atomic_write(&path, b"snapshot payload").unwrap();
-        assert_eq!(read_verified(&path).unwrap(), b"snapshot payload");
+        let crc = atomic_write(&path, b"snapshot payload").unwrap();
+        assert_eq!(
+            read_verified_with_crc(&path).unwrap(),
+            (b"snapshot payload".to_vec(), crc)
+        );
         assert!(!path.with_file_name("atomic.bin.tmp").exists());
         // In-place corruption that preserves length is caught by the CRC.
         let mut bytes = std::fs::read(&path).unwrap();
@@ -100,5 +145,32 @@ mod tests {
         std::fs::write(&path, b"abc").unwrap();
         let err = read_verified(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    fn gen_of(name: &str) -> Option<u64> {
+        name.strip_prefix("gen-")?.parse().ok()
+    }
+
+    #[test]
+    fn generations_count_up_and_only_the_current_one_survives_cleanup() {
+        let dir = std::env::temp_dir().join("storage-generation-tests");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        assert_eq!(next_generation(&dir, gen_of).unwrap(), 1);
+        std::fs::create_dir_all(dir.join("gen-1").join("db")).unwrap();
+        std::fs::write(dir.join("gen-1").join("db").join("wal"), b"x").unwrap();
+        std::fs::create_dir(dir.join("gen-3")).unwrap();
+        std::fs::write(dir.join("gen-3.tmp"), b"torn").unwrap();
+        std::fs::write(dir.join("manifest"), b"kept").unwrap();
+        // A generation a crashed save left behind still counts.
+        assert_eq!(next_generation(&dir, gen_of).unwrap(), 4);
+
+        cleanup_stale_generations(&dir, 3, gen_of);
+        let mut left: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        assert_eq!(left, ["gen-3", "manifest"]);
     }
 }

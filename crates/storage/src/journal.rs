@@ -6,9 +6,11 @@
 //! [len: u32] [payload: len bytes] [crc32(payload): u32]
 //! ```
 //!
-//! Replay stops at the first torn or corrupt frame and truncates the file
-//! back to the last consistent prefix: one torn-tail policy for every log
-//! built on [`RecordLog`].
+//! Replay stops at the first torn or corrupt frame. If no CRC-valid
+//! frame follows it, that is a torn tail and the file is truncated back
+//! to the last consistent prefix; if one does, the log was corrupted in
+//! the middle and open refuses it rather than drop the frames behind the
+//! bad one. One policy for every log built on [`RecordLog`].
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -74,7 +76,9 @@ fn next_frame(bytes: &[u8], pos: usize, max_payload: usize) -> Option<(&[u8], us
 /// Recovery is reopen-and-replay.
 ///
 /// Replay stops at the first torn or corrupt frame and truncates the
-/// file back to the last consistent prefix; an absent file opens empty.
+/// file back to the last consistent prefix, unless a CRC-valid frame
+/// follows the bad one (see [`RecordLog::open`]); an absent file opens
+/// empty.
 #[derive(Debug)]
 pub struct RecordLog {
     path: PathBuf,
@@ -210,8 +214,11 @@ impl RecordLog {
     /// Open (or create) the record log at `path`, replaying surviving
     /// records. A torn or corrupt tail is truncated away; the returned
     /// payloads are the log's last consistent state in append order.
-    /// `max_payload` bounds accepted record sizes on both read and
-    /// write — a declared length above it marks corruption.
+    /// A bad frame with a CRC-valid frame somewhere after it is not a
+    /// tail: open fails with [`io::ErrorKind::InvalidData`] naming both
+    /// offsets, and the file is left as it is. `max_payload` bounds
+    /// accepted record sizes on both read and write — a declared length
+    /// above it marks corruption.
     pub fn open(path: &Path, max_payload: usize) -> io::Result<(RecordLog, Vec<Vec<u8>>)> {
         let bytes = match std::fs::read(path) {
             Ok(b) => b,
@@ -225,6 +232,18 @@ impl RecordLog {
             valid_len = end;
         }
         if valid_len < bytes.len() {
+            if let Some(next) = (valid_len + 1..bytes.len())
+                .find(|&at| next_frame(&bytes, at, max_payload).is_some())
+            {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "{}: corrupt frame at offset {valid_len} before a valid one at \
+                         offset {next}",
+                        path.display()
+                    ),
+                ));
+            }
             // Crash artifact: drop the torn tail so appends continue from
             // a consistent prefix.
             let f = OpenOptions::new().write(true).open(path)?;
@@ -396,6 +415,42 @@ mod tests {
              09000000020200000000000000553bda8a\
              09000000030300000000000000882f0b51"
         );
+    }
+
+    /// A flipped byte inside frame 2 of 5 is not a torn tail: frames 3–5
+    /// are intact, so open refuses the log instead of truncating them
+    /// away, and leaves the file untouched.
+    #[test]
+    fn corruption_before_valid_frames_is_refused_not_truncated() {
+        let path = tmp("records_midfile.log");
+        let (mut log, _) = RecordLog::open(&path, 64).unwrap();
+        log.append(&[b"one".as_slice(), b"two", b"three", b"four", b"five"])
+            .unwrap();
+        drop(log);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let frame2 = 4 + 3 + 4;
+        bytes[frame2 + 5] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = RecordLog::open(&path, 64).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string()
+                .contains(&format!("corrupt frame at offset {frame2}")),
+            "{err}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "nothing truncated");
+
+        // The same flip in the last frame is a torn tail: truncated.
+        let (mut log, _) = RecordLog::open(&tmp("records_tail.log"), 64).unwrap();
+        log.append(&[b"one", b"two"]).unwrap();
+        let path = log.path().to_path_buf();
+        drop(log);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let last = bytes.len() - 2;
+        bytes[last] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        let (_, replayed) = RecordLog::open(&path, 64).unwrap();
+        assert_eq!(replayed, vec![b"one".to_vec()]);
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //!   files and the oodb snapshot, WAL and values all read through it.
 //! * [`atomic_write`] / [`read_verified`] — whole-file snapshots with a
 //!   CRC-32 trailer, replaced atomically (temp file, `sync_all`, rename,
-//!   directory sync) — the same replace [`RecordLog::rewrite`] uses.
+//!   directory sync) — the same replace [`RecordLog::rewrite`] uses; and
+//!   [`next_generation`] / [`cleanup_stale_generations`], the commit rule
+//!   of the irs snapshot directory and of the coupling layer's saved
+//!   system: a new generation, a manifest written last, then cleanup.
 //! * [`RecordLog`] — the checksummed, append-only, fsynced log behind the
 //!   OODB write-ahead log, the propagation journal and the task ledger,
 //!   with group commit through its [`LogCommitter`].
@@ -28,6 +31,8 @@ mod journal;
 mod varint;
 
 pub use crc::crc32;
-pub use file::{atomic_write, read_verified, read_verified_with_crc};
+pub use file::{
+    atomic_write, cleanup_stale_generations, next_generation, read_verified, read_verified_with_crc,
+};
 pub use journal::{LogCommitter, RecordLog};
 pub use varint::{read_varint, read_varint_slow, write_varint};

@@ -4,7 +4,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> one copy of each storage primitive and of the byte codec; one index, reader, snapshot format and write shape; one attempt pool; one experiment harness"
+echo "==> one copy of each storage primitive and of the byte codec; one index, reader, snapshot format and write shape; one commit point for a saved system; one attempt pool; one experiment harness"
 # A count, so it repeats exactly: the CRC-32 polynomial and the
 # definitions of crc32, the varint codec and the CRC-trailed file
 # helpers live in crates/storage alone, and so does the byte codec
@@ -18,13 +18,18 @@ echo "==> one copy of each storage primitive and of the byte codec; one index, r
 # content epoch is the one validity rule of buffered results and cached
 # statistics: no epoch means "never cache" (so no `epoch == 0` test), and
 # Collection's mutators invalidate nothing by hand (set_result_limit's
-# call, for a change the epoch does not see, is the one left).
+# call, for a change the epoch does not see, is the one left). A saved
+# system commits through one storage::codec manifest: the `.meta` text
+# dialect (its version line, its mode/derivation codecs and its line
+# escaping) stays deleted, and the generation helpers every multi-file
+# snapshot commits by (next_generation, cleanup_stale_generations) are
+# defined in crates/storage alone.
 # crates/shims stand in for external crates and are exempt.
 copies=$(grep -rnE --include='*.rs' --exclude-dir=storage --exclude-dir=shims \
-    '0xedb8_?8320|fn (crc32|read_varint|write_varint|atomic_write|read_verified)\b|struct InvertedIndex\b|trait IndexReader\b|fn save_collection_flat\b|fn from_raw\(|#\[(allow\()?deprecated|\bTaskWaiter\b|fn enqueue_with_waiter\b|struct (Dec|Rd)\b|fn (put_u32|put_u64|put_f64|put_str|get_varint|get_bytes|get_f64|read_str|write_str)\b|take_u64\b|epoch == 0\b' crates || true)
+    '0xedb8_?8320|fn (crc32|read_varint|write_varint|atomic_write|read_verified)\b|struct InvertedIndex\b|trait IndexReader\b|fn save_collection_flat\b|fn from_raw\(|#\[(allow\()?deprecated|\bTaskWaiter\b|fn enqueue_with_waiter\b|struct (Dec|Rd)\b|fn (put_u32|put_u64|put_f64|put_str|get_varint|get_bytes|get_f64|read_str|write_str)\b|take_u64\b|epoch == 0\b|coupling-meta-v1|fn (mode|derivation)_(to|from)_meta\b|fn (un)?escape_line\b|fn (next_generation|cleanup_stale_generations)\b' crates || true)
 if [ -n "$copies" ]; then
     echo "$copies"
-    echo "REGRESSION: a storage primitive or byte-codec helper outside crates/storage, a second index, reader or snapshot format, a second write shape, or an epoch that means \"never cache\""
+    echo "REGRESSION: a storage primitive, byte-codec or generation helper outside crates/storage, a second index, reader or snapshot format, a second write shape, an epoch that means \"never cache\", or the .meta text dialect"
     exit 1
 fi
 # `experiments` is the one harness of the paper's numbers, and

@@ -174,8 +174,9 @@ proptest! {
     }
 
     /// Random byte flips in the WAL: every batch is checksummed, so
-    /// replay never panics and never returns an altered record — what it
-    /// returns is a prefix of the original record sequence.
+    /// replay never panics and never returns an altered record — it
+    /// returns a prefix of the original record sequence, or refuses a
+    /// log whose corruption has intact frames behind it.
     #[test]
     fn wal_corruption_never_panics(
         flips in prop::collection::vec((any::<u16>(), any::<u8>()), 1..6),
@@ -191,9 +192,16 @@ proptest! {
         std::fs::write(&path, &original).unwrap();
         let full = replay(&path).unwrap();
         std::fs::write(&path, &bytes).unwrap();
-        let records = replay(&path).unwrap();
-        prop_assert!(records.len() <= full.len());
-        prop_assert_eq!(&records[..], &full[..records.len()]);
+        match replay(&path) {
+            Ok(records) => {
+                prop_assert!(records.len() <= full.len());
+                prop_assert_eq!(&records[..], &full[..records.len()]);
+            }
+            Err(e) => prop_assert!(
+                matches!(e, oodb::DbError::Corrupt(_)),
+                "refused as corrupt, not {e:?}"
+            ),
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -191,7 +191,8 @@ fn result_buffer_persists_between_sessions() {
         let telnet = coll.get_irs_result("telnet").unwrap();
         let epoch = coll.irs().epoch();
         buffer.insert("telnet", epoch, std::sync::Arc::new(telnet));
-        buffer.save(&buf_path, epoch).unwrap();
+        // Recorded as saved beside an index whose loads have epoch 1.
+        buffer.save(&buf_path, epoch, 1).unwrap();
     }
     {
         // Loaded entries take the epoch of the index loaded beside them.

@@ -32,11 +32,23 @@ fn saved_system(dir: &Path) -> DocumentSystem {
     sys
 }
 
-/// Flip one byte in the middle of `file` (relative to `dir/collections`).
-fn corrupt(dir: &Path, file: &str) {
-    let path = dir.join("collections").join(file);
-    let len = std::fs::metadata(&path).unwrap().len();
-    flip_byte(&path, (len / 2) as usize).unwrap();
+/// `file` in the current generation under `root` (`db` or
+/// `collections`) of the system saved at `dir`: the one `gen-<g>`
+/// directory a completed save leaves there.
+fn saved(dir: &Path, root: &str, file: &str) -> PathBuf {
+    let gens: Vec<PathBuf> = std::fs::read_dir(dir.join(root))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with("gen-"))
+        .collect();
+    assert_eq!(gens.len(), 1, "one generation after a save: {gens:?}");
+    gens[0].join(file)
+}
+
+/// Flip one byte in the middle of `path`.
+fn corrupt(path: &Path) {
+    let len = std::fs::metadata(path).unwrap().len();
+    flip_byte(path, (len / 2) as usize).unwrap();
 }
 
 // ----------------------------------------------------------------------
@@ -47,7 +59,7 @@ fn corrupt(dir: &Path, file: &str) {
 fn bit_flip_in_index_manifest_is_detected() {
     let dir = tmp_dir("flip_idx");
     saved_system(&dir);
-    corrupt(&dir, "collPara.idx/manifest");
+    corrupt(&saved(&dir, "collections", "collPara.idx/manifest"));
     assert!(open_system(&dir).is_err(), "corrupt index must not load");
 }
 
@@ -57,7 +69,7 @@ fn bit_flip_in_index_shard_file_is_detected() {
     saved_system(&dir);
     // Flip a byte in every shard file of the per-shard snapshot; the CRC
     // framing must reject the load whichever shard carries the postings.
-    let idx_dir = dir.join("collections").join("collPara.idx");
+    let idx_dir = saved(&dir, "collections", "collPara.idx");
     for entry in std::fs::read_dir(&idx_dir).unwrap() {
         let path = entry.unwrap().path();
         if !path
@@ -68,8 +80,7 @@ fn bit_flip_in_index_shard_file_is_detected() {
         {
             continue;
         }
-        let len = std::fs::metadata(&path).unwrap().len();
-        flip_byte(&path, (len / 2) as usize).unwrap();
+        corrupt(&path);
     }
     assert!(open_system(&dir).is_err(), "corrupt shard must not load");
 }
@@ -78,26 +89,25 @@ fn bit_flip_in_index_shard_file_is_detected() {
 fn bit_flip_in_buffer_file_is_detected() {
     let dir = tmp_dir("flip_buf");
     saved_system(&dir);
-    corrupt(&dir, "collPara.buf");
+    corrupt(&saved(&dir, "collections", "collPara.buf"));
     assert!(open_system(&dir).is_err(), "corrupt buffer must not load");
 }
 
 #[test]
-fn bit_flip_in_meta_file_is_detected() {
-    let dir = tmp_dir("flip_meta");
+fn bit_flip_in_system_manifest_is_detected() {
+    let dir = tmp_dir("flip_manifest");
     saved_system(&dir);
-    corrupt(&dir, "collPara.meta");
-    assert!(open_system(&dir).is_err(), "corrupt metadata must not load");
+    corrupt(&dir.join("manifest"));
+    assert!(open_system(&dir).is_err(), "corrupt manifest must not load");
 }
 
 #[test]
 fn bit_flip_in_db_snapshot_is_detected() {
     let dir = tmp_dir("flip_snap");
     saved_system(&dir);
-    let snap = dir.join("db").join("snapshot.odb");
+    let snap = saved(&dir, "db", "snapshot.odb");
     assert!(snap.exists(), "snapshot written by save_system");
-    let len = std::fs::metadata(&snap).unwrap().len();
-    flip_byte(&snap, (len / 2) as usize).unwrap();
+    corrupt(&snap);
     assert!(open_system(&dir).is_err(), "corrupt snapshot must not load");
 }
 
@@ -109,10 +119,7 @@ fn bit_flip_in_db_snapshot_is_detected() {
 fn truncated_index_manifest_is_detected() {
     let dir = tmp_dir("torn_idx");
     saved_system(&dir);
-    let path = dir
-        .join("collections")
-        .join("collPara.idx")
-        .join("manifest");
+    let path = saved(&dir, "collections", "collPara.idx/manifest");
     let bytes = std::fs::read(&path).unwrap();
     torn_write(&path, &bytes, bytes.len() * 2 / 3).unwrap();
     assert!(open_system(&dir).is_err(), "torn index must not load");
@@ -127,16 +134,10 @@ fn stray_tmp_file_from_killed_save_is_harmless() {
     let before = sys
         .query("ACCESS p FROM p IN PARA WHERE p -> getIRSValue(collPara, 'telnet') > 0.45")
         .unwrap();
-    std::fs::write(
-        dir.join("collections").join("collPara.meta.tmp"),
-        b"half-written garbage",
-    )
-    .unwrap();
+    std::fs::write(dir.join("manifest.tmp"), b"half-written garbage").unwrap();
     // Likewise a stray shard tmp inside the per-shard snapshot directory.
     std::fs::write(
-        dir.join("collections")
-            .join("collPara.idx")
-            .join("shard-9999-0.tmp"),
+        saved(&dir, "collections", "collPara.idx/shard-9999-0.tmp"),
         b"also garbage",
     )
     .unwrap();
